@@ -113,6 +113,13 @@ fn bench_ftb(c: &mut Criterion) {
             for n in 1..9 {
                 bp.add_agent(NodeId(n), Some(NodeId(0)));
             }
+            // A subscriber on every node, so each event fans out to all 9.
+            let _subs: Vec<_> = (0..9)
+                .map(|n| {
+                    ftb::FtbClient::connect(&bp, NodeId(n), "sub")
+                        .subscribe(&h, ftb::EventFilter::all())
+                })
+                .collect();
             let client = ftb::FtbClient::connect(&bp, NodeId(5), "pub");
             sim.spawn("pub", move |ctx| {
                 for k in 0..100 {

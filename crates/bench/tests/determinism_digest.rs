@@ -20,11 +20,14 @@ use npbsim::{NpbApp, NpbClass, Workload};
 use simkit::dur::secs;
 use simkit::{SimHandle, SimTime, Simulation, TraceDigest};
 
-/// Golden digests recorded from the pre-optimization kernel (PR 10 seed
-/// tree, full retiming). Format: (fnv1a64 hash, events folded).
-const GOLDEN_FIG4: (u64, u64) = (1399430321304610352, 4913);
-const GOLDEN_FAULT_MATRIX: (u64, u64) = (16440025980826432851, 209);
-const GOLDEN_FLEET: (u64, u64) = (1451399638756474650, 115910);
+/// Golden digests, recorded with full retiming. They were re-recorded
+/// once when FTB moved from flooding to subscription routing: the same
+/// events are emitted, but control events reach their subscribers sooner
+/// because agents stop serializing sends to uninterested subtrees.
+/// Format: (fnv1a64 hash, events folded).
+const GOLDEN_FIG4: (u64, u64) = (16652557740970559242, 4913);
+const GOLDEN_FAULT_MATRIX: (u64, u64) = (6725784159525433729, 209);
+const GOLDEN_FLEET: (u64, u64) = (13480847520551241686, 115910);
 
 fn assert_golden(name: &str, got: TraceDigest, want: (u64, u64)) {
     assert_eq!(

@@ -22,7 +22,7 @@ pub const FTB_RESTART: &str = "FTB_RESTART";
 pub const FTB_RESTART_DONE: &str = "FTB_RESTART_DONE";
 
 /// Per-rank suspension acknowledgement (Phase 1 coordination traffic; the
-/// stall-phase latency the paper measures is dominated by this fan-in).
+/// measured Job Stall ends when the Job Manager has seen every rank's).
 pub const FTB_SUSPEND_ACK: &str = "FTB_SUSPEND_ACK";
 
 /// Coordinated-checkpoint kick-off for the CR baseline.
@@ -120,8 +120,7 @@ pub struct CheckpointMsg {
 }
 
 /// Payload of [`FTB_SUSPEND_ACK`] (per-rank Phase 1 acknowledgement; the
-/// fan-in of these through the FTB tree is what the measured Job Stall
-/// time is mostly made of).
+/// Job Stall phase lasts until all of them reach the Job Manager).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuspendAckMsg {
     /// The cycle being acknowledged.

@@ -2169,7 +2169,7 @@ fn health_bridge(ctx: &Ctx, rt: JobRuntime) {
         &ctx.handle(),
         EventFilter {
             space: Some(healthmon::HEALTH_SPACE.to_string()),
-            name: None,
+            names: None,
             min_severity: Some(Severity::Error),
         },
     );
@@ -2482,7 +2482,10 @@ fn nla_proc(ctx: &Ctx, rt: JobRuntime, node: NodeId) {
     }
 
     let ftb = FtbClient::connect(inner.cluster.ftb(), node, &format!("nla@{node}"));
-    let sub = ftb.subscribe(&ctx.handle(), EventFilter::space(MPI_SPACE));
+    let sub = ftb.subscribe(
+        &ctx.handle(),
+        EventFilter::named_any(MPI_SPACE, &[FTB_MIGRATE, FTB_PRECOPY, FTB_RESTART]),
+    );
     // Protocol work runs in spawned children registered with the cycle,
     // so an abort can kill them without taking down the NLA itself.
     loop {
@@ -3151,7 +3154,10 @@ fn cr_thread(ctx: &Ctx, rt: JobRuntime, rank: u32, resume: Option<Arc<MigCycle>>
     let cr = inner.job.cr(rank);
     let node = inner.job.rank_node(rank);
     let ftb = FtbClient::connect(inner.cluster.ftb(), node, &format!("cr-r{rank}"));
-    let sub = ftb.subscribe(&ctx.handle(), EventFilter::space(MPI_SPACE));
+    let sub = ftb.subscribe(
+        &ctx.handle(),
+        EventFilter::named_any(MPI_SPACE, &[FTB_MIGRATE, FTB_CHECKPOINT]),
+    );
     if let Some(cycle) = resume {
         phase4(ctx, &rt, &cr, &cycle);
     }

@@ -408,7 +408,7 @@ fn fleet_manager(ctx: &Ctx, fleet: Arc<FleetShared>, mut policy: Box<dyn FleetPo
         fleet.cluster.handle(),
         EventFilter {
             space: Some(HEALTH_SPACE.to_string()),
-            name: None,
+            names: None,
             min_severity: Some(Severity::Error),
         },
     );

@@ -7,7 +7,7 @@ use parking_lot::Mutex;
 use protoverify::{link_next, LinkEvent, LinkState};
 use simkit::{Ctx, ProcHandle, Queue, SimHandle};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Direction an event arrived from (suppresses echo on forwarding).
@@ -69,13 +69,18 @@ struct AgentHandles {
     procs: Vec<ProcHandle>,
 }
 
+/// Every live agent by node. Killed agents leave it, so their
+/// subscriptions stop attracting events. Agents reach it through a
+/// `Weak`: the table owns the agents, not the other way round.
+type Registry = Mutex<HashMap<NodeId, AgentHandles>>;
+
 /// The deployed backplane: spawns agents and hands out client handles.
 #[derive(Clone)]
 pub struct FtbBackplane {
     handle: SimHandle,
     net: Net,
     cfg: Arc<FtbConfig>,
-    agents: Arc<Mutex<HashMap<NodeId, AgentHandles>>>,
+    agents: Arc<Registry>,
 }
 
 impl FtbBackplane {
@@ -129,10 +134,11 @@ impl FtbBackplane {
         let loop_state = state.clone();
         let loop_net = self.net.clone();
         let loop_cfg = self.cfg.clone();
+        let loop_agents = Arc::downgrade(&self.agents);
         let main = self
             .handle
             .spawn_daemon(&format!("ftb-agent@{node}"), move |ctx| {
-                agent_main(ctx, loop_state, loop_net, loop_cfg, inbox)
+                agent_main(ctx, loop_state, loop_net, loop_cfg, loop_agents, inbox)
             });
         let hb_state = state.clone();
         let hb_net = self.net.clone();
@@ -308,11 +314,41 @@ fn forward_up(ctx: &Ctx, state: &Arc<AgentState>, net: &Net, cfg: &FtbConfig, ev
     });
 }
 
+/// Whether the subtree under `child` holds a subscription matching
+/// `event`, read from the agents' live manager-layer state. An agent
+/// belongs to `parent`'s subtree while it is alive and still names
+/// `parent` as its parent, so a re-parented subtree takes its
+/// subscriptions with it; below it the walk follows `children` sets by
+/// the same rule. A `subscribe` counts from the moment it returns.
+fn subtree_wants(agents: &Weak<Registry>, parent: NodeId, child: NodeId, event: &FtbEvent) -> bool {
+    fn wants(
+        agents: &HashMap<NodeId, AgentHandles>,
+        parent: NodeId,
+        node: NodeId,
+        event: &FtbEvent,
+    ) -> bool {
+        let Some(a) = agents.get(&node) else {
+            return false; // dead: nothing below it is reachable through it
+        };
+        let s = &a.state;
+        *s.parent.lock() == Some(parent)
+            && (s.subs.lock().iter().any(|(f, _)| f.matches(event))
+                || s.children
+                    .lock()
+                    .iter()
+                    .any(|&c| wants(agents, node, c, event)))
+    }
+    agents
+        .upgrade()
+        .is_some_and(|agents| wants(&agents.lock(), parent, child, event))
+}
+
 fn agent_main(
     ctx: &Ctx,
     state: Arc<AgentState>,
     net: Net,
     cfg: Arc<FtbConfig>,
+    agents: Weak<Registry>,
     inbox: Queue<ibfabric::Datagram>,
 ) {
     // Announce ourselves to the configured parent.
@@ -339,10 +375,11 @@ fn agent_main(
                 if via != Via::Parent {
                     forward_up(ctx, &state, &net, &cfg, &event);
                 }
-                // forward down (BTreeSet: deterministic delivery order)
+                // forward down, only into subtrees that subscribe
+                // (BTreeSet: deterministic delivery order)
                 let children: Vec<NodeId> = state.children.lock().iter().copied().collect();
                 for c in children {
-                    if via == Via::Child(c) {
+                    if via == Via::Child(c) || !subtree_wants(&agents, state.node, c, &event) {
                         continue;
                     }
                     let fwd = AgentMsg::Publish {

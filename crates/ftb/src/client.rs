@@ -58,7 +58,7 @@ impl FtbClient {
     }
 
     /// Publish an event into the backplane (loopback hop to the local
-    /// agent, then tree flooding).
+    /// agent, then routing to every matching subscription).
     pub fn publish(&self, ctx: &Ctx, event: FtbEvent) {
         ctx.instant_with("ftb", event.name.as_str(), || {
             vec![

@@ -92,8 +92,8 @@ impl fmt::Debug for FtbEvent {
 pub struct EventFilter {
     /// Required namespace (exact match).
     pub space: Option<String>,
-    /// Required event name (exact match).
-    pub name: Option<String>,
+    /// Accepted event names (exact match against any of them).
+    pub names: Option<Vec<String>>,
     /// Minimum severity.
     pub min_severity: Option<Severity>,
 }
@@ -114,9 +114,14 @@ impl EventFilter {
 
     /// Match one event name within a namespace.
     pub fn named(space: &str, name: &str) -> Self {
+        EventFilter::named_any(space, &[name])
+    }
+
+    /// Match any of `names` within a namespace.
+    pub fn named_any(space: &str, names: &[&str]) -> Self {
         EventFilter {
             space: Some(space.to_string()),
-            name: Some(name.to_string()),
+            names: Some(names.iter().map(|n| n.to_string()).collect()),
             min_severity: None,
         }
     }
@@ -128,8 +133,8 @@ impl EventFilter {
                 return false;
             }
         }
-        if let Some(n) = &self.name {
-            if *n != ev.name {
+        if let Some(names) = &self.names {
+            if !names.contains(&ev.name) {
                 return false;
             }
         }
@@ -162,6 +167,15 @@ mod tests {
         assert!(!f.matches(&ev("STOP", Severity::Info)));
         let other = FtbEvent::simple("FTB.OTHER", "GO", Severity::Info, NodeId(0));
         assert!(!f.matches(&other));
+    }
+
+    #[test]
+    fn filter_by_name_set() {
+        let f = EventFilter::named_any("FTB.TEST", &["GO", "STOP"]);
+        assert!(f.matches(&ev("GO", Severity::Info)));
+        assert!(f.matches(&ev("STOP", Severity::Info)));
+        assert!(!f.matches(&ev("WAIT", Severity::Info)));
+        assert!(!EventFilter::named_any("FTB.TEST", &[]).matches(&ev("GO", Severity::Info)));
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! * **Tree topology with self-healing** — an agent that loses its parent
 //!   re-attaches to its grandparent, so events keep flowing after a node
 //!   death ([`FtbBackplane`] tests exercise this).
-//! * Events are **flooded along the tree** (up to the parent and down to
-//!   every child except the arrival direction), so delivery is exactly
-//!   -once per node in a stable tree.
+//! * Events are **routed by subscription**: an agent always forwards an
+//!   event up toward the root, and down into a child (never back the
+//!   arrival direction) only when that child's subtree holds a matching
+//!   subscription. Delivery is exactly-once per matching subscription in
+//!   a stable tree, and a subtree with no match sees no traffic.
 
 mod agent;
 mod client;

@@ -1,4 +1,4 @@
-//! End-to-end FTB behaviour: tree delivery, filtering, payloads,
+//! End-to-end FTB behaviour: routed delivery, filtering, payloads,
 //! self-healing after agent death.
 
 use ftb::{EventFilter, FtbBackplane, FtbClient, FtbEvent, Severity};
@@ -21,12 +21,12 @@ fn deploy(sim: &Simulation) -> FtbBackplane {
 }
 
 #[test]
-fn publish_reaches_every_node_once() {
+fn publish_reaches_every_subscribed_node_once() {
     let mut sim = Simulation::new(0);
     let bp = deploy(&sim);
     let h = sim.handle();
     let hits = Arc::new(AtomicU64::new(0));
-    for n in 0..4u32 {
+    for n in [0u32, 2, 3] {
         let c = FtbClient::connect(&bp, NodeId(n), &format!("sub{n}"));
         let q = c.subscribe(&h, EventFilter::space("FTB.TEST"));
         let hits = hits.clone();
@@ -37,16 +37,32 @@ fn publish_reaches_every_node_once() {
             hits.fetch_add(1, Ordering::SeqCst);
         });
     }
+    // n1 subscribes to another space: its subtree wants nothing of this.
+    let other = FtbClient::connect(&bp, NodeId(1), "sub1");
+    let q_other = other.subscribe(&h, EventFilter::space("FTB.OTHER"));
     let publisher = FtbClient::connect(&bp, NodeId(3), "pub");
     sim.spawn("publisher", move |ctx| {
-        ctx.sleep(ms(1));
+        ctx.sleep(ms(10));
         publisher.publish(
             ctx,
             FtbEvent::simple("FTB.TEST", "GO", Severity::Info, NodeId(3)),
         );
     });
+    sim.run_for(ms(5)).unwrap(); // startup Attach/AttachAck settled
+    let n1_rx = bp.net().rx_bytes(NodeId(1));
     sim.run_for(secs(1)).unwrap();
-    assert_eq!(hits.load(Ordering::SeqCst), 4, "event must reach all nodes");
+    assert_eq!(
+        hits.load(Ordering::SeqCst),
+        3,
+        "event must reach every subscribed node"
+    );
+    assert!(q_other.is_empty());
+    assert_eq!(bp.delivered_on(NodeId(1)), 0);
+    assert_eq!(
+        bp.net().rx_bytes(NodeId(1)),
+        n1_rx,
+        "no datagram may enter a subtree without a matching subscription"
+    );
 }
 
 #[test]

@@ -40,8 +40,6 @@ pub(crate) struct Hot {
     pub(crate) heap_peak: AtomicU64,
     /// Simulated processes spawned.
     pub(crate) spawns: AtomicU64,
-    /// OS threads actually created for them (spawns minus worker reuse).
-    pub(crate) threads_created: AtomicU64,
     /// FlowNet rate recomputations (flow add/remove/wake).
     pub(crate) flow_recomputes: AtomicU64,
     /// Per-flow completion-wake reschedules issued to the kernel.
@@ -73,7 +71,6 @@ impl Hot {
             timer_pushes: AtomicU64::new(0),
             heap_peak: AtomicU64::new(0),
             spawns: AtomicU64::new(0),
-            threads_created: AtomicU64::new(0),
             flow_recomputes: AtomicU64::new(0),
             flow_retimes: AtomicU64::new(0),
             flow_retime_skips: AtomicU64::new(0),
@@ -141,7 +138,6 @@ impl Hot {
             timer_pushes: self.timer_pushes.load(Ordering::Relaxed),
             heap_peak: self.heap_peak.load(Ordering::Relaxed),
             procs_spawned: self.spawns.load(Ordering::Relaxed),
-            threads_created: self.threads_created.load(Ordering::Relaxed),
             flow_recomputes: self.flow_recomputes.load(Ordering::Relaxed),
             flow_retimes: self.flow_retimes.load(Ordering::Relaxed),
             flow_retime_skips: self.flow_retime_skips.load(Ordering::Relaxed),
@@ -180,9 +176,6 @@ pub struct HotStats {
     pub heap_peak: u64,
     /// Simulated processes spawned.
     pub procs_spawned: u64,
-    /// OS threads created for them (less than `procs_spawned` when the
-    /// kernel's worker pool reuses parked threads).
-    pub threads_created: u64,
     /// FlowNet rate recomputations.
     pub flow_recomputes: u64,
     /// Per-flow completion-wake reschedules issued.
@@ -210,7 +203,6 @@ impl HotStats {
             timer_pushes: self.timer_pushes - earlier.timer_pushes,
             heap_peak: self.heap_peak,
             procs_spawned: self.procs_spawned - earlier.procs_spawned,
-            threads_created: self.threads_created - earlier.threads_created,
             flow_recomputes: self.flow_recomputes - earlier.flow_recomputes,
             flow_retimes: self.flow_retimes - earlier.flow_retimes,
             flow_retime_skips: self.flow_retime_skips - earlier.flow_retime_skips,
@@ -234,7 +226,6 @@ impl HotStats {
              stale timers        {:>12}\n\
              heap peak           {:>12}\n\
              procs spawned       {:>12}\n\
-             threads created     {:>12}\n\
              flow recomputes     {:>12}\n\
              flow retimes        {:>12}\n\
              flow retime skips   {:>12}\n",
@@ -244,7 +235,6 @@ impl HotStats {
             self.stale_timers_skipped,
             self.heap_peak,
             self.procs_spawned,
-            self.threads_created,
             self.flow_recomputes,
             self.flow_retimes,
             self.flow_retime_skips,

@@ -517,7 +517,6 @@ impl Kernel {
         // be dispatched (the wake is only scheduled below).
         let _ = baton.thread.set(jh.thread().clone());
         Hot::bump(&self.hot.spawns);
-        Hot::bump(&self.hot.threads_created);
         {
             let mut st = self.st.lock();
             st.procs[pid.0 as usize].join = Some(jh);

@@ -474,29 +474,3 @@ fn suite_refines_model_and_covers_tables() {
         cov.ratio() * 100.0
     );
 }
-
-#[test]
-#[ignore]
-fn link_probe() {
-    let t = run_link_fallback_rows();
-    for ev in &t.events {
-        let raw = raw_trace(std::slice::from_ref(ev));
-        let r = &raw[0];
-        if r.name == "link_transition" || r.cat == "ftb" {
-            println!("{}", r.render());
-        }
-    }
-}
-
-#[test]
-#[ignore]
-fn restart_probe() {
-    let t = run_traced("probe", 89, 1, false, MigrationTuning::barrier(), None);
-    for ev in &t.events {
-        let raw = raw_trace(std::slice::from_ref(ev));
-        let r = &raw[0];
-        if r.cat == "ftb" || r.cat == "phase" || (r.cat == "wal" && r.name == "wal_append") {
-            println!("{}", r.render());
-        }
-    }
-}
