@@ -2,28 +2,22 @@
 //! not what it simulates.
 //!
 //! Runs the three reference soaks (Figure 4 migration, live pre-copy,
-//! fleet soak under the proactive policy) plus the fleet soak again in
-//! *legacy-faithful* mode (scheduler-thread rendezvous on every event,
-//! full FlowNet retiming on every rate change — the pre-optimization
-//! event loop, reachable at runtime via [`SimHandle::set_direct_handoff`]
-//! and [`SimHandle::set_full_retime_default`]). For each it records wall
-//! seconds, dispatched events, and events/sec from the kernel
-//! self-profile, then writes `BENCH_wallclock.json`.
+//! fleet soak under the proactive policy). For each it records wall
+//! seconds, dispatched events, timer pushes and events/sec from the
+//! kernel self-profile, then writes `BENCH_wallclock.json`.
 //!
-//! Gates, in order of strictness:
+//! Gates against the committed `wallclock_baseline.json` (refresh it by
+//! copying a fresh `BENCH_wallclock.json` over it when an intentional
+//! change moves the numbers):
 //!
-//! 1. **Speedup floor** — the optimized fleet soak must beat the
-//!    legacy-faithful run by >= 2x wall clock. Both runs happen in this
-//!    process on this machine, so the ratio is hardware-independent.
-//! 2. **Ratio regression** — the speedup must stay within 10% of the
-//!    committed `wallclock_baseline.json` (refresh the baseline by
-//!    copying a fresh `BENCH_wallclock.json` over it when an intentional
-//!    change moves the numbers).
-//! 3. **Absolute regression** (opt-in: `BENCH_WALLCLOCK_ENFORCE_ABS=1`) —
+//! 1. **Work** — each scenario's dispatched `events` and `timer_pushes`
+//!    must equal the baseline exactly. Both are deterministic for a
+//!    seed, so any change that adds or removes simulator work fails
+//!    here on every machine until the baseline is re-recorded on purpose.
+//! 2. **Absolute speed** (opt-in: `BENCH_WALLCLOCK_ENFORCE_ABS=1`) —
 //!    per-scenario events/sec must stay within 10% of the baseline.
 //!    Only meaningful when the baseline was recorded on the same class
-//!    of machine, so CI leaves it off and the ratio gate carries the
-//!    regression signal.
+//!    of machine, so CI leaves it off.
 //!
 //! The binary also asserts the telemetry zero-cost claim: an
 //! `instant_with` call site with tracing disabled (the default) must
@@ -42,7 +36,7 @@ struct Scenario {
     name: &'static str,
     wall_secs: f64,
     events: u64,
-    direct_handoffs: u64,
+    timer_pushes: u64,
 }
 
 impl Scenario {
@@ -55,7 +49,7 @@ impl Scenario {
             .set("wall_secs", self.wall_secs)
             .set("events", self.events)
             .set("events_per_sec", self.events_per_sec())
-            .set("direct_handoffs", self.direct_handoffs)
+            .set("timer_pushes", self.timer_pushes)
     }
 }
 
@@ -73,15 +67,15 @@ fn measure(name: &'static str, run: impl FnOnce(&mut Option<SimHandle>)) -> Scen
         name,
         wall_secs,
         events: stats.events_dispatched,
-        direct_handoffs: stats.direct_handoffs,
+        timer_pushes: stats.timer_pushes,
     };
     println!(
-        "{:<14} {:>8.2}s {:>10} events {:>9.0} ev/s {:>10} handoffs",
+        "{:<14} {:>8.2}s {:>10} events {:>9.0} ev/s {:>10} timer pushes",
         s.name,
         s.wall_secs,
         s.events,
         s.events_per_sec(),
-        s.direct_handoffs
+        s.timer_pushes
     );
     s
 }
@@ -111,14 +105,10 @@ fn peak_rss_kb() -> u64 {
 }
 
 /// Pull the number following `"key":` from `doc`, searching from the
-/// first occurrence of `anchor` (pass `""` to search the whole doc).
-/// Enough of a JSON reader for the baseline file we write ourselves.
+/// first occurrence of `anchor`. Enough of a JSON reader for the
+/// baseline file we write ourselves.
 fn num_after(doc: &str, anchor: &str, key: &str) -> Option<f64> {
-    let start = if anchor.is_empty() {
-        0
-    } else {
-        doc.find(anchor)?
-    };
+    let start = doc.find(anchor)?;
     let tail = &doc[start..];
     let pos = tail.find(&format!("\"{key}\":"))? + key.len() + 3;
     let rest = tail[pos..].trim_start();
@@ -156,7 +146,7 @@ fn disabled_trace_ns_per_call() -> f64 {
 }
 
 fn main() {
-    println!("Simulator wall-clock bench (fig4 / livemig / fleet soak, optimized vs legacy)");
+    println!("Simulator wall-clock bench (fig4 / livemig / fleet soak)");
 
     let fig4 = measure("fig4", |stash| {
         fig_migration_observed(NpbApp::Lu, 64, 8, PoolConfig::default(), |h| {
@@ -173,10 +163,9 @@ fn main() {
     let cfg = FleetConfig::soak(SEED);
     let plan = cfg.doom_plan();
 
-    // Each fleet mode runs twice and keeps the faster wall clock: on a
+    // The fleet soak runs twice and keeps the faster wall clock: on a
     // loaded machine noise only ever adds time, so min-of-N is the
-    // closest observable to the true cost and keeps the speedup gate
-    // from flapping.
+    // closest observable to the true cost.
     let fleet = min_wall(|| {
         measure("fleet", |stash| {
             fleetsched::run_policy_observed(&cfg, PolicyKind::Proactive, &plan, |h| {
@@ -184,31 +173,6 @@ fn main() {
             });
         })
     });
-
-    // The same soak with the pre-optimization event loop: every event
-    // takes a scheduler-thread round trip and every rate change retimes
-    // the whole flow network. Dispatch order is identical (the golden
-    // digest tests prove it), only the wall clock differs.
-    let fleet_legacy = min_wall(|| {
-        measure("fleet-legacy", |stash| {
-            fleetsched::run_policy_observed(&cfg, PolicyKind::Proactive, &plan, |h| {
-                h.set_direct_handoff(false);
-                h.set_full_retime_default(true);
-                *stash = Some(h.clone());
-            });
-        })
-    });
-    assert_eq!(
-        fleet.events, fleet_legacy.events,
-        "legacy and optimized modes must dispatch the same event stream"
-    );
-    assert_eq!(
-        fleet_legacy.direct_handoffs, 0,
-        "legacy mode must not handoff"
-    );
-
-    let speedup = fleet_legacy.wall_secs / fleet.wall_secs.max(1e-9);
-    println!("fleet soak speedup (legacy/optimized): {speedup:.2}x");
 
     let per_event_ns = fleet.wall_secs * 1e9 / fleet.events.max(1) as f64;
     let disabled_ns = disabled_trace_ns_per_call();
@@ -218,13 +182,12 @@ fn main() {
          ({overhead_pct:.3}% of an event dispatch)"
     );
 
-    let scenarios = [&fig4, &livemig, &fleet, &fleet_legacy];
+    let scenarios = [&fig4, &livemig, &fleet];
     let mut doc = Json::obj();
     for s in scenarios {
         doc = doc.set(s.name, s.to_json());
     }
     let doc = doc
-        .set("fleet_speedup", speedup)
         .set(
             "telemetry",
             Json::obj()
@@ -236,12 +199,6 @@ fn main() {
     let path = write_bench_json("wallclock", &doc, true).expect("always written");
     println!("wrote {}", path.display());
 
-    // Gate 1: the optimized event loop must carry its weight.
-    assert!(
-        speedup >= 2.0,
-        "optimized fleet soak must be >= 2x faster than legacy-faithful, got {speedup:.2}x"
-    );
-
     // Telemetry zero-cost gate: a disabled call site is one relaxed
     // atomic load — far under 1% of a mean event dispatch.
     assert!(
@@ -249,21 +206,25 @@ fn main() {
         "disabled tracing must cost < 1% of an event dispatch, got {overhead_pct:.3}%"
     );
 
-    // Gates 2 and 3: regression against the committed baseline.
+    // Gates 1 and 2: regression against the committed baseline.
     match load_baseline() {
         None => println!("no wallclock_baseline.json committed; skipping regression gates"),
         Some(base) => {
-            let base_speedup =
-                num_after(&base, "", "fleet_speedup").expect("baseline must record fleet_speedup");
-            assert!(
-                speedup >= base_speedup * 0.9,
-                "fleet speedup regressed > 10%: {speedup:.2}x vs baseline {base_speedup:.2}x"
-            );
-            println!(
-                "ratio gate ok: {speedup:.2}x vs baseline {base_speedup:.2}x (-10% tolerance)"
-            );
+            for s in scenarios {
+                let anchor = format!("\"{}\"", s.name);
+                for (key, got) in [("events", s.events), ("timer_pushes", s.timer_pushes)] {
+                    let want = num_after(&base, &anchor, key)
+                        .unwrap_or_else(|| panic!("baseline must record {}.{key}", s.name));
+                    assert_eq!(
+                        got as f64, want,
+                        "{}: {key} moved from the baseline's {want} to {got}",
+                        s.name
+                    );
+                }
+            }
+            println!("work gate ok: events and timer pushes match the baseline exactly");
             if std::env::var_os("BENCH_WALLCLOCK_ENFORCE_ABS").is_some() {
-                for s in [&fig4, &livemig, &fleet] {
+                for s in scenarios {
                     let b = num_after(&base, &format!("\"{}\"", s.name), "events_per_sec")
                         .expect("baseline must record per-scenario events_per_sec");
                     let got = s.events_per_sec();

@@ -1,7 +1,9 @@
 //! Dump the fleet-soak digest scenario's full trace stream, one line per
-//! event, for diffing incremental-retime runs against the full-retime
-//! oracle (`SIMKIT_FULL_RETIME=1`). Debug aid for the determinism oracle;
-//! not part of any benchmark.
+//! event. Run it at two commits and diff the outputs to find the first
+//! event a change moved when a golden digest in `determinism_digest.rs`
+//! fails. Debug aid for the determinism oracle; not part of any benchmark.
+//!
+//! `cargo run --release -p jobmig-bench --example digest_dump > trace.txt`
 
 fn main() {
     let cfg = fleetsched::FleetConfig::soak(jobmig_bench::SEED);

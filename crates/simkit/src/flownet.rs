@@ -8,12 +8,23 @@
 //! to first order for the traffic patterns simulated here and — importantly
 //! — monotone and cheap to recompute on every arrival/departure.
 //!
-//! [`FlowNet`] complements [`crate::Link`]: use `Link` for a standalone
+//! # Exact finish times
+//!
+//! A flow stores the bytes it had `left` at the instant `since` its `rate`
+//! last changed, and the absolute `finish` instant that rate implies. On
+//! every arrival or departure all rates are recomputed, but a flow's
+//! progress is settled and its owner's completion wake re-pushed only when
+//! its rate changes bit-wise. A flow whose rate is unchanged keeps its
+//! finish nanosecond and its pending timer, so there is no float drift to
+//! correct and no no-op retime to detect. The owner is done exactly when
+//! the clock reaches `finish`.
+//!
+//! [`crate::Link`] is a one-link `FlowNet`: use `Link` for a standalone
 //! resource (a disk, a memory bus), `FlowNet` when flows share *paths*.
 
 use crate::hotstats::Hot;
 use crate::kernel::{Kernel, ProcId, SimHandle};
-use crate::link::Sharing;
+use crate::link::{LinkStats, Sharing};
 use crate::process::Ctx;
 use crate::time::SimTime;
 use parking_lot::Mutex;
@@ -30,122 +41,101 @@ struct NetLink {
     cap: f64,
     sharing: Sharing,
     active: u32,
-    bytes_completed: u64,
+    /// Equal-split share of each active flow; refreshed whenever `active`
+    /// changes, infinite while idle.
+    share: f64,
+    /// Start of the current busy period (meaningful while `active > 0`).
+    busy_since: SimTime,
+    stats: LinkStats,
+}
+
+impl NetLink {
+    /// Count one flow joining (`+1`) or leaving (`-1`) at `now`.
+    fn adjust(&mut self, now: SimTime, delta: i32) {
+        if self.active == 0 {
+            self.busy_since = now;
+        }
+        self.active = self
+            .active
+            .checked_add_signed(delta)
+            .expect("link flow count");
+        if self.active == 0 {
+            self.stats.busy += now - self.busy_since;
+            self.share = f64::INFINITY;
+        } else {
+            let n = self.active as usize;
+            self.share = self.sharing.aggregate(self.cap, n) / n as f64;
+        }
+        self.stats.peak_flows = self.stats.peak_flows.max(self.active as usize);
+    }
 }
 
 struct NetFlow {
     pid: u32,
     links: Vec<LinkId>,
-    remaining: f64,
     bytes: u64,
+    /// Bytes still to move at `since`.
+    left: f64,
+    /// Instant `rate` took effect.
+    since: SimTime,
+    /// Current rate in bytes/s (0 before the first recompute).
     rate: f64,
-    /// Virtual instant of the completion wake last pushed for the owner.
-    /// A retime whose recomputed rate *and* wake both equal the stored
-    /// values is a no-op and is skipped (incremental mode).
-    wake: SimTime,
+    /// Instant the flow completes at `rate`; the owner's pending wake.
+    finish: SimTime,
 }
 
 struct NetInner {
     links: Vec<NetLink>,
-    /// Cached per-link equal-split share, maintained incrementally: a
-    /// link's share only changes when its `active` count does, so it is
-    /// refreshed at flow add/remove instead of rebuilt per retime. The
-    /// refresh uses the same expression as the full rebuild, so cached
-    /// values are bit-identical to recomputed ones.
-    shares: Vec<f64>,
     // BTreeMap, not HashMap: recompute_and_retime iterates this map and
     // schedules wakes in iteration order, which must be stable for
     // same-seed runs to replay identically (same-timestamp tie-breaks).
     flows: BTreeMap<u64, NetFlow>,
     next_flow: u64,
-    last_update: SimTime,
-    /// Force the pre-incremental behavior: reschedule every flow on every
-    /// recompute. Kept as the oracle the incremental path is tested
-    /// against (`SIMKIT_FULL_RETIME=1` or [`FlowNet::set_full_retime`]).
-    full_retime: bool,
 }
 
 impl NetInner {
-    fn advance_to(&mut self, now: SimTime) {
-        if now <= self.last_update {
-            return;
-        }
-        let dt = (now - self.last_update).as_secs_f64();
-        for f in self.flows.values_mut() {
-            f.remaining = (f.remaining - f.rate * dt).max(0.0);
-        }
-        self.last_update = now;
-    }
-
-    /// Refresh the cached share of one link after its `active` changed.
-    fn refresh_share(&mut self, l: LinkId) {
-        let link = &self.links[l.0 as usize];
-        self.shares[l.0 as usize] = if link.active == 0 {
-            f64::INFINITY
-        } else {
-            link.sharing_aggregate() / link.active as f64
-        };
-    }
-
-    /// Recompute every flow's rate from the cached link shares and retime
-    /// the owners' completion wakes. In incremental mode a flow whose rate
-    /// and recomputed wake instant are both unchanged keeps its pending
-    /// timer; in full (oracle) mode every flow is rescheduled, as the
-    /// pre-incremental kernel did.
+    /// Recompute every flow's rate from the link shares. A flow whose rate
+    /// changed bit-wise has its progress settled at `now`, a new `finish`
+    /// and a fresh completion wake; the others keep theirs.
     ///
-    /// `running` names the caller's own flow, whose canonical wake has just
-    /// fired and been consumed — it MUST be rescheduled even when the
-    /// recomputed wake is unchanged, or its owner would block with no
-    /// pending timer.
-    ///
-    /// The skip is byte-identical to the retime-everything oracle only
-    /// under three kernel-verified conditions: the owner's canonical
-    /// timer still sits at the stored wake (a kill may have replaced
-    /// it), and the wake's exact nanosecond is *uncontended* — ties at
-    /// equal virtual time are broken by timer insertion sequence, so a
-    /// stale timer may only be kept where no tie is possible. Contended
-    /// flows are refreshed on every recompute, in flow-id order, exactly
-    /// reproducing the sequence numbers the oracle assigns.
+    /// `running` names the caller's own flow, whose wake has just fired
+    /// and been consumed: it is always re-pushed, or its owner would block
+    /// with no pending timer.
     fn recompute_and_retime(&mut self, kernel: &Kernel, now: SimTime, running: Option<u64>) {
         Hot::bump(&kernel.hot.flow_recomputes);
-        let shares = &self.shares;
-        let full_retime = self.full_retime;
+        let links = &self.links;
         kernel.with_wake_batch(|batch| {
             for (&id, f) in self.flows.iter_mut() {
                 let rate = f
                     .links
                     .iter()
-                    .map(|l| shares[l.0 as usize])
+                    .map(|l| links[l.0 as usize].share)
                     .fold(f64::INFINITY, f64::min);
                 debug_assert!(rate.is_finite() && rate > 0.0);
-                let secs = (f.remaining / rate).min(1e18); // clamp: "effectively never"
-                let wake = now.saturating_add(Duration::from_secs_f64(secs));
-                let pid = ProcId(f.pid);
-                if !full_retime
-                    && running != Some(id)
-                    && rate.to_bits() == f.rate.to_bits()
-                    && wake == f.wake
-                    && batch.pending_matches(pid, wake)
-                    && batch.pending_count_at(wake) <= 1
-                {
-                    Hot::bump(&kernel.hot.flow_retime_skips);
+                if rate.to_bits() == f.rate.to_bits() && running != Some(id) {
                     continue;
                 }
+                f.left = (f.left - f.rate * (now - f.since).as_secs_f64()).max(0.0);
+                f.since = now;
                 f.rate = rate;
-                f.wake = wake;
-                batch.schedule_wake(pid, wake);
+                let secs = (f.left / rate).min(1e18); // clamp: "effectively never"
+                f.finish = now.saturating_add(Duration::from_secs_f64(secs));
+                batch.schedule_wake(ProcId(f.pid), f.finish);
                 Hot::bump(&kernel.hot.flow_retimes);
             }
         });
     }
-}
 
-impl NetLink {
-    fn sharing_aggregate(&self) -> f64 {
-        match self.sharing {
-            Sharing::Fair => self.cap,
-            Sharing::Degraded { alpha } => {
-                self.cap / (1.0 + alpha * (self.active.saturating_sub(1)) as f64)
+    /// Remove a flow and release its links; `completed` credits its bytes.
+    fn finish_flow(&mut self, flow_id: u64, now: SimTime, completed: bool) {
+        if let Some(f) = self.flows.remove(&flow_id) {
+            for l in &f.links {
+                let link = &mut self.links[l.0 as usize];
+                link.adjust(now, -1);
+                if completed {
+                    link.stats.bytes_completed += f.bytes;
+                    link.stats.flows_completed += 1;
+                }
             }
         }
     }
@@ -161,35 +151,22 @@ pub struct FlowNet {
 impl FlowNet {
     /// Create an empty flow network.
     pub fn new(handle: &SimHandle) -> Self {
-        // Kernel-wide default (the `SIMKIT_FULL_RETIME=1` environment
-        // variable at Simulation::new, or set_full_retime_default).
-        let full_retime = handle
-            .kernel
-            .full_retime_default
-            .load(std::sync::atomic::Ordering::Relaxed);
         FlowNet {
             kernel: Arc::clone(&handle.kernel),
             inner: Arc::new(Mutex::new(NetInner {
                 links: Vec::new(),
-                shares: Vec::new(),
                 flows: BTreeMap::new(),
                 next_flow: 0,
-                last_update: handle.now(),
-                full_retime,
             })),
         }
     }
 
-    /// Force full (oracle) retiming: reschedule every flow on every
-    /// recompute instead of skipping bit-identical no-ops. Used by the
-    /// incremental≡full equivalence tests.
-    pub fn set_full_retime(&self, on: bool) {
-        self.inner.lock().full_retime = on;
-    }
-
     /// Add a link with `capacity_bps` bytes/second.
     pub fn add_link(&self, name: &str, capacity_bps: f64, sharing: Sharing) -> LinkId {
-        assert!(capacity_bps > 0.0 && capacity_bps.is_finite());
+        assert!(
+            capacity_bps > 0.0 && capacity_bps.is_finite(),
+            "link capacity must be positive"
+        );
         let mut inner = self.inner.lock();
         let id = LinkId(inner.links.len() as u32);
         inner.links.push(NetLink {
@@ -197,15 +174,21 @@ impl FlowNet {
             cap: capacity_bps,
             sharing,
             active: 0,
-            bytes_completed: 0,
+            share: f64::INFINITY,
+            busy_since: SimTime::ZERO,
+            stats: LinkStats::default(),
         });
-        inner.shares.push(f64::INFINITY);
         id
     }
 
     /// Move `bytes` across all of `links` simultaneously, blocking for the
     /// fluid-model duration. The flow's rate at any instant is the minimum
-    /// of its equal-split shares on each link.
+    /// of its equal-split shares on each link. Zero-byte transfers return
+    /// immediately.
+    ///
+    /// If the calling process is killed mid-transfer, the flow is removed
+    /// and the remaining flows speed up, matching a connection torn down
+    /// mid-stream.
     pub fn transfer(&self, ctx: &Ctx, links: &[LinkId], bytes: u64) {
         ctx.check_killed();
         if bytes == 0 || links.is_empty() {
@@ -214,22 +197,21 @@ impl FlowNet {
         let flow_id = {
             let mut inner = self.inner.lock();
             let now = ctx.now();
-            inner.advance_to(now);
             let id = inner.next_flow;
             inner.next_flow += 1;
             for l in links {
-                inner.links[l.0 as usize].active += 1;
-                inner.refresh_share(*l);
+                inner.links[l.0 as usize].adjust(now, 1);
             }
             inner.flows.insert(
                 id,
                 NetFlow {
                     pid: ctx.pid().0,
                     links: links.to_vec(),
-                    remaining: bytes as f64,
                     bytes,
+                    left: bytes as f64,
+                    since: now,
                     rate: 0.0,
-                    wake: SimTime::ZERO,
+                    finish: SimTime::MAX,
                 },
             );
             inner.recompute_and_retime(&self.kernel, now, Some(id));
@@ -240,39 +222,22 @@ impl FlowNet {
             flow_id,
             armed: true,
         };
-        const DONE_EPS: f64 = 2.0;
         loop {
             ctx.block();
             let mut inner = self.inner.lock();
             let now = ctx.now();
-            inner.advance_to(now);
-            let done = inner
+            let finish = inner
                 .flows
                 .get(&flow_id)
-                .map(|f| f.remaining <= DONE_EPS)
+                .map(|f| f.finish)
                 .expect("flow vanished while owner blocked");
-            if done {
-                Self::finish_flow(&mut inner, flow_id, true);
+            if now >= finish {
+                inner.finish_flow(flow_id, now, true);
                 inner.recompute_and_retime(&self.kernel, now, None);
                 guard.armed = false;
                 return;
             }
             inner.recompute_and_retime(&self.kernel, now, Some(flow_id));
-        }
-    }
-
-    fn finish_flow(inner: &mut NetInner, flow_id: u64, completed: bool) {
-        if let Some(f) = inner.flows.remove(&flow_id) {
-            for l in &f.links {
-                let link = &mut inner.links[l.0 as usize];
-                link.active -= 1;
-                if completed {
-                    link.bytes_completed += f.bytes;
-                }
-            }
-            for l in &f.links {
-                inner.refresh_share(*l);
-            }
         }
     }
 
@@ -283,15 +248,35 @@ impl FlowNet {
 
     /// Total completed bytes carried over `link`.
     pub fn bytes_completed_on(&self, link: LinkId) -> u64 {
-        self.inner.lock().links[link.0 as usize].bytes_completed
+        self.inner.lock().links[link.0 as usize]
+            .stats
+            .bytes_completed
     }
 
     /// The link's diagnostic name.
     pub fn link_name(&self, link: LinkId) -> String {
         self.inner.lock().links[link.0 as usize].name.clone()
     }
+
+    /// Usage statistics of `link`; `busy` includes a busy period still open.
+    pub(crate) fn link_stats(&self, link: LinkId) -> LinkStats {
+        let now = self.kernel.now();
+        let inner = self.inner.lock();
+        let l = &inner.links[link.0 as usize];
+        let mut stats = l.stats;
+        if l.active > 0 {
+            stats.busy += now - l.busy_since;
+        }
+        stats
+    }
+
+    /// Configured capacity of `link` in bytes/second.
+    pub(crate) fn link_capacity(&self, link: LinkId) -> f64 {
+        self.inner.lock().links[link.0 as usize].cap
+    }
 }
 
+/// Removes the flow if the owning process unwinds mid-transfer.
 struct NetFlowGuard<'a> {
     net: &'a FlowNet,
     flow_id: u64,
@@ -305,8 +290,7 @@ impl Drop for NetFlowGuard<'_> {
         }
         let mut inner = self.net.inner.lock();
         let now = self.net.kernel.now();
-        inner.advance_to(now);
-        FlowNet::finish_flow(&mut inner, self.flow_id, false);
+        inner.finish_flow(self.flow_id, now, false);
         inner.recompute_and_retime(&self.net.kernel, now, None);
     }
 }

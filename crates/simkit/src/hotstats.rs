@@ -5,9 +5,10 @@
 //! the kernel — so the kernel profiles itself. Two tiers:
 //!
 //! * **Counters** (events dispatched, timer-heap pushes, stale timers
-//!   skipped, process/thread spawns, FlowNet retime traffic) are always
-//!   maintained: one relaxed atomic increment each, noise next to the
-//!   ~µs cost of a baton handoff.
+//!   skipped, process spawns, FlowNet recomputes and retimes — every
+//!   [`Link`](crate::Link) is a one-link FlowNet, so its traffic counts
+//!   there too) are always maintained: one relaxed atomic increment each,
+//!   noise next to the ~µs cost of a baton handoff.
 //! * **Wall-clock timing** (ns per kernel category, per-process dispatch
 //!   counts) reads the host monotonic clock twice per event and is off
 //!   unless the `SIMKIT_PROF=1` environment variable is set when the
@@ -29,9 +30,6 @@ pub(crate) struct Hot {
     prof: AtomicBool,
     /// Baton handoffs: timers popped as valid and handed to a process.
     pub(crate) dispatches: AtomicU64,
-    /// Dispatches performed proc→proc (direct handoff), without waking
-    /// the scheduler thread. Subset of `dispatches`.
-    pub(crate) direct_handoffs: AtomicU64,
     /// Heap entries popped and discarded as stale (superseded wakes).
     pub(crate) stale_skips: AtomicU64,
     /// Timer-heap pushes (canonical wake replacements included).
@@ -44,8 +42,6 @@ pub(crate) struct Hot {
     pub(crate) flow_recomputes: AtomicU64,
     /// Per-flow completion-wake reschedules issued to the kernel.
     pub(crate) flow_retimes: AtomicU64,
-    /// Per-flow reschedules skipped because rate and wake were unchanged.
-    pub(crate) flow_retime_skips: AtomicU64,
     /// ns the scheduler spent selecting timers (heap pop loop). Prof only.
     sched_ns: AtomicU64,
     /// ns between baton send and process yield (user code + handoff).
@@ -66,14 +62,12 @@ impl Hot {
         Hot {
             prof: AtomicBool::new(prof),
             dispatches: AtomicU64::new(0),
-            direct_handoffs: AtomicU64::new(0),
             stale_skips: AtomicU64::new(0),
             timer_pushes: AtomicU64::new(0),
             heap_peak: AtomicU64::new(0),
             spawns: AtomicU64::new(0),
             flow_recomputes: AtomicU64::new(0),
             flow_retimes: AtomicU64::new(0),
-            flow_retime_skips: AtomicU64::new(0),
             sched_ns: AtomicU64::new(0),
             run_ns: AtomicU64::new(0),
             spawn_ns: AtomicU64::new(0),
@@ -133,14 +127,12 @@ impl Hot {
         per_proc.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         HotStats {
             events_dispatched: self.dispatches.load(Ordering::Relaxed),
-            direct_handoffs: self.direct_handoffs.load(Ordering::Relaxed),
             stale_timers_skipped: self.stale_skips.load(Ordering::Relaxed),
             timer_pushes: self.timer_pushes.load(Ordering::Relaxed),
             heap_peak: self.heap_peak.load(Ordering::Relaxed),
             procs_spawned: self.spawns.load(Ordering::Relaxed),
             flow_recomputes: self.flow_recomputes.load(Ordering::Relaxed),
             flow_retimes: self.flow_retimes.load(Ordering::Relaxed),
-            flow_retime_skips: self.flow_retime_skips.load(Ordering::Relaxed),
             sched_ns: self.sched_ns.load(Ordering::Relaxed),
             run_ns: self.run_ns.load(Ordering::Relaxed),
             spawn_ns: self.spawn_ns.load(Ordering::Relaxed),
@@ -165,9 +157,6 @@ pub struct HotStats {
     /// This is the kernel's fundamental unit of work — "events/sec" in
     /// the wall-clock benches is this counter over elapsed host time.
     pub events_dispatched: u64,
-    /// Dispatches done proc→proc without a scheduler-thread round trip
-    /// (one context switch instead of two). Subset of `events_dispatched`.
-    pub direct_handoffs: u64,
     /// Heap entries popped and discarded as stale (superseded wakes).
     pub stale_timers_skipped: u64,
     /// Timer-heap pushes.
@@ -176,12 +165,12 @@ pub struct HotStats {
     pub heap_peak: u64,
     /// Simulated processes spawned.
     pub procs_spawned: u64,
-    /// FlowNet rate recomputations.
+    /// FlowNet rate recomputations ([`Link`](crate::Link) traffic
+    /// included: a `Link` is a one-link FlowNet).
     pub flow_recomputes: u64,
-    /// Per-flow completion-wake reschedules issued.
+    /// Per-flow completion-wake reschedules issued: one per flow whose
+    /// rate changed, plus one when a flow starts.
     pub flow_retimes: u64,
-    /// Per-flow reschedules skipped as no-ops (rate and wake unchanged).
-    pub flow_retime_skips: u64,
     /// Wall ns the scheduler spent selecting timers (prof only).
     pub sched_ns: u64,
     /// Wall ns between baton send and process yield (prof only).
@@ -198,14 +187,12 @@ impl HotStats {
     pub fn since(&self, earlier: &HotStats) -> HotStats {
         HotStats {
             events_dispatched: self.events_dispatched - earlier.events_dispatched,
-            direct_handoffs: self.direct_handoffs - earlier.direct_handoffs,
             stale_timers_skipped: self.stale_timers_skipped - earlier.stale_timers_skipped,
             timer_pushes: self.timer_pushes - earlier.timer_pushes,
             heap_peak: self.heap_peak,
             procs_spawned: self.procs_spawned - earlier.procs_spawned,
             flow_recomputes: self.flow_recomputes - earlier.flow_recomputes,
             flow_retimes: self.flow_retimes - earlier.flow_retimes,
-            flow_retime_skips: self.flow_retime_skips - earlier.flow_retime_skips,
             sched_ns: self.sched_ns - earlier.sched_ns,
             run_ns: self.run_ns - earlier.run_ns,
             spawn_ns: self.spawn_ns - earlier.spawn_ns,
@@ -221,23 +208,19 @@ impl HotStats {
         let ms = |ns: u64| ns as f64 / 1e6;
         out.push_str(&format!(
             "events dispatched   {:>12}\n\
-             direct handoffs     {:>12}\n\
              timer pushes        {:>12}\n\
              stale timers        {:>12}\n\
              heap peak           {:>12}\n\
              procs spawned       {:>12}\n\
              flow recomputes     {:>12}\n\
-             flow retimes        {:>12}\n\
-             flow retime skips   {:>12}\n",
+             flow retimes        {:>12}\n",
             self.events_dispatched,
-            self.direct_handoffs,
             self.timer_pushes,
             self.stale_timers_skipped,
             self.heap_peak,
             self.procs_spawned,
             self.flow_recomputes,
             self.flow_retimes,
-            self.flow_retime_skips,
         ));
         if self.sched_ns + self.run_ns + self.spawn_ns > 0 {
             out.push_str(&format!(

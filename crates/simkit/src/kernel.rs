@@ -15,17 +15,14 @@
 //!
 //! Each simulated process is an OS thread parked on a private baton (an
 //! unpark token). At most one simulated process executes at any wall-clock
-//! instant. By default a yielding process dispatches the next timer
-//! **directly** — it pops the heap itself and unparks the next owner, one
-//! context switch per event instead of the two a scheduler round trip
-//! costs. The scheduler thread is woken only at chain breaks: a process
-//! finished (bookkeeping, join wakes, thread reaping), the heap drained,
-//! the drive limit was reached, or the `run_until_set` stop flag fired.
-//! Dispatch order is identical either way — both paths pop the same
-//! shared heap under the same lock — so traces are byte-identical; set
-//! `SIMKIT_NO_HANDOFF=1` (or [`SimHandle::set_direct_handoff`]) to force
-//! every event through the scheduler thread (the legacy path, kept as
-//! the wall-clock benches' "before" mode).
+//! instant. A yielding process dispatches the next timer **directly** — it
+//! pops the heap itself and gives the next owner its baton, one context
+//! switch per event. The scheduler thread dispatches only after a chain
+//! break: a process finished (bookkeeping, join wakes, thread reaping),
+//! the heap drained, the drive limit was reached, or the stop flag fired.
+//! Both pop the same shared heap under the same lock through
+//! `KState::pop_next`, so the event order does not depend on which thread
+//! dispatched.
 
 use crate::error::{Killed, SimError};
 use crate::hotstats::{Hot, HotCat, HotStats};
@@ -36,10 +33,10 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 
@@ -85,8 +82,7 @@ pub(crate) struct YieldMsg {
 
 /// Rendezvous cell for one process thread: an unpark token plus the
 /// thread handle to poke. A handoff is one `Release` store and one
-/// `unpark` — a single futex wake when the target is parked — replacing
-/// the heavier per-process rendezvous channel.
+/// `unpark` — a single futex wake when the target is parked.
 pub(crate) struct Baton {
     token: AtomicBool,
     thread: OnceLock<thread::Thread>,
@@ -127,19 +123,12 @@ impl Baton {
     }
 }
 
-/// Iterations of the pre-park spin in [`Baton::take`] (`SIMKIT_SPIN`
-/// overrides; `0` disables spinning). Spinning only pays when spare
-/// cores exist for the waiter to burn — on small hosts it *steals* CPU
-/// from the running process — so the default is 0 below 4 cores.
+/// Iterations of the pre-park spin in [`Baton::take`]. Spinning only pays
+/// when spare cores exist for the waiter to burn — on small hosts it
+/// *steals* CPU from the running process — so it is 0 below 4 cores.
 fn spin_budget() -> u32 {
     static BUDGET: OnceLock<u32> = OnceLock::new();
     *BUDGET.get_or_init(|| {
-        if let Some(v) = std::env::var("SIMKIT_SPIN")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            return v;
-        }
         let cores = thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -154,20 +143,12 @@ fn spin_budget() -> u32 {
 struct Slot {
     name: Arc<str>,
     baton: Arc<Baton>,
-    /// Legacy-mode rendezvous: with direct handoff disabled, dispatch
-    /// sends on this channel (and the process waits on the paired
-    /// receiver) exactly as the pre-optimization kernel did, so the
-    /// wall-clock benches' "before" mode reproduces its real cost.
-    resume_tx: SyncSender<()>,
     join: Option<thread::JoinHandle<()>>,
     dead: bool,
     killed: bool,
     daemon: bool,
     /// Sequence number of the canonical pending wake timer, if any.
     pending_seq: Option<u64>,
-    /// Virtual instant of the canonical pending wake (meaningful only
-    /// while `pending_seq` is `Some`).
-    pending_time: SimTime,
     /// Processes blocked in `join()` on this process.
     join_waiters: Vec<u32>,
 }
@@ -180,13 +161,6 @@ pub(crate) struct KState {
     // never removed, only marked dead). Index order doubles as pid order,
     // keeping deadlock-report listings deterministic.
     procs: Vec<Slot>,
-    /// How many *canonical* pending wakes land on each exact nanosecond.
-    /// Ties at equal virtual time are broken by timer insertion sequence,
-    /// so an optimization may only keep a stale timer in place (instead
-    /// of re-pushing) while its nanosecond is uncontended — FlowNet's
-    /// no-op-retime skip consults this to stay byte-identical with the
-    /// retime-everything oracle.
-    pending_at: HashMap<u64, u32>,
     rng: StdRng,
 }
 
@@ -203,12 +177,7 @@ impl KState {
         if slot.dead {
             return false;
         }
-        let replaced = slot.pending_seq.replace(seq).map(|_| slot.pending_time);
-        slot.pending_time = time;
-        if let Some(old) = replaced {
-            dec_pending(&mut self.pending_at, old);
-        }
-        *self.pending_at.entry(time.as_nanos()).or_insert(0) += 1;
+        slot.pending_seq = Some(seq);
         self.heap.push(Reverse(Timer {
             time,
             seq,
@@ -222,10 +191,8 @@ impl KState {
     /// Pop the next valid timer at or before `limit_ns`, skipping stale
     /// entries, and consume the owner's canonical wake. Advances `now`.
     /// This is the single dispatch-selection point, shared by the
-    /// scheduler thread and the direct proc→proc handoff path, so both
-    /// produce the identical event order. `legacy` additionally clones
-    /// the owner's resume sender (the channel-dispatch path).
-    fn pop_next(&mut self, hot: &Hot, limit_ns: u64, legacy: bool) -> Popped {
+    /// scheduler thread and the direct proc→proc handoff path.
+    fn pop_next(&mut self, hot: &Hot, limit_ns: u64) -> Popped {
         loop {
             match self.heap.peek() {
                 None => return Popped::Quiescent,
@@ -242,13 +209,9 @@ impl KState {
                 self.now = t.time;
                 let slot = &mut self.procs[t.pid as usize];
                 slot.pending_seq = None;
-                let baton = Arc::clone(&slot.baton);
-                let resume_tx = legacy.then(|| slot.resume_tx.clone());
-                dec_pending(&mut self.pending_at, t.time);
                 return Popped::Ready {
                     pid: t.pid,
-                    baton,
-                    resume_tx,
+                    baton: Arc::clone(&slot.baton),
                 };
             }
             Hot::bump(&hot.stale_skips);
@@ -260,32 +223,7 @@ impl KState {
 enum Popped {
     Quiescent,
     Limit,
-    Ready {
-        pid: u32,
-        baton: Arc<Baton>,
-        /// `Some` in legacy mode: dispatch by channel send instead of
-        /// baton give.
-        resume_tx: Option<SyncSender<()>>,
-    },
-}
-
-/// Wake the popped process through the mode-appropriate rendezvous.
-fn dispatch(baton: &Baton, resume_tx: Option<SyncSender<()>>) {
-    match resume_tx {
-        Some(tx) => tx
-            .send(())
-            .expect("process thread vanished while scheduled"),
-        None => baton.give(),
-    }
-}
-
-fn dec_pending(pending_at: &mut HashMap<u64, u32>, t: SimTime) {
-    if let Some(c) = pending_at.get_mut(&t.as_nanos()) {
-        *c -= 1;
-        if *c == 0 {
-            pending_at.remove(&t.as_nanos());
-        }
-    }
+    Ready { pid: u32, baton: Arc<Baton> },
 }
 
 /// Shared kernel: the scheduler state plus the yield channel sender handed
@@ -295,22 +233,16 @@ pub(crate) struct Kernel {
     pub(crate) yield_tx: Sender<YieldMsg>,
     pub(crate) tracer: Tracer,
     pub(crate) hot: Hot,
-    /// Direct proc→proc dispatch enabled. Off: every event routes through
-    /// the scheduler thread (two context switches per event — the legacy
-    /// path, kept for the wall-clock benches' "before" mode).
-    direct: AtomicBool,
     /// Virtual-time limit (nanos) of the drive loop currently in
     /// progress; the handoff path must not dispatch past it. `u64::MAX`
     /// outside a drive loop (no process runs then anyway).
     limit_ns: AtomicU64,
     /// Stop flag of an in-progress `run_until_set` (the target event's
-    /// set-mirror). The handoff path re-checks it before every dispatch,
-    /// exactly as the scheduler loop checks `event.is_set()` between
-    /// events, and breaks the chain once it reads true.
+    /// set-mirror), or an already-set flag during teardown. The handoff
+    /// path re-checks it before every dispatch, exactly as the scheduler
+    /// loop checks `event.is_set()` between events, and breaks the chain
+    /// once it reads true.
     stop: Mutex<Option<Arc<AtomicBool>>>,
-    /// Default for [`FlowNet`](crate::FlowNet)s created on this kernel:
-    /// retime every flow on every recompute (the pre-incremental oracle).
-    pub(crate) full_retime_default: AtomicBool,
 }
 
 impl Kernel {
@@ -326,7 +258,7 @@ impl Kernel {
     }
 
     /// Run `f` against a [`WakeBatch`]: the scheduler lock is taken once
-    /// for any number of wake pushes and pending-timer queries. Used by
+    /// for any number of wake pushes. Used by
     /// FlowNet's retime loop instead of per-flow `schedule_wake` calls.
     pub(crate) fn with_wake_batch<R>(&self, f: impl FnOnce(&mut WakeBatch) -> R) -> R {
         let mut st = self.st.lock();
@@ -405,14 +337,12 @@ impl Kernel {
     /// Try to dispatch the next event directly from a yielding process
     /// (one context switch instead of a scheduler round trip). Returns
     /// `false` when the chain must break to the scheduler thread instead:
-    /// direct handoff disabled, the stop flag fired, the heap drained, or
-    /// the next timer lies past the drive limit.
+    /// the stop flag fired, the heap drained, or the next timer lies past
+    /// the drive limit.
     pub(crate) fn try_handoff(&self) -> bool {
-        if !self.direct.load(Ordering::Relaxed) {
-            return false;
-        }
         // Same between-events check the scheduler loop performs: once the
-        // run_until_set target fires, no further event may be dispatched.
+        // run_until_set target fires, or teardown begins, no further
+        // event may be dispatched.
         let stop = self.stop.lock().clone();
         if let Some(flag) = stop {
             if flag.load(Ordering::Acquire) {
@@ -421,23 +351,17 @@ impl Kernel {
         }
         let limit_ns = self.limit_ns.load(Ordering::Relaxed);
         let t_sched = self.hot.clock();
-        let popped = self.st.lock().pop_next(&self.hot, limit_ns, false);
+        let popped = self.st.lock().pop_next(&self.hot, limit_ns);
         match popped {
-            Popped::Ready { pid, baton, .. } => {
+            Popped::Ready { pid, baton } => {
                 self.hot.lap(t_sched, HotCat::Sched);
                 Hot::bump(&self.hot.dispatches);
-                Hot::bump(&self.hot.direct_handoffs);
                 self.hot.count_proc(pid);
                 baton.give();
                 true
             }
             Popped::Quiescent | Popped::Limit => false,
         }
-    }
-
-    /// Whether direct proc→proc dispatch is enabled.
-    pub(crate) fn direct_on(&self) -> bool {
-        self.direct.load(Ordering::Relaxed)
     }
 
     /// Install the stop flag consulted by [`Kernel::try_handoff`];
@@ -457,7 +381,6 @@ impl Kernel {
     ) -> ProcHandle {
         let t0 = self.hot.clock();
         let baton = Arc::new(Baton::new());
-        let (resume_tx, resume_rx) = sync_channel::<()>(1);
         let interned: Arc<str> = Arc::from(name);
         let pid = {
             let mut st = self.st.lock();
@@ -465,13 +388,11 @@ impl Kernel {
             st.procs.push(Slot {
                 name: Arc::clone(&interned),
                 baton: Arc::clone(&baton),
-                resume_tx,
                 join: None,
                 dead: false,
                 killed: false,
                 daemon,
                 pending_seq: None,
-                pending_time: SimTime::ZERO,
                 join_waiters: Vec::new(),
             });
             pid
@@ -487,17 +408,8 @@ impl Kernel {
             .spawn(move || {
                 // Wait for the first dispatch (teardown wakes us too; the
                 // kill flag then routes straight to unwind).
-                if kernel.direct_on() {
-                    thread_baton.take();
-                } else if resume_rx.recv().is_err() {
-                    return; // torn down before we ever ran
-                }
-                let ctx = Ctx::new(
-                    Arc::clone(&kernel),
-                    pid,
-                    Arc::clone(&thread_baton),
-                    resume_rx,
-                );
+                thread_baton.take();
+                let ctx = Ctx::new(Arc::clone(&kernel), pid, Arc::clone(&thread_baton));
                 let fin = if kernel.is_killed(pid) {
                     Fin::Killed
                 } else {
@@ -539,13 +451,11 @@ impl Kernel {
             .get_mut(pid as usize)
             .expect("finish of unknown proc");
         slot.dead = true;
-        let stale = slot.pending_seq.take().map(|_| slot.pending_time);
-        let name = Arc::clone(&slot.name);
-        let waiters = std::mem::take(&mut slot.join_waiters);
-        if let Some(t) = stale {
-            dec_pending(&mut st.pending_at, t);
-        }
-        (name, waiters)
+        slot.pending_seq = None;
+        (
+            Arc::clone(&slot.name),
+            std::mem::take(&mut slot.join_waiters),
+        )
     }
 }
 
@@ -571,25 +481,6 @@ impl WakeBatch<'_> {
     /// See [`Kernel::schedule_wake`].
     pub(crate) fn schedule_wake(&mut self, pid: ProcId, time: SimTime) -> bool {
         self.st.schedule_wake_locked(self.hot, pid, time)
-    }
-
-    /// Whether `pid`'s canonical pending wake exists and sits at exactly
-    /// `time`.
-    pub(crate) fn pending_matches(&self, pid: ProcId, time: SimTime) -> bool {
-        self.st
-            .procs
-            .get(pid.0 as usize)
-            .map(|s| s.pending_seq.is_some() && s.pending_time == time)
-            .unwrap_or(false)
-    }
-
-    /// Number of canonical pending wakes at exactly `time` (any process).
-    pub(crate) fn pending_count_at(&self, time: SimTime) -> u32 {
-        self.st
-            .pending_at
-            .get(&time.as_nanos())
-            .copied()
-            .unwrap_or(0)
     }
 }
 
@@ -719,22 +610,6 @@ impl SimHandle {
     pub fn set_prof(&self, on: bool) {
         self.kernel.hot.set_prof(on)
     }
-
-    /// Enable or disable direct proc→proc event dispatch (default on;
-    /// `SIMKIT_NO_HANDOFF=1` starts it off). Off, every event takes a
-    /// scheduler-thread round trip — the legacy path the wall-clock
-    /// benches use as their "before" mode. Dispatch order, and therefore
-    /// the trace stream, is identical either way.
-    pub fn set_direct_handoff(&self, on: bool) {
-        self.kernel.direct.store(on, Ordering::Relaxed)
-    }
-
-    /// Set the default retiming mode for [`FlowNet`](crate::FlowNet)s
-    /// created on this kernel from now on: `true` forces the full
-    /// retime-everything oracle (equivalent to `SIMKIT_FULL_RETIME=1`).
-    pub fn set_full_retime_default(&self, on: bool) {
-        self.kernel.full_retime_default.store(on, Ordering::Relaxed)
-    }
 }
 
 enum StepResult {
@@ -780,23 +655,19 @@ impl Simulation {
             }));
         });
         let (yield_tx, yield_rx) = channel();
-        let env_on = |k: &str| std::env::var(k).map(|v| v == "1").unwrap_or(false);
         let kernel = Arc::new(Kernel {
             st: Mutex::new(KState {
                 now: SimTime::ZERO,
                 next_seq: 0,
                 heap: BinaryHeap::new(),
                 procs: Vec::new(),
-                pending_at: HashMap::new(),
                 rng: StdRng::seed_from_u64(seed),
             }),
             yield_tx,
             tracer: Tracer::new(),
             hot: Hot::new(),
-            direct: AtomicBool::new(!env_on("SIMKIT_NO_HANDOFF")),
             limit_ns: AtomicU64::new(u64::MAX),
             stop: Mutex::new(None),
-            full_retime_default: AtomicBool::new(env_on("SIMKIT_FULL_RETIME")),
         });
         Simulation {
             kernel,
@@ -923,38 +794,32 @@ impl Simulation {
     }
 
     /// Dispatch the next event from the scheduler thread and wait for the
-    /// baton to come back. With direct handoff enabled the wait may span
-    /// a whole proc→proc chain of events; the yield that wakes us then
-    /// comes from whichever process broke the chain, not necessarily the
-    /// one dispatched here.
+    /// baton to come back. The wait may span a whole proc→proc chain of
+    /// events; the yield that wakes us then comes from whichever process
+    /// broke the chain, not necessarily the one dispatched here.
     fn step_one(&mut self, limit: SimTime) -> Result<StepResult, SimError> {
         assert!(!self.poisoned, "simulation used after a process panic");
         // Publish the limit for the handoff path before dispatching.
         self.kernel
             .limit_ns
             .store(limit.as_nanos(), Ordering::Relaxed);
-        let legacy = !self.kernel.direct_on();
         let t_sched = self.kernel.hot.clock();
         let popped = self
             .kernel
             .st
             .lock()
-            .pop_next(&self.kernel.hot, limit.as_nanos(), legacy);
-        let (pid, baton, resume_tx) = match popped {
+            .pop_next(&self.kernel.hot, limit.as_nanos());
+        let (pid, baton) = match popped {
             Popped::Quiescent => return Ok(StepResult::Quiescent),
             Popped::Limit => return Ok(StepResult::LimitReached),
-            Popped::Ready {
-                pid,
-                baton,
-                resume_tx,
-            } => (ProcId(pid), baton, resume_tx),
+            Popped::Ready { pid, baton } => (ProcId(pid), baton),
         };
         self.kernel.hot.lap(t_sched, HotCat::Sched);
         Hot::bump(&self.kernel.hot.dispatches);
         self.kernel.hot.count_proc(pid.0);
         // Hand the baton over and wait for some process to yield back.
         let t_run = self.kernel.hot.clock();
-        dispatch(&baton, resume_tx);
+        baton.give();
         let msg = self
             .yield_rx
             .recv()
@@ -999,39 +864,32 @@ impl Simulation {
     }
 }
 
-/// Both wake mechanisms plus the join handle of one live proc, captured
-/// at teardown.
-type TeardownVictim = (Arc<Baton>, SyncSender<()>, Option<thread::JoinHandle<()>>);
-
 impl Drop for Simulation {
     fn drop(&mut self) {
         // Kill every live process, release each thread so it unwinds, then
         // join them all. Threads may briefly run concurrently during this
-        // teardown; no simulation state advances. Disable direct handoff
-        // first so an unwinding process cannot re-dispatch a victim.
-        self.kernel.direct.store(false, Ordering::Relaxed);
-        let victims: Vec<TeardownVictim> = {
+        // teardown; no simulation state advances. An already-set stop flag
+        // goes in first so an unwinding process cannot re-dispatch a victim.
+        *self.kernel.stop.lock() = Some(Arc::new(AtomicBool::new(true)));
+        let victims: Vec<(Arc<Baton>, Option<thread::JoinHandle<()>>)> = {
             let mut st = self.kernel.st.lock();
             st.procs
                 .iter_mut()
                 .filter(|s| !s.dead)
                 .map(|s| {
                     s.killed = true;
-                    (Arc::clone(&s.baton), s.resume_tx.clone(), s.join.take())
+                    (Arc::clone(&s.baton), s.join.take())
                 })
                 .collect()
         };
-        // Wake both rendezvous mechanisms: each victim waits on whichever
-        // matched the dispatch mode at the time it parked.
-        for (baton, tx, _) in &victims {
-            let _ = tx.try_send(());
+        for (baton, _) in &victims {
             baton.give();
         }
         // Drain final yields so senders don't block, then join.
         for _ in 0..victims.len() {
             let _ = self.yield_rx.recv();
         }
-        for (_, _, jh) in victims {
+        for (_, jh) in victims {
             if let Some(jh) = jh {
                 let _ = jh.join();
             }

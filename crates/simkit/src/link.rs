@@ -6,17 +6,16 @@
 //! equally, and shares are recomputed whenever a transfer starts or ends.
 //! This captures the first-order contention behaviour the paper's
 //! evaluation depends on (concurrent checkpoint streams degrading each
-//! other) without per-packet simulation.
+//! other) without per-packet simulation. A `Link` is a [`FlowNet`] with a
+//! single link, so both run on the one fluid engine.
 //!
 //! Disks additionally suffer *seek degradation*: aggregate throughput drops
 //! as concurrent streams force head movement. [`Sharing::Degraded`] models
 //! this as `aggregate(n) = capacity / (1 + alpha * (n - 1))`.
 
-use crate::kernel::{Kernel, SimHandle};
+use crate::flownet::{FlowNet, LinkId};
+use crate::kernel::SimHandle;
 use crate::process::Ctx;
-use crate::time::SimTime;
-use parking_lot::Mutex;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// How concurrent flows share a link's capacity.
@@ -36,7 +35,9 @@ pub enum Sharing {
 }
 
 impl Sharing {
-    fn aggregate(&self, cap: f64, n: usize) -> f64 {
+    /// Aggregate capacity of a link of capacity `cap` carrying `n >= 1`
+    /// flows.
+    pub(crate) fn aggregate(&self, cap: f64, n: usize) -> f64 {
         debug_assert!(n > 0);
         match *self {
             Sharing::Fair => cap,
@@ -58,196 +59,55 @@ pub struct LinkStats {
     pub peak_flows: usize,
 }
 
-struct Flow {
-    id: u64,
-    pid: u32,
-    remaining: f64,
-    bytes: u64,
-}
-
-struct Inner {
-    name: String,
-    cap: f64,
-    sharing: Sharing,
-    flows: Vec<Flow>,
-    next_flow_id: u64,
-    last_update: SimTime,
-    stats: LinkStats,
-}
-
-impl Inner {
-    /// Decrement all remaining byte counts by progress since `last_update`.
-    fn advance_to(&mut self, now: SimTime) {
-        if now <= self.last_update {
-            return;
-        }
-        let dt = (now - self.last_update).as_secs_f64();
-        let n = self.flows.len();
-        if n > 0 {
-            let per_flow = self.sharing.aggregate(self.cap, n) / n as f64;
-            for f in &mut self.flows {
-                f.remaining = (f.remaining - per_flow * dt).max(0.0);
-            }
-            self.stats.busy += now - self.last_update;
-        }
-        self.last_update = now;
-    }
-
-    /// Reschedule every active flow's completion wake.
-    fn retime_all(&mut self, kernel: &Kernel, now: SimTime) {
-        let n = self.flows.len();
-        if n == 0 {
-            return;
-        }
-        let per_flow = self.sharing.aggregate(self.cap, n) / n as f64;
-        for f in &self.flows {
-            let secs = (f.remaining / per_flow).min(1e18); // clamp: "effectively never"
-            let when = now.saturating_add(Duration::from_secs_f64(secs));
-            kernel.schedule_wake(crate::kernel::ProcId(f.pid), when);
-        }
-    }
-
-    fn remove_flow(&mut self, id: u64) -> Option<Flow> {
-        let idx = self.flows.iter().position(|f| f.id == id)?;
-        Some(self.flows.swap_remove(idx))
-    }
-}
-
 /// A shared-bandwidth resource. Cloning shares the link.
 #[derive(Clone)]
 pub struct Link {
-    kernel: Arc<Kernel>,
-    inner: Arc<Mutex<Inner>>,
+    net: FlowNet,
+    id: LinkId,
 }
 
 impl Link {
     /// Create a link with `capacity` in bytes per second of virtual time.
     pub fn new(handle: &SimHandle, name: &str, capacity_bps: f64, sharing: Sharing) -> Self {
-        assert!(
-            capacity_bps > 0.0 && capacity_bps.is_finite(),
-            "link capacity must be positive"
-        );
-        Link {
-            kernel: Arc::clone(&handle.kernel),
-            inner: Arc::new(Mutex::new(Inner {
-                name: name.to_string(),
-                cap: capacity_bps,
-                sharing,
-                flows: Vec::new(),
-                next_flow_id: 0,
-                last_update: handle.now(),
-                stats: LinkStats::default(),
-            })),
-        }
+        let net = FlowNet::new(handle);
+        let id = net.add_link(name, capacity_bps, sharing);
+        Link { net, id }
     }
 
     /// Move `bytes` through the link, blocking for the fluid-model duration.
     /// Zero-byte transfers return immediately.
     ///
     /// If the calling process is killed mid-transfer, the flow is removed
-    /// and remaining flows speed up (RAII guard), matching the behaviour of
-    /// a connection torn down mid-stream.
+    /// and remaining flows speed up, matching the behaviour of a connection
+    /// torn down mid-stream.
     pub fn transfer(&self, ctx: &Ctx, bytes: u64) {
-        ctx.check_killed();
-        if bytes == 0 {
-            return;
-        }
-        let flow_id = {
-            let mut inner = self.inner.lock();
-            let now = ctx.now();
-            inner.advance_to(now);
-            let id = inner.next_flow_id;
-            inner.next_flow_id += 1;
-            inner.flows.push(Flow {
-                id,
-                pid: ctx.pid().0,
-                remaining: bytes as f64,
-                bytes,
-            });
-            let nf = inner.flows.len();
-            inner.stats.peak_flows = inner.stats.peak_flows.max(nf);
-            inner.retime_all(&self.kernel, now);
-            id
-        };
-        let guard = FlowGuard {
-            link: self,
-            flow_id,
-            armed: true,
-        };
-        let mut guard = guard;
-        // Completion tolerance: timer quantisation (1 ns) leaves at most a
-        // couple of bytes of float residue per retiming at multi-GB/s rates.
-        const DONE_EPS: f64 = 2.0;
-        loop {
-            ctx.block();
-            let mut inner = self.inner.lock();
-            let now = ctx.now();
-            inner.advance_to(now);
-            let done = inner
-                .flows
-                .iter()
-                .find(|f| f.id == flow_id)
-                .map(|f| f.remaining <= DONE_EPS)
-                .expect("flow vanished while owner blocked");
-            if done {
-                let f = inner.remove_flow(flow_id).unwrap();
-                inner.stats.bytes_completed += f.bytes;
-                inner.stats.flows_completed += 1;
-                inner.retime_all(&self.kernel, now);
-                guard.armed = false;
-                return;
-            }
-            // Spurious wake (stale timing after concurrent churn): ensure a
-            // fresh completion wake exists and park again.
-            inner.retime_all(&self.kernel, now);
-        }
+        self.net.transfer(ctx, &[self.id], bytes);
     }
 
     /// Time a transfer of `bytes` would take if it ran alone right now.
     pub fn solo_duration(&self, bytes: u64) -> Duration {
-        let inner = self.inner.lock();
-        Duration::from_secs_f64(bytes as f64 / inner.sharing.aggregate(inner.cap, 1))
+        // A lone flow gets the full capacity under either sharing model.
+        Duration::from_secs_f64(bytes as f64 / self.capacity_bps())
     }
 
     /// Number of currently active flows.
     pub fn active_flows(&self) -> usize {
-        self.inner.lock().flows.len()
+        self.net.active_on(self.id)
     }
 
     /// Snapshot of accumulated statistics.
     pub fn stats(&self) -> LinkStats {
-        self.inner.lock().stats
+        self.net.link_stats(self.id)
     }
 
     /// The link's diagnostic name.
     pub fn name(&self) -> String {
-        self.inner.lock().name.clone()
+        self.net.link_name(self.id)
     }
 
     /// Configured capacity in bytes/second.
     pub fn capacity_bps(&self) -> f64 {
-        self.inner.lock().cap
-    }
-}
-
-/// Removes the flow if the owning process unwinds mid-transfer.
-struct FlowGuard<'a> {
-    link: &'a Link,
-    flow_id: u64,
-    armed: bool,
-}
-
-impl Drop for FlowGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut inner = self.link.inner.lock();
-        let now = self.link.kernel.now();
-        inner.advance_to(now);
-        if inner.remove_flow(self.flow_id).is_some() {
-            inner.retime_all(&self.link.kernel, now);
-        }
+        self.net.link_capacity(self.id)
     }
 }
 

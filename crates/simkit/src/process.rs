@@ -5,7 +5,6 @@ use crate::kernel::{Baton, Kernel, ProcId, SimHandle, YieldMsg};
 use crate::time::SimTime;
 use crate::trace::Args;
 use rand::rngs::StdRng;
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,24 +19,11 @@ pub struct Ctx {
     kernel: Arc<Kernel>,
     pid: ProcId,
     baton: Arc<Baton>,
-    /// Legacy-mode rendezvous (direct handoff disabled): the channel the
-    /// scheduler's dispatch send arrives on.
-    resume_rx: Receiver<()>,
 }
 
 impl Ctx {
-    pub(crate) fn new(
-        kernel: Arc<Kernel>,
-        pid: ProcId,
-        baton: Arc<Baton>,
-        resume_rx: Receiver<()>,
-    ) -> Self {
-        Ctx {
-            kernel,
-            pid,
-            baton,
-            resume_rx,
-        }
+    pub(crate) fn new(kernel: Arc<Kernel>, pid: ProcId, baton: Arc<Baton>) -> Self {
+        Ctx { kernel, pid, baton }
     }
 
     /// This process's id.
@@ -178,9 +164,9 @@ impl Ctx {
     /// timer via `schedule_wake`, or membership in a primitive's waiter
     /// list). Checks the kill flag on resume.
     pub(crate) fn block(&self) {
-        // Fast path: dispatch the next event ourselves (one context
-        // switch). Chain breaks — finish, quiescence, limit, stop flag,
-        // handoff disabled — wake the scheduler thread instead.
+        // Dispatch the next event ourselves (one context switch). Chain
+        // breaks — quiescence, limit, stop flag — wake the scheduler
+        // thread instead.
         if !self.kernel.try_handoff() {
             self.kernel
                 .yield_tx
@@ -190,13 +176,7 @@ impl Ctx {
                 })
                 .expect("scheduler gone while process running");
         }
-        if self.kernel.direct_on() {
-            self.baton.take();
-        } else {
-            self.resume_rx
-                .recv()
-                .expect("scheduler dropped resume channel");
-        }
+        self.baton.take();
         self.check_killed();
     }
 }

@@ -133,3 +133,43 @@ fn degraded_link_in_path() {
     }
     sim.run().unwrap();
 }
+
+#[test]
+fn unchanged_rate_keeps_exact_finish_and_single_wake() {
+    // A flow on link A while a second flow starts and ends on disjoint
+    // link B: A's rate never changes, so its finish instant is computed
+    // once, at its start, and is met to the nanosecond. Another process
+    // sleeps until that same nanosecond; a timer tie must not force A's
+    // wake to be pushed again.
+    const BYTES: u64 = 10_000_000;
+    const CAP: f64 = 7e6;
+    let want = secs_f64(BYTES as f64 / CAP).as_nanos() as u64;
+    let mut sim = Simulation::new(0);
+    let h = sim.handle();
+    sim.spawn("tie", move |ctx| ctx.sleep(ns(want)));
+    let net = FlowNet::new(&h);
+    let a = net.add_link("a", CAP, Sharing::Fair);
+    let b = net.add_link("b", 3e6, Sharing::Fair);
+    let finish = Arc::new(AtomicU64::new(0));
+    let (n1, f1) = (net.clone(), finish.clone());
+    sim.spawn("on_a", move |ctx| {
+        n1.transfer(ctx, &[a], BYTES);
+        f1.store(ctx.now().as_nanos(), Ordering::SeqCst);
+    });
+    let side_retimes = Arc::new(AtomicU64::new(0));
+    let (n2, s2) = (net.clone(), side_retimes.clone());
+    sim.spawn("on_b", move |ctx| {
+        ctx.sleep(ns(333_333_337));
+        let before = ctx.handle().hot_stats().flow_retimes;
+        n2.transfer(ctx, &[b], 1_234_567);
+        s2.store(
+            ctx.handle().hot_stats().flow_retimes - before,
+            Ordering::SeqCst,
+        );
+    });
+    sim.run().unwrap();
+    assert_eq!(finish.load(Ordering::SeqCst), want);
+    // B's start and end retime only B's own flow; A was scheduled once.
+    assert_eq!(side_retimes.load(Ordering::SeqCst), 1);
+    assert_eq!(h.hot_stats().flow_retimes, 2);
+}

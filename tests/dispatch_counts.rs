@@ -1,8 +1,9 @@
-//! Pins the kernel's deterministic dispatch counts for the Figure 4
-//! LU.C.64 migration. Dispatch counts do not depend on the host, so any
-//! change that adds or removes simulator work — FTB events flooded to
-//! agents with no matching subscription, for one — moves them and fails
-//! here until the pins are updated on purpose.
+//! Pins the kernel's deterministic work counts for the Figure 4 LU.C.64
+//! migration. The counts do not depend on the host, so any change that
+//! adds or removes simulator work — FTB events flooded to agents with no
+//! matching subscription, or FlowNet wakes re-pushed for flows whose
+//! rate did not change — moves them and fails here until the pins are
+//! updated on purpose.
 
 use jobmig_core::bufpool::PoolConfig;
 use npbsim::NpbApp;
@@ -12,6 +13,10 @@ use simkit::SimHandle;
 const TOTAL_DISPATCHES: u64 = 62_367;
 /// Dispatches of the root FTB agent, on the login node.
 const ROOT_AGENT_DISPATCHES: u64 = 519;
+/// Timer-heap pushes of the whole run.
+const TIMER_PUSHES: u64 = 71_172;
+/// FlowNet completion wakes pushed (one per flow start or rate change).
+const FLOW_RETIMES: u64 = 12_888;
 
 #[test]
 fn fig4_lu_migration_dispatch_counts_are_pinned() {
@@ -35,5 +40,10 @@ fn fig4_lu_migration_dispatch_counts_are_pinned() {
         (hot.events_dispatched, root_agent),
         (TOTAL_DISPATCHES, ROOT_AGENT_DISPATCHES),
         "(total, ftb-agent@node0) dispatches moved"
+    );
+    assert_eq!(
+        (hot.timer_pushes, hot.flow_retimes),
+        (TIMER_PUSHES, FLOW_RETIMES),
+        "(timer pushes, flow retimes) moved"
     );
 }
