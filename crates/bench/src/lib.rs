@@ -75,11 +75,9 @@ pub fn fig_migration_observed(
     observe(&sim.handle());
     let cluster = paper_cluster(&sim);
     let wl = Workload::new(app, NpbClass::C, np);
-    let mut spec = JobSpec::npb(wl, ppn);
-    spec.pool = pool;
-    let rt = JobRuntime::launch(&cluster, spec);
+    let rt = JobRuntime::launch(&cluster, JobSpec::npb(wl, ppn));
     rt.control()
-        .migrate_after(dur::secs(30), MigrationRequest::new());
+        .migrate_after(dur::secs(30), MigrationRequest::new().tuning(pool));
     let rt2 = rt.clone();
     run_until_pred(&mut sim, move || !rt2.migration_reports().is_empty(), 600);
     rt.migration_reports()[0].clone()

@@ -11,8 +11,8 @@
 //! chunk. Pool exhaustion naturally throttles the checkpoint writers —
 //! the paper's flow control.
 //!
-//! Both ends are driven through [`TransferSession`]: a symmetric builder
-//! over [`PoolConfig`] with a `source` side (aggregation + request
+//! Both ends are driven through [`TransferSession`]: a symmetric façade
+//! over one [`PoolConfig`] with a `source` side (aggregation + request
 //! announcements) and a `target` side (pull + staging + per-rank
 //! completion). The target side supports two extensions over the paper's
 //! engine:
@@ -98,7 +98,7 @@ impl Default for PoolConfig {
             chunk_bytes: calib::CHUNK_BYTES,
             transport: Transport::RdmaRead,
             restart_mode: RestartMode::FileBased,
-            chunk_retries: calib::recovery().chunk_retries,
+            chunk_retries: calib::CHUNK_RETRIES,
             lanes: 1,
             overlap: false,
             restart_admission: 0,
@@ -136,6 +136,35 @@ pub(crate) fn stream_checksum(slices: &[DataSlice]) -> u64 {
 }
 
 impl PoolConfig {
+    /// The paper's engine: sequential pulls, whole-pull restart barrier.
+    pub fn barrier() -> Self {
+        Self::default()
+    }
+
+    /// The pipelined data path: two RDMA lanes, per-rank restart overlap,
+    /// and restart admission bounded to two concurrent cold reads (the
+    /// sweet spot on the paper testbed's ext3 disk — see EXPERIMENTS.md).
+    pub fn pipelined() -> Self {
+        PoolConfig {
+            lanes: 2,
+            overlap: true,
+            restart_admission: 2,
+            ..Self::default()
+        }
+    }
+
+    /// Iterative pre-copy live migration on top of the pipelined data
+    /// path: round 0 streams the full image over the striped lanes while
+    /// the ranks keep running, later rounds stream only dirtied segments,
+    /// and the convergence controller (downtime-budget policy by default)
+    /// decides when to suspend for a short residual stop-and-copy.
+    pub fn live() -> Self {
+        PoolConfig {
+            live: Some(livemig::LiveConfig::default()),
+            ..Self::pipelined()
+        }
+    }
+
     /// Number of chunks in the pool.
     pub fn slots(&self) -> u32 {
         (self.pool_bytes / self.chunk_bytes).max(1) as u32
@@ -240,7 +269,7 @@ pub struct TargetHooks {
 /// [`PoolConfig`].
 ///
 /// ```ignore
-/// let session = TransferSession::builder().lanes(2).overlap(true).build();
+/// let session = TransferSession::from_config(PoolConfig::pipelined());
 /// // source node:
 /// let (pool, ack) = session.source(ctx, &hca, nranks, &rendezvous);
 /// // target node:
@@ -252,21 +281,9 @@ pub struct TransferSession {
 }
 
 impl TransferSession {
-    /// Start building a session from the paper-default configuration.
-    pub fn builder() -> TransferSessionBuilder {
-        TransferSessionBuilder {
-            cfg: PoolConfig::default(),
-        }
-    }
-
     /// Wrap an existing configuration.
     pub fn from_config(cfg: PoolConfig) -> Self {
         TransferSession { cfg }
-    }
-
-    /// The session's pool configuration.
-    pub fn config(&self) -> PoolConfig {
-        self.cfg
     }
 
     /// Set up the source half on `hca`: registers the pool MR (timed),
@@ -323,67 +340,6 @@ impl TransferSession {
         } else {
             target_single_lane(ctx, hca, self.cfg, rendezvous, store, file_prefix, hooks)
         }
-    }
-}
-
-/// Builder for [`TransferSession`].
-#[derive(Debug, Clone, Copy)]
-pub struct TransferSessionBuilder {
-    cfg: PoolConfig,
-}
-
-impl TransferSessionBuilder {
-    /// Total pool bytes (paper default 10 MB).
-    pub fn pool_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.pool_bytes = bytes;
-        self
-    }
-
-    /// Chunk size (paper default 1 MB).
-    pub fn chunk_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.chunk_bytes = bytes;
-        self
-    }
-
-    /// Wire transport for chunk data.
-    pub fn transport(mut self, t: Transport) -> Self {
-        self.cfg.transport = t;
-        self
-    }
-
-    /// Phase 3 restart strategy.
-    pub fn restart_mode(mut self, m: RestartMode) -> Self {
-        self.cfg.restart_mode = m;
-        self
-    }
-
-    /// Per-chunk RDMA Read re-issue budget.
-    pub fn chunk_retries(mut self, retries: u32) -> Self {
-        self.cfg.chunk_retries = retries;
-        self
-    }
-
-    /// Parallel RDMA pull lanes on the target.
-    pub fn lanes(mut self, lanes: u32) -> Self {
-        self.cfg.lanes = lanes.max(1);
-        self
-    }
-
-    /// Overlap per-rank restart with the remaining pull.
-    pub fn overlap(mut self, on: bool) -> Self {
-        self.cfg.overlap = on;
-        self
-    }
-
-    /// Bound on concurrent restarts in overlap mode (0 = unbounded).
-    pub fn restart_admission(mut self, n: u32) -> Self {
-        self.cfg.restart_admission = n;
-        self
-    }
-
-    /// Finish the builder.
-    pub fn build(self) -> TransferSession {
-        TransferSession { cfg: self.cfg }
     }
 }
 

@@ -116,11 +116,16 @@ pub const NLA_SPAWN: Duration = Duration::from_millis(8);
 /// confirmation delay (a missed heartbeat window on the launch node).
 pub const TAKEOVER_DETECT: Duration = Duration::from_millis(5);
 
+/// Per-chunk RDMA Read re-issue budget on CQ error or checksum mismatch
+/// (the default of `PoolConfig::chunk_retries`).
+pub const CHUNK_RETRIES: u32 = 4;
+
 /// Recovery policy for the self-healing migration protocol: per-phase
-/// virtual-time deadlines, the migration retry budget, and the per-chunk
-/// RDMA re-issue budget. Defaults are deliberately generous relative to
+/// virtual-time deadlines, the migration retry budget, and the backoff
+/// between attempts. The deadlines are deliberately generous relative to
 /// the paper's measured phase times (seconds, against sub-10 s phases) so
-/// they never fire on a healthy run; tests shrink them freely.
+/// they never fire on a healthy run. [`recovery`] is the one policy the
+/// runtime uses.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryConfig {
     /// Phase 1 (Job Stall) deadline.
@@ -138,9 +143,6 @@ pub struct RecoveryConfig {
     /// (attempt 2) waits `base`, doubling on each further retry. A zero
     /// base is clamped to 1 ms — see [`RecoveryConfig::backoff_delay`].
     pub backoff_base: Duration,
-    /// Per-chunk RDMA Read re-issue budget on CQ error or checksum
-    /// mismatch.
-    pub chunk_retries: u32,
 }
 
 impl RecoveryConfig {
@@ -165,13 +167,7 @@ impl RecoveryConfig {
     }
 }
 
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        recovery()
-    }
-}
-
-/// Default recovery policy.
+/// The recovery policy.
 pub fn recovery() -> RecoveryConfig {
     RecoveryConfig {
         stall_timeout: Duration::from_secs(10),
@@ -180,7 +176,6 @@ pub fn recovery() -> RecoveryConfig {
         resume_timeout: Duration::from_secs(30),
         max_attempts: 3,
         backoff_base: Duration::from_millis(200),
-        chunk_retries: 4,
     }
 }
 

@@ -10,20 +10,15 @@
 use crate::calib;
 use crate::msgs::*;
 use crate::report::{CrReport, CrStoreKind};
-use crate::runtime::{unwrap_meta, CkptCycle, JobRuntime};
+use crate::runtime::{all_suspended, build_image, scan, unwrap_meta, CkptCycle, JobRuntime};
 use blcrsim::StoreSource;
 use ftb::{FtbClient, FtbEvent, Severity};
+use mpisim::RankCr;
 use parking_lot::Mutex;
 use simkit::{Countdown, Ctx, Queue};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Re-export: which storage a checkpoint targets.
-pub type CrStore = CrStoreKind;
-
-/// Convenience runner for scripted experiments (examples/benches).
-pub struct CrRunner;
 
 /// JM-side orchestration of one coordinated checkpoint.
 pub(crate) fn run_checkpoint(
@@ -66,7 +61,7 @@ pub(crate) fn run_checkpoint(
         ),
     );
     // Phase: Job Stall.
-    super_wait_acks(ctx, sub, id, inner.spec.nranks);
+    scan(ctx, sub, None, all_suspended(id, inner.spec.nranks));
     cycle.stall_done.wait(ctx);
     ph.end();
     let t1 = ctx.now();
@@ -93,18 +88,52 @@ pub(crate) fn run_checkpoint(
     });
 }
 
-fn super_wait_acks(ctx: &Ctx, sub: &Queue<FtbEvent>, cycle: u64, n: u32) {
-    let mut seen = std::collections::HashSet::new();
-    while seen.len() < n as usize {
-        let ev = sub.pop(ctx);
-        if ev.name == FTB_SUSPEND_ACK {
-            if let Some(a) = ev.payload_as::<SuspendAckMsg>() {
-                if a.cycle == cycle {
-                    seen.insert(a.rank);
+/// Rank side of one checkpoint, once the rank has suspended: wait for the
+/// consistent cut, dump the image to the cycle's store, then resume with
+/// the rest of the job.
+pub(crate) fn checkpoint_rank(ctx: &Ctx, rt: &JobRuntime, cr: &RankCr, cycle: &CkptCycle) {
+    let (inner, rank) = (&rt.inner, cr.rank());
+    cycle.stall_done.arrive_and_wait(ctx);
+    let mynode = inner.job.rank_node(rank);
+    let store = rt.store_for(cycle.store, mynode);
+    let meta = cr.capture_meta();
+    let image = build_image(rank, &meta);
+    cycle.checksums.lock().insert(rank, image.checksum());
+    let blcr = &inner.cluster.node(mynode).blcr;
+    let rec = calib::recovery();
+    let path = format!("ckpt.{}.{}", cycle.id, rank);
+    // Bounded-retry dump: a failed write restarts the file from scratch;
+    // if the budget runs out the job still resumes (without a usable
+    // checkpoint for this rank).
+    let mut written = 0;
+    let mut tries = 0u32;
+    loop {
+        let mut sink = blcrsim::StoreSink::new(store.clone(), path.clone(), true);
+        match blcr.try_checkpoint(ctx, &image, &mut sink) {
+            Ok(w) => {
+                written = w;
+                break;
+            }
+            Err(e) => {
+                tries += 1;
+                ctx.instant_with("ckpt", "dump_retry", || {
+                    vec![
+                        ("rank", rank.into()),
+                        ("try", tries.into()),
+                        ("error", e.to_string().into()),
+                    ]
+                });
+                if tries >= rec.max_attempts {
+                    ctx.instant_with("ckpt", "dump_failed", || vec![("rank", rank.into())]);
+                    break;
                 }
+                ctx.sleep(rec.backoff_delay(tries + 1));
             }
         }
     }
+    cycle.bytes.fetch_add(written, Ordering::Relaxed);
+    cycle.ckpt_done.arrive_and_wait(ctx);
+    rt.resume_rank(ctx, cr, &cycle.resumed);
 }
 
 /// JM-side restart from checkpoint `cycle_id`: simulates the failure path
@@ -151,48 +180,11 @@ pub(crate) fn run_restart(ctx: &Ctx, rt: &JobRuntime, cycle_id: u64) {
         let cycle2 = cycle.clone();
         let done2 = done.clone();
         ctx.spawn_daemon(&format!("cr-restart-r{rank}"), move |ctx| {
-            let inner = &rt2.inner;
-            let bad = |why: String| {
+            if let Err(why) = restart_rank(ctx, &rt2, &cycle2, rank) {
                 ctx.instant_with("log", "cr_restart_rank_failed", || {
-                    vec![("rank", rank.into()), ("error", why.clone().into())]
+                    vec![("rank", rank.into()), ("error", why.into())]
                 });
-            };
-            let node = inner.job.rank_node(rank);
-            let store = rt2.store_for(cycle2.store, node);
-            let mut src = StoreSource::new(store, format!("ckpt.{}.{}", cycle2.id, rank));
-            let image =
-                match inner
-                    .cluster
-                    .node(node)
-                    .blcr
-                    .restart(ctx, &mut src, &calib::restart_costs())
-                {
-                    Ok(img) => img,
-                    Err(e) => {
-                        bad(format!("checkpoint image parse: {e}"));
-                        done2.arrive();
-                        return;
-                    }
-                };
-            let expected = cycle2.checksums.lock().get(&rank).copied();
-            if expected != Some(image.checksum()) {
-                bad(format!(
-                    "checkpoint integrity violated: got {:#x}, want {expected:?}",
-                    image.checksum()
-                ));
-                done2.arrive();
-                return;
             }
-            let meta = match unwrap_meta(&image) {
-                Ok(m) => m,
-                Err(e) => {
-                    bad(e.to_string());
-                    done2.arrive();
-                    return;
-                }
-            };
-            inner.job.cr(rank).restore_meta(meta);
-            rt2.spawn_app(rank);
             done2.arrive();
         });
     }
@@ -212,4 +204,28 @@ pub(crate) fn run_restart(ctx: &Ctx, rt: &JobRuntime, cycle_id: u64) {
     if let Some(rep) = reports.iter_mut().find(|r| r.cycle == cycle_id) {
         rep.restart = Some(restart);
     }
+}
+
+/// Reload `rank` from its checkpoint in `cycle`, verify the image, and
+/// restart the rank's application from it.
+fn restart_rank(ctx: &Ctx, rt: &JobRuntime, cycle: &CkptCycle, rank: u32) -> Result<(), String> {
+    let inner = &rt.inner;
+    let node = inner.job.rank_node(rank);
+    let store = rt.store_for(cycle.store, node);
+    let mut src = StoreSource::new(store, format!("ckpt.{}.{}", cycle.id, rank));
+    let blcr = &inner.cluster.node(node).blcr;
+    let image = blcr
+        .restart(ctx, &mut src, &calib::restart_costs())
+        .map_err(|e| format!("checkpoint image parse: {e}"))?;
+    let expected = cycle.checksums.lock().get(&rank).copied();
+    if expected != Some(image.checksum()) {
+        return Err(format!(
+            "checkpoint integrity violated: got {:#x}, want {expected:?}",
+            image.checksum()
+        ));
+    }
+    let meta = unwrap_meta(&image).map_err(|e| e.to_string())?;
+    inner.job.cr(rank).restore_meta(meta);
+    rt.spawn_app(rank);
+    Ok(())
 }

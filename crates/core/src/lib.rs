@@ -50,11 +50,8 @@ pub mod wal;
 
 /// Common imports for examples and tests.
 pub mod prelude {
-    pub use crate::bufpool::{
-        PoolConfig, RestartMode, TransferSession, TransferSessionBuilder, Transport,
-    };
+    pub use crate::bufpool::{PoolConfig, RestartMode, TransferSession, Transport};
     pub use crate::cluster::{Cluster, ClusterSpec};
-    pub use crate::cr_baseline::{CrRunner, CrStore};
     pub use crate::report::{
         CrReport, CrStoreKind, MigrationOutcome, MigrationReport, OutcomeCounts,
     };

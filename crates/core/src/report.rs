@@ -126,6 +126,34 @@ pub struct MigrationReport {
 }
 
 impl MigrationReport {
+    /// A report with every phase duration and count at zero, for a cycle
+    /// whose phases were not measured: a fallback to checkpointing, or a
+    /// cycle a standby settled after the Job Manager's clocks died.
+    pub(crate) fn unmeasured(
+        cycle: u64,
+        source: NodeId,
+        target: NodeId,
+        outcome: MigrationOutcome,
+        attempts: u32,
+    ) -> Self {
+        let zero = Duration::ZERO;
+        MigrationReport {
+            cycle,
+            source,
+            target,
+            precopy: zero,
+            precopy_rounds: 0,
+            stall: zero,
+            migrate: zero,
+            restart: zero,
+            resume: zero,
+            ranks_moved: 0,
+            bytes_moved: 0,
+            outcome,
+            attempts,
+        }
+    }
+
     /// Barrier-held duration: the four phases the job spends suspended.
     /// Pre-copy rounds run while the application computes and are not
     /// included — compare [`MigrationReport::wall`].

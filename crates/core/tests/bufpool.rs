@@ -344,29 +344,6 @@ fn multi_lane_memory_mode_reassembles_in_order() {
 }
 
 #[test]
-fn session_builder_wires_every_knob() {
-    let cfg = TransferSession::builder()
-        .pool_bytes(4 << 20)
-        .chunk_bytes(1 << 19)
-        .transport(Transport::IpoibStaged)
-        .restart_mode(RestartMode::MemoryBased)
-        .chunk_retries(7)
-        .lanes(3)
-        .overlap(true)
-        .restart_admission(2)
-        .build()
-        .config();
-    assert_eq!(cfg.pool_bytes, 4 << 20);
-    assert_eq!(cfg.chunk_bytes, 1 << 19);
-    assert_eq!(cfg.transport, Transport::IpoibStaged);
-    assert_eq!(cfg.restart_mode, RestartMode::MemoryBased);
-    assert_eq!(cfg.chunk_retries, 7);
-    assert_eq!(cfg.lanes, 3);
-    assert!(cfg.overlap);
-    assert_eq!(cfg.restart_admission, 2);
-}
-
-#[test]
 fn default_config_session_pumps_single_rank() {
     // The default-config path the removed pre-TransferSession shims used
     // to pin: one rank, one lane, file-backed staging.

@@ -12,15 +12,15 @@ use simkit::dur::*;
 use simkit::{SimTime, Simulation};
 use std::time::Duration;
 
-fn run_with_pool(mut f: impl FnMut(&mut JobSpec)) -> jobmig_core::report::MigrationReport {
+fn run_with_pool(mut f: impl FnMut(&mut PoolConfig)) -> jobmig_core::report::MigrationReport {
     let mut sim = Simulation::new(21);
     let cluster = Cluster::build(&sim.handle(), ClusterSpec::sized(2, 1));
     let wl = Workload::new(NpbApp::Lu, NpbClass::A, 4);
-    let mut spec = JobSpec::npb(wl, 2);
-    f(&mut spec);
-    let rt = JobRuntime::launch(&cluster, spec);
+    let mut pool = PoolConfig::default();
+    f(&mut pool);
+    let rt = JobRuntime::launch(&cluster, JobSpec::npb(wl, 2));
     rt.control()
-        .migrate_after(secs(30), MigrationRequest::new());
+        .migrate_after(secs(30), MigrationRequest::new().tuning(pool));
     sim.run_until_set(rt.completion(), SimTime::MAX).unwrap();
     rt.migration_reports()[0].clone()
 }
@@ -28,7 +28,7 @@ fn run_with_pool(mut f: impl FnMut(&mut JobSpec)) -> jobmig_core::report::Migrat
 #[test]
 fn memory_based_restart_eliminates_phase3_file_io() {
     let file = run_with_pool(|_| {});
-    let mem = run_with_pool(|s| s.pool.restart_mode = RestartMode::MemoryBased);
+    let mem = run_with_pool(|p| p.restart_mode = RestartMode::MemoryBased);
     assert_eq!(file.bytes_moved, mem.bytes_moved, "same data either way");
     assert!(
         mem.restart < file.restart / 2,
@@ -42,7 +42,7 @@ fn memory_based_restart_eliminates_phase3_file_io() {
 #[test]
 fn ipoib_staged_copy_slows_phase2() {
     let rdma = run_with_pool(|_| {});
-    let ipoib = run_with_pool(|s| s.pool.transport = Transport::IpoibStaged);
+    let ipoib = run_with_pool(|p| p.transport = Transport::IpoibStaged);
     assert!(
         ipoib.migrate > rdma.migrate,
         "staged copy {:?} must exceed RDMA {:?}",
@@ -55,8 +55,8 @@ fn ipoib_staged_copy_slows_phase2() {
 fn buffer_pool_size_is_not_the_bottleneck() {
     // The paper: "the process-migration overhead does not vary
     // significantly as buffer pool size changes" (Phase 3 dominates).
-    let small = run_with_pool(|s| s.pool.pool_bytes = 2 << 20);
-    let big = run_with_pool(|s| s.pool.pool_bytes = 40 << 20);
+    let small = run_with_pool(|p| p.pool_bytes = 2 << 20);
+    let big = run_with_pool(|p| p.pool_bytes = 40 << 20);
     let ratio = small.total().as_secs_f64() / big.total().as_secs_f64();
     assert!(
         (0.9..1.2).contains(&ratio),
@@ -70,7 +70,7 @@ fn buffer_pool_size_is_not_the_bottleneck() {
 fn tiny_chunks_hurt_phase2() {
     let normal = run_with_pool(|_| {});
     // same pool capacity, 16x smaller chunks → 16x the protocol overhead
-    let tiny = run_with_pool(|s| s.pool.chunk_bytes = 64 << 10);
+    let tiny = run_with_pool(|p| p.chunk_bytes = 64 << 10);
     assert!(
         tiny.migrate >= normal.migrate,
         "64 KiB chunks {:?} should not beat 1 MiB chunks {:?}",

@@ -2,10 +2,10 @@
 //! settle-once contracts of the migration coordinator.
 //!
 //! These rules encode the crash-recovery discipline `coordinator_crash`
-//! tests dynamically, as a static check over `core/src/runtime.rs` (the
-//! only file where the coordinator's side effects live — `spare.rs`
-//! defines the lease API and its tests exercise double-settles on
-//! purpose). They run on [`crate::parse`]'s intraprocedural facts:
+//! tests dynamically, as a static check over the modules of
+//! `core/src/runtime/` (the only files where the coordinator's side
+//! effects live — `spare.rs` defines the lease API and its tests exercise
+//! double-settles on purpose). They run on [`crate::parse`]'s intraprocedural facts:
 //! function spans, textual call order, block paths, and full argument
 //! text.
 //!
@@ -18,12 +18,12 @@ use crate::lexer::SourceFile;
 use crate::parse::{self, CallSite};
 use crate::Finding;
 
-/// The coordinator hot file these contracts are scoped to.
-const SCOPED_FILES: &[&str] = &["core/src/runtime.rs"];
+/// The coordinator's directory: these contracts cover every file in it.
+const SCOPED_DIR: &str = "core/src/runtime/";
 
 fn in_scope(src: &SourceFile) -> bool {
     let p = src.path.to_string_lossy().replace('\\', "/");
-    SCOPED_FILES.iter().any(|f| p.ends_with(f))
+    p.contains(SCOPED_DIR)
 }
 
 fn is_ident_char(c: char) -> bool {
@@ -217,7 +217,7 @@ mod tests {
     use super::*;
     use std::path::Path;
 
-    const RT: &str = "crates/core/src/runtime.rs";
+    const RT: &str = "crates/core/src/runtime/coordinator.rs";
 
     fn run(rule: fn(&SourceFile, &mut Vec<Finding>), path: &str, text: &str) -> Vec<Finding> {
         let src = SourceFile::parse(Path::new(path), text);
@@ -253,9 +253,25 @@ mod tests {
                     \x20   pool.release_front_at(n, job, epoch);\n\
                     }\n";
         assert!(run(wal_before_effect, RT, text).is_empty());
-        // and the whole rule is scoped to the coordinator file
+        // and the whole rule is scoped to the coordinator's modules
         let elsewhere = "fn go() { pool.consume_at(n, job, epoch); }\n";
         assert!(run(wal_before_effect, "crates/core/src/spare.rs", elsewhere).is_empty());
+    }
+
+    #[test]
+    fn wal_before_effect_covers_every_coordinator_module() {
+        // The takeover lives in its own module; an unjournaled restart
+        // broadcast there is flagged like one in the coordinator.
+        let bad = "fn rebroadcast() {\n\
+                   \x20   ftb.publish(ctx, FtbEvent::with_payload(S, FTB_RESTART, msg(epoch)));\n\
+                   }\n";
+        let f = run(
+            wal_before_effect,
+            "crates/core/src/runtime/takeover.rs",
+            bad,
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 2);
     }
 
     #[test]
@@ -301,25 +317,36 @@ mod tests {
     fn calibrated_against_the_live_runtime() {
         // If the parser regressed and stopped seeing the coordinator's
         // call sites, every dataflow rule would pass vacuously. Pin the
-        // census: the live runtime has (at least) the four fenced
-        // command publishes, two `consume_at`, one `discard_at`, and a
-        // journal full of appends — and satisfies all three contracts.
-        let text = include_str!("../../core/src/runtime.rs");
-        let src = SourceFile::parse(Path::new("crates/core/src/runtime.rs"), text);
-        let fns = parse::functions(&src);
-        let all: Vec<&CallSite> = fns.iter().flat_map(|f| &f.calls).collect();
-        let effects = all.iter().filter(|c| journaled_effect(c)).count();
-        assert!(
-            effects >= 7,
-            "parser lost coordinator effect sites: {effects}"
-        );
-        let appends = all.iter().filter(|c| wal_append(c)).count();
-        assert!(appends >= 10, "parser lost WAL appends: {appends}");
-        for rule in [wal_before_effect, epoch_fence, lease_settle_once] {
-            let mut out = Vec::new();
-            rule(&src, &mut out);
-            assert!(out.is_empty(), "live runtime violates a contract: {out:?}");
+        // census of the runtime modules: exactly five effect sites —
+        //   `Attempt::enter` (coordinator.rs): the FTB_MIGRATE publish;
+        //   `broadcast` (restart.rs): the one FTB_RESTART publish;
+        //   `run_migration` (coordinator.rs) and `roll_forward`
+        //   (takeover.rs): `consume_at`;
+        //   `Attempt::fail` (abort.rs): `discard_at` —
+        // and a journal full of appends, all satisfying the contracts.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src/runtime");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("runtime modules")
+            .map(|e| e.expect("dir entry").path())
+            .collect();
+        paths.sort();
+        let (mut effects, mut appends) = (0, 0);
+        for path in paths {
+            let text = std::fs::read_to_string(&path).expect("readable module");
+            let name = path.file_name().expect("file name").to_string_lossy();
+            let src = SourceFile::parse(&Path::new("crates/core/src/runtime").join(&*name), &text);
+            let fns = parse::functions(&src);
+            let all: Vec<&CallSite> = fns.iter().flat_map(|f| &f.calls).collect();
+            effects += all.iter().filter(|c| journaled_effect(c)).count();
+            appends += all.iter().filter(|c| wal_append(c)).count();
+            for rule in [wal_before_effect, epoch_fence, lease_settle_once] {
+                let mut out = Vec::new();
+                rule(&src, &mut out);
+                assert!(out.is_empty(), "live runtime violates a contract: {out:?}");
+            }
         }
+        assert_eq!(effects, 5, "coordinator effect sites moved");
+        assert!(appends >= 10, "parser lost WAL appends: {appends}");
     }
 
     #[test]

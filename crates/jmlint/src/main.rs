@@ -17,7 +17,7 @@
 //!   `simkit` (`ctx.now()`); host time leaking into model code breaks
 //!   replay.
 //! - `hot_unwrap` — `unwrap()`/`expect()` in the migration protocol hot
-//!   paths (`runtime.rs`, `bufpool.rs`), where the fault plane injects
+//!   paths (`runtime/`, `bufpool.rs`), where the fault plane injects
 //!   failures that must degrade, not panic. Spec-invariant traps the
 //!   model checker proves unreachable carry an allow marker.
 //! - `span_exit` — trace spans emitted without a matching exit: a span
@@ -28,7 +28,7 @@
 //! v2 adds a small intraprocedural pass ([`parse`]: function spans,
 //! block paths, call sites with full argument text) and three dataflow
 //! rules encoding the coordinator's crash-recovery contracts
-//! ([`dataflow`], scoped to `core/src/runtime.rs`):
+//! ([`dataflow`], scoped to the modules of `core/src/runtime/`):
 //!
 //! - `wal_before_effect` — an externally visible coordinator side
 //!   effect (`FTB_MIGRATE`/`FTB_RESTART` publish, terminal lease

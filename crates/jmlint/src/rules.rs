@@ -241,15 +241,16 @@ pub fn wall_clock(src: &SourceFile, out: &mut Vec<Finding>) {
 // hot_unwrap
 // ---------------------------------------------------------------------------
 
-/// Files whose non-test code is a protocol hot path: the fault plane can
-/// reach almost every line, and an injected failure must degrade to a
+/// Files whose non-test code is a protocol hot path (every module under
+/// `core/src/runtime/`, and `bufpool.rs`): the fault plane can reach
+/// almost every line, and an injected failure must degrade to a
 /// `MigrationOutcome`, not panic.
-const HOT_FILES: &[&str] = &["core/src/runtime.rs", "core/src/bufpool.rs"];
+const HOT_FILES: &[&str] = &["core/src/runtime/", "core/src/bufpool.rs"];
 
 /// Flag `.unwrap()` / `.expect(` in protocol hot paths.
 pub fn hot_unwrap(src: &SourceFile, out: &mut Vec<Finding>) {
     let p = src.path.to_string_lossy().replace('\\', "/");
-    if !HOT_FILES.iter().any(|f| p.ends_with(f)) {
+    if !HOT_FILES.iter().any(|f| p.contains(f)) {
         return;
     }
     for (n, line) in src.lines.iter().enumerate() {
@@ -510,7 +511,7 @@ mod tests {
                     fn g() { y.unwrap_or(0); z.expect_err(\"no\"); }\n\
                     #[cfg(test)]\n\
                     mod tests { fn t() { q.unwrap(); } }\n";
-        let f = run(hot_unwrap, "crates/core/src/runtime.rs", text);
+        let f = run(hot_unwrap, "crates/core/src/runtime/coordinator.rs", text);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 1);
         assert!(run(hot_unwrap, "crates/ftb/src/agent.rs", text).is_empty());

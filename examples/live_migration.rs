@@ -88,7 +88,10 @@ fn main() {
     let (base, _) = run(MigrationTuning::pipelined());
     println!("pipelined stop-and-copy:\n  {base}");
 
-    let (live, events) = run(MigrationTuning::live().live_config(Some(cfg)));
+    let (live, events) = run(MigrationTuning {
+        live: Some(cfg),
+        ..MigrationTuning::live()
+    });
     println!("\nlive pre-copy:\n  {live}");
 
     println!("\nconvergence log:");

@@ -98,13 +98,13 @@ fn main() {
     // A user-initiated migration trigger 30 s into the run, as in §IV
     // ("we simulate the migration trigger by firing a user signal to the
     // Job Manager").
-    if tuning.pool.overlap {
+    if tuning.overlap {
         println!(
             "pipelined data path: {} RDMA lanes, restart admission {}",
-            tuning.pool.lanes, tuning.pool.restart_admission
+            tuning.lanes, tuning.restart_admission
         );
     }
-    if let Some(cfg) = &tuning.pool.live {
+    if let Some(cfg) = &tuning.live {
         println!(
             "live pre-copy: up to {} rounds, {} KiB pages, {} ms downtime budget",
             cfg.max_rounds,

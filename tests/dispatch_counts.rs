@@ -47,3 +47,36 @@ fn fig4_lu_migration_dispatch_counts_are_pinned() {
         "(timer pushes, flow retimes) moved"
     );
 }
+
+/// (dispatches, timer pushes, flow retimes) of a tuned LU.C.64 cycle, run
+/// through the tuning-aware bench runner.
+fn tuned_counts(tuning: jobmig_core::runtime::MigrationTuning) -> (u64, u64, u64) {
+    let mut handle: Option<SimHandle> = None;
+    let (report, _) = jobmig_bench::fig_migration_tuned_observed(NpbApp::Lu, 64, 8, tuning, |sh| {
+        sh.set_prof(true);
+        handle = Some(sh.clone());
+    });
+    assert_eq!(report.ranks_moved, 8);
+    let hot = handle.unwrap().hot_stats();
+    (hot.events_dispatched, hot.timer_pushes, hot.flow_retimes)
+}
+
+/// The overlap data path: two lanes, per-rank restart, bounded admission.
+#[test]
+fn pipelined_lu_migration_dispatch_counts_are_pinned() {
+    assert_eq!(
+        tuned_counts(jobmig_core::runtime::MigrationTuning::pipelined()),
+        (65_505, 73_678, 11_912),
+        "(dispatches, timer pushes, flow retimes) moved"
+    );
+}
+
+/// Iterative pre-copy on top of the overlap data path.
+#[test]
+fn live_lu_migration_dispatch_counts_are_pinned() {
+    assert_eq!(
+        tuned_counts(jobmig_core::runtime::MigrationTuning::live()),
+        (72_366, 80_695, 12_562),
+        "(dispatches, timer pushes, flow retimes) moved"
+    );
+}
