@@ -25,7 +25,7 @@
 //! atomic load and the argument closure is never evaluated.
 
 use fleetsched::{FleetConfig, PolicyKind};
-use jobmig_bench::{fig_migration_observed, fig_migration_tuned_observed, write_bench_json, SEED};
+use jobmig_bench::{fig_migration_observed, write_bench_json, SEED};
 use jobmig_core::prelude::{MigrationTuning, PoolConfig};
 use npbsim::NpbApp;
 use simkit::{SimHandle, Simulation};
@@ -154,8 +154,9 @@ fn main() {
         });
     });
 
+    // Untraced like fig4, so the two events/s figures compare.
     let livemig = measure("livemig", |stash| {
-        fig_migration_tuned_observed(NpbApp::Lu, 64, 8, MigrationTuning::live(), |h| {
+        fig_migration_observed(NpbApp::Lu, 64, 8, MigrationTuning::live(), |h| {
             *stash = Some(h.clone());
         });
     });

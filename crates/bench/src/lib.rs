@@ -5,6 +5,8 @@
 //! targets print them as paper-style tables. `EXPERIMENTS.md` records the
 //! measured-vs-paper comparison.
 
+#![forbid(unsafe_code)]
+
 pub mod ftpolicy;
 
 use jobmig_core::bufpool::{PoolConfig, RestartMode, Transport};
@@ -98,8 +100,9 @@ pub fn fig_migration_tuned(
 }
 
 /// [`fig_migration_tuned`] exposing the simulation handle before the run
-/// starts (the wall-clock bench stashes it to read the kernel
-/// self-profile after the run).
+/// starts (the dispatch-count pins stash it to read the kernel
+/// self-profile after the run). Tracing is always on here; an untraced
+/// run of a tuning is [`fig_migration_observed`].
 pub fn fig_migration_tuned_observed(
     app: NpbApp,
     np: u32,

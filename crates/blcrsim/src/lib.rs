@@ -21,6 +21,8 @@
 //! the walk dominates; with a disk sink the disk dominates — exactly the
 //! asymmetry Figure 7 measures.
 
+#![forbid(unsafe_code)]
+
 mod image;
 mod ops;
 mod stream;

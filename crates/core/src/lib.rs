@@ -38,6 +38,8 @@
 //! assert!(report.total() < simkit::dur::secs(30));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bufpool;
 pub mod calib;
 pub mod cluster;

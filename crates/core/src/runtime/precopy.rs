@@ -241,6 +241,7 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
     };
     // Collect-and-sort: the session's image map is a HashMap and merge
     // order must not depend on hash order.
+    // jmlint: allow(hash_iter)
     let mut staged: Vec<(u32, AssembledImage)> = result.images.into_iter().collect();
     staged.sort_by_key(|(rank, _)| *rank);
     let mut pages = 0u64;

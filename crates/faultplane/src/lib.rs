@@ -22,6 +22,8 @@
 //! so an exported trace shows fault and recovery timelines side by side.
 //! Same simulation seed + same plan ⇒ byte-identical traces.
 
+#![forbid(unsafe_code)]
+
 pub mod doom;
 pub use doom::{DoomPlan, NodeDoom};
 

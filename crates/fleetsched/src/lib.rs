@@ -28,6 +28,8 @@
 //! vacate → reclaim, never two jobs on one spare) is model-checked
 //! exhaustively in `protoverify::fleet`.
 
+#![forbid(unsafe_code)]
+
 pub mod orchestrator;
 pub mod policy;
 pub mod soak;

@@ -21,6 +21,8 @@
 //!   subscription. Delivery is exactly-once per matching subscription in
 //!   a stable tree, and a subtree with no match sees no traffic.
 
+#![forbid(unsafe_code)]
+
 mod agent;
 mod client;
 mod event;

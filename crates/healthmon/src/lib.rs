@@ -14,6 +14,8 @@
 //! * `HEALTH_PREDICT` — trend analysis predicts a critical crossing within
 //!   the horizon; this is the proactive signal a Job Manager migrates on.
 
+#![forbid(unsafe_code)]
+
 use ftb::{FtbClient, FtbEvent, Severity};
 use ibfabric::NodeId;
 use rand::Rng;

@@ -16,6 +16,8 @@
 //! See `DESIGN.md` §2 for why a simulated fabric (rather than real
 //! hardware) preserves the behaviour the paper evaluates.
 
+#![forbid(unsafe_code)]
+
 mod fault;
 mod net;
 mod payload;

@@ -11,7 +11,9 @@
 //! - `hash_iter` — iteration over a `HashMap`/`HashSet` in sim/protocol
 //!   code. Iteration order is randomized per process; anything it feeds
 //!   (trace events, send order, error listings) diverges between runs.
-//!   Fix: `BTreeMap`/`BTreeSet`, or collect-and-sort.
+//!   Struct fields are matched across files, so a map declared in one
+//!   module and iterated in another is caught. Fix:
+//!   `BTreeMap`/`BTreeSet`, or collect-and-sort.
 //! - `wall_clock` — `SystemTime::now`/`Instant::now`/entropy-seeded RNG
 //!   outside the simulator's virtual clock. Simulated time comes from
 //!   `simkit` (`ctx.now()`); host time leaking into model code breaks
@@ -50,6 +52,8 @@
 //!
 //! Exit status: 0 when clean, 1 when any finding is reported, 2 on usage
 //! or I/O errors.
+
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -131,8 +135,7 @@ fn main() -> ExitCode {
     }
     files.sort(); // deterministic report order, naturally
 
-    let mut findings = Vec::new();
-    let mut scanned = 0usize;
+    let mut sources = Vec::new();
     for path in &files {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -142,18 +145,25 @@ fn main() -> ExitCode {
             }
         };
         let rel = path.strip_prefix(&root).unwrap_or(path);
-        let src = SourceFile::parse(rel, &text);
-        scanned += 1;
+        sources.push(SourceFile::parse(rel, &text));
+    }
+    // Hash-typed field names are workspace-wide: a struct declared in one
+    // module is iterated in another.
+    let hash_fields = rules::hash_fields(&sources);
+
+    let mut findings = Vec::new();
+    let scanned = sources.len();
+    for src in &sources {
         let mut raw = Vec::new();
-        rules::hash_iter(&src, &mut raw);
-        rules::wall_clock(&src, &mut raw);
-        rules::hot_unwrap(&src, &mut raw);
-        rules::hot_alloc(&src, &mut raw);
-        rules::span_exit(&src, &mut raw);
-        dataflow::wal_before_effect(&src, &mut raw);
-        dataflow::epoch_fence(&src, &mut raw);
-        dataflow::lease_settle_once(&src, &mut raw);
-        findings.extend(suppress::apply(&src, raw));
+        rules::hash_iter(src, &hash_fields, &mut raw);
+        rules::wall_clock(src, &mut raw);
+        rules::hot_unwrap(src, &mut raw);
+        rules::hot_alloc(src, &mut raw);
+        rules::span_exit(src, &mut raw);
+        dataflow::wal_before_effect(src, &mut raw);
+        dataflow::epoch_fence(src, &mut raw);
+        dataflow::lease_settle_once(src, &mut raw);
+        findings.extend(suppress::apply(src, raw));
     }
 
     for f in &findings {

@@ -76,39 +76,137 @@ const ITER_TOKENS: &[&str] = &[
     ".into_iter()",
 ];
 
+/// The hash-typed struct fields of every file in `sources`.
+///
+/// `jmlint` collects them from every linted file before any file is
+/// checked, so iterating a field declared in another module
+/// (`result.images`, typed in `bufpool.rs`) is flagged wherever it
+/// happens. Parameters and locals stay per file: their names are too
+/// common to track across the workspace.
+pub fn hash_fields<'a>(sources: impl IntoIterator<Item = &'a SourceFile>) -> Vec<String> {
+    let mut out = Vec::new();
+    for src in sources {
+        for (id, hash) in struct_fields(src) {
+            if hash {
+                push_unique(&mut out, &id);
+            }
+        }
+    }
+    out
+}
+
+/// The struct fields declared in `src`, each with whether its type is a
+/// hash collection (`IDENT: ... HashMap<` directly inside a `struct`
+/// body).
+fn struct_fields(src: &SourceFile) -> Vec<(String, bool)> {
+    let mut out: Vec<(String, bool)> = Vec::new();
+    let mut depth = 0usize;
+    // Brace depth of the innermost open struct body.
+    let mut body: Option<usize> = None;
+    let mut struct_pending = false;
+    for line in &src.lines {
+        let code = &line.code;
+        let structs = word_positions(code, "struct");
+        let bytes = code.as_bytes();
+        for (i, c) in code.char_indices() {
+            if structs.contains(&i) {
+                struct_pending = true;
+            }
+            if single_colon(bytes, i) && body == Some(depth) {
+                if let Some(id) = trailing_ident(&code[..i]) {
+                    // The type runs to the next field's colon.
+                    let ty = &code[i + 1..];
+                    let ty = &ty[..next_single_colon(ty).unwrap_or(ty.len())];
+                    let hash = ["HashMap", "HashSet"]
+                        .iter()
+                        .any(|t| find_word(ty, t, 0).is_some());
+                    out.push((id.to_string(), hash));
+                }
+            }
+            match c {
+                '{' => {
+                    depth += 1;
+                    if struct_pending {
+                        body = Some(depth);
+                        struct_pending = false;
+                    }
+                }
+                '}' => {
+                    if body == Some(depth) {
+                        body = None;
+                    }
+                    depth = depth.saturating_sub(1);
+                }
+                ';' => struct_pending = false,
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// Whether `b[i]` is a `:` that is not half of a `::`.
+fn single_colon(b: &[u8], i: usize) -> bool {
+    b[i] == b':' && b.get(i + 1) != Some(&b':') && (i == 0 || b[i - 1] != b':')
+}
+
+/// Offset of the first `:` in `s` that is not half of a `::`.
+fn next_single_colon(s: &str) -> Option<usize> {
+    (0..s.len()).find(|&i| single_colon(s.as_bytes(), i))
+}
+
+/// Every start offset of the word `tok` in `code`.
+fn word_positions(code: &str, tok: &str) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(pos) = find_word(code, tok, from) {
+        out.push(pos);
+        from = pos + tok.len();
+    }
+    out
+}
+
+/// The `IDENT` of `IDENT: ...` ending at a type's position, skipping
+/// path separators (`std::collections::HashMap`).
+fn typed_ident(before: &str) -> Option<&str> {
+    let cpos = before.rfind(':')?;
+    if before[..cpos].ends_with(':') || before[cpos + 1..].contains("::") {
+        return None;
+    }
+    trailing_ident(&before[..cpos])
+}
+
+/// `let [mut] IDENT ... HashMap` on the same line, with the type at
+/// `tpos`.
+fn let_binding(code: &str, tpos: usize) -> Option<&str> {
+    let lpos = find_word(code, "let", 0).filter(|&l| l < tpos)?;
+    ident_after(code, lpos + 3)
+}
+
 /// Flag iteration over identifiers declared as `HashMap`/`HashSet`.
 ///
-/// Pass 1 collects every identifier in the file bound or typed as a hash
-/// collection (`let x = HashMap::new()`, `x: Mutex<HashMap<..>>`, fn
-/// params). Pass 2 flags lines where such an identifier is iterated —
-/// via an [`ITER_TOKENS`] method call reached from the identifier, or as
-/// the direct sequence of a `for .. in`.
-pub fn hash_iter(src: &SourceFile, out: &mut Vec<Finding>) {
-    let mut idents: Vec<String> = Vec::new();
+/// The identifiers are the hash-typed fields of every linted file
+/// (`fields`, from [`hash_fields`]) plus this file's own bindings of a
+/// hash collection (`let x = HashMap::new()`, `x: Mutex<HashMap<..>>`,
+/// fn params). A field name this file declares with another type is its
+/// own field, not the hash-typed one. A line is flagged where such an
+/// identifier is iterated — via an [`ITER_TOKENS`] method call reached
+/// from the identifier, or as the direct sequence of a `for .. in`.
+pub fn hash_iter(src: &SourceFile, fields: &[String], out: &mut Vec<Finding>) {
+    let own = struct_fields(src);
+    let mut idents: Vec<String> = fields
+        .iter()
+        .filter(|f| !own.iter().any(|(id, hash)| id == *f && !hash))
+        .cloned()
+        .collect();
     for line in &src.lines {
         let code = &line.code;
         for ty in ["HashMap", "HashSet"] {
             let Some(tpos) = find_word(code, ty, 0) else {
                 continue;
             };
-            // `let [mut] IDENT ... HashMap` on the same line.
-            if let Some(lpos) = find_word(code, "let", 0) {
-                if lpos < tpos {
-                    if let Some(id) = ident_after(code, lpos + 3) {
-                        push_unique(&mut idents, id);
-                        continue;
-                    }
-                }
-            }
-            // `IDENT: ... HashMap<` (field or parameter).
-            let before = &code[..tpos];
-            if let Some(cpos) = before.rfind(':') {
-                // skip path separators (`std::collections::HashMap`)
-                if !before[..cpos].ends_with(':') && !before[cpos + 1..].contains("::") {
-                    if let Some(id) = trailing_ident(&before[..cpos]) {
-                        push_unique(&mut idents, id);
-                    }
-                }
+            if let Some(id) = let_binding(code, tpos).or_else(|| typed_ident(&code[..tpos])) {
+                push_unique(&mut idents, id);
             }
         }
     }
@@ -459,13 +557,19 @@ mod tests {
         out
     }
 
+    /// `hash_iter` on one file, with that file's own fields as the
+    /// workspace's.
+    fn hash_iter_alone(src: &SourceFile, out: &mut Vec<Finding>) {
+        hash_iter(src, &hash_fields([src]), out);
+    }
+
     #[test]
     fn hash_iter_catches_field_and_let_bindings() {
         let text = "struct S { m: Mutex<HashMap<u32, u64>> }\n\
                     fn f(s: &S) { for (k, v) in s.m.lock().iter() {} }\n\
                     fn g() { let mut seen = HashSet::new(); seen.insert(1); }\n\
                     fn h(seen: &HashSet<u32>) { for x in seen {} }\n";
-        let f = run(hash_iter, "crates/x/src/a.rs", text);
+        let f = run(hash_iter_alone, "crates/x/src/a.rs", text);
         assert_eq!(
             f.len(),
             2,
@@ -484,7 +588,7 @@ mod tests {
                     let mut v: Vec<_> = m.keys().collect();\n";
         let src = SourceFile::parse(Path::new("a.rs"), text);
         let mut raw = Vec::new();
-        hash_iter(&src, &mut raw);
+        hash_iter_alone(&src, &mut raw);
         assert_eq!(raw.len(), 1, "rule emits unconditionally");
         assert!(crate::suppress::apply(&src, raw).is_empty());
     }
@@ -494,7 +598,40 @@ mod tests {
         let text = "let m = HashMap::new(); let b = BTreeMap::new();\n\
                     m.get(&k); m.insert(k, v); m.remove(&k);\n\
                     for x in b.values() {}\n";
-        assert!(run(hash_iter, "a.rs", text).is_empty());
+        assert!(run(hash_iter_alone, "a.rs", text).is_empty());
+    }
+
+    #[test]
+    fn hash_iter_sees_fields_declared_in_another_file() {
+        let decl = SourceFile::parse(
+            Path::new("crates/x/src/pool.rs"),
+            "pub struct TargetResult {\n    pub images: HashMap<u32, Image>,\n    pub bytes: u64,\n}\n\
+             fn helper(names: &HashSet<u32>) {}\n",
+        );
+        let user = SourceFile::parse(
+            Path::new("crates/y/src/phase.rs"),
+            "fn f(result: TargetResult) {\n\
+             let v: Vec<_> = result.images.into_iter().collect();\n\
+             for n in names.iter() {}\n}\n",
+        );
+        let fields = hash_fields([&decl, &user]);
+        assert_eq!(fields, ["images"], "fields only, not parameters");
+        let mut out = Vec::new();
+        hash_iter(&user, &fields, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            (out[0].path.to_str(), out[0].line),
+            (Some("crates/y/src/phase.rs"), 2)
+        );
+
+        // A file that declares the name with another type uses its own.
+        let shadow = SourceFile::parse(
+            Path::new("crates/z/src/rank.rs"),
+            "struct Endpoints { images: Vec<u32> }\nfn g(e: Endpoints) { for i in e.images.iter() {} }\n",
+        );
+        let mut out = Vec::new();
+        hash_iter(&shadow, &fields, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

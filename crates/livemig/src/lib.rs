@@ -21,6 +21,8 @@
 //! cutover into Phase 1–4) lives in `jobmig-core`; this crate is the pure
 //! data-plane and policy layer, testable without a simulation.
 
+#![forbid(unsafe_code)]
+
 pub mod delta;
 mod dirty;
 mod policy;

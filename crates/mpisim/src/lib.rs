@@ -28,6 +28,8 @@
 //! memory — are in the image). The application marks iteration boundaries
 //! with [`MpiRank::op_boundary`]. See `DESIGN.md` §2.
 
+#![forbid(unsafe_code)]
+
 mod collectives;
 mod job;
 mod rank;

@@ -17,6 +17,8 @@
 //! Xeons and were chosen so that one migration's overhead lands in the
 //! paper's 3.9–6.7 % band when the migration cycle matches Figure 4.
 
+#![forbid(unsafe_code)]
+
 use blcrsim::{Segment, SegmentKind};
 use bytes::Bytes;
 use ibfabric::DataSlice;

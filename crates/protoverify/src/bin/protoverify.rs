@@ -15,6 +15,8 @@
 //!   coverage, print the per-edge table with never-exercised edges
 //!   called out, and optionally write the merged `COVERAGE_proto.json`.
 
+#![forbid(unsafe_code)]
+
 use protoverify::{check, check_fleet, CheckConfig, Coverage, FleetConfig, MigrationSpec};
 use std::process::ExitCode;
 

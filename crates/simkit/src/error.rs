@@ -7,7 +7,7 @@ use std::fmt;
 /// Unwind sentinel raised inside a simulated process when it is killed.
 ///
 /// Blocking primitives check the process's kill flag on every wake; when it
-/// is set they `panic!` with a `Killed` payload. The process thread harness
+/// is set they `panic!` with a `Killed` payload. The process harness
 /// downcasts panic payloads: a `Killed` payload is a *clean* death (node
 /// failure, migration teardown), anything else is a genuine bug and aborts
 /// the whole simulation with the original message.

@@ -8,7 +8,7 @@
 //!   skipped, process spawns, FlowNet recomputes and retimes — every
 //!   [`Link`](crate::Link) is a one-link FlowNet, so its traffic counts
 //!   there too) are always maintained: one relaxed atomic increment each,
-//!   noise next to the ~µs cost of a baton handoff.
+//!   noise next to the cost of an event dispatch.
 //! * **Wall-clock timing** (ns per kernel category, per-process dispatch
 //!   counts) reads the host monotonic clock twice per event and is off
 //!   unless the `SIMKIT_PROF=1` environment variable is set when the
@@ -28,7 +28,7 @@ use std::time::Instant;
 pub(crate) struct Hot {
     /// Wall-clock timing armed (`SIMKIT_PROF=1` or `set_prof(true)`).
     prof: AtomicBool,
-    /// Baton handoffs: timers popped as valid and handed to a process.
+    /// Dispatches: timers popped as valid and their process resumed.
     pub(crate) dispatches: AtomicU64,
     /// Heap entries popped and discarded as stale (superseded wakes).
     pub(crate) stale_skips: AtomicU64,
@@ -44,10 +44,10 @@ pub(crate) struct Hot {
     pub(crate) flow_retimes: AtomicU64,
     /// ns the scheduler spent selecting timers (heap pop loop). Prof only.
     sched_ns: AtomicU64,
-    /// ns between baton send and process yield (user code + handoff).
-    /// Prof only.
+    /// ns from resuming a process until it blocks or finishes (user
+    /// code + the switch). Prof only.
     run_ns: AtomicU64,
-    /// ns spent in `spawn_inner` (slot setup + thread create/reuse).
+    /// ns spent in `spawn_inner` (slot setup + first wake).
     /// Prof only.
     spawn_ns: AtomicU64,
     /// Dispatches per process. Prof only.
@@ -153,7 +153,7 @@ pub(crate) enum HotCat {
 /// [`Simulation::hot_stats`](crate::Simulation::hot_stats)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HotStats {
-    /// Baton handoffs: timers popped as valid and handed to a process.
+    /// Dispatches: timers popped as valid and their process resumed.
     /// This is the kernel's fundamental unit of work — "events/sec" in
     /// the wall-clock benches is this counter over elapsed host time.
     pub events_dispatched: u64,
@@ -173,7 +173,8 @@ pub struct HotStats {
     pub flow_retimes: u64,
     /// Wall ns the scheduler spent selecting timers (prof only).
     pub sched_ns: u64,
-    /// Wall ns between baton send and process yield (prof only).
+    /// Wall ns from resuming a process until it blocks or finishes
+    /// (prof only).
     pub run_ns: u64,
     /// Wall ns spent spawning processes (prof only).
     pub spawn_ns: u64,

@@ -1,4 +1,4 @@
-//! The event-heap scheduler and the cooperative-thread machinery.
+//! The event-heap scheduler and the coroutine machinery.
 //!
 //! # Scheduling model
 //!
@@ -11,19 +11,17 @@
 //! simulation deterministic: ties at equal virtual time are broken by
 //! insertion sequence.
 //!
-//! # Thread handoff
+//! # One host thread
 //!
-//! Each simulated process is an OS thread parked on a private baton (an
-//! unpark token). At most one simulated process executes at any wall-clock
-//! instant. A yielding process dispatches the next timer **directly** — it
-//! pops the heap itself and gives the next owner its baton, one context
-//! switch per event. The scheduler thread dispatches only after a chain
-//! break: a process finished (bookkeeping, join wakes, thread reaping),
-//! the heap drained, the drive limit was reached, or the stop flag fired.
-//! Both pop the same shared heap under the same lock through
-//! `KState::pop_next`, so the event order does not depend on which thread
-//! dispatched.
+//! Each simulated process is a stackful coroutine ([`crate::coro`]) run by
+//! the thread that drives the [`Simulation`]. The scheduler loop pops the
+//! next valid timer and resumes its owner; the owner runs until it blocks,
+//! which switches straight back to the loop. That loop is the only
+//! dispatcher. A process gets its stack at its first dispatch, and the
+//! stack returns to a free list when the process finishes. A process
+//! killed before its first dispatch never gets one.
 
+use crate::coro::{Coroutine, Stack, Switch};
 use crate::error::{Killed, SimError};
 use crate::hotstats::{Hot, HotCat, HotStats};
 use crate::process::{Ctx, ProcHandle, Span};
@@ -32,13 +30,12 @@ use crate::trace::{Args, Tracer};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, OnceLock};
-use std::thread;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Identifier of a simulated process.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -68,82 +65,20 @@ impl PartialOrd for Timer {
     }
 }
 
-/// How a process finished, reported through the yield channel.
-pub(crate) enum Fin {
+/// How a process finished.
+enum Fin {
     Ok,
     Killed,
     Panic(String),
 }
 
-pub(crate) struct YieldMsg {
-    pub pid: u32,
-    pub finished: Option<Fin>,
-}
-
-/// Rendezvous cell for one process thread: an unpark token plus the
-/// thread handle to poke. A handoff is one `Release` store and one
-/// `unpark` — a single futex wake when the target is parked.
-pub(crate) struct Baton {
-    token: AtomicBool,
-    thread: OnceLock<thread::Thread>,
-}
-
-impl Baton {
-    fn new() -> Baton {
-        Baton {
-            token: AtomicBool::new(false),
-            thread: OnceLock::new(),
-        }
-    }
-
-    /// Hand the baton over. Safe even if the target has not parked yet:
-    /// the token makes the wake stick (its first `take` consumes it).
-    pub(crate) fn give(&self) {
-        self.token.store(true, Ordering::Release);
-        if let Some(t) = self.thread.get() {
-            t.unpark();
-        }
-    }
-
-    /// Park until the baton arrives. Spins briefly first: busy processes
-    /// are typically re-dispatched within a few µs, and a futex
-    /// sleep/wake round trip costs more wall time than the spin. The
-    /// spin reads the token (no RMW) so the waiting core does not steal
-    /// the cache line from the giver.
-    pub(crate) fn take(&self) {
-        for _ in 0..spin_budget() {
-            if self.token.load(Ordering::Acquire) {
-                break;
-            }
-            std::hint::spin_loop();
-        }
-        while !self.token.swap(false, Ordering::Acquire) {
-            thread::park();
-        }
-    }
-}
-
-/// Iterations of the pre-park spin in [`Baton::take`]. Spinning only pays
-/// when spare cores exist for the waiter to burn — on small hosts it
-/// *steals* CPU from the running process — so it is 0 below 4 cores.
-fn spin_budget() -> u32 {
-    static BUDGET: OnceLock<u32> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        let cores = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores >= 4 {
-            4000
-        } else {
-            0
-        }
-    })
-}
+/// A process body not yet dispatched.
+type Body = Box<dyn FnOnce(&Ctx) + Send>;
 
 struct Slot {
     name: Arc<str>,
-    baton: Arc<Baton>,
-    join: Option<thread::JoinHandle<()>>,
+    /// The body until the first dispatch takes it onto a stack.
+    body: Option<Body>,
     dead: bool,
     killed: bool,
     daemon: bool,
@@ -190,8 +125,6 @@ impl KState {
 
     /// Pop the next valid timer at or before `limit_ns`, skipping stale
     /// entries, and consume the owner's canonical wake. Advances `now`.
-    /// This is the single dispatch-selection point, shared by the
-    /// scheduler thread and the direct proc→proc handoff path.
     fn pop_next(&mut self, hot: &Hot, limit_ns: u64) -> Popped {
         loop {
             match self.heap.peek() {
@@ -211,7 +144,7 @@ impl KState {
                 slot.pending_seq = None;
                 return Popped::Ready {
                     pid: t.pid,
-                    baton: Arc::clone(&slot.baton),
+                    body: slot.body.take(),
                 };
             }
             Hot::bump(&hot.stale_skips);
@@ -223,26 +156,20 @@ impl KState {
 enum Popped {
     Quiescent,
     Limit,
-    Ready { pid: u32, baton: Arc<Baton> },
+    /// `body` is the process body on its first dispatch, `None` after.
+    Ready {
+        pid: u32,
+        body: Option<Body>,
+    },
 }
 
-/// Shared kernel: the scheduler state plus the yield channel sender handed
-/// to every process thread.
+/// Shared kernel: the scheduler state, the tracer and the switch point
+/// every process blocks through.
 pub(crate) struct Kernel {
     pub(crate) st: Mutex<KState>,
-    pub(crate) yield_tx: Sender<YieldMsg>,
     pub(crate) tracer: Tracer,
     pub(crate) hot: Hot,
-    /// Virtual-time limit (nanos) of the drive loop currently in
-    /// progress; the handoff path must not dispatch past it. `u64::MAX`
-    /// outside a drive loop (no process runs then anyway).
-    limit_ns: AtomicU64,
-    /// Stop flag of an in-progress `run_until_set` (the target event's
-    /// set-mirror), or an already-set flag during teardown. The handoff
-    /// path re-checks it before every dispatch, exactly as the scheduler
-    /// loop checks `event.is_set()` between events, and breaks the chain
-    /// once it reads true.
-    stop: Mutex<Option<Arc<AtomicBool>>>,
+    pub(crate) switch: Arc<Switch>,
 }
 
 impl Kernel {
@@ -334,43 +261,6 @@ impl Kernel {
             .unwrap_or_else(|| Arc::from("<gone>"))
     }
 
-    /// Try to dispatch the next event directly from a yielding process
-    /// (one context switch instead of a scheduler round trip). Returns
-    /// `false` when the chain must break to the scheduler thread instead:
-    /// the stop flag fired, the heap drained, or the next timer lies past
-    /// the drive limit.
-    pub(crate) fn try_handoff(&self) -> bool {
-        // Same between-events check the scheduler loop performs: once the
-        // run_until_set target fires, or teardown begins, no further
-        // event may be dispatched.
-        let stop = self.stop.lock().clone();
-        if let Some(flag) = stop {
-            if flag.load(Ordering::Acquire) {
-                return false;
-            }
-        }
-        let limit_ns = self.limit_ns.load(Ordering::Relaxed);
-        let t_sched = self.hot.clock();
-        let popped = self.st.lock().pop_next(&self.hot, limit_ns);
-        match popped {
-            Popped::Ready { pid, baton } => {
-                self.hot.lap(t_sched, HotCat::Sched);
-                Hot::bump(&self.hot.dispatches);
-                self.hot.count_proc(pid);
-                baton.give();
-                true
-            }
-            Popped::Quiescent | Popped::Limit => false,
-        }
-    }
-
-    /// Install the stop flag consulted by [`Kernel::try_handoff`];
-    /// cleared when the returned guard drops.
-    fn install_stop(self: &Arc<Self>, flag: Arc<AtomicBool>) -> StopGuard {
-        *self.stop.lock() = Some(flag);
-        StopGuard(Arc::clone(self))
-    }
-
     /// Spawn a new simulated process; it will first run at the current
     /// virtual instant, after already-scheduled same-time timers.
     pub(crate) fn spawn_inner(
@@ -380,59 +270,22 @@ impl Kernel {
         f: impl FnOnce(&Ctx) + Send + 'static,
     ) -> ProcHandle {
         let t0 = self.hot.clock();
-        let baton = Arc::new(Baton::new());
         let interned: Arc<str> = Arc::from(name);
         let pid = {
             let mut st = self.st.lock();
             let pid = st.procs.len() as u32;
             st.procs.push(Slot {
                 name: Arc::clone(&interned),
-                baton: Arc::clone(&baton),
-                join: None,
+                body: Some(Box::new(f)),
                 dead: false,
                 killed: false,
                 daemon,
                 pending_seq: None,
                 join_waiters: Vec::new(),
             });
-            pid
+            ProcId(pid)
         };
-        let pid = ProcId(pid);
-        let kernel = Arc::clone(self);
-        let yield_tx = self.yield_tx.clone();
-        let thread_baton = Arc::clone(&baton);
-        let tname = format!("sim:{name}");
-        let jh = thread::Builder::new()
-            .name(tname)
-            .stack_size(512 * 1024)
-            .spawn(move || {
-                // Wait for the first dispatch (teardown wakes us too; the
-                // kill flag then routes straight to unwind).
-                thread_baton.take();
-                let ctx = Ctx::new(Arc::clone(&kernel), pid, Arc::clone(&thread_baton));
-                let fin = if kernel.is_killed(pid) {
-                    Fin::Killed
-                } else {
-                    match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                        Ok(()) => Fin::Ok,
-                        Err(p) if p.is::<Killed>() => Fin::Killed,
-                        Err(p) => Fin::Panic(panic_message(&*p)),
-                    }
-                };
-                let _ = yield_tx.send(YieldMsg {
-                    pid: pid.0,
-                    finished: Some(fin),
-                });
-            })
-            .expect("failed to spawn simulation process thread");
-        // Register the unpark target before the first wake can possibly
-        // be dispatched (the wake is only scheduled below).
-        let _ = baton.thread.set(jh.thread().clone());
         Hot::bump(&self.hot.spawns);
-        {
-            let mut st = self.st.lock();
-            st.procs[pid.0 as usize].join = Some(jh);
-        }
         self.schedule_wake(pid, self.now());
         self.tracer.name_proc(pid, name);
         if self.tracer.armed() {
@@ -456,15 +309,6 @@ impl Kernel {
             Arc::clone(&slot.name),
             std::mem::take(&mut slot.join_waiters),
         )
-    }
-}
-
-/// Clears the kernel stop flag on drop (see [`Kernel::install_stop`]).
-struct StopGuard(Arc<Kernel>);
-
-impl Drop for StopGuard {
-    fn drop(&mut self) {
-        *self.0.stop.lock() = None;
     }
 }
 
@@ -627,13 +471,22 @@ pub enum RunOutcome {
     LimitReached,
 }
 
-/// A discrete-event simulation: owns the scheduler loop.
+/// A discrete-event simulation: owns the scheduler loop and the stacks
+/// its processes run on.
 ///
 /// Construct with [`Simulation::new`], spawn processes, then drive with
-/// [`Simulation::run`] (to quiescence) or [`Simulation::run_until`].
+/// [`Simulation::run`] (to quiescence) or [`Simulation::run_until`]. The
+/// processes run on the thread that drives it, so a `Simulation` is not
+/// `Send`; [`SimHandle`]s are.
 pub struct Simulation {
     kernel: Arc<Kernel>,
-    yield_rx: Receiver<YieldMsg>,
+    /// Started processes by pid; `None` before the first dispatch and
+    /// after the process finished.
+    procs: Vec<Option<Coroutine>>,
+    /// Stacks of finished processes, reused by the next first dispatch.
+    stacks: Vec<Stack>,
+    /// How the process that just returned finished, left by its body.
+    fin: Rc<Cell<Option<Fin>>>,
     /// Set once a process panic has aborted the run; further use is a bug.
     poisoned: bool,
 }
@@ -654,7 +507,6 @@ impl Simulation {
                 prev(info);
             }));
         });
-        let (yield_tx, yield_rx) = channel();
         let kernel = Arc::new(Kernel {
             st: Mutex::new(KState {
                 now: SimTime::ZERO,
@@ -663,15 +515,15 @@ impl Simulation {
                 procs: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
             }),
-            yield_tx,
             tracer: Tracer::new(),
             hot: Hot::new(),
-            limit_ns: AtomicU64::new(u64::MAX),
-            stop: Mutex::new(None),
+            switch: Arc::new(Switch::new()),
         });
         Simulation {
             kernel,
-            yield_rx,
+            procs: Vec::new(),
+            stacks: Vec::new(),
+            fin: Rc::new(Cell::new(None)),
             poisoned: false,
         }
     }
@@ -712,9 +564,6 @@ impl Simulation {
         event: &crate::sync::Event,
         limit: SimTime,
     ) -> Result<(), SimError> {
-        // Arm the handoff chain-breaker: a direct dispatch checks this
-        // flag exactly where this loop checks `event.is_set()`.
-        let _stop = self.kernel.install_stop(event.set_mirror());
         loop {
             if event.is_set() {
                 return Ok(());
@@ -725,18 +574,7 @@ impl Simulation {
                     if event.is_set() {
                         return Ok(());
                     }
-                    let st = self.kernel.st.lock();
-                    let blocked: Vec<(ProcId, String)> = st
-                        .procs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| !s.dead && !s.daemon)
-                        .map(|(pid, s)| (ProcId(pid as u32), s.name.to_string()))
-                        .collect();
-                    return Err(SimError::Deadlock {
-                        at: st.now,
-                        blocked,
-                    });
+                    return Err(self.deadlock());
                 }
             }
         }
@@ -747,6 +585,14 @@ impl Simulation {
     pub fn run(&mut self) -> Result<(), SimError> {
         self.drive(SimTime::MAX)?;
         // Heap drained: any live, blocked, non-daemon process is deadlocked.
+        match self.deadlock() {
+            SimError::Deadlock { blocked, .. } if blocked.is_empty() => Ok(()),
+            e => Err(e),
+        }
+    }
+
+    /// A deadlock report listing every live non-daemon process.
+    fn deadlock(&self) -> SimError {
         let st = self.kernel.st.lock();
         let blocked: Vec<(ProcId, String)> = st
             .procs
@@ -755,13 +601,9 @@ impl Simulation {
             .filter(|(_, s)| !s.dead && !s.daemon)
             .map(|(pid, s)| (ProcId(pid as u32), s.name.to_string()))
             .collect();
-        if blocked.is_empty() {
-            Ok(())
-        } else {
-            Err(SimError::Deadlock {
-                at: st.now,
-                blocked,
-            })
+        SimError::Deadlock {
+            at: st.now,
+            blocked,
         }
     }
 
@@ -793,105 +635,107 @@ impl Simulation {
         }
     }
 
-    /// Dispatch the next event from the scheduler thread and wait for the
-    /// baton to come back. The wait may span a whole proc→proc chain of
-    /// events; the yield that wakes us then comes from whichever process
-    /// broke the chain, not necessarily the one dispatched here.
+    /// Pop the next event and run its process until it blocks or ends.
     fn step_one(&mut self, limit: SimTime) -> Result<StepResult, SimError> {
         assert!(!self.poisoned, "simulation used after a process panic");
-        // Publish the limit for the handoff path before dispatching.
-        self.kernel
-            .limit_ns
-            .store(limit.as_nanos(), Ordering::Relaxed);
-        let t_sched = self.kernel.hot.clock();
-        let popped = self
-            .kernel
-            .st
-            .lock()
-            .pop_next(&self.kernel.hot, limit.as_nanos());
-        let (pid, baton) = match popped {
+        let hot = &self.kernel.hot;
+        let t_sched = hot.clock();
+        let popped = self.kernel.st.lock().pop_next(hot, limit.as_nanos());
+        let (pid, body) = match popped {
             Popped::Quiescent => return Ok(StepResult::Quiescent),
             Popped::Limit => return Ok(StepResult::LimitReached),
-            Popped::Ready { pid, baton } => (ProcId(pid), baton),
+            Popped::Ready { pid, body } => (pid, body),
         };
-        self.kernel.hot.lap(t_sched, HotCat::Sched);
-        Hot::bump(&self.kernel.hot.dispatches);
-        self.kernel.hot.count_proc(pid.0);
-        // Hand the baton over and wait for some process to yield back.
-        let t_run = self.kernel.hot.clock();
-        baton.give();
-        let msg = self
-            .yield_rx
-            .recv()
-            .expect("yield channel closed unexpectedly");
+        hot.lap(t_sched, HotCat::Sched);
+        Hot::bump(&hot.dispatches);
+        hot.count_proc(pid);
+        let t_run = hot.clock();
+        let fin = self.resume(pid, body);
         self.kernel.hot.lap(t_run, HotCat::Run);
-        if let Some(fin) = msg.finished {
-            let fin_pid = ProcId(msg.pid);
-            let (name, waiters) = self.kernel.finish_proc(msg.pid);
-            for w in waiters {
-                self.kernel.wake_now(ProcId(w));
-            }
-            match fin {
-                Fin::Ok => self
-                    .kernel
-                    .tracer
-                    .rec(self.now(), Some(fin_pid), "finished"),
-                Fin::Killed => self
-                    .kernel
-                    .tracer
-                    .rec(self.now(), Some(fin_pid), "died (killed)"),
-                Fin::Panic(message) => {
-                    self.poisoned = true;
-                    return Err(SimError::ProcPanic {
-                        pid: fin_pid,
-                        name: name.to_string(),
-                        message,
-                    });
-                }
-            }
-            // Reap the thread: it has sent its final yield and is exiting.
-            let jh = {
-                let mut st = self.kernel.st.lock();
-                st.procs
-                    .get_mut(msg.pid as usize)
-                    .and_then(|s| s.join.take())
-            };
-            if let Some(jh) = jh {
-                let _ = jh.join();
+        let Some(fin) = fin else {
+            return Ok(StepResult::Ran);
+        };
+        let fin_pid = ProcId(pid);
+        let (name, waiters) = self.kernel.finish_proc(pid);
+        for w in waiters {
+            self.kernel.wake_now(ProcId(w));
+        }
+        let tracer = &self.kernel.tracer;
+        match fin {
+            Fin::Ok => tracer.rec(self.now(), Some(fin_pid), "finished"),
+            Fin::Killed => tracer.rec(self.now(), Some(fin_pid), "died (killed)"),
+            Fin::Panic(message) => {
+                self.poisoned = true;
+                return Err(SimError::ProcPanic {
+                    pid: fin_pid,
+                    name: name.to_string(),
+                    message,
+                });
             }
         }
         Ok(StepResult::Ran)
+    }
+
+    /// Run process `pid` until it blocks (`None`) or finishes. `body` is
+    /// its body at the first dispatch, which gives it a stack; a process
+    /// killed before then finishes without one.
+    fn resume(&mut self, pid: u32, body: Option<Body>) -> Option<Fin> {
+        let i = pid as usize;
+        if let Some(body) = body {
+            if self.kernel.is_killed(ProcId(pid)) {
+                return Some(Fin::Killed);
+            }
+            let kernel = Arc::clone(&self.kernel);
+            let fin = Rc::clone(&self.fin);
+            let entry = Box::new(move || {
+                let ctx = Ctx::new(kernel, ProcId(pid));
+                fin.set(Some(match catch_unwind(AssertUnwindSafe(|| body(&ctx))) {
+                    Ok(()) => Fin::Ok,
+                    Err(p) if p.is::<Killed>() => Fin::Killed,
+                    Err(p) => Fin::Panic(panic_message(&*p)),
+                }));
+            });
+            let stack = self.stacks.pop().unwrap_or_else(Stack::new);
+            if self.procs.len() <= i {
+                self.procs.resize_with(i + 1, || None);
+            }
+            self.procs[i] = Some(Coroutine::new(stack, &self.kernel.switch, entry));
+        }
+        let coro = self.procs[i]
+            .as_mut()
+            .expect("dispatched a process with no stack");
+        if !coro.resume() {
+            return None;
+        }
+        let coro = self.procs[i].take().expect("finished process vanished");
+        self.stacks.push(coro.into_stack());
+        Some(self.fin.take().expect("finished process left no outcome"))
     }
 }
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        // Kill every live process, release each thread so it unwinds, then
-        // join them all. Threads may briefly run concurrently during this
-        // teardown; no simulation state advances. An already-set stop flag
-        // goes in first so an unwinding process cannot re-dispatch a victim.
-        *self.kernel.stop.lock() = Some(Arc::new(AtomicBool::new(true)));
-        let victims: Vec<(Arc<Baton>, Option<thread::JoinHandle<()>>)> = {
-            let mut st = self.kernel.st.lock();
-            st.procs
-                .iter_mut()
-                .filter(|s| !s.dead)
-                .map(|s| {
+        // Kill every live process, then resume each started one in pid
+        // order so its stack unwinds and its destructors run. A body that
+        // never ran is dropped without a stack. Unwinding code may spawn,
+        // so repeat until nothing is left.
+        loop {
+            let mut bodies = Vec::new();
+            {
+                let mut st = self.kernel.st.lock();
+                for s in st.procs.iter_mut().filter(|s| !s.dead) {
                     s.killed = true;
-                    (Arc::clone(&s.baton), s.join.take())
-                })
-                .collect()
-        };
-        for (baton, _) in &victims {
-            baton.give();
-        }
-        // Drain final yields so senders don't block, then join.
-        for _ in 0..victims.len() {
-            let _ = self.yield_rx.recv();
-        }
-        for (_, jh) in victims {
-            if let Some(jh) = jh {
-                let _ = jh.join();
+                    bodies.extend(s.body.take());
+                }
+            }
+            let started: Vec<Coroutine> = self.procs.drain(..).flatten().collect();
+            if bodies.is_empty() && started.is_empty() {
+                break;
+            }
+            drop(bodies);
+            for mut coro in started {
+                while !coro.resume() {}
+                self.fin.take();
             }
         }
     }

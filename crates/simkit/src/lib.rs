@@ -2,24 +2,25 @@
 //!
 //! `simkit` provides the virtual-time substrate on which the rest of this
 //! workspace simulates an InfiniBand cluster: a scheduler with a nanosecond
-//! virtual clock, *cooperative-thread processes* (each simulated process is
-//! an OS thread that runs only while it holds the baton), timers, one-shot
-//! events, FIFO queues, counting semaphores, and fluid-flow (processor
-//! sharing) bandwidth links.
+//! virtual clock, *coroutine processes* (each simulated process runs on its
+//! own stack, on the one host thread that drives the simulation), timers,
+//! one-shot events, FIFO queues, counting semaphores, and fluid-flow
+//! (processor sharing) bandwidth links.
 //!
 //! ## Model
 //!
-//! * Exactly **one** process executes at any instant; the scheduler hands
-//!   control to the process owning the earliest `(time, seq)` timer. Given a
-//!   fixed seed, a simulation is fully deterministic.
+//! * Exactly **one** process executes at any instant; the scheduler loop
+//!   resumes the process owning the earliest `(time, seq)` timer, and the
+//!   process switches back to the loop when it blocks. Given a fixed seed,
+//!   a simulation is fully deterministic.
 //! * A process blocks by calling a primitive ([`Ctx::sleep`],
 //!   [`Event::wait`], [`Queue::pop`], [`Link::transfer`], ...). Each block
 //!   has a single *canonical wake*: a timer in the kernel heap. Wakers
 //!   replace the pending timer, so retiming (e.g. a bandwidth share change)
 //!   and spurious-wake suppression are uniform.
 //! * Killing a process ([`SimHandle::kill`]) raises a [`Killed`] unwind at
-//!   its next blocking call; the thread harness recognises the sentinel and
-//!   records a clean death. This mirrors how signal-driven teardown
+//!   its next blocking call; the process harness recognises the sentinel
+//!   and records a clean death. This mirrors how signal-driven teardown
 //!   interrupts real processes without forcing error plumbing through
 //!   application code.
 //!
@@ -44,6 +45,10 @@
 //! sim.run().unwrap();
 //! ```
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)]
+mod coro;
 mod error;
 mod flownet;
 mod hotstats;

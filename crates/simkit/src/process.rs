@@ -1,7 +1,8 @@
 //! Per-process execution context.
 
+use crate::coro;
 use crate::error::Killed;
-use crate::kernel::{Baton, Kernel, ProcId, SimHandle, YieldMsg};
+use crate::kernel::{Kernel, ProcId, SimHandle};
 use crate::time::SimTime;
 use crate::trace::Args;
 use rand::rngs::StdRng;
@@ -10,7 +11,7 @@ use std::time::Duration;
 
 /// The execution context handed to every simulated process body.
 ///
-/// A `Ctx` is unique to its process thread; blocking calls
+/// A `Ctx` is unique to its process; blocking calls
 /// ([`Ctx::sleep`], [`Event::wait`](crate::Event::wait), [`Queue::pop`](crate::Queue::pop),
 /// [`Link::transfer`](crate::Link::transfer), ...)
 /// may only be made through it. All blocking calls are kill points: if the
@@ -18,12 +19,11 @@ use std::time::Duration;
 pub struct Ctx {
     kernel: Arc<Kernel>,
     pid: ProcId,
-    baton: Arc<Baton>,
 }
 
 impl Ctx {
-    pub(crate) fn new(kernel: Arc<Kernel>, pid: ProcId, baton: Arc<Baton>) -> Self {
-        Ctx { kernel, pid, baton }
+    pub(crate) fn new(kernel: Arc<Kernel>, pid: ProcId) -> Self {
+        Ctx { kernel, pid }
     }
 
     /// This process's id.
@@ -158,25 +158,18 @@ impl Ctx {
         }
     }
 
-    /// Yield the baton and park until the canonical wake fires.
+    /// Switch back to the scheduler loop until the canonical wake fires.
     ///
     /// The caller must have *already registered* its wake condition (a
     /// timer via `schedule_wake`, or membership in a primitive's waiter
     /// list). Checks the kill flag on resume.
     pub(crate) fn block(&self) {
-        // Dispatch the next event ourselves (one context switch). Chain
-        // breaks — quiescence, limit, stop flag — wake the scheduler
-        // thread instead.
-        if !self.kernel.try_handoff() {
-            self.kernel
-                .yield_tx
-                .send(YieldMsg {
-                    pid: self.pid.0,
-                    finished: None,
-                })
-                .expect("scheduler gone while process running");
-        }
-        self.baton.take();
+        // Panic state is per host thread, shared by every process on it.
+        debug_assert!(
+            !std::thread::panicking(),
+            "a process must not block while it unwinds"
+        );
+        coro::suspend(&self.kernel.switch);
         self.check_killed();
     }
 }

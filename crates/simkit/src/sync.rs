@@ -11,7 +11,6 @@ use crate::kernel::{Kernel, ProcId, SimHandle};
 use crate::process::Ctx;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,10 +48,6 @@ fn wake_all_live(kernel: &Kernel, waiters: &mut VecDeque<u32>) {
 struct EventInner {
     name: String,
     st: Mutex<(bool, VecDeque<u32>)>,
-    /// Lock-free mirror of the set bit, handed to the kernel as the
-    /// `run_until_set` stop flag: the direct-handoff dispatch path polls
-    /// it before every event without touching the waiter lock.
-    flag: Arc<AtomicBool>,
 }
 
 /// A one-shot broadcast event: once [`Event::set`], every current and future
@@ -71,7 +66,6 @@ impl Event {
             inner: Arc::new(EventInner {
                 name: name.to_string(),
                 st: Mutex::new((false, VecDeque::new())),
-                flag: Arc::new(AtomicBool::new(false)),
             }),
         }
     }
@@ -88,14 +82,7 @@ impl Event {
             return;
         }
         st.0 = true;
-        self.inner.flag.store(true, Ordering::Release);
         wake_all_live(&self.kernel, &mut st.1);
-    }
-
-    /// The lock-free set-mirror consulted by the kernel's direct-handoff
-    /// dispatcher while this event is a `run_until_set` target.
-    pub(crate) fn set_mirror(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.inner.flag)
     }
 
     /// Block until the event fires (immediately if already set).
@@ -244,7 +231,7 @@ impl<T: Send> Queue<T> {
     }
 
     /// Append an item and wake one waiter (if any). Callable from any
-    /// context, including outside process threads.
+    /// context, including outside processes.
     pub fn push(&self, item: T) {
         let mut st = self.inner.st.lock();
         st.0.push_back(item);

@@ -2,7 +2,7 @@
 //! bounded runs.
 
 use simkit::dur::*;
-use simkit::{Event, Queue, SimError, SimTime, Simulation};
+use simkit::{Ctx, Event, FlowNet, Queue, Sharing, SimError, SimTime, Simulation};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -250,4 +250,119 @@ fn tracer_records_lifecycle() {
     let recs = sim.handle().tracer().drain();
     assert!(recs.iter().any(|r| r.msg.contains("spawned 'a'")));
     assert!(recs.iter().any(|r| r.msg == "finished"));
+}
+
+#[test]
+fn every_process_runs_on_the_driving_thread() {
+    let mut sim = Simulation::new(0);
+    let driver = std::thread::current().id();
+    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    for i in 0..4 {
+        let seen = seen.clone();
+        sim.spawn(&format!("p{i}"), move |ctx| {
+            seen.lock().push(std::thread::current().id());
+            ctx.sleep(ms(1));
+            seen.lock().push(std::thread::current().id());
+        });
+    }
+    sim.run().unwrap();
+    let seen = seen.lock();
+    assert_eq!(seen.len(), 8);
+    assert!(seen.iter().all(|&t| t == driver));
+}
+
+#[test]
+fn dropping_a_simulation_mid_run_releases_every_capture() {
+    let token = Arc::new(());
+    let mut sim = Simulation::new(0);
+    let net = FlowNet::new(&sim.handle());
+    let link = net.add_link("wire", 1e6, Sharing::Fair);
+    let queue: Queue<u32> = Queue::new(&sim.handle());
+    let t = token.clone();
+    sim.spawn("sender", move |ctx| {
+        let _held = t;
+        net.transfer(ctx, &[link], 1 << 40);
+    });
+    let t = token.clone();
+    sim.spawn("reader", move |ctx| {
+        let _held = t;
+        queue.pop(ctx);
+    });
+    sim.run_until(SimTime::ZERO + ms(1)).unwrap();
+    let t = token.clone();
+    sim.spawn("unborn", move |_| drop(t));
+    assert_eq!(Arc::strong_count(&token), 4);
+    drop(sim);
+    assert_eq!(Arc::strong_count(&token), 1);
+}
+
+#[test]
+fn dropping_a_live_simulation_while_unwinding_does_not_abort() {
+    let token = Arc::new(());
+    let t = token.clone();
+    let unwound = std::panic::catch_unwind(move || {
+        let mut sim = Simulation::new(0);
+        sim.spawn("blocked", move |ctx| {
+            let _held = t;
+            ctx.sleep(secs(100));
+        });
+        sim.run_until(SimTime::ZERO + ms(1)).unwrap();
+        // Unwind with the simulation (and its blocked process) live.
+        std::panic::resume_unwind(Box::new("test body failed"));
+    });
+    assert!(unwound.is_err());
+    assert_eq!(Arc::strong_count(&token), 1);
+}
+
+#[test]
+fn a_deep_panic_is_reported_and_the_simulation_drops_cleanly() {
+    fn dig(ctx: &Ctx, depth: u32) -> u32 {
+        if depth == 0 {
+            ctx.sleep(ms(1));
+            panic!("bottom of the dig");
+        }
+        std::hint::black_box(dig(ctx, depth - 1)) + 1
+    }
+    let token = Arc::new(());
+    let mut sim = Simulation::new(0);
+    let t = token.clone();
+    sim.spawn("bystander", move |ctx| {
+        let _held = t;
+        ctx.sleep(secs(100));
+    });
+    sim.spawn("digger", |ctx| {
+        dig(ctx, 8);
+    });
+    match sim.run() {
+        Err(SimError::ProcPanic { name, message, .. }) => {
+            assert_eq!(name, "digger");
+            assert!(message.contains("bottom of the dig"));
+        }
+        other => panic!("expected ProcPanic, got {other:?}"),
+    }
+    drop(sim);
+    assert_eq!(Arc::strong_count(&token), 1);
+}
+
+#[test]
+fn a_process_may_use_200_kib_of_stack() {
+    // 25 frames of at least 8 KiB each, live across a block at the bottom.
+    fn fill(ctx: &Ctx, depth: usize) -> u64 {
+        let mut buf = [0u8; 8192];
+        buf[depth] = depth as u8;
+        std::hint::black_box(&mut buf);
+        if depth == 0 {
+            ctx.sleep(ms(1));
+            return 0;
+        }
+        fill(ctx, depth - 1) + u64::from(buf[depth])
+    }
+    let mut sim = Simulation::new(0);
+    let sum = Arc::new(AtomicU64::new(0));
+    let s2 = sum.clone();
+    sim.spawn("deep", move |ctx| {
+        s2.store(fill(ctx, 25), Ordering::SeqCst);
+    });
+    sim.run().unwrap();
+    assert_eq!(sum.load(Ordering::SeqCst), (1..=25).sum::<u64>());
 }

@@ -21,6 +21,8 @@
 //! Both implement [`CkptStore`], the sink/source interface the BLCR layer
 //! streams through.
 
+#![forbid(unsafe_code)]
+
 mod disk;
 mod fault;
 mod localfs;

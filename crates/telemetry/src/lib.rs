@@ -12,6 +12,8 @@
 //! - a [`Json`] document builder for deterministic machine-readable
 //!   benchmark artifacts (`BENCH_*.json`).
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod fleet;
 pub mod json;

@@ -10,6 +10,8 @@
 //! jobmig fleet                      multi-job fleet soak, policy comparison
 //! ```
 
+#![forbid(unsafe_code)]
+
 use jobmig_bench as bench;
 use jobmig_core::prelude::*;
 use jobmig_core::report::CrStoreKind;

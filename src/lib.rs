@@ -6,6 +6,8 @@
 //! framework itself. See `README.md` for the tour and `DESIGN.md` for the
 //! architecture.
 
+#![forbid(unsafe_code)]
+
 pub use blcrsim;
 pub use faultplane;
 pub use fleetsched;
