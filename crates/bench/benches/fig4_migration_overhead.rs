@@ -47,15 +47,13 @@ fn main() {
         assert!(r.restart > r.migrate + r.resume, "phase 3 dominates");
     }
     // Barrier vs pipelined data path on the LU.C.64 reference config:
-    // the pipelined TransferSession overlaps the RDMA pull with per-rank
-    // restart and staggers the restart disk reads, at 1, 2 and 4 lanes.
+    // the pipelined preset overlaps the RDMA pull with per-rank restart
+    // and staggers the restart disk reads.
     println!("\nPipelined data path (LU.C.64 reference config):");
     println!(
         "{:<22} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "mode", "stall(s)", "migr(s)", "restart", "resume", "total(s)"
     );
-    let barrier = fig_migration_with(npbsim::NpbApp::Lu, 64, 8, PoolConfig::default());
-    let mut pipe_rows = vec![migration_report_json(&barrier).set("mode", "barrier")];
     let print_row = |mode: &str, r: &jobmig_core::report::MigrationReport| {
         println!(
             "{:<22} {} {} {} {} {}",
@@ -67,26 +65,17 @@ fn main() {
             secs(r.total()),
         );
     };
+    let barrier = fig_migration_with(npbsim::NpbApp::Lu, 64, 8, PoolConfig::barrier());
     print_row("barrier", &barrier);
-    let mut pipelined_total = None;
-    for lanes in [1u32, 2, 4] {
-        let pool = PoolConfig {
-            lanes,
-            overlap: true,
-            restart_admission: 2,
-            ..PoolConfig::default()
-        };
-        let r = fig_migration_with(npbsim::NpbApp::Lu, 64, 8, pool);
-        let mode = format!("pipelined lanes={lanes}");
-        print_row(&mode, &r);
-        pipe_rows.push(migration_report_json(&r).set("mode", mode.as_str()));
-        if lanes == 2 {
-            pipelined_total = Some(r.total());
-        }
-    }
-    let pipelined = pipelined_total.expect("lanes=2 row");
+    let piped = fig_migration_with(npbsim::NpbApp::Lu, 64, 8, PoolConfig::pipelined());
+    print_row("pipelined", &piped);
+    let pipe_rows = vec![
+        migration_report_json(&barrier).set("mode", "barrier"),
+        migration_report_json(&piped).set("mode", "pipelined"),
+    ];
+    let pipelined = piped.total();
     let improvement = 100.0 * (1.0 - pipelined.as_secs_f64() / barrier.total().as_secs_f64());
-    println!("pipelined (lanes=2) vs barrier: {improvement:.1}% faster end to end");
+    println!("pipelined vs barrier: {improvement:.1}% faster end to end");
     assert!(
         improvement >= 10.0,
         "pipelined mode must cut migration time by >=10% (got {improvement:.1}%)"

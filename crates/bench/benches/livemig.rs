@@ -35,7 +35,7 @@ fn main() {
     };
 
     let (pipelined, _) = fig_migration_tuned(NpbApp::Lu, 64, 8, MigrationTuning::pipelined());
-    print_row("pipelined lanes=2", &pipelined);
+    print_row("pipelined", &pipelined);
     assert_eq!(pipelined.precopy_rounds, 0);
 
     let (live, round_bytes) = fig_migration_tuned(NpbApp::Lu, 64, 8, MigrationTuning::live());

@@ -1,6 +1,6 @@
 //! Dump the fleet-soak digest scenario's full trace stream, one line per
 //! event. Run it at two commits and diff the outputs to find the first
-//! event a change moved when a golden digest in `determinism_digest.rs`
+//! event a change moved when a golden digest in `tests/determinism_digest.rs`
 //! fails. Debug aid for the determinism oracle; not part of any benchmark.
 //!
 //! `cargo run --release -p jobmig-bench --example digest_dump > trace.txt`

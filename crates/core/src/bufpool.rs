@@ -11,27 +11,20 @@
 //! chunk. Pool exhaustion naturally throttles the checkpoint writers —
 //! the paper's flow control.
 //!
-//! Both ends are driven through [`TransferSession`]: a symmetric façade
-//! over one [`PoolConfig`] with a `source` side (aggregation + request
-//! announcements) and a `target` side (pull + staging + per-rank
-//! completion). The target side supports two extensions over the paper's
-//! engine:
-//!
-//! * **per-rank readiness** — the session fires a [`TargetHooks::on_rank_ready`]
-//!   hook the moment one rank's stream is fully staged and verified, so a
-//!   pipelined restart phase can begin restarting that rank while other
-//!   ranks are still streaming;
-//! * **multi-lane pulls** — chunk pulls can be striped over N parallel
-//!   QPs (`PoolConfig::lanes`), overlapping RDMA Read wire time with
-//!   staging I/O; a per-lane worker re-issues failed reads with the same
-//!   per-chunk retry budget the single-lane engine uses.
+//! Each end is one function over the same [`PoolConfig`]: [`source`] sets
+//! up the aggregation pool and its ack loop, and [`target`] runs the pull
+//! engine to completion. One extension over the paper's engine:
+//! **per-rank readiness** — [`target`] calls an optional
+//! [`RankReadyHook`] the moment one rank's stream is fully staged and
+//! verified, so a pipelined restart phase can begin restarting that rank
+//! while other ranks are still streaming.
 
 use crate::calib;
 use blcrsim::CheckpointSink;
 use ibfabric::{DataSlice, Hca, Qp, QpAddr, RemoteMr, Rope};
 use parking_lot::Mutex;
-use simkit::{Ctx, Event, Queue, Semaphore, SimHandle};
-use std::collections::{BTreeMap, HashMap};
+use simkit::{Ctx, Event, Semaphore, SimHandle};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -75,9 +68,6 @@ pub struct PoolConfig {
     /// Per-chunk RDMA Read re-issue budget on CQ error or checksum
     /// mismatch.
     pub chunk_retries: u32,
-    /// Parallel RDMA lanes on the target side (QPs pulling chunks
-    /// concurrently). 1 reproduces the paper's sequential engine.
-    pub lanes: u32,
     /// Overlap Phase 3 with Phase 2: restart each rank as soon as its
     /// image is staged instead of waiting for the whole-pull barrier.
     pub overlap: bool,
@@ -99,7 +89,6 @@ impl Default for PoolConfig {
             transport: Transport::RdmaRead,
             restart_mode: RestartMode::FileBased,
             chunk_retries: calib::CHUNK_RETRIES,
-            lanes: 1,
             overlap: false,
             restart_admission: 0,
             live: None,
@@ -136,17 +125,16 @@ pub(crate) fn stream_checksum(slices: &[DataSlice]) -> u64 {
 }
 
 impl PoolConfig {
-    /// The paper's engine: sequential pulls, whole-pull restart barrier.
+    /// The paper's engine: whole-pull restart barrier.
     pub fn barrier() -> Self {
         Self::default()
     }
 
-    /// The pipelined data path: two RDMA lanes, per-rank restart overlap,
-    /// and restart admission bounded to two concurrent cold reads (the
-    /// sweet spot on the paper testbed's ext3 disk — see EXPERIMENTS.md).
+    /// The pipelined data path: per-rank restart overlap, with restart
+    /// admission bounded to two concurrent cold reads (the sweet spot on
+    /// the paper testbed's ext3 disk — see EXPERIMENTS.md).
     pub fn pipelined() -> Self {
         PoolConfig {
-            lanes: 2,
             overlap: true,
             restart_admission: 2,
             ..Self::default()
@@ -154,10 +142,10 @@ impl PoolConfig {
     }
 
     /// Iterative pre-copy live migration on top of the pipelined data
-    /// path: round 0 streams the full image over the striped lanes while
-    /// the ranks keep running, later rounds stream only dirtied segments,
-    /// and the convergence controller (downtime-budget policy by default)
-    /// decides when to suspend for a short residual stop-and-copy.
+    /// path: round 0 streams the full image while the ranks keep running,
+    /// later rounds stream only dirtied segments, and the convergence
+    /// controller (downtime-budget policy by default) decides when to
+    /// suspend for a short residual stop-and-copy.
     pub fn live() -> Self {
         PoolConfig {
             live: Some(livemig::LiveConfig::default()),
@@ -169,11 +157,6 @@ impl PoolConfig {
     pub fn slots(&self) -> u32 {
         (self.pool_bytes / self.chunk_bytes).max(1) as u32
     }
-
-    /// Effective lane count (at least one).
-    pub fn lane_count(&self) -> u32 {
-        self.lanes.max(1)
-    }
 }
 
 // wire tags on the manager QP
@@ -184,17 +167,9 @@ const TAG_DONE: u64 = 3;
 const TAG_ACK: u64 = 4;
 const TAG_DONE_ACK: u64 = 5;
 
-/// How often the multi-lane manager re-checks for abort while parked
-/// waiting on control traffic or on stage completion.
-const LANE_POLL: Duration = Duration::from_micros(50);
-
 /// RDMA-read request for one filled chunk.
 struct ChunkReq {
     rank: u32,
-    /// Per-rank submission sequence number: the staging side re-assembles
-    /// each rank's stream in `seq` order so multi-lane pulls may complete
-    /// out of order.
-    seq: u64,
     slot: u32,
     len: u64,
     src_mr: RemoteMr,
@@ -243,106 +218,6 @@ impl PoolRendezvous {
     }
 }
 
-// ---------------------------------------------------------------------------
-// TransferSession — the symmetric entry point for both pool ends
-// ---------------------------------------------------------------------------
-
-/// Hook invoked by the target engine the moment one rank's stream is
-/// fully staged and length-verified (its EOF is satisfied). Runs in the
-/// staging process; used by the runtime to fire per-rank `image_ready`
-/// events for the pipelined restart path.
-pub type RankReadyHook = Arc<dyn Fn(&Ctx, u32, AssembledImage) + Send + Sync>;
-
-/// Optional target-side callbacks.
-#[derive(Default, Clone)]
-pub struct TargetHooks {
-    /// Fired once per rank when its image is completely staged.
-    pub on_rank_ready: Option<RankReadyHook>,
-    /// Observes every helper process the multi-lane engine spawns (lane
-    /// workers, stager) so a supervising cycle can track and kill them on
-    /// abort.
-    pub on_spawn: Option<Arc<dyn Fn(simkit::ProcHandle) + Send + Sync>>,
-}
-
-/// One migration data-path session: a symmetric façade over the source
-/// aggregation pool and the target pull engine, built from one
-/// [`PoolConfig`].
-///
-/// ```ignore
-/// let session = TransferSession::from_config(PoolConfig::pipelined());
-/// // source node:
-/// let (pool, ack) = session.source(ctx, &hca, nranks, &rendezvous);
-/// // target node:
-/// let result = session.target(ctx, &hca, &rendezvous, store, "mig.1")?;
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct TransferSession {
-    cfg: PoolConfig,
-}
-
-impl TransferSession {
-    /// Wrap an existing configuration.
-    pub fn from_config(cfg: PoolConfig) -> Self {
-        TransferSession { cfg }
-    }
-
-    /// Set up the source half on `hca`: registers the pool MR (timed),
-    /// publishes its QP address on `rendezvous`, and spawns the ack loop
-    /// (returned so an aborted cycle can kill it). `nranks` is the number
-    /// of local processes that will stream through the pool.
-    pub fn source(
-        &self,
-        ctx: &Ctx,
-        hca: &Hca,
-        nranks: u32,
-        rendezvous: &PoolRendezvous,
-    ) -> (Arc<SourcePool>, simkit::ProcHandle) {
-        SourcePool::setup_inner(ctx, hca, self.cfg, nranks, rendezvous)
-    }
-
-    /// Run the target half to completion: connect back to the source,
-    /// pull every announced chunk (striped over `lanes` QPs when
-    /// configured), stage per-rank streams on `store`, and acknowledge.
-    /// Blocks until the source signals DONE and every announced rank is
-    /// fully staged, or returns `Err` when a chunk cannot be obtained or
-    /// staged — the caller leaves the cycle to the Job Manager's phase
-    /// deadline.
-    pub fn target(
-        &self,
-        ctx: &Ctx,
-        hca: &Hca,
-        rendezvous: &PoolRendezvous,
-        store: Arc<dyn CkptStore>,
-        file_prefix: &str,
-    ) -> Result<TargetResult, PullAbort> {
-        self.target_with(
-            ctx,
-            hca,
-            rendezvous,
-            store,
-            file_prefix,
-            TargetHooks::default(),
-        )
-    }
-
-    /// [`TransferSession::target`] with per-rank readiness / spawn hooks.
-    pub fn target_with(
-        &self,
-        ctx: &Ctx,
-        hca: &Hca,
-        rendezvous: &PoolRendezvous,
-        store: Arc<dyn CkptStore>,
-        file_prefix: &str,
-        hooks: TargetHooks,
-    ) -> Result<TargetResult, PullAbort> {
-        if self.cfg.lane_count() > 1 {
-            target_multi_lane(ctx, hca, self.cfg, rendezvous, store, file_prefix, hooks)
-        } else {
-            target_single_lane(ctx, hca, self.cfg, rendezvous, store, file_prefix, hooks)
-        }
-    }
-}
-
 struct SourceState {
     free_slots: Mutex<Vec<u32>>,
     slot_sem: Semaphore,
@@ -366,43 +241,47 @@ pub struct SourcePool {
     st: Arc<SourceState>,
 }
 
-impl SourcePool {
-    fn setup_inner(
-        ctx: &Ctx,
-        hca: &Hca,
-        cfg: PoolConfig,
-        nranks: u32,
-        rendezvous: &PoolRendezvous,
-    ) -> (Arc<SourcePool>, simkit::ProcHandle) {
-        let handle = ctx.handle();
-        let mr = hca.register_mr(ctx, cfg.pool_bytes);
-        let qp = hca.create_qp();
-        rendezvous.publish(qp.addr());
-        let slots = cfg.slots();
-        let st = Arc::new(SourceState {
-            free_slots: Mutex::new((0..slots).collect()),
-            slot_sem: Semaphore::new(&handle, slots as u64),
-            outstanding: Mutex::new(0),
-            ranks_remaining: Mutex::new(nranks),
-            done_sent: Mutex::new(false),
-            bytes_streamed: AtomicU64::new(0),
-            finished: Event::new(&handle, "source-pool-finished"),
-        });
-        let pool = Arc::new(SourcePool {
-            cfg,
-            qp: qp.clone(),
-            mr,
-            channel_ready: Event::new(&handle, "pool-channel-ready"),
-            st,
-        });
-        // Ack loop: receives HELLO (target address), ACKs and DONE_ACK.
-        // A daemon: on a healthy cycle it exits at DONE_ACK; on an aborted
-        // one the runtime kills it.
-        let p = Arc::clone(&pool);
-        let ack = ctx.spawn_daemon("srcpool-ackloop", move |ctx| p.ack_loop(ctx));
-        (pool, ack)
-    }
+/// Set up the source half on `hca`: registers the pool MR (timed),
+/// publishes its QP address on `rendezvous`, and spawns the ack loop
+/// (returned so an aborted cycle can kill it). `nranks` is the number of
+/// local processes that will stream through the pool.
+pub fn source(
+    ctx: &Ctx,
+    hca: &Hca,
+    cfg: PoolConfig,
+    nranks: u32,
+    rendezvous: &PoolRendezvous,
+) -> (Arc<SourcePool>, simkit::ProcHandle) {
+    let handle = ctx.handle();
+    let mr = hca.register_mr(ctx, cfg.pool_bytes);
+    let qp = hca.create_qp();
+    rendezvous.publish(qp.addr());
+    let slots = cfg.slots();
+    let st = Arc::new(SourceState {
+        free_slots: Mutex::new((0..slots).collect()),
+        slot_sem: Semaphore::new(&handle, slots as u64),
+        outstanding: Mutex::new(0),
+        ranks_remaining: Mutex::new(nranks),
+        done_sent: Mutex::new(false),
+        bytes_streamed: AtomicU64::new(0),
+        finished: Event::new(&handle, "source-pool-finished"),
+    });
+    let pool = Arc::new(SourcePool {
+        cfg,
+        qp: qp.clone(),
+        mr,
+        channel_ready: Event::new(&handle, "pool-channel-ready"),
+        st,
+    });
+    // Ack loop: receives HELLO (target address), ACKs and DONE_ACK.
+    // A daemon: on a healthy cycle it exits at DONE_ACK; on an aborted
+    // one the runtime kills it.
+    let p = Arc::clone(&pool);
+    let ack = ctx.spawn_daemon("srcpool-ackloop", move |ctx| p.ack_loop(ctx));
+    (pool, ack)
+}
 
+impl SourcePool {
     fn ack_loop(&self, ctx: &Ctx) {
         loop {
             let msg = match self.qp.recv(ctx) {
@@ -466,7 +345,6 @@ impl SourcePool {
             rank,
             image_checksum,
             slot: None,
-            seq: 0,
             fill: 0,
             total: 0,
             chunk: Rope::new(),
@@ -483,7 +361,7 @@ impl SourcePool {
         self.st.bytes_streamed.load(Ordering::Relaxed)
     }
 
-    fn submit_chunk(&self, ctx: &Ctx, rank: u32, seq: u64, slot: u32, len: u64, checksum: u64) {
+    fn submit_chunk(&self, ctx: &Ctx, rank: u32, slot: u32, len: u64, checksum: u64) {
         ctx.sleep(calib::CHUNK_PROTOCOL_OVERHEAD);
         let outstanding = {
             let mut o = self.st.outstanding.lock();
@@ -509,7 +387,6 @@ impl SourcePool {
             TAG_REQ,
             Box::new(ChunkReq {
                 rank,
-                seq,
                 slot,
                 len,
                 src_mr: self.mr.remote(),
@@ -564,8 +441,6 @@ pub struct AggregationSink {
     rank: u32,
     image_checksum: u64,
     slot: Option<u32>,
-    /// Next chunk sequence number for this rank's stream.
-    seq: u64,
     fill: u64,
     total: u64,
     /// Shadow of the slices written into the current chunk, for the
@@ -597,9 +472,7 @@ impl AggregationSink {
         if let Some(slot) = self.slot.take() {
             if self.fill > 0 {
                 let sum = stream_checksum(self.chunk.as_slices());
-                self.pool
-                    .submit_chunk(ctx, self.rank, self.seq, slot, self.fill, sum);
-                self.seq += 1;
+                self.pool.submit_chunk(ctx, self.rank, slot, self.fill, sum);
             } else {
                 // nothing written: return the slot silently
                 self.pool.st.free_slots.lock().push(slot);
@@ -670,106 +543,44 @@ pub struct PullAbort {
     pub reason: &'static str,
     /// The rank whose stream the engine was working on, when known.
     pub rank: Option<u32>,
-    /// Pull lane that hit the failure (0 on the single-lane engine and
-    /// for manager-side control failures).
-    pub lane: u32,
     /// RDMA bytes pulled before the abort (failed re-issues included).
     pub bytes_pulled: u64,
 }
 
 impl PullAbort {
     fn new(reason: &'static str) -> PullAbort {
-        PullAbort {
-            reason,
-            rank: None,
-            lane: 0,
-            bytes_pulled: 0,
-        }
+        PullAbort::at(reason, None)
     }
 
-    fn at(reason: &'static str, rank: Option<u32>, lane: u32) -> PullAbort {
+    fn at(reason: &'static str, rank: Option<u32>) -> PullAbort {
         PullAbort {
             reason,
             rank,
-            lane,
             bytes_pulled: 0,
         }
     }
-
-    fn pulled(mut self, bytes: u64) -> PullAbort {
-        self.bytes_pulled = bytes;
-        self
-    }
 }
 
-/// Pull one chunk with the per-chunk re-issue budget. Adds every pull
-/// attempt (including failed re-issues) to `bytes_pulled`.
-fn pull_chunk(
-    ctx: &Ctx,
-    qp: &Qp,
-    cfg: &PoolConfig,
-    req: &ChunkReq,
-    lane: u32,
-    bytes_pulled: &AtomicU64,
-) -> Result<Vec<DataSlice>, PullAbort> {
-    let base = req.slot as u64 * cfg.chunk_bytes;
-    let mut tries = 0u32;
-    loop {
-        let pulled = match cfg.transport {
-            Transport::RdmaRead => qp.rdma_read(ctx, &req.src_mr, base, req.len),
-            Transport::IpoibStaged => {
-                // Same wire, but through the socket stack: an extra kernel
-                // copy on each side of the transfer.
-                ctx.sleep(Duration::from_secs_f64(
-                    req.len as f64 / calib::IPOIB_COPY_BW,
-                ));
-                let r = qp.rdma_read(ctx, &req.src_mr, base, req.len);
-                ctx.sleep(Duration::from_secs_f64(
-                    req.len as f64 / calib::IPOIB_COPY_BW,
-                ));
-                r
-            }
-        };
-        bytes_pulled.fetch_add(req.len, Ordering::Relaxed);
-        let error: &'static str = match pulled {
-            Ok(s) if stream_checksum(&s) == req.checksum => return Ok(s),
-            Ok(_) => "checksum_mismatch",
-            Err(ibfabric::VerbsError::CqError) => "cq_error",
-            Err(_) => return Err(PullAbort::at("wire", Some(req.rank), lane)),
-        };
-        tries += 1;
-        ctx.instant_with("pool", "chunk_reissue", || {
-            vec![
-                ("rank", req.rank.into()),
-                ("slot", req.slot.into()),
-                ("lane", lane.into()),
-                ("try", tries.into()),
-                ("error", error.into()),
-            ]
-        });
-        if tries > cfg.chunk_retries {
-            ctx.instant_with("pool", "chunk_failed", || {
-                vec![
-                    ("rank", req.rank.into()),
-                    ("slot", req.slot.into()),
-                    ("lane", lane.into()),
-                ]
-            });
-            return Err(PullAbort::at("chunk", Some(req.rank), lane));
-        }
-    }
-}
+/// Hook that [`target`] calls the moment one rank's stream is fully
+/// staged and length-verified (its EOF is satisfied). Runs in the pulling
+/// process; the runtime uses it to fire per-rank `image_ready` events for
+/// the pipelined restart path.
+pub type RankReadyHook<'a> = &'a dyn Fn(&Ctx, u32, AssembledImage);
 
-/// The paper's sequential target engine: one QP, chunks pulled and staged
-/// in announcement order. Timing-identical to the pre-session engine.
-fn target_single_lane(
+/// Run the target half to completion: connect back to the source, pull
+/// every announced chunk on one QP in announcement order, stage per-rank
+/// streams on `store`, and acknowledge each chunk. Blocks until the
+/// source signals DONE, or returns `Err` when a chunk cannot be obtained
+/// or staged — the caller leaves the cycle to the Job Manager's phase
+/// deadline.
+pub fn target(
     ctx: &Ctx,
     hca: &Hca,
     cfg: PoolConfig,
     rendezvous: &PoolRendezvous,
     store: Arc<dyn CkptStore>,
     file_prefix: &str,
-    hooks: TargetHooks,
+    on_rank_ready: Option<RankReadyHook>,
 ) -> Result<TargetResult, PullAbort> {
     let Some(src_addr) = rendezvous.wait(ctx) else {
         // Woken without a published address: the source side died before
@@ -785,24 +596,52 @@ fn target_single_lane(
     if qp.send(ctx, TAG_HELLO, Box::new(qp.addr()), 64).is_err() {
         return Err(PullAbort::new("wire"));
     }
+    let mut bytes_pulled = 0u64;
+    let staged = serve(
+        ctx,
+        &qp,
+        &cfg,
+        &*store,
+        file_prefix,
+        on_rank_ready,
+        &mut bytes_pulled,
+    );
+    match staged {
+        Ok(images) => Ok(TargetResult {
+            images,
+            bytes_pulled,
+        }),
+        Err(abort) => Err(PullAbort {
+            bytes_pulled,
+            ..abort
+        }),
+    }
+}
 
+/// [`target`]'s engine loop: serve the connected control QP until DONE,
+/// adding every pull attempt to `bytes_pulled`.
+fn serve(
+    ctx: &Ctx,
+    qp: &Qp,
+    cfg: &PoolConfig,
+    store: &dyn CkptStore,
+    file_prefix: &str,
+    on_rank_ready: Option<RankReadyHook>,
+    bytes_pulled: &mut u64,
+) -> Result<HashMap<u32, AssembledImage>, PullAbort> {
     let mut images: HashMap<u32, AssembledImage> = HashMap::new();
     let mut created: HashMap<u32, String> = HashMap::new();
     let mut memory: HashMap<u32, Rope> = HashMap::new();
-    let bytes_pulled = AtomicU64::new(0);
     loop {
         let Ok(msg) = qp.recv(ctx) else {
-            return Err(PullAbort::new("wire").pulled(bytes_pulled.load(Ordering::Relaxed)));
+            return Err(PullAbort::new("wire"));
         };
         match msg.tag {
             TAG_REQ => {
                 let Ok(req) = msg.body.downcast::<ChunkReq>() else {
-                    return Err(
-                        PullAbort::new("protocol").pulled(bytes_pulled.load(Ordering::Relaxed))
-                    );
+                    return Err(PullAbort::new("protocol"));
                 };
-                let slices = pull_chunk(ctx, &qp, &cfg, &req, 0, &bytes_pulled)
-                    .map_err(|a| a.pulled(bytes_pulled.load(Ordering::Relaxed)))?;
+                let slices = pull_chunk(ctx, qp, cfg, &req, bytes_pulled)?;
                 ctx.instant_with("pool", "chunk_pull", || {
                     vec![
                         ("rank", req.rank.into()),
@@ -822,8 +661,7 @@ fn target_single_lane(
                                 ctx.instant_with("pool", "stage_write_failed", || {
                                     vec![("rank", req.rank.into()), ("error", e.to_string().into())]
                                 });
-                                return Err(PullAbort::at("store", Some(req.rank), 0)
-                                    .pulled(bytes_pulled.load(Ordering::Relaxed)));
+                                return Err(PullAbort::at("store", Some(req.rank)));
                             }
                         }
                     }
@@ -835,59 +673,44 @@ fn target_single_lane(
                     .send(ctx, TAG_ACK, Box::new(AckMsg { slot: req.slot }), 64)
                     .is_err()
                 {
-                    return Err(PullAbort::at("wire", Some(req.rank), 0)
-                        .pulled(bytes_pulled.load(Ordering::Relaxed)));
+                    return Err(PullAbort::at("wire", Some(req.rank)));
                 }
             }
             TAG_EOF => {
                 let Ok(eof) = msg.body.downcast::<RankEof>() else {
-                    return Err(
-                        PullAbort::new("protocol").pulled(bytes_pulled.load(Ordering::Relaxed))
-                    );
+                    return Err(PullAbort::new("protocol"));
                 };
                 // A staged stream shorter than announced means a chunk
-                // request was lost on the wire: give up gracefully and let
-                // the Phase 2 deadline abort the cycle.
-                let (path, slices) = match cfg.restart_mode {
+                // request was lost on the wire: give up gracefully and
+                // let the Phase 2 deadline abort the cycle.
+                let (staged, path, slices) = match cfg.restart_mode {
                     RestartMode::FileBased => {
                         let Some(path) = created.get(&eof.rank).cloned() else {
-                            return Err(PullAbort::at("incomplete", Some(eof.rank), 0)
-                                .pulled(bytes_pulled.load(Ordering::Relaxed)));
+                            return Err(PullAbort::at("incomplete", Some(eof.rank)));
                         };
-                        if store.len(&path) != Some(eof.total_bytes) {
-                            ctx.instant_with("pool", "stream_incomplete", || {
-                                vec![
-                                    ("rank", eof.rank.into()),
-                                    ("expected", eof.total_bytes.into()),
-                                ]
-                            });
-                            return Err(PullAbort::at("incomplete", Some(eof.rank), 0)
-                                .pulled(bytes_pulled.load(Ordering::Relaxed)));
-                        }
-                        (path, None)
+                        (store.len(&path), path, None)
                     }
                     RestartMode::MemoryBased => {
                         let slices = memory.remove(&eof.rank).unwrap_or_default();
-                        if slices.len() != eof.total_bytes {
-                            ctx.instant_with("pool", "stream_incomplete", || {
-                                vec![
-                                    ("rank", eof.rank.into()),
-                                    ("expected", eof.total_bytes.into()),
-                                ]
-                            });
-                            return Err(PullAbort::at("incomplete", Some(eof.rank), 0)
-                                .pulled(bytes_pulled.load(Ordering::Relaxed)));
-                        }
-                        (String::new(), Some(slices))
+                        (Some(slices.len()), String::new(), Some(slices))
                     }
                 };
+                if staged != Some(eof.total_bytes) {
+                    ctx.instant_with("pool", "stream_incomplete", || {
+                        vec![
+                            ("rank", eof.rank.into()),
+                            ("expected", eof.total_bytes.into()),
+                        ]
+                    });
+                    return Err(PullAbort::at("incomplete", Some(eof.rank)));
+                }
                 let image = AssembledImage {
                     path,
                     bytes: eof.total_bytes,
                     expected_checksum: eof.image_checksum,
                     slices,
                 };
-                if let Some(hook) = &hooks.on_rank_ready {
+                if let Some(hook) = on_rank_ready {
                     // jmlint: allow(hot_alloc) — rope-backed image: clone is a refcount bump
                     hook(ctx, eof.rank, image.clone());
                 }
@@ -895,402 +718,68 @@ fn target_single_lane(
             }
             TAG_DONE => {
                 if qp.send(ctx, TAG_DONE_ACK, Box::new(()), 64).is_err() {
-                    return Err(PullAbort::new("wire").pulled(bytes_pulled.load(Ordering::Relaxed)));
+                    return Err(PullAbort::new("wire"));
                 }
-                break;
+                return Ok(images);
             }
             other => {
                 ctx.instant_with("pool", "unexpected_tag", || {
                     vec![("side", "target".into()), ("tag", other.into())]
                 });
-                return Err(PullAbort::new("protocol").pulled(bytes_pulled.load(Ordering::Relaxed)));
+                return Err(PullAbort::new("protocol"));
             }
         }
     }
-    Ok(TargetResult {
-        images,
-        bytes_pulled: bytes_pulled.load(Ordering::Relaxed),
-    })
 }
 
-// ---------------------------------------------------------------------------
-// Multi-lane target engine
-// ---------------------------------------------------------------------------
-
-enum LaneWork {
-    Pull(ChunkReq),
-    Stop,
-}
-
-enum StageItem {
-    Chunk {
-        rank: u32,
-        seq: u64,
-        slot: u32,
-        len: u64,
-        slices: Vec<DataSlice>,
-    },
-    Eof(RankEof),
-    Fail(PullAbort),
-    Stop,
-}
-
-/// State shared between the manager, the lane workers and the stager.
-struct LaneShared {
-    images: Mutex<HashMap<u32, AssembledImage>>,
-    bytes_pulled: AtomicU64,
-    abort: Mutex<Option<PullAbort>>,
-    /// Set when `abort` is populated; the manager's park point.
-    abort_ev: Event,
-    /// One permit per rank whose stream is fully staged and verified.
-    ranks_staged: Semaphore,
-}
-
-impl LaneShared {
-    fn fail(&self, abort: PullAbort) {
-        let mut slot = self.abort.lock();
-        if slot.is_none() {
-            *slot = Some(abort);
-        }
-        drop(slot);
-        self.abort_ev.set();
-    }
-
-    fn take_abort(&self) -> Option<PullAbort> {
-        self.abort.lock().take()
-    }
-}
-
-/// In-flight reassembly state for one rank's stream.
-#[derive(Default)]
-struct RankAssembly {
-    next_seq: u64,
-    pending: BTreeMap<u64, (u32, u64, Vec<DataSlice>)>,
-    staged_bytes: u64,
-    eof: Option<RankEof>,
-    path: Option<String>,
-    memory: Rope,
-}
-
-/// The striped target engine: the manager QP carries all control traffic
-/// (REQ announcements in, ACKs out), `lanes` worker QPs pull chunks
-/// concurrently, and a single stager re-assembles each rank's stream in
-/// sequence order, appends it to the store, and fires per-rank readiness.
-#[allow(clippy::too_many_arguments)]
-fn target_multi_lane(
+/// Pull one chunk with the per-chunk re-issue budget. Adds every pull
+/// attempt (including failed re-issues) to `bytes_pulled`.
+fn pull_chunk(
     ctx: &Ctx,
-    hca: &Hca,
-    cfg: PoolConfig,
-    rendezvous: &PoolRendezvous,
-    store: Arc<dyn CkptStore>,
-    file_prefix: &str,
-    hooks: TargetHooks,
-) -> Result<TargetResult, PullAbort> {
-    let Some(src_addr) = rendezvous.wait(ctx) else {
-        return Err(PullAbort::new("rendezvous"));
-    };
-    let _staging = hca.register_mr(ctx, cfg.pool_bytes);
-    let qp = hca.create_qp();
-    if qp.connect(ctx, src_addr).is_err() {
-        return Err(PullAbort::new("wire"));
-    }
-    if qp.send(ctx, TAG_HELLO, Box::new(qp.addr()), 64).is_err() {
-        return Err(PullAbort::new("wire"));
-    }
-
-    let handle = ctx.handle();
-    let shared = Arc::new(LaneShared {
-        images: Mutex::new(HashMap::new()),
-        bytes_pulled: AtomicU64::new(0),
-        abort: Mutex::new(None),
-        abort_ev: Event::new(&handle, "pool-lane-abort"),
-        ranks_staged: Semaphore::new(&handle, 0),
-    });
-    let work_q: Queue<LaneWork> = Queue::new(&handle);
-    let stage_q: Queue<StageItem> = Queue::new(&handle);
-
-    let lanes = cfg.lane_count();
-    for lane in 0..lanes {
-        let work_q = work_q.clone();
-        let stage_q = stage_q.clone();
-        let shared = Arc::clone(&shared);
-        let hca = hca.clone();
-        let ph = ctx.spawn_daemon(&format!("pool-lane{lane}"), move |ctx| {
-            // Each lane owns a QP: striping pulls over parallel QPs
-            // overlaps wire time with the stager's I/O (the lanes share
-            // the port's bandwidth, so this pipelines rather than
-            // multiplies throughput).
-            let lqp = hca.create_qp();
-            if lqp.connect(ctx, src_addr).is_err() {
-                shared.fail(PullAbort::at("wire", None, lane));
-                return;
-            }
-            loop {
-                match work_q.pop(ctx) {
-                    LaneWork::Pull(req) => {
-                        match pull_chunk(ctx, &lqp, &cfg, &req, lane, &shared.bytes_pulled) {
-                            Ok(slices) => {
-                                ctx.instant_with("pool", "chunk_pull", || {
-                                    vec![
-                                        ("rank", req.rank.into()),
-                                        ("slot", req.slot.into()),
-                                        ("lane", lane.into()),
-                                        ("bytes", req.len.into()),
-                                    ]
-                                });
-                                stage_q.push(StageItem::Chunk {
-                                    rank: req.rank,
-                                    seq: req.seq,
-                                    slot: req.slot,
-                                    len: req.len,
-                                    slices,
-                                });
-                            }
-                            Err(abort) => {
-                                stage_q.push(StageItem::Fail(abort));
-                                return;
-                            }
-                        }
-                    }
-                    LaneWork::Stop => return,
-                }
-            }
-        });
-        if let Some(track) = &hooks.on_spawn {
-            track(ph);
-        }
-    }
-
-    // The stager: re-assembles per-rank streams in seq order, stages them
-    // on the store, acknowledges slots, and fires per-rank readiness.
-    let stager = {
-        let stage_q = stage_q.clone();
-        let shared = Arc::clone(&shared);
-        let store = Arc::clone(&store);
-        let qp = qp.clone();
-        let on_ready = hooks.on_rank_ready.clone();
-        let prefix = file_prefix.to_string();
-        ctx.spawn_daemon("pool-stager", move |ctx| {
-            let mut asm: BTreeMap<u32, RankAssembly> = BTreeMap::new();
-            loop {
-                match stage_q.pop(ctx) {
-                    StageItem::Chunk {
-                        rank,
-                        seq,
-                        slot,
-                        len,
-                        slices,
-                    } => {
-                        let a = asm.entry(rank).or_default();
-                        a.pending.insert(seq, (slot, len, slices));
-                        // Drain the in-order prefix. Store appends cost
-                        // simulated time, so re-check the map each round.
-                        while let Some((slot, len, slices)) = asm.get_mut(&rank).and_then(|a| {
-                            let next = a.next_seq;
-                            a.pending.remove(&next)
-                        }) {
-                            match cfg.restart_mode {
-                                RestartMode::FileBased => {
-                                    let path = {
-                                        let a = asm.entry(rank).or_default();
-                                        a.path
-                                            .get_or_insert_with(|| {
-                                                let p = format!("{prefix}.{rank}");
-                                                p
-                                            })
-                                            .clone()
-                                    };
-                                    if store.len(&path).is_none() {
-                                        store.create(ctx, &path);
-                                    }
-                                    let mut failed = None;
-                                    for s in slices {
-                                        if let Err(e) = store.try_append(ctx, &path, s, false) {
-                                            failed = Some(e);
-                                            break;
-                                        }
-                                    }
-                                    if let Some(e) = failed {
-                                        ctx.instant_with("pool", "stage_write_failed", || {
-                                            vec![
-                                                ("rank", rank.into()),
-                                                ("error", e.to_string().into()),
-                                            ]
-                                        });
-                                        shared.fail(PullAbort::at("store", Some(rank), 0));
-                                        return;
-                                    }
-                                }
-                                RestartMode::MemoryBased => {
-                                    asm.entry(rank).or_default().memory.extend(slices);
-                                }
-                            }
-                            if qp
-                                .send(ctx, TAG_ACK, Box::new(AckMsg { slot }), 64)
-                                .is_err()
-                            {
-                                shared.fail(PullAbort::at("wire", Some(rank), 0));
-                                return;
-                            }
-                            let a = asm.entry(rank).or_default();
-                            a.staged_bytes += len;
-                            a.next_seq += 1;
-                        }
-                        if let Err(abort) =
-                            finalize_ready_rank(ctx, &cfg, &mut asm, rank, &shared, &on_ready)
-                        {
-                            shared.fail(abort);
-                            return;
-                        }
-                    }
-                    StageItem::Eof(eof) => {
-                        let rank = eof.rank;
-                        asm.entry(rank).or_default().eof = Some(eof);
-                        if let Err(abort) =
-                            finalize_ready_rank(ctx, &cfg, &mut asm, rank, &shared, &on_ready)
-                        {
-                            shared.fail(abort);
-                            return;
-                        }
-                    }
-                    StageItem::Fail(abort) => {
-                        shared.fail(abort);
-                        return;
-                    }
-                    StageItem::Stop => return,
-                }
-            }
-        })
-    };
-    if let Some(track) = &hooks.on_spawn {
-        track(stager);
-    }
-
-    let stop_workers = || {
-        for _ in 0..lanes {
-            work_q.push(LaneWork::Stop);
-        }
-        stage_q.push(StageItem::Stop);
-    };
-    let abort_return = |a: PullAbort| {
-        stop_workers();
-        Err(a.pulled(shared.bytes_pulled.load(Ordering::Relaxed)))
-    };
-
-    // Manager loop: forward REQs to the lanes, forward EOFs to the
-    // stager, and on DONE wait until every announced rank is staged.
-    let mut eofs_seen = 0u64;
+    qp: &Qp,
+    cfg: &PoolConfig,
+    req: &ChunkReq,
+    bytes_pulled: &mut u64,
+) -> Result<Vec<DataSlice>, PullAbort> {
+    let base = req.slot as u64 * cfg.chunk_bytes;
+    let mut tries = 0u32;
     loop {
-        if let Some(a) = shared.take_abort() {
-            return abort_return(a);
-        }
-        let msg = match qp.try_recv() {
-            Some(Ok(m)) => m,
-            Some(Err(_)) => {
-                return abort_return(PullAbort::new("wire"));
-            }
-            None => {
-                shared.abort_ev.wait_timeout(ctx, LANE_POLL);
-                continue;
+        let pulled = match cfg.transport {
+            Transport::RdmaRead => qp.rdma_read(ctx, &req.src_mr, base, req.len),
+            Transport::IpoibStaged => {
+                // Same wire, but through the socket stack: an extra kernel
+                // copy on each side of the transfer.
+                ctx.sleep(Duration::from_secs_f64(
+                    req.len as f64 / calib::IPOIB_COPY_BW,
+                ));
+                let r = qp.rdma_read(ctx, &req.src_mr, base, req.len);
+                ctx.sleep(Duration::from_secs_f64(
+                    req.len as f64 / calib::IPOIB_COPY_BW,
+                ));
+                r
             }
         };
-        match msg.tag {
-            TAG_REQ => {
-                let Ok(req) = msg.body.downcast::<ChunkReq>() else {
-                    return abort_return(PullAbort::new("protocol"));
-                };
-                work_q.push(LaneWork::Pull(*req));
-            }
-            TAG_EOF => {
-                let Ok(eof) = msg.body.downcast::<RankEof>() else {
-                    return abort_return(PullAbort::new("protocol"));
-                };
-                eofs_seen += 1;
-                stage_q.push(StageItem::Eof(*eof));
-            }
-            TAG_DONE => {
-                // The source sends DONE after the last EOF; chunks may
-                // still be in flight on the lanes. Wait for every
-                // announced rank to finish staging (or an abort).
-                let mut staged = 0u64;
-                while staged < eofs_seen {
-                    if let Some(a) = shared.take_abort() {
-                        return abort_return(a);
-                    }
-                    if shared.ranks_staged.try_acquire(1) {
-                        staged += 1;
-                        continue;
-                    }
-                    shared.abort_ev.wait_timeout(ctx, LANE_POLL);
-                }
-                if qp.send(ctx, TAG_DONE_ACK, Box::new(()), 64).is_err() {
-                    return abort_return(PullAbort::new("wire"));
-                }
-                break;
-            }
-            other => {
-                ctx.instant_with("pool", "unexpected_tag", || {
-                    vec![("side", "target".into()), ("tag", other.into())]
-                });
-                return abort_return(PullAbort::new("protocol"));
-            }
-        }
-    }
-    stop_workers();
-    let images = std::mem::take(&mut *shared.images.lock());
-    Ok(TargetResult {
-        images,
-        bytes_pulled: shared.bytes_pulled.load(Ordering::Relaxed),
-    })
-}
-
-/// If `rank` has both its EOF and all announced bytes staged, publish its
-/// [`AssembledImage`], fire the readiness hook, and release a staged
-/// permit. A byte count past the announced total is a protocol error.
-fn finalize_ready_rank(
-    ctx: &Ctx,
-    cfg: &PoolConfig,
-    asm: &mut BTreeMap<u32, RankAssembly>,
-    rank: u32,
-    shared: &LaneShared,
-    on_ready: &Option<RankReadyHook>,
-) -> Result<(), PullAbort> {
-    let Some(a) = asm.get_mut(&rank) else {
-        return Ok(());
-    };
-    let Some(eof) = &a.eof else { return Ok(()) };
-    if a.staged_bytes < eof.total_bytes {
-        return Ok(());
-    }
-    if a.staged_bytes > eof.total_bytes {
-        ctx.instant_with("pool", "stream_incomplete", || {
+        *bytes_pulled += req.len;
+        let error: &'static str = match pulled {
+            Ok(s) if stream_checksum(&s) == req.checksum => return Ok(s),
+            Ok(_) => "checksum_mismatch",
+            Err(ibfabric::VerbsError::CqError) => "cq_error",
+            Err(_) => return Err(PullAbort::at("wire", Some(req.rank))),
+        };
+        tries += 1;
+        ctx.instant_with("pool", "chunk_reissue", || {
             vec![
-                ("rank", rank.into()),
-                ("expected", eof.total_bytes.into()),
-                ("staged", a.staged_bytes.into()),
+                ("rank", req.rank.into()),
+                ("slot", req.slot.into()),
+                ("try", tries.into()),
+                ("error", error.into()),
             ]
         });
-        return Err(PullAbort::at("incomplete", Some(rank), 0));
+        if tries > cfg.chunk_retries {
+            ctx.instant_with("pool", "chunk_failed", || {
+                vec![("rank", req.rank.into()), ("slot", req.slot.into())]
+            });
+            return Err(PullAbort::at("chunk", Some(req.rank)));
+        }
     }
-    let a = asm.remove(&rank).unwrap_or_default();
-    let eof = match a.eof {
-        Some(e) => e,
-        None => return Ok(()),
-    };
-    let image = AssembledImage {
-        path: a.path.unwrap_or_default(),
-        bytes: eof.total_bytes,
-        expected_checksum: eof.image_checksum,
-        slices: match cfg.restart_mode {
-            RestartMode::FileBased => None,
-            RestartMode::MemoryBased => Some(a.memory),
-        },
-    };
-    if let Some(hook) = on_ready {
-        // jmlint: allow(hot_alloc) — rope-backed image: clone is a refcount bump
-        hook(ctx, rank, image.clone());
-    }
-    shared.images.lock().insert(rank, image);
-    shared.ranks_staged.release(1);
-    Ok(())
 }

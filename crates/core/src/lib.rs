@@ -52,7 +52,7 @@ pub mod wal;
 
 /// Common imports for examples and tests.
 pub mod prelude {
-    pub use crate::bufpool::{PoolConfig, RestartMode, TransferSession, Transport};
+    pub use crate::bufpool::{PoolConfig, RestartMode, Transport};
     pub use crate::cluster::{Cluster, ClusterSpec};
     pub use crate::report::{
         CrReport, CrStoreKind, MigrationOutcome, MigrationReport, OutcomeCounts,

@@ -139,8 +139,7 @@ pub(super) fn source_side(
     };
     let nlocal = nla.ranks.lock().len() as u32;
     let hca = inner.cluster.fabric().attach(m.source);
-    let (pool, ackloop) =
-        TransferSession::from_config(cycle.pool).source(ctx, &hca, nlocal, &cycle.rendezvous);
+    let (pool, ackloop) = bufpool::source(ctx, &hca, cycle.pool, nlocal, &cycle.rendezvous);
     cycle.track(ackloop);
     cycle.set_source_pool(pool.clone());
     pool.finished().wait(ctx);
@@ -176,42 +175,32 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, m: MigrateMsg) {
     // As each rank's image finishes assembly the pool hands it over here,
     // and the per-rank `rank_ready` event releases that rank's restart
     // worker — in overlap mode, while other ranks are still streaming.
-    let hooks = TargetHooks {
-        on_rank_ready: Some(Arc::new({
-            let cycle = cycle.clone();
-            let journal = inner.journal.clone();
-            move |ctx: &Ctx, rank: u32, image: AssembledImage| {
-                // NLA-side WAL append: recorded before the image is handed
-                // over. Appenders on the data path survive a coordinator
-                // crash (the crash hook kills only the Job Manager), so
-                // the journal keeps tracking per-rank progress — exactly
-                // what lets the standby resume from the last verified
-                // point instead of rolling back.
-                journal.append(WalRecord::RankImageReady {
-                    cycle: cycle.id,
-                    rank,
-                });
-                cycle.images.lock().insert(rank, image);
-                if let Some(ev) = cycle.rank_ready.get(&rank) {
-                    ev.set();
-                }
-                ctx.instant_with("pool", "rank_image_ready", || {
-                    vec![("cycle", cycle.id.into()), ("rank", rank.into())]
-                });
-            }
-        })),
-        on_spawn: Some(Arc::new({
-            let cycle = cycle.clone();
-            move |ph| cycle.track(ph)
-        })),
+    let on_rank_ready = |ctx: &Ctx, rank: u32, image: AssembledImage| {
+        // NLA-side WAL append: recorded before the image is handed over.
+        // Appenders on the data path survive a coordinator crash (the
+        // crash hook kills only the Job Manager), so the journal keeps
+        // tracking per-rank progress — exactly what lets the standby
+        // resume from the last verified point instead of rolling back.
+        inner.journal.append(WalRecord::RankImageReady {
+            cycle: cycle.id,
+            rank,
+        });
+        cycle.images.lock().insert(rank, image);
+        if let Some(ev) = cycle.rank_ready.get(&rank) {
+            ev.set();
+        }
+        ctx.instant_with("pool", "rank_image_ready", || {
+            vec![("cycle", cycle.id.into()), ("rank", rank.into())]
+        });
     };
-    match TransferSession::from_config(cycle.pool).target_with(
+    match bufpool::target(
         ctx,
         &hca,
+        cycle.pool,
         &cycle.rendezvous,
         store,
         &format!("mig.{}", m.cycle),
-        hooks,
+        Some(&on_rank_ready),
     ) {
         Ok(result) => {
             *cycle.images.lock() = result.images;
@@ -225,7 +214,6 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, m: MigrateMsg) {
                     ("cycle", m.cycle.into()),
                     ("reason", abort.reason.into()),
                     ("rank", abort.rank.map(u64::from).unwrap_or(u64::MAX).into()),
-                    ("lane", u64::from(abort.lane).into()),
                     ("bytes_pulled", abort.bytes_pulled.into()),
                 ]
             });

@@ -34,10 +34,7 @@ mod restart;
 mod resume;
 mod takeover;
 
-use crate::bufpool::{
-    AssembledImage, PoolConfig, PoolRendezvous, RestartMode, SourcePool, TargetHooks,
-    TransferSession,
-};
+use crate::bufpool::{self, AssembledImage, PoolConfig, PoolRendezvous, RestartMode, SourcePool};
 use crate::calib;
 use crate::cluster::Cluster;
 use crate::cr_baseline;
@@ -323,7 +320,7 @@ pub(crate) struct LiveState {
     pub cfg: livemig::LiveConfig,
     /// Rendezvous of the round currently streaming; replaced by the Job
     /// Manager before each `FTB_PRECOPY` publish (each round is its own
-    /// [`TransferSession`]).
+    /// source/target pool pair).
     round_rv: Mutex<Option<PoolRendezvous>>,
     /// Target-side per-rank merge state, carried across rounds and
     /// consumed by the cutover restart.

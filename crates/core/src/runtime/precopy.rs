@@ -21,9 +21,9 @@ pub(super) fn run(a: &mut Attempt, live: &LiveState) -> Result<(), ()> {
     let mut round: u32 = 0;
     let mut fell_back = false;
     loop {
-        // Each round is one self-contained TransferSession; a fresh
-        // rendezvous keeps a straggler from a failed round from pairing
-        // with the next round's pool.
+        // Each round is one self-contained source/target pool pair; a
+        // fresh rendezvous keeps a straggler from a failed round from
+        // pairing with the next round's pool.
         *live.round_rv.lock() = Some(PoolRendezvous::new(handle));
         let r0 = ctx.now();
         a.ftb.publish(
@@ -139,8 +139,7 @@ pub(super) fn source_side(ctx: &Ctx, rt: &JobRuntime, nla: &Arc<NlaShared>, m: P
     };
     let ranks = nla.ranks.lock().clone();
     let hca = inner.cluster.fabric().attach(m.source);
-    let (pool, ackloop) =
-        TransferSession::from_config(cycle.pool).source(ctx, &hca, ranks.len() as u32, &rv);
+    let (pool, ackloop) = bufpool::source(ctx, &hca, cycle.pool, ranks.len() as u32, &rv);
     cycle.track(ackloop);
     let blcr = &inner.cluster.node(m.source).blcr;
     for rank in ranks {
@@ -193,13 +192,6 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
     let hca = inner.cluster.fabric().attach(m.target);
     let res = inner.cluster.node(m.target);
     let store: Arc<dyn storesim::CkptStore> = Arc::new(res.fs.clone());
-    let hooks = TargetHooks {
-        on_rank_ready: None,
-        on_spawn: Some(Arc::new({
-            let cycle = cycle.clone();
-            move |ph| cycle.track(ph)
-        })),
-    };
     let report = |ok: bool, bytes: u64, pages: u64| {
         ftb.publish(
             ctx,
@@ -218,13 +210,14 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
             ),
         );
     };
-    let result = match TransferSession::from_config(cycle.pool).target_with(
+    let result = match bufpool::target(
         ctx,
         &hca,
+        cycle.pool,
         &rv,
         store,
         &format!("mig.{}.pre{}", m.cycle, m.round),
-        hooks,
+        None,
     ) {
         Ok(r) => r,
         Err(abort) => {
@@ -239,7 +232,7 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
             return;
         }
     };
-    // Collect-and-sort: the session's image map is a HashMap and merge
+    // Collect-and-sort: the pull's image map is a HashMap and merge
     // order must not depend on hash order.
     // jmlint: allow(hash_iter)
     let mut staged: Vec<(u32, AssembledImage)> = result.images.into_iter().collect();

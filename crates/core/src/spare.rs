@@ -1,20 +1,21 @@
 //! The cluster-wide hot-spare pool.
 //!
 //! One pool per [`Cluster`](crate::cluster::Cluster), shared by every job
-//! launched on it. A migration attempt *leases* a node (removing it from
-//! the free list under one lock acquisition, so two jobs can never claim
-//! the same spare), then settles the lease exactly one way:
+//! launched on it. A migration attempt *leases* a node
+//! ([`SparePool::lease_at`], removing it from the free list under one
+//! lock acquisition, so two jobs can never claim the same spare), then
+//! settles the lease exactly one way:
 //!
-//! * [`SparePool::consume`] — the attempt succeeded; the node now hosts
+//! * [`SparePool::consume_at`] — the attempt succeeded; the node now hosts
 //!   ranks and leaves the pool for good. The vacated source node is *not*
 //!   returned here: reclamation is a fleet-level decision (the node is
 //!   usually sick — that is why the job left it), made by an orchestrator
 //!   via [`SparePool::reclaim`] once the node is repaired.
-//! * [`SparePool::release_front`] — the attempt aborted but the spare
+//! * [`SparePool::release_front_at`] — the attempt aborted but the spare
 //!   survived; it goes back to the *front* of the free list so the retry
 //!   reuses it (preserving the single-job retry order the tier-1 tests
 //!   pin down).
-//! * [`SparePool::discard`] — the spare died mid-attempt; it never
+//! * [`SparePool::discard_at`] — the spare died mid-attempt; it never
 //!   returns.
 //!
 //! Leases are keyed by job id, and every settle call asserts the caller
@@ -34,9 +35,7 @@
 //! epoch is **soft-rejected** (counted in
 //! [`SparePoolStats::fenced_rejects`], lease untouched) rather than
 //! trapped, because a late write from a deposed coordinator is an expected
-//! race, not corruption. Epoch 0 is the legacy single-coordinator path:
-//! no fence is ever raised, and the panicking settle semantics are
-//! unchanged.
+//! race, not corruption. A job that is never fenced runs at epoch 0.
 
 use ibfabric::NodeId;
 use parking_lot::Mutex;
@@ -141,16 +140,11 @@ impl SparePool {
         self.inner.lock().stats
     }
 
-    /// Lease the front free node to `job`. `None` (recorded as a denial)
-    /// when the free list is empty — the caller degrades or queues.
-    /// Legacy epoch-0 path; see [`SparePool::lease_at`].
-    pub fn lease(&self, job: u64) -> Option<NodeId> {
-        self.lease_at(job, 0)
-    }
-
     /// Lease the front free node to `job`, stamping the lease with the
-    /// caller's fencing `epoch`. A deposed coordinator (epoch below the
-    /// job's fence floor) is refused without touching the free list.
+    /// caller's fencing `epoch`. `None` (recorded as a denial) when the
+    /// free list is empty — the caller degrades or queues. A deposed
+    /// coordinator (epoch below the job's fence floor) is refused without
+    /// touching the free list.
     pub fn lease_at(&self, job: u64, epoch: u64) -> Option<NodeId> {
         let mut st = self.inner.lock();
         if st.fenced(job, epoch) {
@@ -189,14 +183,8 @@ impl SparePool {
     }
 
     /// Settle a lease: the migration succeeded, `node` now hosts ranks
-    /// and permanently leaves the pool. Legacy epoch-0 path.
-    pub fn consume(&self, node: NodeId, job: u64) {
-        self.consume_at(node, job, 0);
-    }
-
-    /// [`SparePool::consume`] under a fencing epoch. Returns `false`
-    /// (lease untouched, rejection counted) when `epoch` is below the
-    /// job's fence floor.
+    /// and permanently leaves the pool. Returns `false` (lease untouched,
+    /// rejection counted) when `epoch` is below the job's fence floor.
     pub fn consume_at(&self, node: NodeId, job: u64, epoch: u64) -> bool {
         let mut st = self.inner.lock();
         if !st.settle(node, job, epoch, "consume") {
@@ -207,15 +195,9 @@ impl SparePool {
     }
 
     /// Settle a lease: the attempt aborted but `node` survived; it goes
-    /// back to the front of the free list for the retry. Legacy epoch-0
-    /// path.
-    pub fn release_front(&self, node: NodeId, job: u64) {
-        self.release_front_at(node, job, 0);
-    }
-
-    /// [`SparePool::release_front`] under a fencing epoch. Returns
-    /// `false` (lease untouched, rejection counted) when `epoch` is below
-    /// the job's fence floor.
+    /// back to the front of the free list for the retry. Returns `false`
+    /// (lease untouched, rejection counted) when `epoch` is below the
+    /// job's fence floor.
     pub fn release_front_at(&self, node: NodeId, job: u64, epoch: u64) -> bool {
         let mut st = self.inner.lock();
         if !st.settle(node, job, epoch, "release") {
@@ -226,15 +208,9 @@ impl SparePool {
         true
     }
 
-    /// Settle a lease: `node` died mid-attempt and never returns. Legacy
-    /// epoch-0 path.
-    pub fn discard(&self, node: NodeId, job: u64) {
-        self.discard_at(node, job, 0);
-    }
-
-    /// [`SparePool::discard`] under a fencing epoch. Returns `false`
-    /// (lease untouched, rejection counted) when `epoch` is below the
-    /// job's fence floor.
+    /// Settle a lease: `node` died mid-attempt and never returns. Returns
+    /// `false` (lease untouched, rejection counted) when `epoch` is below
+    /// the job's fence floor.
     pub fn discard_at(&self, node: NodeId, job: u64, epoch: u64) -> bool {
         let mut st = self.inner.lock();
         if !st.settle(node, job, epoch, "discard") {
@@ -303,42 +279,42 @@ mod tests {
     #[test]
     fn lease_is_fifo_and_release_goes_to_front() {
         let pool = SparePool::new(nodes(&[9, 10, 11]));
-        assert_eq!(pool.lease(1), Some(NodeId(9)));
-        assert_eq!(pool.lease(2), Some(NodeId(10)));
+        assert_eq!(pool.lease_at(1, 0), Some(NodeId(9)));
+        assert_eq!(pool.lease_at(2, 0), Some(NodeId(10)));
         assert_eq!(pool.leased_to(NodeId(9)), Some(1));
-        pool.release_front(NodeId(9), 1);
+        assert!(pool.release_front_at(NodeId(9), 1, 0));
         // The survivor is reused before the untouched tail.
-        assert_eq!(pool.lease(1), Some(NodeId(9)));
+        assert_eq!(pool.lease_at(1, 0), Some(NodeId(9)));
         assert_eq!(pool.available(), 1);
     }
 
     #[test]
     fn exhaustion_denies_and_counts() {
         let pool = SparePool::new(nodes(&[5]));
-        assert_eq!(pool.lease(1), Some(NodeId(5)));
-        assert_eq!(pool.lease(2), None);
+        assert_eq!(pool.lease_at(1, 0), Some(NodeId(5)));
+        assert_eq!(pool.lease_at(2, 0), None);
         assert_eq!(pool.stats().denials, 1);
-        pool.consume(NodeId(5), 1);
-        assert_eq!(pool.lease(2), None);
+        assert!(pool.consume_at(NodeId(5), 1, 0));
+        assert_eq!(pool.lease_at(2, 0), None);
         pool.reclaim(NodeId(5));
-        assert_eq!(pool.lease(2), Some(NodeId(5)));
+        assert_eq!(pool.lease_at(2, 0), Some(NodeId(5)));
     }
 
     #[test]
     #[should_panic(expected = "which job 1 holds")]
     fn cross_job_settle_is_trapped() {
         let pool = SparePool::new(nodes(&[5]));
-        pool.lease(1);
-        pool.consume(NodeId(5), 2);
+        pool.lease_at(1, 0);
+        assert!(pool.consume_at(NodeId(5), 2, 0));
     }
 
     #[test]
     #[should_panic(expected = "unleased")]
     fn double_release_is_trapped() {
         let pool = SparePool::new(nodes(&[5]));
-        pool.lease(1);
-        pool.release_front(NodeId(5), 1);
-        pool.release_front(NodeId(5), 1);
+        pool.lease_at(1, 0);
+        assert!(pool.release_front_at(NodeId(5), 1, 0));
+        assert!(pool.release_front_at(NodeId(5), 1, 0));
     }
 
     #[test]
@@ -368,8 +344,8 @@ mod tests {
         let st = pool.stats();
         assert_eq!(st.leases, st.consumed + st.returned + st.discarded);
         // Other jobs are unaffected by job 1's fence.
-        assert_eq!(pool.lease(2), Some(NodeId(6)));
-        pool.release_front(NodeId(6), 2);
+        assert_eq!(pool.lease_at(2, 0), Some(NodeId(6)));
+        assert!(pool.release_front_at(NodeId(6), 2, 0));
     }
 
     #[test]

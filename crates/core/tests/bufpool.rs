@@ -4,7 +4,9 @@
 
 use blcrsim::{Blcr, BlcrConfig, ProcessImage, SegmentKind};
 use ibfabric::{DataSlice, IbConfig, IbFabric, NodeId};
-use jobmig_core::bufpool::{PoolConfig, PoolRendezvous, RestartMode, TransferSession, Transport};
+use jobmig_core::bufpool::{
+    self, AssembledImage, PoolConfig, PoolRendezvous, RestartMode, Transport,
+};
 use simkit::{Link, Sharing, Simulation};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,7 +55,7 @@ fn pump(n: u32, mb_per_rank: u64, cfg: PoolConfig) -> (u64, u64, Vec<u64>) {
     let rdv2 = rdv.clone();
     let st2 = streamed.clone();
     sim.spawn("source", move |ctx| {
-        let (pool, _ack) = TransferSession::from_config(cfg).source(ctx, &src_hca, n, &rdv2);
+        let (pool, _ack) = bufpool::source(ctx, &src_hca, cfg, n, &rdv2);
         let done = simkit::Countdown::new(&ctx.handle(), "writers", n as u64);
         for r in 0..n {
             let pool = pool.clone();
@@ -74,9 +76,7 @@ fn pump(n: u32, mb_per_rank: u64, cfg: PoolConfig) -> (u64, u64, Vec<u64>) {
     let p2 = pulled.clone();
     let sz2 = sizes.clone();
     sim.spawn("target", move |ctx| {
-        let res = TransferSession::from_config(cfg)
-            .target(ctx, &tgt_hca, &rdv, fs, "mig.t")
-            .expect("pull");
+        let res = bufpool::target(ctx, &tgt_hca, cfg, &rdv, fs, "mig.t", None).expect("pull");
         p2.store(res.bytes_pulled, Ordering::SeqCst);
         let mut v: Vec<(u32, u64)> = res.images.iter().map(|(r, i)| (*r, i.bytes)).collect();
         v.sort();
@@ -148,7 +148,7 @@ fn odd_sized_streams_with_partial_final_chunks() {
     let blcr = Blcr::new(membus, BlcrConfig::default());
     let rdv2 = rdv.clone();
     sim.spawn("source", move |ctx| {
-        let (pool, _ack) = TransferSession::from_config(cfg).source(ctx, &src_hca, 1, &rdv2);
+        let (pool, _ack) = bufpool::source(ctx, &src_hca, cfg, 1, &rdv2);
         let img = ProcessImage::new(0, &b"odd"[..]).with_segment(
             SegmentKind::Heap,
             DataSlice::pattern(3, 0, 3 * (1 << 20) + 12345),
@@ -158,9 +158,8 @@ fn odd_sized_streams_with_partial_final_chunks() {
         pool.finished().wait(ctx);
     });
     sim.spawn("target", move |ctx| {
-        let res = TransferSession::from_config(cfg)
-            .target(ctx, &tgt_hca, &rdv, fs.clone(), "mig.odd")
-            .expect("pull");
+        let res =
+            bufpool::target(ctx, &tgt_hca, cfg, &rdv, fs.clone(), "mig.odd", None).expect("pull");
         let img_info = &res.images[&0];
         // restore and verify integrity end to end
         let mut src = blcrsim::StoreSource::new(fs.clone(), img_info.path.clone());
@@ -193,16 +192,14 @@ fn memory_mode_keeps_streams_off_the_filesystem() {
     let blcr = Blcr::new(membus, BlcrConfig::default());
     let rdv2 = rdv.clone();
     sim.spawn("source", move |ctx| {
-        let (pool, _ack) = TransferSession::from_config(cfg).source(ctx, &src_hca, 1, &rdv2);
+        let (pool, _ack) = bufpool::source(ctx, &src_hca, cfg, 1, &rdv2);
         let img = image(0, 4);
         let mut sink = pool.sink(ctx, 0, img.checksum());
         blcr.checkpoint(ctx, &img, &mut sink);
         pool.finished().wait(ctx);
     });
     sim.spawn("target", move |ctx| {
-        let res = TransferSession::from_config(cfg)
-            .target(ctx, &tgt_hca, &rdv, fs_dyn, "mig.mem")
-            .expect("pull");
+        let res = bufpool::target(ctx, &tgt_hca, cfg, &rdv, fs_dyn, "mig.mem", None).expect("pull");
         let info = &res.images[&0];
         let slices = info.slices.as_ref().expect("in-memory stream");
         let parsed = blcrsim::parse_stream(slices.to_vec()).unwrap();
@@ -236,7 +233,7 @@ fn ipoib_transport_is_slower_but_correct() {
         let blcr = Blcr::new(membus, BlcrConfig::default());
         let rdv2 = rdv.clone();
         sim.spawn("source", move |ctx| {
-            let (pool, _ack) = TransferSession::from_config(cfg).source(ctx, &src_hca, 2, &rdv2);
+            let (pool, _ack) = bufpool::source(ctx, &src_hca, cfg, 2, &rdv2);
             let done = simkit::Countdown::new(&ctx.handle(), "w", 2);
             for r in 0..2 {
                 let pool = pool.clone();
@@ -253,9 +250,7 @@ fn ipoib_transport_is_slower_but_correct() {
             pool.finished().wait(ctx);
         });
         sim.spawn("target", move |ctx| {
-            TransferSession::from_config(cfg)
-                .target(ctx, &tgt_hca, &rdv, fs, "mig.x")
-                .expect("pull");
+            bufpool::target(ctx, &tgt_hca, cfg, &rdv, fs, "mig.x", None).expect("pull");
         });
         sim.run().unwrap();
         *out = sim.now().as_secs_f64();
@@ -277,29 +272,12 @@ fn table1_accounting_matches_stream_bytes() {
 }
 
 #[test]
-fn multi_lane_pull_matches_single_lane_byte_for_byte() {
-    // Striping chunk pulls across parallel QPs must not change what
-    // arrives: same streamed/pulled totals, same per-rank stream lengths.
-    let single = pump(4, 6, PoolConfig::default());
-    for lanes in [2, 4] {
-        let cfg = PoolConfig {
-            lanes,
-            ..PoolConfig::default()
-        };
-        let striped = pump(4, 6, cfg);
-        assert_eq!(striped.0, single.0, "streamed bytes, {lanes} lanes");
-        assert_eq!(striped.1, single.1, "pulled bytes, {lanes} lanes");
-        assert_eq!(striped.2, single.2, "per-rank sizes, {lanes} lanes");
-    }
-}
-
-#[test]
-fn multi_lane_memory_mode_reassembles_in_order() {
-    // Out-of-order lane completions must be sequenced back into a valid
-    // stream; memory mode checks this end to end via parse + checksum.
+fn rank_ready_hook_fires_once_per_rank_with_the_final_image() {
+    // Per-rank readiness: each rank's image is handed to the hook the
+    // moment its EOF is satisfied — before DONE — and is the same image
+    // the completed pull returns.
     let cfg = PoolConfig {
         restart_mode: RestartMode::MemoryBased,
-        lanes: 4,
         ..PoolConfig::default()
     };
     let mut sim = Simulation::new(9);
@@ -313,7 +291,7 @@ fn multi_lane_memory_mode_reassembles_in_order() {
     let blcr = Blcr::new(membus, BlcrConfig::default());
     let rdv2 = rdv.clone();
     sim.spawn("source", move |ctx| {
-        let (pool, _ack) = TransferSession::from_config(cfg).source(ctx, &src_hca, 2, &rdv2);
+        let (pool, _ack) = bufpool::source(ctx, &src_hca, cfg, 2, &rdv2);
         let done = simkit::Countdown::new(&ctx.handle(), "w", 2);
         for r in 0..2 {
             let pool = pool.clone();
@@ -330,14 +308,21 @@ fn multi_lane_memory_mode_reassembles_in_order() {
         pool.finished().wait(ctx);
     });
     sim.spawn("target", move |ctx| {
-        let res = TransferSession::from_config(cfg)
-            .target(ctx, &tgt_hca, &rdv, fs, "mig.lanes")
-            .expect("pull");
-        for r in 0..2u32 {
-            let info = &res.images[&r];
+        let ready = parking_lot::Mutex::new(Vec::new());
+        let hook = |_: &simkit::Ctx, rank: u32, img: AssembledImage| {
+            ready.lock().push((rank, img.bytes, img.expected_checksum));
+        };
+        let res =
+            bufpool::target(ctx, &tgt_hca, cfg, &rdv, fs, "mig.ready", Some(&hook)).expect("pull");
+        let mut ready = ready.into_inner();
+        ready.sort();
+        assert_eq!(ready.len(), 2, "one readiness call per rank");
+        for (rank, bytes, sum) in ready {
+            let info = &res.images[&rank];
+            assert_eq!((bytes, sum), (info.bytes, info.expected_checksum));
             let slices = info.slices.as_ref().expect("in-memory stream");
             let parsed = blcrsim::parse_stream(slices.to_vec()).unwrap();
-            assert_eq!(parsed.checksum(), info.expected_checksum, "rank {r}");
+            assert_eq!(parsed.checksum(), info.expected_checksum, "rank {rank}");
         }
     });
     sim.run().unwrap();
@@ -345,8 +330,7 @@ fn multi_lane_memory_mode_reassembles_in_order() {
 
 #[test]
 fn default_config_session_pumps_single_rank() {
-    // The default-config path the removed pre-TransferSession shims used
-    // to pin: one rank, one lane, file-backed staging.
+    // The default-config path: one rank, file-backed staging.
     let cfg = PoolConfig::default();
     let mut sim = Simulation::new(5);
     let h = sim.handle();
@@ -359,16 +343,14 @@ fn default_config_session_pumps_single_rank() {
     let blcr = Blcr::new(membus, BlcrConfig::default());
     let rdv2 = rdv.clone();
     sim.spawn("source", move |ctx| {
-        let (pool, _ack) = TransferSession::from_config(cfg).source(ctx, &src_hca, 1, &rdv2);
+        let (pool, _ack) = bufpool::source(ctx, &src_hca, cfg, 1, &rdv2);
         let img = image(0, 2);
         let mut sink = pool.sink(ctx, 0, img.checksum());
         blcr.checkpoint(ctx, &img, &mut sink);
         pool.finished().wait(ctx);
     });
     sim.spawn("target", move |ctx| {
-        let res = TransferSession::from_config(cfg)
-            .target(ctx, &tgt_hca, &rdv, fs, "mig.old")
-            .expect("pull");
+        let res = bufpool::target(ctx, &tgt_hca, cfg, &rdv, fs, "mig.old", None).expect("pull");
         assert_eq!(res.images.len(), 1);
     });
     sim.run().unwrap();

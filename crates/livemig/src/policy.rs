@@ -74,12 +74,12 @@ impl ConvergencePolicy for BoundedRounds {
 }
 
 /// Compare the dirty rate against the transfer bandwidth: pre-copy only
-/// converges while the lanes outrun the application's writes. Cuts over
+/// converges while the pull outruns the application's writes. Cuts over
 /// once the residual is draining fast; falls back when the dirty rate
 /// stays above `ratio × lane_bw`.
 #[derive(Debug, Clone, Copy)]
 pub struct DirtyRateRatio {
-    /// Observed/estimated aggregate lane bandwidth, bytes/second.
+    /// Observed/estimated pull bandwidth, bytes/second.
     pub lane_bw: f64,
     /// Dirty-rate fraction of `lane_bw` above which rounds cannot shrink.
     pub ratio: f64,
@@ -115,7 +115,7 @@ impl ConvergencePolicy for DirtyRateRatio {
 pub struct DowntimeBudget {
     /// Barrier-held time the residual round may cost.
     pub budget: Duration,
-    /// Observed/estimated aggregate lane bandwidth, bytes/second.
+    /// Observed/estimated pull bandwidth, bytes/second.
     pub lane_bw: f64,
     /// Fixed per-cutover cost (suspend + resume floor) added on top of
     /// the transfer projection.
@@ -176,7 +176,7 @@ pub struct LiveConfig {
     /// Downtime budget for [`LivePolicyKind::DowntimeBudget`], ms.
     pub downtime_budget_ms: u32,
     /// Dirty-rate threshold for [`LivePolicyKind::DirtyRateRatio`], in
-    /// percent of lane bandwidth.
+    /// percent of pull bandwidth.
     pub dirty_ratio_pct: u32,
 }
 
@@ -194,7 +194,7 @@ impl Default for LiveConfig {
 
 impl LiveConfig {
     /// Instantiate the configured policy against an estimated aggregate
-    /// lane bandwidth and fixed cutover floor.
+    /// pull bandwidth and fixed cutover floor.
     pub fn controller(&self, lane_bw: f64, fixed: Duration) -> Box<dyn ConvergencePolicy> {
         match self.policy {
             LivePolicyKind::BoundedRounds => Box::new(BoundedRounds {

@@ -30,7 +30,7 @@ use crate::trace::{Args, Tracer};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -328,6 +328,25 @@ impl WakeBatch<'_> {
     }
 }
 
+thread_local! {
+    /// The process this thread is running right now, with its name: set
+    /// where [`Simulation::resume`] switches in, cleared when it switches
+    /// back. The panic hook reads it to say which process panicked.
+    static RUNNING: RefCell<Option<(ProcId, Rc<str>)>> = const { RefCell::new(None) };
+}
+
+/// "process 'name' (pN)" for the process running on this thread, if any.
+fn running_label() -> Option<String> {
+    RUNNING
+        .try_with(|r| {
+            let r = r.try_borrow().ok()?;
+            let (pid, name) = r.as_ref()?;
+            Some(format!("process '{name}' ({pid:?})"))
+        })
+        .ok()
+        .flatten()
+}
+
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
@@ -480,9 +499,9 @@ pub enum RunOutcome {
 /// `Send`; [`SimHandle`]s are.
 pub struct Simulation {
     kernel: Arc<Kernel>,
-    /// Started processes by pid; `None` before the first dispatch and
-    /// after the process finished.
-    procs: Vec<Option<Coroutine>>,
+    /// Started processes by pid, with their names; `None` before the
+    /// first dispatch and after the process finished.
+    procs: Vec<Option<(Coroutine, Rc<str>)>>,
     /// Stacks of finished processes, reused by the next first dispatch.
     stacks: Vec<Stack>,
     /// How the process that just returned finished, left by its body.
@@ -496,13 +515,18 @@ impl Simulation {
     /// and identical process logic produce identical event sequences.
     pub fn new(seed: u64) -> Self {
         // Kill-unwinds are routine control flow here; stop the default
-        // panic hook from spamming stderr with them (installed once).
+        // panic hook from spamming stderr with them (installed once). Every
+        // process runs on the driving thread, so the default message names
+        // that thread: say first which process panicked.
         static HOOK: std::sync::Once = std::sync::Once::new();
         HOOK.call_once(|| {
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
                 if info.payload().is::<Killed>() {
                     return;
+                }
+                if let Some(label) = running_label() {
+                    eprintln!("{label} panicked:");
                 }
                 prev(info);
             }));
@@ -699,15 +723,20 @@ impl Simulation {
             if self.procs.len() <= i {
                 self.procs.resize_with(i + 1, || None);
             }
-            self.procs[i] = Some(Coroutine::new(stack, &self.kernel.switch, entry));
+            let coro = Coroutine::new(stack, &self.kernel.switch, entry);
+            let name = Rc::from(&*self.kernel.proc_name(ProcId(pid)));
+            self.procs[i] = Some((coro, name));
         }
-        let coro = self.procs[i]
+        let (coro, name) = self.procs[i]
             .as_mut()
             .expect("dispatched a process with no stack");
-        if !coro.resume() {
+        RUNNING.with(|r| *r.borrow_mut() = Some((ProcId(pid), Rc::clone(name))));
+        let finished = coro.resume();
+        RUNNING.with(|r| r.borrow_mut().take());
+        if !finished {
             return None;
         }
-        let coro = self.procs[i].take().expect("finished process vanished");
+        let (coro, _) = self.procs[i].take().expect("finished process vanished");
         self.stacks.push(coro.into_stack());
         Some(self.fin.take().expect("finished process left no outcome"))
     }
@@ -728,7 +757,7 @@ impl Drop for Simulation {
                     bodies.extend(s.body.take());
                 }
             }
-            let started: Vec<Coroutine> = self.procs.drain(..).flatten().collect();
+            let started: Vec<Coroutine> = self.procs.drain(..).flatten().map(|(c, _)| c).collect();
             if bodies.is_empty() && started.is_empty() {
                 break;
             }
@@ -738,5 +767,19 @@ impl Drop for Simulation {
                 self.fin.take();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panic_label_names_the_running_process() {
+        assert_eq!(running_label(), None);
+        RUNNING.with(|r| *r.borrow_mut() = Some((ProcId(7), Rc::from("sim:bad"))));
+        assert_eq!(running_label().as_deref(), Some("process 'sim:bad' (p7)"));
+        RUNNING.with(|r| r.borrow_mut().take());
+        assert_eq!(running_label(), None);
     }
 }

@@ -67,7 +67,7 @@ pub use link::{Link, LinkStats, Sharing};
 pub use process::{Ctx, ProcHandle, Span};
 pub use sync::{Countdown, Event, Gate, Queue, Semaphore};
 pub use time::SimTime;
-pub use trace::{ArgValue, Args, EventKind, TraceDigest, TraceEvent, TraceRecord, Tracer};
+pub use trace::{ArgValue, Args, EventKind, TraceDigest, TraceEvent, Tracer};
 
 /// Convenience constructors for [`std::time::Duration`] used pervasively in
 /// simulation code and tests.

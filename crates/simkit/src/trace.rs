@@ -10,8 +10,8 @@
 //! name when armed).
 //!
 //! Downstream, the `telemetry` crate aggregates the event stream into
-//! counters/histograms and exports it as chrome://tracing JSON; the
-//! `jobmig-core` `Timeline` rebuilds per-phase stacks (paper Fig. 4) from
+//! counters/histograms, exports it as chrome://tracing JSON, and its
+//! `Timeline` rebuilds per-phase stacks (paper Fig. 4) from
 //! `cat = "phase"` spans.
 //!
 //! Because the kernel is deterministic, the event sequence for a given
@@ -22,17 +22,6 @@ use crate::time::SimTime;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-
-/// A single legacy trace record (free-form message view of the stream).
-#[derive(Debug, Clone)]
-pub struct TraceRecord {
-    /// Virtual time of the record.
-    pub time: SimTime,
-    /// Process the record is attributed to, if any.
-    pub pid: Option<ProcId>,
-    /// Free-form message.
-    pub msg: String,
-}
 
 /// What a [`TraceEvent`] marks.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +35,7 @@ pub enum EventKind {
     Instant,
     /// A sampled numeric series value (queue depth, bytes in flight, ...).
     Counter(f64),
-    /// A free-form log message (the legacy [`Ctx::trace`](crate::Ctx::trace) path).
+    /// A free-form log message (the [`Ctx::trace`](crate::Ctx::trace) path).
     Message,
 }
 
@@ -197,13 +186,12 @@ impl TraceDigest {
     }
 }
 
-/// Collects [`TraceEvent`]s when enabled; optionally echoes them to stderr
-/// as they are produced (useful when a test deadlocks before it can drain).
+/// Collects [`TraceEvent`]s when enabled, and folds them into a
+/// [`TraceDigest`] when digesting.
 ///
 /// Disabled by default; an emit is a single relaxed atomic load when off.
 pub struct Tracer {
     enabled: AtomicBool,
-    echo: AtomicBool,
     digest_on: AtomicBool,
     digest: Mutex<TraceDigest>,
     events: Mutex<Vec<TraceEvent>>,
@@ -214,7 +202,6 @@ impl Tracer {
     pub(crate) fn new() -> Self {
         Tracer {
             enabled: AtomicBool::new(false),
-            echo: AtomicBool::new(false),
             digest_on: AtomicBool::new(false),
             digest: Mutex::new(TraceDigest::new()),
             events: Mutex::new(Vec::new()),
@@ -240,11 +227,6 @@ impl Tracer {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Also print each event to stderr as it is recorded.
-    pub fn set_echo(&self, on: bool) {
-        self.echo.store(on, Ordering::Relaxed);
-    }
-
     /// Whether collection is enabled. Check this before building an
     /// expensive event payload (formatted names, argument vectors).
     #[inline]
@@ -254,9 +236,7 @@ impl Tracer {
 
     #[inline]
     pub(crate) fn armed(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-            || self.echo.load(Ordering::Relaxed)
-            || self.digest_on.load(Ordering::Relaxed)
+        self.enabled.load(Ordering::Relaxed) || self.digest_on.load(Ordering::Relaxed)
     }
 
     /// Record a process name so exporters can label its track. Called by
@@ -270,28 +250,13 @@ impl Tracer {
         self.proc_names.lock().clone()
     }
 
-    /// Append a structured event (no-op unless enabled, digesting or
-    /// echoing).
+    /// Append a structured event (no-op unless enabled or digesting).
     pub fn emit(&self, ev: TraceEvent) {
         if !self.armed() {
             return;
         }
         if self.digest_on.load(Ordering::Relaxed) {
             self.digest.lock().fold_event(&ev);
-        }
-        if self.echo.load(Ordering::Relaxed) {
-            let t = ev.time;
-            let what = match &ev.kind {
-                EventKind::Begin => format!("[{}] {} begin", ev.cat, ev.name),
-                EventKind::End => format!("[{}] {} end", ev.cat, ev.name),
-                EventKind::Instant => format!("[{}] {}", ev.cat, ev.name),
-                EventKind::Counter(v) => format!("[{}] {} = {v}", ev.cat, ev.name),
-                EventKind::Message => ev.name.clone(),
-            };
-            match ev.pid {
-                Some(p) => eprintln!("[{t}] {p:?}: {what}"),
-                None => eprintln!("[{t}] {what}"),
-            }
         }
         if self.enabled.load(Ordering::Relaxed) {
             self.events.lock().push(ev);
@@ -386,7 +351,7 @@ impl Tracer {
         });
     }
 
-    /// Legacy free-form message record.
+    /// Free-form message record.
     pub(crate) fn rec(&self, time: SimTime, pid: Option<ProcId>, msg: &str) {
         if !self.armed() {
             return;
@@ -404,26 +369,6 @@ impl Tracer {
     /// Remove and return all collected events.
     pub fn drain_events(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut *self.events.lock())
-    }
-
-    /// Clone the collected events without draining them.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Remove all collected events and return the free-form-message ones
-    /// as legacy [`TraceRecord`]s. Structured events are discarded; use
-    /// [`Tracer::drain_events`] to keep them.
-    pub fn drain(&self) -> Vec<TraceRecord> {
-        self.drain_events()
-            .into_iter()
-            .filter(|e| matches!(e.kind, EventKind::Message))
-            .map(|e| TraceRecord {
-                time: e.time,
-                pid: e.pid,
-                msg: e.name,
-            })
-            .collect()
     }
 
     /// Number of collected events.
@@ -457,10 +402,11 @@ mod tests {
         t.rec(SimTime::from_nanos(5), Some(ProcId(3)), "a");
         t.rec(SimTime::from_nanos(9), None, "b");
         assert_eq!(t.len(), 2);
-        let recs = t.drain();
-        assert_eq!(recs[0].msg, "a");
-        assert_eq!(recs[0].pid, Some(ProcId(3)));
-        assert_eq!(recs[1].time.as_nanos(), 9);
+        let evs = t.drain_events();
+        assert_eq!(evs[0].name, "a");
+        assert_eq!(evs[0].kind, EventKind::Message);
+        assert_eq!(evs[0].pid, Some(ProcId(3)));
+        assert_eq!(evs[1].time.as_nanos(), 9);
         assert!(t.is_empty());
     }
 
@@ -542,16 +488,5 @@ mod tests {
         let h4 = one(EventKind::Instant, vec![("a", 1u64.into())]);
         let h5 = one(EventKind::Instant, vec![("a", "1".into())]);
         assert!(h1 != h2 && h1 != h3 && h1 != h4 && h4 != h5);
-    }
-
-    #[test]
-    fn legacy_drain_skips_structured_events() {
-        let t = Tracer::new();
-        t.set_enabled(true);
-        t.instant(SimTime::ZERO, None, "ftb", "publish", Vec::new());
-        t.rec(SimTime::ZERO, None, "msg");
-        let recs = t.drain();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].msg, "msg");
     }
 }

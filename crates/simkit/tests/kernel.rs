@@ -247,9 +247,16 @@ fn tracer_records_lifecycle() {
     sim.handle().tracer().set_enabled(true);
     sim.spawn("a", |ctx| ctx.sleep(ms(1)));
     sim.run().unwrap();
-    let recs = sim.handle().tracer().drain();
-    assert!(recs.iter().any(|r| r.msg.contains("spawned 'a'")));
-    assert!(recs.iter().any(|r| r.msg == "finished"));
+    let msgs: Vec<String> = sim
+        .handle()
+        .tracer()
+        .drain_events()
+        .into_iter()
+        .filter(|e| e.kind == simkit::EventKind::Message)
+        .map(|e| e.name)
+        .collect();
+    assert!(msgs.iter().any(|m| m.contains("spawned 'a'")));
+    assert!(msgs.iter().any(|m| m == "finished"));
 }
 
 #[test]

@@ -5,9 +5,9 @@
 //! The demo runs the Figure 4 reference migration (LU.C.64, 8 compute
 //! nodes, one spare, trigger at t = 30 s) twice on the same seed:
 //!
-//! 1. **pipelined stop-and-copy** — the PR 5 data path: the job suspends,
-//!    then the whole image streams over striped RDMA lanes with per-rank
-//!    restart overlap;
+//! 1. **pipelined stop-and-copy** — the job suspends, then the whole
+//!    image streams through the RDMA buffer pool with per-rank restart
+//!    overlap;
 //! 2. **live pre-copy** — round 0 streams the full image while the ranks
 //!    keep computing, later rounds stream only the segments dirtied since
 //!    the previous round, and the convergence controller (downtime-budget

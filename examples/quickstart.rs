@@ -10,7 +10,7 @@
 //! RDMA Reads, and checkpoint stream progress on a zoomable timeline.
 //!
 //! Pass `--pipelined` to run the migration on the pipelined data path
-//! (striped RDMA lanes + per-rank restart overlap via
+//! (per-rank restart overlap with bounded restart admission via
 //! [`MigrationTuning::pipelined`]) instead of the default barrier mode —
 //! compare the phase breakdowns between the two runs.
 //!
@@ -100,8 +100,8 @@ fn main() {
     // Job Manager").
     if tuning.overlap {
         println!(
-            "pipelined data path: {} RDMA lanes, restart admission {}",
-            tuning.lanes, tuning.restart_admission
+            "pipelined data path: per-rank restart overlap, restart admission {}",
+            tuning.restart_admission
         );
     }
     if let Some(cfg) = &tuning.live {

@@ -29,7 +29,7 @@ pub use telemetry;
 pub mod prelude {
     pub use faultplane::{FaultPlan, FaultPlane, FaultSpec, MigPhase, NetSel, StoreFault};
     pub use fleetsched::{FleetConfig, FleetPolicy, PolicyKind, SoakReport};
-    pub use jobmig_core::bufpool::{PoolConfig, RestartMode, TransferSession, Transport};
+    pub use jobmig_core::bufpool::{PoolConfig, RestartMode, Transport};
     pub use jobmig_core::cluster::{Cluster, ClusterSpec};
     pub use jobmig_core::report::{
         CrReport, CrStoreKind, MigrationOutcome, MigrationReport, OutcomeCounts,
