@@ -1,27 +1,46 @@
-//! Dump the fleet-soak digest scenario's full trace stream, one line per
+//! Dump one determinism-digest scenario's full trace stream, one line per
 //! event. Run it at two commits and diff the outputs to find the first
 //! event a change moved when a golden digest in `tests/determinism_digest.rs`
 //! fails. Debug aid for the determinism oracle; not part of any benchmark.
 //!
-//! `cargo run --release -p jobmig-bench --example digest_dump > trace.txt`
+//! `cargo run --release -p jobmig-bench --example digest_dump -- [fig4|fault-matrix|fleet] > trace.txt`
+//!
+//! The scenario defaults to `fleet`. Each one is built by the same
+//! `jobmig_bench` function the digest test runs.
 
-fn main() {
-    let cfg = fleetsched::FleetConfig::soak(jobmig_bench::SEED);
-    let mut handle: Option<simkit::SimHandle> = None;
-    let _ = fleetsched::run_policy_observed(
-        &cfg,
-        fleetsched::PolicyKind::Proactive,
-        &cfg.doom_plan(),
-        |sh| {
-            sh.tracer().set_enabled(true);
-            handle = Some(sh.clone());
-        },
-    );
-    let handle = handle.unwrap();
+use jobmig_core::bufpool::PoolConfig;
+use npbsim::NpbApp;
+use simkit::SimHandle;
+use std::io::Write;
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
+    let scenario = std::env::args().nth(1).unwrap_or_else(|| "fleet".into());
+    let mut handle: Option<SimHandle> = None;
+    let observe = |sh: &SimHandle| {
+        sh.tracer().set_enabled(true);
+        handle = Some(sh.clone());
+    };
+    match scenario.as_str() {
+        "fig4" => {
+            jobmig_bench::fig_migration_observed(NpbApp::Lu, 64, 8, PoolConfig::default(), observe);
+        }
+        "fault-matrix" => {
+            jobmig_bench::fault_matrix_observed(observe);
+        }
+        "fleet" => {
+            let cfg = fleetsched::FleetConfig::soak(jobmig_bench::SEED);
+            let policy = fleetsched::PolicyKind::Proactive;
+            fleetsched::run_policy_observed(&cfg, policy, &cfg.doom_plan(), observe);
+        }
+        other => {
+            eprintln!("unknown scenario {other:?}; expected fig4, fault-matrix or fleet");
+            return ExitCode::from(2);
+        }
+    }
     let out = std::io::stdout();
     let mut w = std::io::BufWriter::new(out.lock());
-    use std::io::Write;
-    for e in handle.tracer().drain_events() {
+    for e in handle.unwrap().tracer().drain_events() {
         let pid = e.pid.map(|p| p.0 as i64).unwrap_or(-1);
         writeln!(
             w,
@@ -35,4 +54,5 @@ fn main() {
         )
         .unwrap();
     }
+    ExitCode::SUCCESS
 }

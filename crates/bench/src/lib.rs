@@ -85,6 +85,26 @@ pub fn fig_migration_observed(
     rt.migration_reports()[0].clone()
 }
 
+/// The determinism oracle's fault-matrix scenario: a sized(2,1) cluster,
+/// LU.A.4 at 2 ppn, seed 51, one RDMA CQ error during the migration
+/// window triggered at t = 10 s (the CI fault-matrix grid's
+/// `rdma_cq_error` cell). `observe` sees the simulation handle before the
+/// cluster is built. Returns whether the job completed.
+pub fn fault_matrix_observed(observe: impl FnOnce(&simkit::SimHandle)) -> bool {
+    let mut sim = Simulation::new(51);
+    observe(&sim.handle());
+    let cluster = Cluster::build(&sim.handle(), ClusterSpec::sized(2, 1));
+    cluster.install_fault_plane(&FaultPlan::new(0xB1).with(FaultSpec::RdmaCqError { nth: 1 }));
+    let wl = Workload::new(NpbApp::Lu, NpbClass::A, 4);
+    let deadline = SimTime::ZERO + wl.base_runtime + dur::secs(600);
+    let rt = JobRuntime::launch(&cluster, JobSpec::npb(wl, 2));
+    rt.control()
+        .migrate_after(dur::secs(10), MigrationRequest::new());
+    sim.run_until_set(rt.completion(), deadline)
+        .expect("fault-matrix scenario hung");
+    rt.is_complete()
+}
+
 /// Tuning-aware runner: like [`fig_migration_with`] but passing a full
 /// [`MigrationTuning`] (data-path mode *and* live pre-copy config) and
 /// capturing the per-round wire bytes from the `round_verdict` trace

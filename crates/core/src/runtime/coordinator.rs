@@ -2,6 +2,7 @@
 //! one attempt written as the cycle table's sequence of phase calls.
 
 use super::*;
+use protoverify::{emit_transition, CYCLE_LABELS};
 use simkit::Span;
 
 pub(super) fn jm_proc(ctx: &Ctx, rt: JobRuntime) {
@@ -133,14 +134,7 @@ fn proto_step(
     let from = stepper.phase();
     match stepper.step(ev, g) {
         Ok(t) => {
-            let to = t.to;
-            ctx.instant_with("proto", "cycle_transition", || {
-                vec![
-                    ("from", from.name().into()),
-                    ("event", ev.name().into()),
-                    ("to", to.name().into()),
-                ]
-            });
+            emit_transition(ctx, &CYCLE_LABELS, None, from, ev, t.to);
             Ok(())
         }
         Err(e @ StepError::GuardRejected { .. }) => Err(e),

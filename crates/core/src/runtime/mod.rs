@@ -53,8 +53,8 @@ use ibfabric::NodeId;
 use mpisim::{CrMeta, MpiConfig, MpiJob, MpiRank, RankCr};
 use parking_lot::Mutex;
 use protoverify::{
-    nla_next, rank_next, CycleEvent, CycleStepper, GuardCtx, MigrationSpec, NlaEvent, RankEvent,
-    RankLife, StepError,
+    traced_step, CycleEvent, CycleStepper, GuardCtx, MigrationSpec, NlaEvent, RankEvent, RankLife,
+    StepError,
 };
 use simkit::{Countdown, Ctx, Event, ProcHandle, Queue, Semaphore, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -1030,59 +1030,22 @@ impl JobRuntime {
         self.inner.rank_life.lock().get(&rank).copied()
     }
 
-    /// Advance `rank`'s lifecycle through the declarative rank table. A
-    /// missing row means the runtime fired an event the spec forbids in
-    /// the rank's current state — a protocol bug, trapped loudly (the
-    /// model checker proves the shipped table, so this cannot fire unless
-    /// the runtime drifts from it).
+    /// Advance `rank`'s lifecycle through the declarative rank table
+    /// (`protoverify::traced_step` traps a missing row: the runtime fired
+    /// an event the spec forbids in the rank's current state).
     pub(crate) fn rank_apply(&self, ctx: &Ctx, rank: u32, ev: RankEvent) {
         let mut life = self.inner.rank_life.lock();
         let cur = life.get(&rank).copied().unwrap_or(RankLife::Running);
-        match rank_next(cur, ev) {
-            Some(next) => {
-                ctx.instant_with("proto", "rank_transition", || {
-                    vec![
-                        ("rank", rank.into()),
-                        ("from", cur.name().into()),
-                        ("event", ev.name().into()),
-                        ("to", next.name().into()),
-                    ]
-                });
-                life.insert(rank, next);
-            }
-            None => panic!(
-                "rank lifecycle violation: rank {rank} got {} while {}",
-                ev.name(),
-                cur.name()
-            ),
-        }
+        life.insert(rank, traced_step(ctx, rank.into(), cur, ev));
     }
 }
 
 /// Advance an NLA through the declarative NLA table (see
-/// `protoverify::spec::NLA_TABLE`). Like [`JobRuntime::rank_apply`], a
-/// missing row is a protocol bug and is trapped loudly.
+/// `protoverify::spec::NLA_TABLE`); like [`JobRuntime::rank_apply`], a
+/// missing row is trapped.
 pub(crate) fn nla_apply(ctx: &Ctx, nla: &NlaShared, ev: NlaEvent) {
     let mut st = nla.state.lock();
-    match nla_next(*st, ev) {
-        Some(next) => {
-            ctx.instant_with("proto", "nla_transition", || {
-                vec![
-                    ("node", nla.node.0.into()),
-                    ("from", st.to_string().into()),
-                    ("event", ev.name().into()),
-                    ("to", next.to_string().into()),
-                ]
-            });
-            *st = next;
-        }
-        None => panic!(
-            "NLA protocol violation: node {} got {} while {}",
-            nla.node,
-            ev.name(),
-            *st
-        ),
-    }
+    *st = traced_step(ctx, nla.node.0.into(), *st, ev);
 }
 
 // ---------------------------------------------------------------------------

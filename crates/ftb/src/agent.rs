@@ -4,7 +4,7 @@ use crate::event::{EventFilter, FtbEvent};
 use crate::FTB_AGENT_PORT;
 use ibfabric::{Net, NetError, NodeId};
 use parking_lot::Mutex;
-use protoverify::{link_next, LinkEvent, LinkState};
+use protoverify::{traced_step, LinkEvent, LinkState};
 use simkit::{Ctx, ProcHandle, Queue, SimHandle};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Weak};
@@ -208,26 +208,10 @@ fn send_agent(
 
 /// Advance the agent's uplink machine. A missing row is a protocol bug
 /// (e.g. the root reacting to an `AttachAck` it can never have solicited),
-/// not a runtime condition — trap it loudly.
+/// not a runtime condition — `traced_step` traps it loudly.
 fn link_apply(ctx: &Ctx, state: &AgentState, ev: LinkEvent) {
     let mut link = state.link.lock();
-    let from = *link;
-    let Some(next) = link_next(from, ev) else {
-        panic!(
-            "FTB uplink protocol violation on node {}: no transition from {from:?} on {ev:?}",
-            state.node.0
-        );
-    };
-    *link = next;
-    drop(link);
-    ctx.instant_with("proto", "link_transition", || {
-        vec![
-            ("node", state.node.0.into()),
-            ("from", format!("{from:?}").into()),
-            ("on", format!("{ev:?}").into()),
-            ("to", format!("{next:?}").into()),
-        ]
-    });
+    *link = traced_step(ctx, state.node.0.into(), *link, ev);
 }
 
 /// Re-attach after a send to the parent failed. The uplink table decides

@@ -32,8 +32,8 @@
 //! can re-check CI artifacts long after the simulation ran.
 
 use crate::spec::{
-    link_next, nla_next, rank_next, CycleEvent, CyclePhase, LinkEvent, LinkState, MigrationSpec,
-    NlaEvent, NlaState, RankEvent, RankLife, LINK_TABLE, NLA_TABLE, RANK_TABLE,
+    next, CycleEvent, CyclePhase, LinkEvent, LinkState, Machine, MigrationSpec, Named, NlaEvent,
+    NlaState, RankEvent, RankLife, TraceLabels, CYCLE_LABELS,
 };
 use simkit::{ArgValue, EventKind, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
@@ -317,115 +317,6 @@ pub fn classify(cat: &str, name: &str) -> Option<EdgeKind> {
         .map(|r| r.edge)
 }
 
-// -- name → enum parsers (the trace speaks the tables' `name()` strings) ----
-
-fn parse_phase(s: &str) -> Option<CyclePhase> {
-    use CyclePhase::*;
-    Some(match s {
-        "idle" => Idle,
-        "precopy" => Precopy,
-        "stall" => Stall,
-        "migrate" => Migrate,
-        "restart" => Restart,
-        "resume" => Resume,
-        "aborted" => Aborted,
-        "complete" => Complete,
-        "degraded" => Degraded,
-        _ => return None,
-    })
-}
-
-fn parse_cycle_event(s: &str) -> Option<CycleEvent> {
-    use CycleEvent::*;
-    Some(match s {
-        "trigger" => Trigger,
-        "live_trigger" => LiveTrigger,
-        "precopy_round" => PrecopyRound,
-        "cutover" => Cutover,
-        "fallback_stopcopy" => FallbackStopCopy,
-        "stall_done" => StallDone,
-        "migrate_done" => MigrateDone,
-        "restart_done" => RestartDone,
-        "resume_done" => ResumeDone,
-        "phase_timeout" => PhaseTimeout,
-        "spare_crash" => SpareCrash,
-        "retry" => Retry,
-        "degrade" => Degrade,
-        "rank_staged" => RankStaged,
-        "rank_restarted" => RankRestarted,
-        "coord_crash" => CoordCrash,
-        "takeover_resume" => TakeoverResume,
-        "takeover_rollback" => TakeoverRollback,
-        "zombie_settle" => ZombieSettle,
-        _ => return None,
-    })
-}
-
-fn parse_rank_life(s: &str) -> Option<RankLife> {
-    use RankLife::*;
-    Some(match s {
-        "running" => Running,
-        "suspended" => Suspended,
-        "captured" => Captured,
-        "restarted" => Restarted,
-        _ => return None,
-    })
-}
-
-fn parse_rank_event(s: &str) -> Option<RankEvent> {
-    use RankEvent::*;
-    Some(match s {
-        "suspend" => Suspend,
-        "capture" => Capture,
-        "restart" => Restart,
-        "resurrect" => Resurrect,
-        "resume" => Resume,
-        _ => return None,
-    })
-}
-
-fn parse_nla_state(s: &str) -> Option<NlaState> {
-    use NlaState::*;
-    Some(match s {
-        "MIGRATION_READY" => MigrationReady,
-        "MIGRATION_SPARE" => MigrationSpare,
-        "MIGRATION_INACTIVE" => MigrationInactive,
-        _ => return None,
-    })
-}
-
-fn parse_nla_event(s: &str) -> Option<NlaEvent> {
-    use NlaEvent::*;
-    Some(match s {
-        "source_drained" => SourceDrained,
-        "restart_complete" => RestartComplete,
-        "rollback_source" => RollbackSource,
-        "rollback_target" => RollbackTarget,
-        "reprovision" => Reprovision,
-        _ => return None,
-    })
-}
-
-fn parse_link_state(s: &str) -> Option<LinkState> {
-    use LinkState::*;
-    Some(match s {
-        "Root" => Root,
-        "Attached" => Attached,
-        "AttachedWithFallback" => AttachedWithFallback,
-        _ => return None,
-    })
-}
-
-fn parse_link_event(s: &str) -> Option<LinkEvent> {
-    use LinkEvent::*;
-    Some(match s {
-        "AckGrandparent" => AckGrandparent,
-        "AckNoGrandparent" => AckNoGrandparent,
-        "ParentLost" => ParentLost,
-        _ => return None,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // transition coverage
 // ---------------------------------------------------------------------------
@@ -445,6 +336,25 @@ fn edge_key(table: &str, from: &str, ev: &str, to: &str) -> String {
     format!("{table}/{from} --{ev}--> {to}")
 }
 
+/// The four shipped tables as `(machine, rows)`, each row its
+/// `[from, event, to]` names, in `COVERAGE_proto.json` order.
+fn tables() -> [(&'static str, Vec<[&'static str; 3]>); 4] {
+    fn rows<M: Machine>() -> (&'static str, Vec<[&'static str; 3]>) {
+        let rows = M::TABLE.iter();
+        let names = rows.map(|t| [t.from.name(), t.on.name(), t.to.name()]);
+        (M::LABELS.machine, names.collect())
+    }
+    let spec = MigrationSpec::shipped();
+    let cycle = spec.transitions.iter();
+    let cycle = cycle.map(|t| [t.from.name(), t.on.name(), t.to.name()]);
+    [
+        (CYCLE_LABELS.machine, cycle.collect()),
+        rows::<NlaState>(),
+        rows::<RankLife>(),
+        rows::<LinkState>(),
+    ]
+}
+
 impl Coverage {
     /// A fresh, empty coverage map.
     pub fn new() -> Coverage {
@@ -454,27 +364,10 @@ impl Coverage {
     /// The full edge universe, one key per shipped table row.
     pub fn universe() -> Vec<String> {
         let mut keys = Vec::new();
-        for t in &MigrationSpec::shipped().transitions {
-            keys.push(edge_key("cycle", t.from.name(), t.on.name(), t.to.name()));
-        }
-        for t in NLA_TABLE {
-            keys.push(edge_key(
-                "nla",
-                &t.from.to_string(),
-                t.on.name(),
-                &t.to.to_string(),
-            ));
-        }
-        for t in RANK_TABLE {
-            keys.push(edge_key("rank", t.from.name(), t.on.name(), t.to.name()));
-        }
-        for t in LINK_TABLE {
-            keys.push(edge_key(
-                "link",
-                &format!("{:?}", t.from),
-                &format!("{:?}", t.on),
-                &format!("{:?}", t.to),
-            ));
+        for (machine, rows) in tables() {
+            for [from, on, to] in rows {
+                keys.push(edge_key(machine, from, on, to));
+            }
         }
         keys.sort();
         keys
@@ -526,7 +419,7 @@ impl Coverage {
     /// keys), hand-rolled (the workspace builds offline without serde).
     pub fn to_json(&self) -> String {
         let universe = Coverage::universe();
-        let tables = ["cycle", "nla", "rank", "link"];
+        let tables = tables().map(|(machine, _)| machine);
         let mut out = String::from("{\n  \"schema\": \"coverage_proto/v1\",\n");
         out.push_str(&format!(
             "  \"total\": {{\"covered\": {}, \"universe\": {}, \"ratio\": {:.4}}},\n",
@@ -671,6 +564,111 @@ where
 // the observer
 // ---------------------------------------------------------------------------
 
+/// Replay state of one table machine: each instance's model state and
+/// observed history, keyed by rank or node id (the job-wide cycle is the
+/// one instance 0).
+#[derive(Debug)]
+struct Tracker<S, E> {
+    labels: TraceLabels,
+    cur: BTreeMap<u64, S>,
+    hist: BTreeMap<u64, Vec<(S, E, S, String)>>,
+}
+
+impl<S, E> Tracker<S, E> {
+    fn new(labels: TraceLabels) -> Self {
+        Tracker {
+            labels,
+            cur: BTreeMap::new(),
+            hist: BTreeMap::new(),
+        }
+    }
+}
+
+/// A fresh trigger lifecycle: the live runtime builds a new stepper at
+/// Idle for every migration request, so an Idle-rooted edge while the
+/// model sits in a terminal phase begins a new cycle, not a jump out of
+/// the old one.
+fn fresh_trigger(cur: CyclePhase, from: CyclePhase) -> CyclePhase {
+    if from == CyclePhase::Idle && cur.is_terminal() {
+        CyclePhase::Idle
+    } else {
+        cur
+    }
+}
+
+/// The table machines' `rebase`: replay from the model state.
+fn keep<S>(cur: S, _from: S) -> S {
+    cur
+}
+
+/// Replay one `proto/*_transition` event through `tracker`'s machine.
+/// `next` is the machine's table lookup; `rebase` maps the model state
+/// and the observed `from` to the state the model replays from (the
+/// cycle's fresh trigger; the identity for the other machines). An
+/// instance first seen mid-trace starts in the state it is observed in.
+fn on_transition<S: Named, E: Named>(
+    tracker: &mut Tracker<S, E>,
+    coverage: &mut Coverage,
+    ev: &RawEvent,
+    next: impl Fn(S, E) -> Option<S>,
+    rebase: impl Fn(S, S) -> S,
+) -> Result<(), Nonconformance> {
+    let labels = tracker.labels;
+    let fail = |scope: String, reason: String, suffix: Vec<String>| {
+        Err(Nonconformance {
+            index: 0,
+            machine: labels.machine,
+            scope,
+            reason,
+            suffix,
+        })
+    };
+    let id = labels.scope.map_or(Some(0), |key| ev.arg_u64(key));
+    let args = (
+        ev.arg_str("from"),
+        ev.arg_str(labels.event),
+        ev.arg_str("to"),
+    );
+    let (Some(id), (Some(from), Some(event), Some(to))) = (id, args) else {
+        let reason = format!("malformed {}: {}", labels.instant, ev.render());
+        return fail(String::new(), reason, vec![ev.render()]);
+    };
+    let (Some(from), Some(event), Some(to)) =
+        (S::from_name(from), E::from_name(event), S::from_name(to))
+    else {
+        let reason = format!(
+            "unknown {} state/event name: {}",
+            labels.machine,
+            ev.render()
+        );
+        return fail(String::new(), reason, vec![ev.render()]);
+    };
+    let (f, e, t) = (from.name(), event.name(), to.name());
+    let cur = tracker.cur.entry(id).or_insert(from);
+    *cur = rebase(*cur, from);
+    let cur = *cur;
+    let hist = tracker.hist.entry(id).or_default();
+    hist.push((from, event, to, ev.render()));
+    if cur != from || next(from, event) != Some(to) {
+        let scope = labels
+            .scope
+            .map_or("job".into(), |key| format!("{key} {id}"));
+        let suffix = shortest_suffix(S::ALL, &next, hist);
+        let reason = if cur != from {
+            format!(
+                "observed {f} --{e}--> {t} but the model has {scope} in {}",
+                cur.name()
+            )
+        } else {
+            format!("no {}-table row {f} --{e}--> {t}", labels.machine)
+        };
+        return fail(scope, reason, suffix);
+    }
+    coverage.mark(edge_key(labels.machine, f, e, t));
+    tracker.cur.insert(id, to);
+    Ok(())
+}
+
 /// Per-cycle WAL bookkeeping for the record-order automaton.
 #[derive(Debug, Clone, Default)]
 struct CycleLog {
@@ -692,14 +690,10 @@ struct CycleLog {
 #[derive(Debug)]
 pub struct Observer {
     spec: MigrationSpec,
-    phase: CyclePhase,
-    cycle_hist: Vec<(CyclePhase, CycleEvent, CyclePhase, String)>,
-    ranks: BTreeMap<u64, RankLife>,
-    rank_hist: BTreeMap<u64, Vec<(RankLife, RankEvent, RankLife, String)>>,
-    nlas: BTreeMap<u64, NlaState>,
-    nla_hist: BTreeMap<u64, Vec<(NlaState, NlaEvent, NlaState, String)>>,
-    links: BTreeMap<u64, LinkState>,
-    link_hist: BTreeMap<u64, Vec<(LinkState, LinkEvent, LinkState, String)>>,
+    cycle: Tracker<CyclePhase, CycleEvent>,
+    ranks: Tracker<RankLife, RankEvent>,
+    nlas: Tracker<NlaState, NlaEvent>,
+    links: Tracker<LinkState, LinkEvent>,
     next_seq: u64,
     wal: BTreeMap<u64, CycleLog>,
     last_epoch: u64,
@@ -717,16 +711,14 @@ impl Default for Observer {
 impl Observer {
     /// A fresh observer, with every machine in its initial state.
     pub fn new() -> Observer {
+        let mut cycle = Tracker::new(CYCLE_LABELS);
+        cycle.cur.insert(0, CyclePhase::Idle);
         Observer {
             spec: MigrationSpec::shipped(),
-            phase: CyclePhase::Idle,
-            cycle_hist: Vec::new(),
-            ranks: BTreeMap::new(),
-            rank_hist: BTreeMap::new(),
-            nlas: BTreeMap::new(),
-            nla_hist: BTreeMap::new(),
-            links: BTreeMap::new(),
-            link_hist: BTreeMap::new(),
+            cycle,
+            ranks: Tracker::new(RankLife::LABELS),
+            nlas: Tracker::new(NlaState::LABELS),
+            links: Tracker::new(LinkState::LABELS),
             next_seq: 1,
             wal: BTreeMap::new(),
             last_epoch: 0,
@@ -769,10 +761,14 @@ impl Observer {
         };
         self.mapped += 1;
         match edge {
-            EdgeKind::Cycle => self.on_cycle(ev),
-            EdgeKind::Rank => self.on_rank(ev),
-            EdgeKind::Nla => self.on_nla(ev),
-            EdgeKind::Link => self.on_link(ev),
+            EdgeKind::Cycle => {
+                let rows = &self.spec.transitions;
+                let next = |q, e| rows.iter().find(|t| t.from == q && t.on == e).map(|t| t.to);
+                on_transition(&mut self.cycle, &mut self.coverage, ev, next, fresh_trigger)
+            }
+            EdgeKind::Rank => on_transition(&mut self.ranks, &mut self.coverage, ev, next, keep),
+            EdgeKind::Nla => on_transition(&mut self.nlas, &mut self.coverage, ev, next, keep),
+            EdgeKind::Link => on_transition(&mut self.links, &mut self.coverage, ev, next, keep),
             EdgeKind::WalAppend => self.on_wal_append(ev),
             EdgeKind::WalReplay => Ok(()),
             EdgeKind::Takeover => self.on_takeover(ev),
@@ -797,264 +793,6 @@ impl Observer {
             reason,
             suffix,
         })
-    }
-
-    fn on_cycle(&mut self, ev: &RawEvent) -> Result<(), Nonconformance> {
-        let (Some(from), Some(event), Some(to)) =
-            (ev.arg_str("from"), ev.arg_str("event"), ev.arg_str("to"))
-        else {
-            return self.fail(
-                "cycle",
-                String::new(),
-                format!("malformed cycle_transition: {}", ev.render()),
-                vec![ev.render()],
-            );
-        };
-        let (Some(from), Some(event), Some(to)) =
-            (parse_phase(from), parse_cycle_event(event), parse_phase(to))
-        else {
-            return self.fail(
-                "cycle",
-                String::new(),
-                format!("unknown cycle phase/event name: {}", ev.render()),
-                vec![ev.render()],
-            );
-        };
-        // A fresh trigger lifecycle: the live runtime builds a new
-        // stepper at Idle for every migration request, so an Idle-rooted
-        // edge while the model sits in a terminal phase begins a new
-        // cycle, not a jump out of the old one.
-        if from == CyclePhase::Idle
-            && matches!(self.phase, CyclePhase::Complete | CyclePhase::Degraded)
-        {
-            self.phase = CyclePhase::Idle;
-        }
-        self.cycle_hist.push((from, event, to, ev.render()));
-        let spec = &self.spec;
-        let row = spec
-            .transitions
-            .iter()
-            .find(|t| t.from == from && t.on == event);
-        let derivable = self.phase == from && row.is_some_and(|t| t.to == to);
-        if !derivable {
-            let states = [
-                CyclePhase::Idle,
-                CyclePhase::Precopy,
-                CyclePhase::Stall,
-                CyclePhase::Migrate,
-                CyclePhase::Restart,
-                CyclePhase::Resume,
-                CyclePhase::Aborted,
-                CyclePhase::Complete,
-                CyclePhase::Degraded,
-            ];
-            let suffix = shortest_suffix(
-                &states,
-                |q, e| {
-                    spec.transitions
-                        .iter()
-                        .find(|t| t.from == q && t.on == e)
-                        .map(|t| t.to)
-                },
-                &self.cycle_hist,
-            );
-            let reason = if self.phase != from {
-                format!(
-                    "observed {} --{}--> {} but the cycle model is in {}",
-                    from.name(),
-                    event.name(),
-                    to.name(),
-                    self.phase.name()
-                )
-            } else {
-                format!(
-                    "no cycle-table row {} --{}--> {}",
-                    from.name(),
-                    event.name(),
-                    to.name()
-                )
-            };
-            return self.fail("cycle", "job".to_string(), reason, suffix);
-        }
-        self.coverage
-            .mark(edge_key("cycle", from.name(), event.name(), to.name()));
-        self.phase = to;
-        Ok(())
-    }
-
-    fn on_rank(&mut self, ev: &RawEvent) -> Result<(), Nonconformance> {
-        let (Some(rank), Some(from), Some(event), Some(to)) = (
-            ev.arg_u64("rank"),
-            ev.arg_str("from"),
-            ev.arg_str("event"),
-            ev.arg_str("to"),
-        ) else {
-            return self.fail(
-                "rank",
-                String::new(),
-                format!("malformed rank_transition: {}", ev.render()),
-                vec![ev.render()],
-            );
-        };
-        let (Some(from), Some(event), Some(to)) = (
-            parse_rank_life(from),
-            parse_rank_event(event),
-            parse_rank_life(to),
-        ) else {
-            return self.fail(
-                "rank",
-                String::new(),
-                format!("unknown rank state/event name: {}", ev.render()),
-                vec![ev.render()],
-            );
-        };
-        let cur = *self.ranks.entry(rank).or_insert(from);
-        let hist = self.rank_hist.entry(rank).or_default();
-        hist.push((from, event, to, ev.render()));
-        let derivable = cur == from && rank_next(from, event) == Some(to);
-        if !derivable {
-            let states = [
-                RankLife::Running,
-                RankLife::Suspended,
-                RankLife::Captured,
-                RankLife::Restarted,
-            ];
-            let suffix = shortest_suffix(&states, rank_next, hist);
-            let reason = if cur != from {
-                format!(
-                    "observed {} --{}--> {} but rank {rank} is {} in the model",
-                    from.name(),
-                    event.name(),
-                    to.name(),
-                    cur.name()
-                )
-            } else {
-                format!(
-                    "no rank-table row {} --{}--> {}",
-                    from.name(),
-                    event.name(),
-                    to.name()
-                )
-            };
-            return self.fail("rank", format!("rank {rank}"), reason, suffix);
-        }
-        self.coverage
-            .mark(edge_key("rank", from.name(), event.name(), to.name()));
-        self.ranks.insert(rank, to);
-        Ok(())
-    }
-
-    fn on_nla(&mut self, ev: &RawEvent) -> Result<(), Nonconformance> {
-        let (Some(node), Some(from), Some(event), Some(to)) = (
-            ev.arg_u64("node"),
-            ev.arg_str("from"),
-            ev.arg_str("event"),
-            ev.arg_str("to"),
-        ) else {
-            return self.fail(
-                "nla",
-                String::new(),
-                format!("malformed nla_transition: {}", ev.render()),
-                vec![ev.render()],
-            );
-        };
-        let (Some(from), Some(event), Some(to)) = (
-            parse_nla_state(from),
-            parse_nla_event(event),
-            parse_nla_state(to),
-        ) else {
-            return self.fail(
-                "nla",
-                String::new(),
-                format!("unknown NLA state/event name: {}", ev.render()),
-                vec![ev.render()],
-            );
-        };
-        let cur = *self.nlas.entry(node).or_insert(from);
-        let hist = self.nla_hist.entry(node).or_default();
-        hist.push((from, event, to, ev.render()));
-        let derivable = cur == from && nla_next(from, event) == Some(to);
-        if !derivable {
-            let states = [
-                NlaState::MigrationReady,
-                NlaState::MigrationSpare,
-                NlaState::MigrationInactive,
-            ];
-            let suffix = shortest_suffix(&states, nla_next, hist);
-            let reason = if cur != from {
-                format!(
-                    "observed {from} --{}--> {to} but node {node} is {cur} in the model",
-                    event.name()
-                )
-            } else {
-                format!("no NLA-table row {from} --{}--> {to}", event.name())
-            };
-            return self.fail("nla", format!("node {node}"), reason, suffix);
-        }
-        self.coverage.mark(edge_key(
-            "nla",
-            &from.to_string(),
-            event.name(),
-            &to.to_string(),
-        ));
-        self.nlas.insert(node, to);
-        Ok(())
-    }
-
-    fn on_link(&mut self, ev: &RawEvent) -> Result<(), Nonconformance> {
-        let (Some(node), Some(from), Some(event), Some(to)) = (
-            ev.arg_u64("node"),
-            ev.arg_str("from"),
-            ev.arg_str("on"),
-            ev.arg_str("to"),
-        ) else {
-            return self.fail(
-                "link",
-                String::new(),
-                format!("malformed link_transition: {}", ev.render()),
-                vec![ev.render()],
-            );
-        };
-        let (Some(from), Some(event), Some(to)) = (
-            parse_link_state(from),
-            parse_link_event(event),
-            parse_link_state(to),
-        ) else {
-            return self.fail(
-                "link",
-                String::new(),
-                format!("unknown link state/event name: {}", ev.render()),
-                vec![ev.render()],
-            );
-        };
-        let cur = *self.links.entry(node).or_insert(from);
-        let hist = self.link_hist.entry(node).or_default();
-        hist.push((from, event, to, ev.render()));
-        let derivable = cur == from && link_next(from, event) == Some(to);
-        if !derivable {
-            let states = [
-                LinkState::Root,
-                LinkState::Attached,
-                LinkState::AttachedWithFallback,
-            ];
-            let suffix = shortest_suffix(&states, link_next, hist);
-            let reason = if cur != from {
-                format!(
-                    "observed {from:?} --{event:?}--> {to:?} but node {node}'s uplink is {cur:?} in the model"
-                )
-            } else {
-                format!("no uplink-table row {from:?} --{event:?}--> {to:?}")
-            };
-            return self.fail("link", format!("node {node}"), reason, suffix);
-        }
-        self.coverage.mark(edge_key(
-            "link",
-            &format!("{from:?}"),
-            &format!("{event:?}"),
-            &format!("{to:?}"),
-        ));
-        self.links.insert(node, to);
-        Ok(())
     }
 
     /// Render the offending cycle's WAL record tail (suffix for the
@@ -1217,7 +955,7 @@ impl Observer {
         }
         // The live stepper died with the Job Manager; the standby (and a
         // later respawned JM) begins from Idle.
-        self.phase = CyclePhase::Idle;
+        self.cycle.cur.insert(0, CyclePhase::Idle);
         Ok(())
     }
 
@@ -1894,8 +1632,73 @@ mod tests {
         assert_eq!(v.machine, "fence");
     }
 
+    fn edge_ev(name: &str, scope: (&str, u64), keys: [&str; 3], names: [&str; 3]) -> RawEvent {
+        let mut args = vec![(scope.0, ArgVal::U64(scope.1))];
+        for (k, v) in keys.into_iter().zip(names) {
+            args.push((k, ArgVal::Str(v.to_string())));
+        }
+        instant("proto", name, args)
+    }
+
+    fn rank_ev(rank: u64, from: &str, event: &str, to: &str) -> RawEvent {
+        let keys = ["from", "event", "to"];
+        edge_ev("rank_transition", ("rank", rank), keys, [from, event, to])
+    }
+
+    #[test]
+    fn rank_edge_from_the_wrong_state_is_rejected() {
+        let trace = vec![
+            rank_ev(3, "running", "suspend", "suspended"),
+            // A real row, but rank 3 is already suspended in the model.
+            rank_ev(3, "running", "suspend", "suspended"),
+        ];
+        let v = Observer::replay(&trace).violation.expect("nonconforming");
+        assert_eq!(
+            (v.machine, v.scope.as_str(), v.index),
+            ("rank", "rank 3", 1)
+        );
+        // The edge alone is derivable; only with the prior event is it not.
+        assert_eq!(v.suffix.len(), 2, "suffix: {:#?}", v.suffix);
+    }
+
+    #[test]
+    fn nla_triple_outside_the_table_is_rejected() {
+        let keys = ["from", "event", "to"];
+        let names = ["MIGRATION_SPARE", "source_drained", "MIGRATION_INACTIVE"];
+        let trace = vec![edge_ev("nla_transition", ("node", 5), keys, names)];
+        let v = Observer::replay(&trace).violation.expect("nonconforming");
+        assert_eq!((v.machine, v.scope.as_str()), ("nla", "node 5"));
+        assert_eq!(v.suffix.len(), 1);
+    }
+
+    #[test]
+    fn uplink_edges_are_checked_under_their_on_key() {
+        let keys = ["from", "on", "to"];
+        let link = |names| edge_ev("link_transition", ("node", 2), keys, names);
+        let ok = vec![link(["Attached", "AckGrandparent", "AttachedWithFallback"])];
+        let report = Observer::replay(&ok);
+        assert!(report.is_conformant(), "{:?}", report.violation);
+        let key = "link/Attached --AckGrandparent--> AttachedWithFallback";
+        assert_eq!(report.coverage.count(key), 1);
+        // The root reacts to nothing.
+        let v = Observer::replay(&[link(["Root", "ParentLost", "Root"])])
+            .violation
+            .expect("nonconforming");
+        assert_eq!((v.machine, v.scope.as_str()), ("link", "node 2"));
+    }
+
+    #[test]
+    fn unknown_state_name_is_rejected() {
+        let v = Observer::replay(&[rank_ev(0, "sleeping", "resume", "running")])
+            .violation
+            .expect("nonconforming");
+        assert_eq!(v.machine, "rank");
+        assert!(v.reason.contains("unknown"), "{}", v.reason);
+    }
+
     #[test]
     fn coverage_universe_matches_tables() {
+        use crate::spec::{LINK_TABLE, NLA_TABLE, RANK_TABLE};
         let total = MigrationSpec::shipped().transitions.len()
             + NLA_TABLE.len()
             + RANK_TABLE.len()

@@ -5,10 +5,13 @@
 //! Resume, §III-A), the per-rank lifecycle, the NLA states
 //! (`MIGRATION_READY` / `MIGRATION_SPARE` / `MIGRATION_INACTIVE`) and the
 //! FTB agent's self-healing uplink are specified here as typed transition
-//! tables ([`spec`]). The live runtime drives its transitions through the
-//! same tables it checks (see `jobmig-core`'s `CycleStepper` use and the
-//! `nla_next` call sites), so the spec cannot drift from the
-//! implementation.
+//! tables ([`spec`]). Every state and event enum carries its trace names
+//! once ([`Named`]); the rank, NLA and uplink machines share one row type
+//! ([`Transition`]), one trait ([`Machine`]) and one lookup ([`next`]).
+//! The live runtime drives its transitions through the same tables it
+//! checks — `jobmig-core` and `ftb` step them with [`traced_step`], the
+//! Job Manager steps the cycle with a [`CycleStepper`] — so the spec
+//! cannot drift from the implementation.
 //!
 //! [`model`] composes the tables with `faultplane`'s fault alphabet, the
 //! spare pool, and the retry budget into one product state machine and
@@ -71,7 +74,8 @@ pub use model::{
     RankSite, TargetNla, PIPELINE_RANKS,
 };
 pub use spec::{
-    fault_edges, link_next, nla_next, rank_next, Action, CycleEvent, CyclePhase, CycleStepper,
-    CycleTransition, FaultEdge, Guard, GuardCtx, LinkEvent, LinkState, MigrationSpec, NlaEvent,
-    NlaState, RankEvent, RankLife, StepError,
+    emit_transition, fault_edges, next, traced_step, Action, CycleEvent, CyclePhase, CycleStepper,
+    CycleTransition, FaultEdge, Guard, GuardCtx, LinkEvent, LinkState, Machine, MigrationSpec,
+    Named, NlaEvent, NlaState, RankEvent, RankLife, StepError, TraceLabels, Transition,
+    CYCLE_LABELS,
 };

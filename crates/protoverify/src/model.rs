@@ -10,9 +10,9 @@
 //! concrete [`faultplane::FaultPlan`] and replayed in the simulator.
 
 use crate::spec::{
-    fault_edges, Action, CycleEvent, CyclePhase, FaultEdge, GuardCtx, MigrationSpec,
+    fault_edges, next, Action, CycleEvent, CyclePhase, FaultEdge, GuardCtx, MigrationSpec,
+    NlaEvent, NlaState,
 };
-use crate::NlaState;
 use faultplane::{FaultKind, FaultPlan, FaultSpec, MigPhase, NetSel, StoreFault, WalPoint};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -62,6 +62,25 @@ pub enum TargetNla {
     Alive(NlaState),
     /// The consumed spare crashed mid-attempt.
     Dead,
+}
+
+impl TargetNla {
+    /// Step a live target's NLA on `ev`; a dead or absent target has no
+    /// NLA to step.
+    fn step(self, ev: NlaEvent) -> TargetNla {
+        match self {
+            TargetNla::Alive(s) => TargetNla::Alive(nla_step(s, ev)),
+            other => other,
+        }
+    }
+}
+
+/// Step an NLA through [`crate::spec::NLA_TABLE`], the table the runtime
+/// runs. A missing row leaves the NLA where it is, so a table without an
+/// edge the protocol needs shows up as a violated invariant (say, a
+/// completed migration whose source never went inactive).
+fn nla_step(s: NlaState, ev: NlaEvent) -> NlaState {
+    next(s, ev).unwrap_or(s)
 }
 
 /// Ranks tracked individually by the pipelined refinement. Two is the
@@ -448,7 +467,7 @@ fn apply(s: &ModelState, to: CyclePhase, actions: &[Action]) -> ModelState {
             }
             Action::StreamImages => {
                 n.ranks = RankSite::ImagesOnTarget;
-                n.source = NlaState::MigrationInactive;
+                n.source = nla_step(n.source, NlaEvent::SourceDrained);
                 // The stop-and-copy round streams every pending segment —
                 // residual dirty delta after a cutover, the full image
                 // after a fallback — so nothing dirty is outstanding.
@@ -456,9 +475,7 @@ fn apply(s: &ModelState, to: CyclePhase, actions: &[Action]) -> ModelState {
             }
             Action::RestartRanks => {
                 n.ranks = RankSite::RestartedOnTarget;
-                if let TargetNla::Alive(_) = n.target {
-                    n.target = TargetNla::Alive(NlaState::MigrationReady);
-                }
+                n.target = n.target.step(NlaEvent::RestartComplete);
             }
             Action::ResumeRanks => {
                 n.ranks = match n.ranks {
@@ -473,11 +490,9 @@ fn apply(s: &ModelState, to: CyclePhase, actions: &[Action]) -> ModelState {
                 // every write — pre-copied target state is discarded, so
                 // no dirty segment can be lost.
                 n.ranks = RankSite::RunningOnSource;
-                n.source = NlaState::MigrationReady;
+                n.source = nla_step(n.source, NlaEvent::RollbackSource);
+                n.target = n.target.step(NlaEvent::RollbackTarget);
                 n.dirty = false;
-                if let TargetNla::Alive(_) = n.target {
-                    n.target = TargetNla::Alive(NlaState::MigrationSpare);
-                }
             }
             Action::CheckpointToStore => {
                 n.checkpointed = true;

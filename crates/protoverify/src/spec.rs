@@ -2,79 +2,195 @@
 //! and actions for every state machine the migration framework runs.
 //!
 //! These tables are the *single source of truth* for protocol structure.
-//! The runtime (`jobmig-core`) and the FTB agent (`ftb`) drive their
-//! transitions through them at execution time (illegal transitions are
-//! trapped), and the model checker in [`crate::model`] exhaustively
-//! explores the same tables offline. A table edit therefore changes both
-//! the running system and the checked model — they cannot drift apart.
+//! Each state and event enum is declared once together with its trace
+//! names ([`Named`]); parsing a name back is derived from that one list.
+//! The rank lifecycle, the NLA and the FTB uplink are [`Machine`]s: one
+//! [`Transition`] row type, one const table each and one lookup
+//! ([`next`]). The runtime (`jobmig-core`) and the FTB agent (`ftb`) step
+//! them through [`traced_step`], which traps a missing row and emits the
+//! `proto/*_transition` instant; the migration cycle's guarded rows live
+//! in [`MigrationSpec`], and its stepper's transitions go out through the
+//! same [`emit_transition`]. The model checker in [`crate::model`]
+//! explores the same tables offline, and the conformance observer in
+//! [`crate::confcheck`] replays traces through them. A table edit
+//! therefore changes the running system, the checked model and the
+//! observer together — they cannot drift apart.
 
 use faultplane::{FaultKind, MigPhase};
+use simkit::Ctx;
 use std::fmt;
+
+// ---------------------------------------------------------------------------
+// Names, rows and the traced step shared by every machine
+// ---------------------------------------------------------------------------
+
+/// A state or event enum with one stable trace name per variant.
+pub trait Named: Copy + Eq + fmt::Debug + 'static {
+    /// Every variant, in declaration order.
+    const ALL: &'static [Self];
+
+    /// The variant's stable trace name.
+    fn name(&self) -> &'static str;
+
+    /// The variant whose [`Named::name`] is `s`.
+    fn from_name(s: &str) -> Option<Self> {
+        Self::ALL.iter().copied().find(|v| v.name() == s)
+    }
+}
+
+/// Declare a state or event enum together with its trace names — the one
+/// name list behind [`Named`] and `Display`.
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident { $($(#[$vmeta:meta])* $v:ident => $name:literal,)+ }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum $ty {
+            $($(#[$vmeta])* $v,)+
+        }
+
+        impl Named for $ty {
+            const ALL: &'static [Self] = &[$($ty::$v),+];
+
+            fn name(&self) -> &'static str {
+                match self {
+                    $($ty::$v => $name,)+
+                }
+            }
+        }
+
+        impl fmt::Display for $ty {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+    };
+}
+
+/// One row of a machine's transition table.
+#[derive(Debug, Clone, Copy)]
+pub struct Transition<S, E> {
+    /// State the machine is in.
+    pub from: S,
+    /// Event applied to it.
+    pub on: E,
+    /// State it moves to.
+    pub to: S,
+}
+
+const fn row<S, E>(from: S, on: E, to: S) -> Transition<S, E> {
+    Transition { from, on, to }
+}
+
+/// How a machine's transitions appear in the trace.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceLabels {
+    /// Machine name: the coverage-table prefix and the observer's
+    /// nonconformance label (`"rank"`).
+    pub machine: &'static str,
+    /// Name of the `proto` instant (`"rank_transition"`).
+    pub instant: &'static str,
+    /// Argument key of the instance id (`"rank"`, `"node"`); `None` for
+    /// the job-wide cycle machine.
+    pub scope: Option<&'static str>,
+    /// Argument key of the event (`"event"`; the uplink's is `"on"`).
+    pub event: &'static str,
+}
+
+/// A state machine stepped through a const table of [`Transition`] rows.
+pub trait Machine: Named {
+    /// The events that move it.
+    type Event: Named;
+    /// Its transition table.
+    const TABLE: &'static [Transition<Self, Self::Event>];
+    /// How its transitions appear in the trace.
+    const LABELS: TraceLabels;
+}
+
+/// The state `cur` moves to on `ev`, or `None` if `M`'s table has no such
+/// row (a protocol violation at a live call site).
+pub fn next<M: Machine>(cur: M, ev: M::Event) -> Option<M> {
+    M::TABLE
+        .iter()
+        .find(|t| t.from == cur && t.on == ev)
+        .map(|t| t.to)
+}
+
+/// Step `cur` on `ev` through `M`'s table and emit the transition, where
+/// `id` is the rank or node the machine belongs to. A missing row means
+/// the caller fired an event the spec forbids in this state — a protocol
+/// bug, trapped loudly (the model checker proves the shipped tables, so
+/// this fires only if a caller drifts from them).
+pub fn traced_step<M: Machine>(ctx: &Ctx, id: u64, cur: M, ev: M::Event) -> M {
+    let labels = &M::LABELS;
+    let Some(to) = next(cur, ev) else {
+        panic!(
+            "{} protocol violation: {} {id} got {} while {}",
+            labels.machine,
+            labels.scope.unwrap_or("job"),
+            ev.name(),
+            cur.name()
+        );
+    };
+    emit_transition(ctx, labels, Some(id), cur, ev, to);
+    to
+}
+
+/// Emit one `proto/<machine>_transition` instant: the instance id (when
+/// the machine has one), then `from`, the event and `to` by name. The
+/// arguments are built only when tracing is on.
+pub fn emit_transition<S: Named, E: Named>(
+    ctx: &Ctx,
+    labels: &TraceLabels,
+    id: Option<u64>,
+    from: S,
+    on: E,
+    to: S,
+) {
+    ctx.instant_with("proto", labels.instant, || {
+        let scope = labels.scope.zip(id).map(|(key, id)| (key, id.into()));
+        let edge = [
+            ("from", from.name().into()),
+            (labels.event, on.name().into()),
+            ("to", to.name().into()),
+        ];
+        scope.into_iter().chain(edge).collect()
+    });
+}
 
 // ---------------------------------------------------------------------------
 // NLA state machine (paper §III-A)
 // ---------------------------------------------------------------------------
 
-/// Node Launch Agent states, as named in §III-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum NlaState {
-    /// Active compute node participating in the job.
-    MigrationReady,
-    /// Hot spare, standing by to receive processes.
-    MigrationSpare,
-    /// Former source node after its processes have left.
-    MigrationInactive,
-}
-
-impl fmt::Display for NlaState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            NlaState::MigrationReady => "MIGRATION_READY",
-            NlaState::MigrationSpare => "MIGRATION_SPARE",
-            NlaState::MigrationInactive => "MIGRATION_INACTIVE",
-        };
-        write!(f, "{s}")
+named_enum! {
+    /// Node Launch Agent states, as named in §III-A.
+    pub enum NlaState {
+        /// Active compute node participating in the job.
+        MigrationReady => "MIGRATION_READY",
+        /// Hot spare, standing by to receive processes.
+        MigrationSpare => "MIGRATION_SPARE",
+        /// Former source node after its processes have left.
+        MigrationInactive => "MIGRATION_INACTIVE",
     }
 }
 
-/// Events that move an NLA between its states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum NlaEvent {
-    /// Source NLA published PIIC: all local images have left (Phase 2).
-    SourceDrained,
-    /// Target NLA restarted every migrated process (end of Phase 3).
-    RestartComplete,
-    /// Cycle abort: the source goes back to hosting its ranks.
-    RollbackSource,
-    /// Cycle abort: a surviving target goes back to being a clean spare.
-    RollbackTarget,
-    /// A vacated (inactive) node leased back out of the shared spare pool
-    /// re-enters service as a clean spare.
-    Reprovision,
-}
-
-impl NlaEvent {
-    /// Stable lower-snake name (used in traces).
-    pub fn name(&self) -> &'static str {
-        match self {
-            NlaEvent::SourceDrained => "source_drained",
-            NlaEvent::RestartComplete => "restart_complete",
-            NlaEvent::RollbackSource => "rollback_source",
-            NlaEvent::RollbackTarget => "rollback_target",
-            NlaEvent::Reprovision => "reprovision",
-        }
+named_enum! {
+    /// Events that move an NLA between its states.
+    pub enum NlaEvent {
+        /// Source NLA published PIIC: all local images have left (Phase 2).
+        SourceDrained => "source_drained",
+        /// Target NLA restarted every migrated process (end of Phase 3).
+        RestartComplete => "restart_complete",
+        /// Cycle abort: the source goes back to hosting its ranks.
+        RollbackSource => "rollback_source",
+        /// Cycle abort: a surviving target goes back to being a clean spare.
+        RollbackTarget => "rollback_target",
+        /// A vacated (inactive) node leased back out of the shared spare
+        /// pool re-enters service as a clean spare.
+        Reprovision => "reprovision",
     }
-}
-
-/// One row of the NLA transition table.
-#[derive(Debug, Clone, Copy)]
-pub struct NlaTransition {
-    /// State the NLA is in.
-    pub from: NlaState,
-    /// Event applied to it.
-    pub on: NlaEvent,
-    /// State it moves to.
-    pub to: NlaState,
 }
 
 /// The shipped NLA transition table.
@@ -83,123 +199,68 @@ pub struct NlaTransition {
 /// source drained) and `MigrationInactive` (abort after PIIC);
 /// `RollbackTarget` from both `MigrationSpare` (abort before Phase 3
 /// completed) and `MigrationReady` (abort after the target went ready).
-pub const NLA_TABLE: &[NlaTransition] = &[
-    NlaTransition {
-        from: NlaState::MigrationReady,
-        on: NlaEvent::SourceDrained,
-        to: NlaState::MigrationInactive,
-    },
-    NlaTransition {
-        from: NlaState::MigrationSpare,
-        on: NlaEvent::RestartComplete,
-        to: NlaState::MigrationReady,
-    },
-    NlaTransition {
-        from: NlaState::MigrationInactive,
-        on: NlaEvent::RollbackSource,
-        to: NlaState::MigrationReady,
-    },
-    NlaTransition {
-        from: NlaState::MigrationReady,
-        on: NlaEvent::RollbackSource,
-        to: NlaState::MigrationReady,
-    },
-    NlaTransition {
-        from: NlaState::MigrationReady,
-        on: NlaEvent::RollbackTarget,
-        to: NlaState::MigrationSpare,
-    },
-    NlaTransition {
-        from: NlaState::MigrationSpare,
-        on: NlaEvent::RollbackTarget,
-        to: NlaState::MigrationSpare,
-    },
-    // Fleet reclamation: an inactive node returned to the shared pool and
-    // leased back out becomes a clean spare again.
-    NlaTransition {
-        from: NlaState::MigrationInactive,
-        on: NlaEvent::Reprovision,
-        to: NlaState::MigrationSpare,
-    },
-];
+pub const NLA_TABLE: &[Transition<NlaState, NlaEvent>] = {
+    use NlaEvent::*;
+    use NlaState::*;
+    &[
+        row(MigrationReady, SourceDrained, MigrationInactive),
+        row(MigrationSpare, RestartComplete, MigrationReady),
+        row(MigrationInactive, RollbackSource, MigrationReady),
+        row(MigrationReady, RollbackSource, MigrationReady),
+        row(MigrationReady, RollbackTarget, MigrationSpare),
+        row(MigrationSpare, RollbackTarget, MigrationSpare),
+        // Fleet reclamation: an inactive node returned to the shared pool
+        // and leased back out becomes a clean spare again.
+        row(MigrationInactive, Reprovision, MigrationSpare),
+    ]
+};
 
-/// The state an NLA in `cur` moves to on `ev`, or `None` if the table has
-/// no such transition (a protocol violation at a live call site).
-pub fn nla_next(cur: NlaState, ev: NlaEvent) -> Option<NlaState> {
-    NLA_TABLE
-        .iter()
-        .find(|t| t.from == cur && t.on == ev)
-        .map(|t| t.to)
+impl Machine for NlaState {
+    type Event = NlaEvent;
+    const TABLE: &'static [Transition<Self, NlaEvent>] = NLA_TABLE;
+    const LABELS: TraceLabels = TraceLabels {
+        machine: "nla",
+        instant: "nla_transition",
+        scope: Some("node"),
+        event: "event",
+    };
 }
 
 // ---------------------------------------------------------------------------
 // Per-rank lifecycle
 // ---------------------------------------------------------------------------
 
-/// Lifecycle of one MPI rank through a migration cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RankLife {
-    /// Application thread running normally.
-    Running,
-    /// Suspended and drained (entered the cycle, Phase 1 done locally).
-    Suspended,
-    /// Source rank: C/R metadata captured and the app incarnation killed;
-    /// the rank exists only as captured state / an in-flight image.
-    Captured,
-    /// Restored from an image (on the target in Phase 3, or back on the
-    /// source by an abort's resurrection) but not yet resumed.
-    Restarted,
-}
-
-impl RankLife {
-    /// Stable lower-snake name (used in traces).
-    pub fn name(&self) -> &'static str {
-        match self {
-            RankLife::Running => "running",
-            RankLife::Suspended => "suspended",
-            RankLife::Captured => "captured",
-            RankLife::Restarted => "restarted",
-        }
+named_enum! {
+    /// Lifecycle of one MPI rank through a migration cycle.
+    pub enum RankLife {
+        /// Application thread running normally.
+        Running => "running",
+        /// Suspended and drained (entered the cycle, Phase 1 done locally).
+        Suspended => "suspended",
+        /// Source rank: C/R metadata captured and the app incarnation
+        /// killed; the rank exists only as captured state / an in-flight
+        /// image.
+        Captured => "captured",
+        /// Restored from an image (on the target in Phase 3, or back on the
+        /// source by an abort's resurrection) but not yet resumed.
+        Restarted => "restarted",
     }
 }
 
-/// Events that move a rank through its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RankEvent {
-    /// The C/R thread suspended and drained the rank (Phase 1).
-    Suspend,
-    /// Source side: metadata captured, app incarnation killed (Phase 2).
-    Capture,
-    /// Restored from its image on the target (Phase 3).
-    Restart,
-    /// Abort path: resurrected on the source from the captured metadata.
-    Resurrect,
-    /// Phase 4: migration barrier passed, endpoints rebuilt, app running.
-    Resume,
-}
-
-impl RankEvent {
-    /// Stable lower-snake name (used in traces).
-    pub fn name(&self) -> &'static str {
-        match self {
-            RankEvent::Suspend => "suspend",
-            RankEvent::Capture => "capture",
-            RankEvent::Restart => "restart",
-            RankEvent::Resurrect => "resurrect",
-            RankEvent::Resume => "resume",
-        }
+named_enum! {
+    /// Events that move a rank through its lifecycle.
+    pub enum RankEvent {
+        /// The C/R thread suspended and drained the rank (Phase 1).
+        Suspend => "suspend",
+        /// Source side: metadata captured, app incarnation killed (Phase 2).
+        Capture => "capture",
+        /// Restored from its image on the target (Phase 3).
+        Restart => "restart",
+        /// Abort path: resurrected on the source from the captured metadata.
+        Resurrect => "resurrect",
+        /// Phase 4: migration barrier passed, endpoints rebuilt, app running.
+        Resume => "resume",
     }
-}
-
-/// One row of the rank lifecycle table.
-#[derive(Debug, Clone, Copy)]
-pub struct RankTransition {
-    /// Lifecycle state the rank is in.
-    pub from: RankLife,
-    /// Event applied to it.
-    pub on: RankEvent,
-    /// State it moves to.
-    pub to: RankLife,
 }
 
 /// The shipped rank lifecycle table. Non-source ranks travel
@@ -207,181 +268,131 @@ pub struct RankTransition {
 /// `Running → Suspended → Captured → Restarted → Running`, where the
 /// `Captured → Restarted` edge is either a Phase 3 restart on the target
 /// or an abort's resurrection on the source (`Resurrect`).
-pub const RANK_TABLE: &[RankTransition] = &[
-    RankTransition {
-        from: RankLife::Running,
-        on: RankEvent::Suspend,
-        to: RankLife::Suspended,
-    },
-    RankTransition {
-        from: RankLife::Suspended,
-        on: RankEvent::Capture,
-        to: RankLife::Captured,
-    },
-    RankTransition {
-        from: RankLife::Captured,
-        on: RankEvent::Restart,
-        to: RankLife::Restarted,
-    },
-    RankTransition {
-        from: RankLife::Captured,
-        on: RankEvent::Resurrect,
-        to: RankLife::Restarted,
-    },
-    RankTransition {
-        from: RankLife::Restarted,
-        on: RankEvent::Resume,
-        to: RankLife::Running,
-    },
-    RankTransition {
-        from: RankLife::Suspended,
-        on: RankEvent::Resume,
-        to: RankLife::Running,
-    },
-    // An abort may resurrect a rank that Phase 3 had already restarted on
-    // the (now abandoned) target: the host moves back to the source but
-    // the lifecycle stage is unchanged.
-    RankTransition {
-        from: RankLife::Restarted,
-        on: RankEvent::Resurrect,
-        to: RankLife::Restarted,
-    },
-    // The Phase 4 barrier is tolerant: a rank that resumed before the
-    // cycle aborted re-enters Phase 4 on the retry, so Resume is
-    // idempotent on a running rank.
-    RankTransition {
-        from: RankLife::Running,
-        on: RankEvent::Resume,
-        to: RankLife::Running,
-    },
-];
+pub const RANK_TABLE: &[Transition<RankLife, RankEvent>] = {
+    use RankEvent::*;
+    use RankLife::*;
+    &[
+        row(Running, Suspend, Suspended),
+        row(Suspended, Capture, Captured),
+        row(Captured, Restart, Restarted),
+        row(Captured, Resurrect, Restarted),
+        row(Restarted, Resume, Running),
+        row(Suspended, Resume, Running),
+        // An abort may resurrect a rank that Phase 3 had already restarted
+        // on the (now abandoned) target: the host moves back to the source
+        // but the lifecycle stage is unchanged.
+        row(Restarted, Resurrect, Restarted),
+        // The Phase 4 barrier is tolerant: a rank that resumed before the
+        // cycle aborted re-enters Phase 4 on the retry, so Resume is
+        // idempotent on a running rank.
+        row(Running, Resume, Running),
+    ]
+};
 
-/// The lifecycle state a rank in `cur` moves to on `ev`, or `None` if the
-/// table has no such transition.
-pub fn rank_next(cur: RankLife, ev: RankEvent) -> Option<RankLife> {
-    RANK_TABLE
-        .iter()
-        .find(|t| t.from == cur && t.on == ev)
-        .map(|t| t.to)
+impl Machine for RankLife {
+    type Event = RankEvent;
+    const TABLE: &'static [Transition<Self, RankEvent>] = RANK_TABLE;
+    const LABELS: TraceLabels = TraceLabels {
+        machine: "rank",
+        instant: "rank_transition",
+        scope: Some("rank"),
+        event: "event",
+    };
 }
 
 // ---------------------------------------------------------------------------
 // FTB agent parent-link machine
 // ---------------------------------------------------------------------------
 
-/// The state of an FTB agent's uplink into the agent tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LinkState {
-    /// Tree root: no parent, nothing to lose.
-    Root,
-    /// Attached to a parent; no fallback ancestor known.
-    Attached,
-    /// Attached, and the grandparent is known as a fallback.
-    AttachedWithFallback,
+named_enum! {
+    /// The state of an FTB agent's uplink into the agent tree.
+    pub enum LinkState {
+        /// Tree root: no parent, nothing to lose.
+        Root => "Root",
+        /// Attached to a parent; no fallback ancestor known.
+        Attached => "Attached",
+        /// Attached, and the grandparent is known as a fallback.
+        AttachedWithFallback => "AttachedWithFallback",
+    }
 }
 
-/// Events on the uplink.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LinkEvent {
-    /// `AttachAck` arrived carrying a grandparent.
-    AckGrandparent,
-    /// `AttachAck` arrived with no grandparent (parent is the root).
-    AckNoGrandparent,
-    /// A send to the parent failed (dead parent or transient link error).
-    ParentLost,
-}
-
-/// One row of the uplink table.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkTransition {
-    /// Uplink state.
-    pub from: LinkState,
-    /// Event applied.
-    pub on: LinkEvent,
-    /// Resulting state.
-    pub to: LinkState,
+named_enum! {
+    /// Events on the uplink.
+    pub enum LinkEvent {
+        /// `AttachAck` arrived carrying a grandparent.
+        AckGrandparent => "AckGrandparent",
+        /// `AttachAck` arrived with no grandparent (parent is the root).
+        AckNoGrandparent => "AckNoGrandparent",
+        /// A send to the parent failed (dead parent or transient link
+        /// error).
+        ParentLost => "ParentLost",
+    }
 }
 
 /// The shipped uplink table. The self-healing rule it encodes: on a
 /// failed parent send, adopt the grandparent when one is known (consuming
 /// the fallback), otherwise *keep* the current parent — a transient link
-/// error must never orphan the subtree permanently.
-pub const LINK_TABLE: &[LinkTransition] = &[
-    LinkTransition {
-        from: LinkState::Attached,
-        on: LinkEvent::AckGrandparent,
-        to: LinkState::AttachedWithFallback,
-    },
-    LinkTransition {
-        from: LinkState::AttachedWithFallback,
-        on: LinkEvent::AckGrandparent,
-        to: LinkState::AttachedWithFallback,
-    },
-    LinkTransition {
-        from: LinkState::Attached,
-        on: LinkEvent::AckNoGrandparent,
-        to: LinkState::Attached,
-    },
-    LinkTransition {
-        from: LinkState::AttachedWithFallback,
-        on: LinkEvent::AckNoGrandparent,
-        to: LinkState::Attached,
-    },
-    // Fallback known: the grandparent becomes the parent (fallback
-    // consumed until the next AttachAck repopulates it).
-    LinkTransition {
-        from: LinkState::AttachedWithFallback,
-        on: LinkEvent::ParentLost,
-        to: LinkState::Attached,
-    },
-    // No fallback: keep the parent (flap tolerance).
-    LinkTransition {
-        from: LinkState::Attached,
-        on: LinkEvent::ParentLost,
-        to: LinkState::Attached,
-    },
-];
+/// error must never orphan the subtree permanently. The root has no rows:
+/// it reacts to nothing.
+pub const LINK_TABLE: &[Transition<LinkState, LinkEvent>] = {
+    use LinkEvent::*;
+    use LinkState::*;
+    &[
+        row(Attached, AckGrandparent, AttachedWithFallback),
+        row(AttachedWithFallback, AckGrandparent, AttachedWithFallback),
+        row(Attached, AckNoGrandparent, Attached),
+        row(AttachedWithFallback, AckNoGrandparent, Attached),
+        // Fallback known: the grandparent becomes the parent (fallback
+        // consumed until the next AttachAck repopulates it).
+        row(AttachedWithFallback, ParentLost, Attached),
+        // No fallback: keep the parent (flap tolerance).
+        row(Attached, ParentLost, Attached),
+    ]
+};
 
-/// The uplink state reached from `cur` on `ev`, or `None` if illegal
-/// (e.g. any event at the root).
-pub fn link_next(cur: LinkState, ev: LinkEvent) -> Option<LinkState> {
-    LINK_TABLE
-        .iter()
-        .find(|t| t.from == cur && t.on == ev)
-        .map(|t| t.to)
+impl Machine for LinkState {
+    type Event = LinkEvent;
+    const TABLE: &'static [Transition<Self, LinkEvent>] = LINK_TABLE;
+    const LABELS: TraceLabels = TraceLabels {
+        machine: "link",
+        instant: "link_transition",
+        scope: Some("node"),
+        event: "on",
+    };
 }
 
 // ---------------------------------------------------------------------------
 // Migration-cycle phase machine (paper §III-A, hardened by recovery)
 // ---------------------------------------------------------------------------
 
-/// The phase of one migration trigger's lifecycle, from the Job Manager's
-/// point of view. `Stall`..`Resume` are the paper's four phases; the rest
-/// are the recovery superstructure PR 2 added around them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum CyclePhase {
-    /// Trigger accepted, no attempt started yet.
-    Idle,
-    /// Live-migration prelude: iterative pre-copy rounds stream the image
-    /// (full, then dirty deltas) to the spare while every rank keeps
-    /// running. Ends with a short `Cutover` into `Stall`, or a
-    /// `FallbackStopCopy` into the same `Stall` when the dirty rate never
-    /// converges.
-    Precopy,
-    /// Phase 1 — Job Stall.
-    Stall,
-    /// Phase 2 — Job Migration.
-    Migrate,
-    /// Phase 3 — Restart on the spare.
-    Restart,
-    /// Phase 4 — Resume.
-    Resume,
-    /// An attempt failed; the job has been rolled back to the source.
-    Aborted,
-    /// Terminal: the migration completed.
-    Complete,
-    /// Terminal: degraded to a coordinated checkpoint (CR baseline).
-    Degraded,
+named_enum! {
+    /// The phase of one migration trigger's lifecycle, from the Job
+    /// Manager's point of view. `Stall`..`Resume` are the paper's four
+    /// phases; the rest are the recovery superstructure around them.
+    pub enum CyclePhase {
+        /// Trigger accepted, no attempt started yet.
+        Idle => "idle",
+        /// Live-migration prelude: iterative pre-copy rounds stream the
+        /// image (full, then dirty deltas) to the spare while every rank
+        /// keeps running. Ends with a short `Cutover` into `Stall`, or a
+        /// `FallbackStopCopy` into the same `Stall` when the dirty rate
+        /// never converges.
+        Precopy => "precopy",
+        /// Phase 1 — Job Stall.
+        Stall => "stall",
+        /// Phase 2 — Job Migration.
+        Migrate => "migrate",
+        /// Phase 3 — Restart on the spare.
+        Restart => "restart",
+        /// Phase 4 — Resume.
+        Resume => "resume",
+        /// An attempt failed; the job has been rolled back to the source.
+        Aborted => "aborted",
+        /// Terminal: the migration completed.
+        Complete => "complete",
+        /// Terminal: degraded to a coordinated checkpoint (CR baseline).
+        Degraded => "degraded",
+    }
 }
 
 impl CyclePhase {
@@ -401,119 +412,77 @@ impl CyclePhase {
             _ => None,
         }
     }
-
-    /// Stable lower-snake name (used in traces and counterexamples).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CyclePhase::Idle => "idle",
-            CyclePhase::Precopy => "precopy",
-            CyclePhase::Stall => "stall",
-            CyclePhase::Migrate => "migrate",
-            CyclePhase::Restart => "restart",
-            CyclePhase::Resume => "resume",
-            CyclePhase::Aborted => "aborted",
-            CyclePhase::Complete => "complete",
-            CyclePhase::Degraded => "degraded",
-        }
-    }
 }
 
-impl fmt::Display for CyclePhase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// How the migration cycle's transitions appear in the trace. The cycle
+/// is job-wide, so its instants carry no instance id.
+pub const CYCLE_LABELS: TraceLabels = TraceLabels {
+    machine: "cycle",
+    instant: "cycle_transition",
+    scope: None,
+    event: "event",
+};
 
-/// Events that move a trigger between cycle phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum CycleEvent {
-    /// First attempt begins (consumes a spare).
-    Trigger,
-    /// First attempt begins in live mode (consumes a spare): the cycle
-    /// enters [`CyclePhase::Precopy`] instead of stalling the job.
-    LiveTrigger,
-    /// One iterative pre-copy round landed on the target (round 0 is the
-    /// full image; later rounds are dirty-segment deltas). The job keeps
-    /// running throughout.
-    PrecopyRound,
-    /// The convergence controller decided the residual dirty set is small
-    /// enough: stop the job and finish with a short stop-and-copy round.
-    Cutover,
-    /// The convergence controller gave up (dirty rate ≥ lane bandwidth,
-    /// round budget exhausted, or a round failed): discard the pre-copied
-    /// state and run a classic full stop-and-copy attempt.
-    FallbackStopCopy,
-    /// Phase 1 completed: every rank suspended and drained.
-    StallDone,
-    /// Phase 2 completed: PIIC published, all images on the target.
-    MigrateDone,
-    /// Phase 3 completed: every migrated process restarted.
-    RestartDone,
-    /// Phase 4 completed: barrier passed, endpoints rebuilt, job running.
-    ResumeDone,
-    /// A phase deadline expired; the attempt is rolled back.
-    PhaseTimeout,
-    /// The target spare died mid-attempt; the attempt is rolled back.
-    SpareCrash,
-    /// A new attempt begins on another spare (consumes it).
-    Retry,
-    /// No recovery path left: checkpoint the job to storage instead.
-    Degrade,
-    /// Pipelined refinement: one more rank's image finished assembly on
-    /// the target (its `image_ready` event fired). Model-level
-    /// micro-event; not a row in the shipped phase table.
-    RankStaged,
-    /// Pipelined refinement: one more *staged* rank restarted on the
-    /// target, possibly while other ranks are still streaming.
-    RankRestarted,
-    /// The Job Manager process died at a WAL append boundary. Model-level
-    /// micro-event (not a row in the shipped phase table): the cycle
-    /// freezes until the standby's takeover edge fires.
-    CoordCrash,
-    /// Standby takeover, resume-from-point branch: the journal tail shows
-    /// the data path can still finish, so the standby re-drives the
-    /// in-flight phase under a bumped fencing epoch.
-    TakeoverResume,
-    /// Standby takeover, rollback branch: the journal tail is pre-commit
-    /// and cannot (or need not) be finished, so the standby aborts the
-    /// attempt and settles the spare lease under the bumped epoch.
-    TakeoverRollback,
-    /// The deposed ("zombie") coordinator's last write reaches the spare
-    /// pool / FTB after takeover. With fencing it is rejected on its
-    /// stale epoch; without fencing it would double-commit a spare.
-    ZombieSettle,
-}
-
-impl CycleEvent {
-    /// Stable lower-snake name (used in traces and counterexamples).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CycleEvent::Trigger => "trigger",
-            CycleEvent::LiveTrigger => "live_trigger",
-            CycleEvent::PrecopyRound => "precopy_round",
-            CycleEvent::Cutover => "cutover",
-            CycleEvent::FallbackStopCopy => "fallback_stopcopy",
-            CycleEvent::StallDone => "stall_done",
-            CycleEvent::MigrateDone => "migrate_done",
-            CycleEvent::RestartDone => "restart_done",
-            CycleEvent::ResumeDone => "resume_done",
-            CycleEvent::PhaseTimeout => "phase_timeout",
-            CycleEvent::SpareCrash => "spare_crash",
-            CycleEvent::Retry => "retry",
-            CycleEvent::Degrade => "degrade",
-            CycleEvent::RankStaged => "rank_staged",
-            CycleEvent::RankRestarted => "rank_restarted",
-            CycleEvent::CoordCrash => "coord_crash",
-            CycleEvent::TakeoverResume => "takeover_resume",
-            CycleEvent::TakeoverRollback => "takeover_rollback",
-            CycleEvent::ZombieSettle => "zombie_settle",
-        }
-    }
-}
-
-impl fmt::Display for CycleEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+named_enum! {
+    /// Events that move a trigger between cycle phases.
+    pub enum CycleEvent {
+        /// First attempt begins (consumes a spare).
+        Trigger => "trigger",
+        /// First attempt begins in live mode (consumes a spare): the cycle
+        /// enters [`CyclePhase::Precopy`] instead of stalling the job.
+        LiveTrigger => "live_trigger",
+        /// One iterative pre-copy round landed on the target (round 0 is
+        /// the full image; later rounds are dirty-segment deltas). The job
+        /// keeps running throughout.
+        PrecopyRound => "precopy_round",
+        /// The convergence controller decided the residual dirty set is
+        /// small enough: stop the job and finish with a short stop-and-copy
+        /// round.
+        Cutover => "cutover",
+        /// The convergence controller gave up (dirty rate ≥ lane bandwidth,
+        /// round budget exhausted, or a round failed): discard the
+        /// pre-copied state and run a classic full stop-and-copy attempt.
+        FallbackStopCopy => "fallback_stopcopy",
+        /// Phase 1 completed: every rank suspended and drained.
+        StallDone => "stall_done",
+        /// Phase 2 completed: PIIC published, all images on the target.
+        MigrateDone => "migrate_done",
+        /// Phase 3 completed: every migrated process restarted.
+        RestartDone => "restart_done",
+        /// Phase 4 completed: barrier passed, endpoints rebuilt, job running.
+        ResumeDone => "resume_done",
+        /// A phase deadline expired; the attempt is rolled back.
+        PhaseTimeout => "phase_timeout",
+        /// The target spare died mid-attempt; the attempt is rolled back.
+        SpareCrash => "spare_crash",
+        /// A new attempt begins on another spare (consumes it).
+        Retry => "retry",
+        /// No recovery path left: checkpoint the job to storage instead.
+        Degrade => "degrade",
+        /// Pipelined refinement: one more rank's image finished assembly on
+        /// the target (its `image_ready` event fired). Model-level
+        /// micro-event; not a row in the shipped phase table.
+        RankStaged => "rank_staged",
+        /// Pipelined refinement: one more *staged* rank restarted on the
+        /// target, possibly while other ranks are still streaming.
+        RankRestarted => "rank_restarted",
+        /// The Job Manager process died at a WAL append boundary.
+        /// Model-level micro-event (not a row in the shipped phase table):
+        /// the cycle freezes until the standby's takeover edge fires.
+        CoordCrash => "coord_crash",
+        /// Standby takeover, resume-from-point branch: the journal tail
+        /// shows the data path can still finish, so the standby re-drives
+        /// the in-flight phase under a bumped fencing epoch.
+        TakeoverResume => "takeover_resume",
+        /// Standby takeover, rollback branch: the journal tail is
+        /// pre-commit and cannot (or need not) be finished, so the standby
+        /// aborts the attempt and settles the spare lease under the bumped
+        /// epoch.
+        TakeoverRollback => "takeover_rollback",
+        /// The deposed ("zombie") coordinator's last write reaches the
+        /// spare pool / FTB after takeover. With fencing it is rejected on
+        /// its stale epoch; without fencing it would double-commit a spare.
+        ZombieSettle => "zombie_settle",
     }
 }
 
@@ -549,47 +518,32 @@ impl Guard {
     }
 }
 
-/// Declarative effects of a cycle transition. The model checker applies
-/// them to its abstract state; the runtime performs the corresponding
-/// concrete operations (and the conformance assertions in `jobmig-core`
-/// keep the two aligned).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
-    /// Take a spare from the pool as the attempt's target.
-    ConsumeSpare,
-    /// Return a surviving spare to the pool after an aborted attempt.
-    ReturnSpare,
-    /// The target spare died; it never returns to the pool.
-    SpareLost,
-    /// Every rank suspended and drained on the source.
-    SuspendRanks,
-    /// Source images streamed to the target; source NLA drained.
-    StreamImages,
-    /// Ranks restarted from their images on the target; target NLA ready.
-    RestartRanks,
-    /// Ranks pass the migration barrier and run on their current host.
-    ResumeRanks,
-    /// Roll every rank back to a running state on the source and restore
-    /// both NLAs.
-    Rollback,
-    /// Degrade: coordinated checkpoint of the (running) job to storage.
-    CheckpointToStore,
-}
-
-impl Action {
-    /// Stable lower-snake name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Action::ConsumeSpare => "consume_spare",
-            Action::ReturnSpare => "return_spare",
-            Action::SpareLost => "spare_lost",
-            Action::SuspendRanks => "suspend_ranks",
-            Action::StreamImages => "stream_images",
-            Action::RestartRanks => "restart_ranks",
-            Action::ResumeRanks => "resume_ranks",
-            Action::Rollback => "rollback",
-            Action::CheckpointToStore => "checkpoint_to_store",
-        }
+named_enum! {
+    /// Declarative effects of a cycle transition. The model checker
+    /// applies them to its abstract state; the runtime performs the
+    /// corresponding concrete operations (and the conformance assertions
+    /// in `jobmig-core` keep the two aligned).
+    pub enum Action {
+        /// Take a spare from the pool as the attempt's target.
+        ConsumeSpare => "consume_spare",
+        /// Return a surviving spare to the pool after an aborted attempt.
+        ReturnSpare => "return_spare",
+        /// The target spare died; it never returns to the pool.
+        SpareLost => "spare_lost",
+        /// Every rank suspended and drained on the source.
+        SuspendRanks => "suspend_ranks",
+        /// Source images streamed to the target; source NLA drained.
+        StreamImages => "stream_images",
+        /// Ranks restarted from their images on the target; target NLA
+        /// ready.
+        RestartRanks => "restart_ranks",
+        /// Ranks pass the migration barrier and run on their current host.
+        ResumeRanks => "resume_ranks",
+        /// Roll every rank back to a running state on the source and
+        /// restore both NLAs.
+        Rollback => "rollback",
+        /// Degrade: coordinated checkpoint of the (running) job to storage.
+        CheckpointToStore => "checkpoint_to_store",
     }
 }
 
@@ -950,44 +904,49 @@ mod tests {
         );
     }
 
+    fn names_round_trip<T: Named>() {
+        for &v in T::ALL {
+            assert_eq!(T::from_name(v.name()), Some(v));
+        }
+        let names: std::collections::BTreeSet<_> = T::ALL.iter().map(|v| v.name()).collect();
+        assert_eq!(names.len(), T::ALL.len(), "duplicate name in {:?}", T::ALL);
+    }
+
+    #[test]
+    fn every_name_parses_back_and_is_unique_within_its_enum() {
+        names_round_trip::<NlaState>();
+        names_round_trip::<NlaEvent>();
+        names_round_trip::<RankLife>();
+        names_round_trip::<RankEvent>();
+        names_round_trip::<LinkState>();
+        names_round_trip::<LinkEvent>();
+        names_round_trip::<CyclePhase>();
+        names_round_trip::<CycleEvent>();
+        names_round_trip::<Action>();
+        assert_eq!(NlaState::from_name("migration_ready"), None);
+        assert_eq!(CyclePhase::from_name(""), None);
+    }
+
     #[test]
     fn nla_table_covers_runtime_call_sites() {
         use NlaEvent::*;
         use NlaState::*;
+        assert_eq!(next(MigrationReady, SourceDrained), Some(MigrationInactive));
+        assert_eq!(next(MigrationSpare, RestartComplete), Some(MigrationReady));
         assert_eq!(
-            nla_next(MigrationReady, SourceDrained),
-            Some(MigrationInactive)
-        );
-        assert_eq!(
-            nla_next(MigrationSpare, RestartComplete),
+            next(MigrationInactive, RollbackSource),
             Some(MigrationReady)
         );
-        assert_eq!(
-            nla_next(MigrationInactive, RollbackSource),
-            Some(MigrationReady)
-        );
-        assert_eq!(
-            nla_next(MigrationReady, RollbackSource),
-            Some(MigrationReady)
-        );
-        assert_eq!(
-            nla_next(MigrationReady, RollbackTarget),
-            Some(MigrationSpare)
-        );
-        assert_eq!(
-            nla_next(MigrationSpare, RollbackTarget),
-            Some(MigrationSpare)
-        );
+        assert_eq!(next(MigrationReady, RollbackSource), Some(MigrationReady));
+        assert_eq!(next(MigrationReady, RollbackTarget), Some(MigrationSpare));
+        assert_eq!(next(MigrationSpare, RollbackTarget), Some(MigrationSpare));
         // A spare never drains; an inactive node never completes a restart.
-        assert_eq!(nla_next(MigrationSpare, SourceDrained), None);
-        assert_eq!(nla_next(MigrationInactive, RestartComplete), None);
+        assert_eq!(next(MigrationSpare, SourceDrained), None);
+        assert_eq!(next(MigrationInactive, RestartComplete), None);
         // Reprovisioning is only legal from the inactive (vacated) state.
-        assert_eq!(
-            nla_next(MigrationInactive, Reprovision),
-            Some(MigrationSpare)
-        );
-        assert_eq!(nla_next(MigrationReady, Reprovision), None);
-        assert_eq!(nla_next(MigrationSpare, Reprovision), None);
+        assert_eq!(next(MigrationInactive, Reprovision), Some(MigrationSpare));
+        assert_eq!(next(MigrationReady, Reprovision), None);
+        assert_eq!(next(MigrationSpare, Reprovision), None);
     }
 
     #[test]
@@ -997,40 +956,37 @@ mod tests {
         // Source rank, successful migration.
         let mut s = Running;
         for ev in [Suspend, Capture, Restart, Resume] {
-            s = rank_next(s, ev).unwrap();
+            s = next(s, ev).unwrap();
         }
         assert_eq!(s, Running);
         // Source rank, aborted after capture: resurrection path.
         let mut s = Running;
         for ev in [Suspend, Capture, Resurrect, Resume] {
-            s = rank_next(s, ev).unwrap();
+            s = next(s, ev).unwrap();
         }
         assert_eq!(s, Running);
         // Non-source rank.
         let mut s = Running;
         for ev in [Suspend, Resume] {
-            s = rank_next(s, ev).unwrap();
+            s = next(s, ev).unwrap();
         }
         assert_eq!(s, Running);
         // A running rank cannot be captured or restarted.
-        assert_eq!(rank_next(Running, Capture), None);
-        assert_eq!(rank_next(Running, Restart), None);
+        assert_eq!(next(Running, Capture), None);
+        assert_eq!(next(Running, Restart), None);
     }
 
     #[test]
     fn link_machine_prefers_grandparent_and_tolerates_flaps() {
         use LinkEvent::*;
         use LinkState::*;
-        assert_eq!(
-            link_next(Attached, AckGrandparent),
-            Some(AttachedWithFallback)
-        );
+        assert_eq!(next(Attached, AckGrandparent), Some(AttachedWithFallback));
         // Fallback consumed on parent loss.
-        assert_eq!(link_next(AttachedWithFallback, ParentLost), Some(Attached));
+        assert_eq!(next(AttachedWithFallback, ParentLost), Some(Attached));
         // No fallback: keep the parent (transient flap must not orphan).
-        assert_eq!(link_next(Attached, ParentLost), Some(Attached));
+        assert_eq!(next(Attached, ParentLost), Some(Attached));
         // The root reacts to nothing.
-        assert_eq!(link_next(Root, ParentLost), None);
+        assert_eq!(next(Root, ParentLost), None);
     }
 
     #[test]

@@ -9,14 +9,12 @@
 //! To re-record after an *intended* behavior change, copy the values
 //! printed by the failing assertions and say below why they moved. To see
 //! what moved, diff the output of `jobmig-bench`'s `digest_dump` example
+//! (`fig4`, `fault-matrix` or `fleet`; it runs the same scenario functions)
 //! at the parent commit against the change.
 
 use jobmig_core::bufpool::PoolConfig;
-use jobmig_core::prelude::*;
-use jobmig_core::runtime::JobSpec;
-use npbsim::{NpbApp, NpbClass, Workload};
-use simkit::dur::secs;
-use simkit::{SimHandle, SimTime, Simulation, TraceDigest};
+use npbsim::NpbApp;
+use simkit::{SimHandle, TraceDigest};
 
 /// Golden digests. Format: (fnv1a64 hash, events folded).
 ///
@@ -68,28 +66,18 @@ fn fig4_trace_is_byte_identical_to_pre_optimization() {
     assert_golden("fig4", digest, GOLDEN_FIG4);
 }
 
-/// Fault-matrix scenario: sized(2,1) cluster, LU.A.4 at 2 ppn, an RDMA
-/// CQ error during the migration window (same shape as the CI
-/// fault-matrix grid's `rdma_cq_error` cell).
+/// Fault-matrix scenario: [`jobmig_bench::fault_matrix_observed`], an
+/// RDMA CQ error during a small cluster's migration window.
 #[test]
 fn fault_matrix_trace_is_byte_identical_to_pre_optimization() {
-    let mut sim = Simulation::new(51);
-    sim.handle().tracer().set_digest_enabled(true);
-    let cluster = Cluster::build(&sim.handle(), ClusterSpec::sized(2, 1));
-    cluster.install_fault_plane(&FaultPlan::new(0xB1).with(FaultSpec::RdmaCqError { nth: 1 }));
-    let wl = Workload::new(NpbApp::Lu, NpbClass::A, 4);
-    let deadline = SimTime::ZERO + wl.base_runtime + secs(600);
-    let rt = JobRuntime::launch(&cluster, JobSpec::npb(wl, 2));
-    rt.control()
-        .migrate_after(secs(10), MigrationRequest::new());
-    sim.run_until_set(rt.completion(), deadline)
-        .expect("fault-matrix scenario hung");
-    assert!(rt.is_complete());
-    assert_golden(
-        "fault-matrix",
-        sim.handle().tracer().digest(),
-        GOLDEN_FAULT_MATRIX,
-    );
+    let mut handle: Option<SimHandle> = None;
+    let complete = jobmig_bench::fault_matrix_observed(|sh| {
+        sh.tracer().set_digest_enabled(true);
+        handle = Some(sh.clone());
+    });
+    assert!(complete);
+    let digest = handle.unwrap().tracer().digest();
+    assert_golden("fault-matrix", digest, GOLDEN_FAULT_MATRIX);
 }
 
 /// Fleet-soak scenario: one policy (Proactive — the one exercising
