@@ -411,11 +411,12 @@ impl SimHandle {
         &self.kernel.tracer
     }
 
-    /// Whether telemetry collection is on. Check before building an
-    /// expensive event payload (formatted names, argument vectors).
+    /// Whether telemetry events are built (collected or digested). Check
+    /// before building an expensive event payload (formatted names,
+    /// argument vectors).
     #[inline]
     pub fn telemetry_on(&self) -> bool {
-        self.kernel.tracer.is_enabled()
+        self.kernel.tracer.armed()
     }
 
     /// Open a telemetry span not attributed to any process; it ends when

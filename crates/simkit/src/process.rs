@@ -93,11 +93,12 @@ impl Ctx {
         self.kernel.tracer.rec(self.now(), Some(self.pid), msg);
     }
 
-    /// Whether telemetry collection is on. Check before building an
-    /// expensive event payload (formatted names, argument vectors).
+    /// Whether telemetry events are built (collected or digested). Check
+    /// before building an expensive event payload (formatted names,
+    /// argument vectors).
     #[inline]
     pub fn telemetry_on(&self) -> bool {
-        self.kernel.tracer.is_enabled()
+        self.kernel.tracer.armed()
     }
 
     /// Open a telemetry span attributed to this process; it ends when the
@@ -214,8 +215,8 @@ impl std::fmt::Debug for ProcHandle {
 /// with the virtual time at that moment — when dropped or explicitly
 /// closed with [`Span::end`].
 ///
-/// When telemetry is off at open time the span is disarmed: no event is
-/// built and drop is free.
+/// When the tracer neither collects nor digests at open time the span is
+/// disarmed: no event is built and drop is free.
 #[must_use = "a span ends when dropped; binding it to _ ends it immediately"]
 pub struct Span {
     // None when telemetry was off at open time.
@@ -230,7 +231,7 @@ impl Span {
         name: impl Into<String>,
         args: impl FnOnce() -> Args,
     ) -> Self {
-        if !kernel.tracer.is_enabled() {
+        if !kernel.tracer.armed() {
             return Span { armed: None };
         }
         let name = name.into();

@@ -35,9 +35,17 @@ use simkit::{SimHandle, TraceDigest};
 /// is gone. Fleet: live migrations used to pull on two lanes and now pull
 /// on one QP; the trace equals the previous engine's at one lane event
 /// for event.
-const GOLDEN_FIG4: (u64, u64) = (4060167762376501576, 4913);
-const GOLDEN_FAULT_MATRIX: (u64, u64) = (10974565031481598012, 209);
-const GOLDEN_FLEET: (u64, u64) = (8399266282591386083, 115798);
+///
+/// Re-recorded (all three) when spans and `telemetry_on()`-gated events
+/// began to be built in digest-only runs. Before, `Span::open` and
+/// `telemetry_on()` tested collection only, so a digest never folded a
+/// `phase/*` span or any other span, and a change that moved only a span
+/// boundary passed every golden. The simulation is unchanged; each digest
+/// now folds the same events a collecting run records (fig4 7,531, fault
+/// matrix 783, fleet 296,356).
+const GOLDEN_FIG4: (u64, u64) = (3926710353137595242, 7531);
+const GOLDEN_FAULT_MATRIX: (u64, u64) = (639705965089129597, 783);
+const GOLDEN_FLEET: (u64, u64) = (13640947123385823924, 296356);
 
 fn assert_golden(name: &str, got: TraceDigest, want: (u64, u64)) {
     assert_eq!(
