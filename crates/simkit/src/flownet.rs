@@ -22,7 +22,6 @@
 //! [`crate::Link`] is a one-link `FlowNet`: use `Link` for a standalone
 //! resource (a disk, a memory bus), `FlowNet` when flows share *paths*.
 
-use crate::hotstats::Hot;
 use crate::kernel::{Kernel, ProcId, SimHandle};
 use crate::link::{LinkStats, Sharing};
 use crate::process::Ctx;
@@ -102,7 +101,6 @@ impl NetInner {
     /// and been consumed: it is always re-pushed, or its owner would block
     /// with no pending timer.
     fn recompute_and_retime(&mut self, kernel: &Kernel, now: SimTime, running: Option<u64>) {
-        Hot::bump(&kernel.hot.flow_recomputes);
         let links = &self.links;
         kernel.with_wake_batch(|batch| {
             for (&id, f) in self.flows.iter_mut() {
@@ -120,8 +118,7 @@ impl NetInner {
                 f.rate = rate;
                 let secs = (f.left / rate).min(1e18); // clamp: "effectively never"
                 f.finish = now.saturating_add(Duration::from_secs_f64(secs));
-                batch.schedule_wake(ProcId(f.pid), f.finish);
-                Hot::bump(&kernel.hot.flow_retimes);
+                batch.retime(ProcId(f.pid), f.finish);
             }
         });
     }

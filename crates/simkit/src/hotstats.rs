@@ -4,11 +4,11 @@
 //! live-migration round sweeps push millions of scheduler events through
 //! the kernel — so the kernel profiles itself. Two tiers:
 //!
-//! * **Counters** (events dispatched, timer-heap pushes, stale timers
-//!   skipped, process spawns, FlowNet recomputes and retimes — every
-//!   [`Link`](crate::Link) is a one-link FlowNet, so its traffic counts
-//!   there too) are always maintained: one relaxed atomic increment each,
-//!   noise next to the cost of an event dispatch.
+//! * **Counters** (events dispatched, wakes scheduled and re-keyed, the
+//!   timer heap's peak, process spawns, FlowNet recomputes and retimes —
+//!   every [`Link`](crate::Link) is a one-link FlowNet, so its traffic
+//!   counts there too) are always maintained: plain integers in the
+//!   scheduler state, bumped under the lock the scheduler already holds.
 //! * **Wall-clock timing** (ns per kernel category, per-process dispatch
 //!   counts) reads the host monotonic clock twice per event and is off
 //!   unless the `SIMKIT_PROF=1` environment variable is set when the
@@ -23,26 +23,32 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Live counters owned by the kernel. Interior-mutable so every bump is
-/// a relaxed atomic op under no lock.
+/// The always-on counters, kept in the scheduler state and bumped under
+/// its lock.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Counters {
+    /// Timers popped and their process resumed.
+    pub(crate) dispatches: u64,
+    /// Wakes scheduled: inserts and re-keys.
+    pub(crate) timer_pushes: u64,
+    /// Wakes that re-keyed a pending one in place.
+    pub(crate) timer_rekeys: u64,
+    /// Peak number of pending wakes.
+    pub(crate) heap_peak: u64,
+    /// Simulated processes spawned.
+    pub(crate) spawns: u64,
+    /// FlowNet rate recomputations (flow add/remove/wake).
+    pub(crate) flow_recomputes: u64,
+    /// Per-flow completion-wake reschedules issued to the kernel.
+    pub(crate) flow_retimes: u64,
+}
+
+/// The wall-clock tier, interior-mutable so a lap is a relaxed atomic
+/// op under no lock.
 pub(crate) struct Hot {
     /// Wall-clock timing armed (`SIMKIT_PROF=1` or `set_prof(true)`).
     prof: AtomicBool,
-    /// Dispatches: timers popped as valid and their process resumed.
-    pub(crate) dispatches: AtomicU64,
-    /// Heap entries popped and discarded as stale (superseded wakes).
-    pub(crate) stale_skips: AtomicU64,
-    /// Timer-heap pushes (canonical wake replacements included).
-    pub(crate) timer_pushes: AtomicU64,
-    /// Peak timer-heap length observed at push time.
-    pub(crate) heap_peak: AtomicU64,
-    /// Simulated processes spawned.
-    pub(crate) spawns: AtomicU64,
-    /// FlowNet rate recomputations (flow add/remove/wake).
-    pub(crate) flow_recomputes: AtomicU64,
-    /// Per-flow completion-wake reschedules issued to the kernel.
-    pub(crate) flow_retimes: AtomicU64,
-    /// ns the scheduler spent selecting timers (heap pop loop). Prof only.
+    /// ns the scheduler spent selecting timers (heap pop). Prof only.
     sched_ns: AtomicU64,
     /// ns from resuming a process until it blocks or finishes (user
     /// code + the switch). Prof only.
@@ -61,28 +67,11 @@ impl Hot {
             .unwrap_or(false);
         Hot {
             prof: AtomicBool::new(prof),
-            dispatches: AtomicU64::new(0),
-            stale_skips: AtomicU64::new(0),
-            timer_pushes: AtomicU64::new(0),
-            heap_peak: AtomicU64::new(0),
-            spawns: AtomicU64::new(0),
-            flow_recomputes: AtomicU64::new(0),
-            flow_retimes: AtomicU64::new(0),
             sched_ns: AtomicU64::new(0),
             run_ns: AtomicU64::new(0),
             spawn_ns: AtomicU64::new(0),
             per_proc: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn raise_peak(&self, len: u64) {
-        self.heap_peak.fetch_max(len, Ordering::Relaxed);
     }
 
     pub(crate) fn set_prof(&self, on: bool) {
@@ -121,18 +110,19 @@ impl Hot {
         }
     }
 
-    pub(crate) fn snapshot(&self) -> HotStats {
+    pub(crate) fn snapshot(&self, c: &Counters) -> HotStats {
         let mut per_proc: Vec<(u32, u64)> =
             self.per_proc.lock().iter().map(|(&p, &n)| (p, n)).collect();
         per_proc.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         HotStats {
-            events_dispatched: self.dispatches.load(Ordering::Relaxed),
-            stale_timers_skipped: self.stale_skips.load(Ordering::Relaxed),
-            timer_pushes: self.timer_pushes.load(Ordering::Relaxed),
-            heap_peak: self.heap_peak.load(Ordering::Relaxed),
-            procs_spawned: self.spawns.load(Ordering::Relaxed),
-            flow_recomputes: self.flow_recomputes.load(Ordering::Relaxed),
-            flow_retimes: self.flow_retimes.load(Ordering::Relaxed),
+            events_dispatched: c.dispatches,
+            stale_timers_skipped: 0,
+            timer_pushes: c.timer_pushes,
+            timer_rekeys: c.timer_rekeys,
+            heap_peak: c.heap_peak,
+            procs_spawned: c.spawns,
+            flow_recomputes: c.flow_recomputes,
+            flow_retimes: c.flow_retimes,
             sched_ns: self.sched_ns.load(Ordering::Relaxed),
             run_ns: self.run_ns.load(Ordering::Relaxed),
             spawn_ns: self.spawn_ns.load(Ordering::Relaxed),
@@ -153,15 +143,21 @@ pub(crate) enum HotCat {
 /// [`Simulation::hot_stats`](crate::Simulation::hot_stats)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HotStats {
-    /// Dispatches: timers popped as valid and their process resumed.
-    /// This is the kernel's fundamental unit of work — "events/sec" in
-    /// the wall-clock benches is this counter over elapsed host time.
+    /// Dispatches: timers popped and their process resumed. This is the
+    /// kernel's fundamental unit of work — "events/sec" in the wall-clock
+    /// benches is this counter over elapsed host time.
     pub events_dispatched: u64,
-    /// Heap entries popped and discarded as stale (superseded wakes).
+    /// Always 0: the timer heap holds one wake per process and re-keys it
+    /// in place, so no popped entry is ever stale. Kept because the
+    /// `twoclock` benchmark reads it (its `simkit.stale_share`).
     pub stale_timers_skipped: u64,
-    /// Timer-heap pushes.
+    /// Wakes scheduled, whether they inserted a timer or re-keyed the
+    /// pending one ([`HotStats::timer_rekeys`]).
     pub timer_pushes: u64,
-    /// Peak timer-heap length observed.
+    /// Wakes that re-keyed a process's pending timer in place; the rest
+    /// of [`HotStats::timer_pushes`] inserted one.
+    pub timer_rekeys: u64,
+    /// Peak number of pending wakes (the timer heap's peak length).
     pub heap_peak: u64,
     /// Simulated processes spawned.
     pub procs_spawned: u64,
@@ -190,6 +186,7 @@ impl HotStats {
             events_dispatched: self.events_dispatched - earlier.events_dispatched,
             stale_timers_skipped: self.stale_timers_skipped - earlier.stale_timers_skipped,
             timer_pushes: self.timer_pushes - earlier.timer_pushes,
+            timer_rekeys: self.timer_rekeys - earlier.timer_rekeys,
             heap_peak: self.heap_peak,
             procs_spawned: self.procs_spawned - earlier.procs_spawned,
             flow_recomputes: self.flow_recomputes - earlier.flow_recomputes,
@@ -210,14 +207,14 @@ impl HotStats {
         out.push_str(&format!(
             "events dispatched   {:>12}\n\
              timer pushes        {:>12}\n\
-             stale timers        {:>12}\n\
+             timer re-keys       {:>12}\n\
              heap peak           {:>12}\n\
              procs spawned       {:>12}\n\
              flow recomputes     {:>12}\n\
              flow retimes        {:>12}\n",
             self.events_dispatched,
             self.timer_pushes,
-            self.stale_timers_skipped,
+            self.timer_rekeys,
             self.heap_peak,
             self.procs_spawned,
             self.flow_recomputes,

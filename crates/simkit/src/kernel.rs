@@ -2,20 +2,25 @@
 //!
 //! # Scheduling model
 //!
-//! Every blocked process has at most one *canonical wake*: an entry in the
-//! global timer heap identified by a sequence number stored in the process
-//! slot (`pending_seq`). Waking, retiming and killing all go through the
-//! same mechanism — push a fresh timer and overwrite `pending_seq` — so
-//! stale heap entries are recognised and skipped when popped. This gives a
-//! single, easily-audited source of truth for "who runs next" and makes the
-//! simulation deterministic: ties at equal virtual time are broken by
-//! insertion sequence.
+//! Every blocked process has at most one *canonical wake*: its entry in the
+//! timer heap ([`crate::timers`]), which holds one entry per process at
+//! most. Waking, retiming and killing all go through the same mechanism —
+//! allocate a fresh sequence number and insert the process's entry, or
+//! re-key the one it has in place — so the heap never holds a superseded
+//! wake and every pop dispatches. This gives a single, easily-audited
+//! source of truth for "who runs next" and makes the simulation
+//! deterministic: ties at equal virtual time are broken by the sequence
+//! number of the latest wake.
+//!
+//! The virtual clock is one atomic word that only the scheduler stores
+//! (at each pop, and when [`Simulation::run_until`] reaches its limit),
+//! so reading it takes no lock.
 //!
 //! # One host thread
 //!
 //! Each simulated process is a stackful coroutine ([`crate::coro`]) run by
 //! the thread that drives the [`Simulation`]. The scheduler loop pops the
-//! next valid timer and resumes its owner; the owner runs until it blocks,
+//! next timer and resumes its owner; the owner runs until it blocks,
 //! which switches straight back to the loop. That loop is the only
 //! dispatcher. A process gets its stack at its first dispatch, and the
 //! stack returns to a free list when the process finishes. A process
@@ -23,18 +28,18 @@
 
 use crate::coro::{Coroutine, Stack, Switch};
 use crate::error::{Killed, SimError};
-use crate::hotstats::{Hot, HotCat, HotStats};
+use crate::hotstats::{Counters, Hot, HotCat, HotStats};
 use crate::process::{Ctx, ProcHandle, Span};
 use crate::time::SimTime;
+use crate::timers::TimerHeap;
 use crate::trace::{Args, Tracer};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a simulated process.
@@ -44,24 +49,6 @@ pub struct ProcId(pub u32);
 impl std::fmt::Debug for ProcId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "p{}", self.0)
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Timer {
-    time: SimTime,
-    seq: u64,
-    pid: u32,
-}
-
-impl Ord for Timer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-impl PartialOrd for Timer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -82,77 +69,44 @@ struct Slot {
     dead: bool,
     killed: bool,
     daemon: bool,
-    /// Sequence number of the canonical pending wake timer, if any.
-    pending_seq: Option<u64>,
     /// Processes blocked in `join()` on this process.
     join_waiters: Vec<u32>,
 }
 
 pub(crate) struct KState {
-    now: SimTime,
     next_seq: u64,
-    heap: BinaryHeap<Reverse<Timer>>,
+    timers: TimerHeap,
     // Dense slab indexed by pid (pids are allocated 0,1,2,… and slots are
     // never removed, only marked dead). Index order doubles as pid order,
     // keeping deadlock-report listings deterministic.
     procs: Vec<Slot>,
     rng: StdRng,
+    counts: Counters,
 }
 
 impl KState {
     /// Core of [`Kernel::schedule_wake`], callable with the state lock
-    /// already held (the batch-retime path).
-    fn schedule_wake_locked(&mut self, hot: &Hot, pid: ProcId, time: SimTime) -> bool {
-        let time = time.max(self.now);
+    /// already held (the batch-retime path). `now` is the clock.
+    fn schedule_wake_locked(&mut self, now: SimTime, pid: ProcId, time: SimTime) -> bool {
+        let time = time.max(now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let Some(slot) = self.procs.get_mut(pid.0 as usize) else {
-            return false;
-        };
-        if slot.dead {
-            return false;
+        match self.procs.get(pid.0 as usize) {
+            Some(slot) if !slot.dead => {}
+            _ => return false,
         }
-        slot.pending_seq = Some(seq);
-        self.heap.push(Reverse(Timer {
-            time,
-            seq,
-            pid: pid.0,
-        }));
-        Hot::bump(&hot.timer_pushes);
-        hot.raise_peak(self.heap.len() as u64);
+        let c = &mut self.counts;
+        c.timer_pushes += 1;
+        if self.timers.schedule(pid.0, time, seq) {
+            c.timer_rekeys += 1;
+        } else {
+            c.heap_peak = c.heap_peak.max(self.timers.len() as u64);
+        }
         true
-    }
-
-    /// Pop the next valid timer at or before `limit_ns`, skipping stale
-    /// entries, and consume the owner's canonical wake. Advances `now`.
-    fn pop_next(&mut self, hot: &Hot, limit_ns: u64) -> Popped {
-        loop {
-            match self.heap.peek() {
-                None => return Popped::Quiescent,
-                Some(Reverse(t)) if t.time.as_nanos() > limit_ns => return Popped::Limit,
-                Some(_) => {}
-            }
-            let Reverse(t) = self.heap.pop().unwrap();
-            let valid = self
-                .procs
-                .get(t.pid as usize)
-                .map(|s| !s.dead && s.pending_seq == Some(t.seq))
-                .unwrap_or(false);
-            if valid {
-                self.now = t.time;
-                let slot = &mut self.procs[t.pid as usize];
-                slot.pending_seq = None;
-                return Popped::Ready {
-                    pid: t.pid,
-                    body: slot.body.take(),
-                };
-            }
-            Hot::bump(&hot.stale_skips);
-        }
     }
 }
 
-/// Outcome of [`KState::pop_next`].
+/// Outcome of [`Kernel::pop_next`].
 enum Popped {
     Quiescent,
     Limit,
@@ -167,6 +121,8 @@ enum Popped {
 /// every process blocks through.
 pub(crate) struct Kernel {
     pub(crate) st: Mutex<KState>,
+    /// The virtual clock in ns. Stored only by the scheduler.
+    clock: AtomicU64,
     pub(crate) tracer: Tracer,
     pub(crate) hot: Hot,
     pub(crate) switch: Arc<Switch>,
@@ -174,25 +130,48 @@ pub(crate) struct Kernel {
 
 impl Kernel {
     pub(crate) fn now(&self) -> SimTime {
-        self.st.lock().now
+        SimTime::from_nanos(self.clock.load(Ordering::Relaxed))
     }
 
-    /// Push a fresh canonical wake for `pid` at `time` (replacing any
-    /// pending one). No-op on dead processes. Returns whether a wake was
-    /// actually scheduled.
+    /// Set `pid`'s canonical wake to `time` (replacing any pending one).
+    /// No-op on dead processes. Returns whether a wake was actually
+    /// scheduled.
     pub(crate) fn schedule_wake(&self, pid: ProcId, time: SimTime) -> bool {
-        self.st.lock().schedule_wake_locked(&self.hot, pid, time)
+        let now = self.now();
+        self.st.lock().schedule_wake_locked(now, pid, time)
     }
 
     /// Run `f` against a [`WakeBatch`]: the scheduler lock is taken once
-    /// for any number of wake pushes. Used by
-    /// FlowNet's retime loop instead of per-flow `schedule_wake` calls.
+    /// for one FlowNet recompute and all the wakes it retimes.
     pub(crate) fn with_wake_batch<R>(&self, f: impl FnOnce(&mut WakeBatch) -> R) -> R {
+        let now = self.now();
         let mut st = self.st.lock();
-        f(&mut WakeBatch {
-            st: &mut st,
-            hot: &self.hot,
-        })
+        st.counts.flow_recomputes += 1;
+        f(&mut WakeBatch { st: &mut st, now })
+    }
+
+    /// Pop the next timer at or before `limit`, advance the clock to it
+    /// and hand over its owner (and the owner's body on its first
+    /// dispatch).
+    fn pop_next(&self, limit: SimTime) -> Popped {
+        let mut st = self.st.lock();
+        match st.timers.peek_time() {
+            None => return Popped::Quiescent,
+            Some(t) if t > limit => return Popped::Limit,
+            Some(_) => {}
+        }
+        let (time, pid) = st.timers.pop().expect("peeked timer");
+        self.clock.store(time.as_nanos(), Ordering::Relaxed);
+        st.counts.dispatches += 1;
+        Popped::Ready {
+            pid,
+            body: st.procs[pid as usize].body.take(),
+        }
+    }
+
+    pub(crate) fn hot_stats(&self) -> HotStats {
+        let counts = self.st.lock().counts;
+        self.hot.snapshot(&counts)
     }
 
     /// Wake `pid` at the current instant. Returns false if it is dead.
@@ -270,23 +249,23 @@ impl Kernel {
         f: impl FnOnce(&Ctx) + Send + 'static,
     ) -> ProcHandle {
         let t0 = self.hot.clock();
-        let interned: Arc<str> = Arc::from(name);
+        let now = self.now();
         let pid = {
             let mut st = self.st.lock();
-            let pid = st.procs.len() as u32;
+            let pid = ProcId(st.procs.len() as u32);
             st.procs.push(Slot {
-                name: Arc::clone(&interned),
+                name: Arc::from(name),
                 body: Some(Box::new(f)),
                 dead: false,
                 killed: false,
                 daemon,
-                pending_seq: None,
                 join_waiters: Vec::new(),
             });
-            ProcId(pid)
+            st.timers.add_proc();
+            st.counts.spawns += 1;
+            st.schedule_wake_locked(now, pid, now);
+            pid
         };
-        Hot::bump(&self.hot.spawns);
-        self.schedule_wake(pid, self.now());
         self.tracer.name_proc(pid, name);
         if self.tracer.armed() {
             self.tracer
@@ -296,15 +275,16 @@ impl Kernel {
         ProcHandle::new(pid, Arc::clone(self))
     }
 
-    /// Mark a process dead and wake anyone joined on it. Returns its name.
+    /// Mark a process dead and drop its pending wake. Returns its name
+    /// and the processes joined on it.
     fn finish_proc(&self, pid: u32) -> (Arc<str>, Vec<u32>) {
         let mut st = self.st.lock();
+        st.timers.remove(pid);
         let slot = st
             .procs
             .get_mut(pid as usize)
             .expect("finish of unknown proc");
         slot.dead = true;
-        slot.pending_seq = None;
         (
             Arc::clone(&slot.name),
             std::mem::take(&mut slot.join_waiters),
@@ -313,18 +293,20 @@ impl Kernel {
 }
 
 /// A single-lock window onto the scheduler, handed out by
-/// [`Kernel::with_wake_batch`]. Wake pushes through it are identical —
+/// [`Kernel::with_wake_batch`]. Wakes scheduled through it are identical —
 /// same sequence-number allocation, same heap discipline — to individual
 /// [`Kernel::schedule_wake`] calls; only the locking is batched.
 pub(crate) struct WakeBatch<'a> {
     st: &'a mut KState,
-    hot: &'a Hot,
+    now: SimTime,
 }
 
 impl WakeBatch<'_> {
-    /// See [`Kernel::schedule_wake`].
-    pub(crate) fn schedule_wake(&mut self, pid: ProcId, time: SimTime) -> bool {
-        self.st.schedule_wake_locked(self.hot, pid, time)
+    /// Retime a flow owner's completion wake (see
+    /// [`Kernel::schedule_wake`]), counted as a FlowNet retime.
+    pub(crate) fn retime(&mut self, pid: ProcId, time: SimTime) {
+        self.st.counts.flow_retimes += 1;
+        self.st.schedule_wake_locked(self.now, pid, time);
     }
 }
 
@@ -466,7 +448,7 @@ impl SimHandle {
     /// Snapshot the kernel self-profile (see [`HotStats`]). Counters are
     /// always live; wall-clock categories need profiling armed.
     pub fn hot_stats(&self) -> HotStats {
-        self.kernel.hot.snapshot()
+        self.kernel.hot_stats()
     }
 
     /// Arm or disarm wall-clock profiling at runtime (equivalent to the
@@ -534,12 +516,13 @@ impl Simulation {
         });
         let kernel = Arc::new(Kernel {
             st: Mutex::new(KState {
-                now: SimTime::ZERO,
                 next_seq: 0,
-                heap: BinaryHeap::new(),
+                timers: TimerHeap::new(),
                 procs: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
+                counts: Counters::default(),
             }),
+            clock: AtomicU64::new(0),
             tracer: Tracer::new(),
             hot: Hot::new(),
             switch: Arc::new(Switch::new()),
@@ -577,7 +560,7 @@ impl Simulation {
 
     /// Snapshot the kernel self-profile (see [`HotStats`]).
     pub fn hot_stats(&self) -> HotStats {
-        self.kernel.hot.snapshot()
+        self.kernel.hot_stats()
     }
 
     /// Run until `event` fires. Use this to drive simulations containing
@@ -627,7 +610,7 @@ impl Simulation {
             .map(|(pid, s)| (ProcId(pid as u32), s.name.to_string()))
             .collect();
         SimError::Deadlock {
-            at: st.now,
+            at: self.now(),
             blocked,
         }
     }
@@ -638,8 +621,7 @@ impl Simulation {
     pub fn run_until(&mut self, limit: SimTime) -> Result<RunOutcome, SimError> {
         let outcome = self.drive(limit)?;
         if outcome == RunOutcome::LimitReached {
-            let mut st = self.kernel.st.lock();
-            st.now = limit;
+            self.kernel.clock.store(limit.as_nanos(), Ordering::Relaxed);
         }
         Ok(outcome)
     }
@@ -665,14 +647,12 @@ impl Simulation {
         assert!(!self.poisoned, "simulation used after a process panic");
         let hot = &self.kernel.hot;
         let t_sched = hot.clock();
-        let popped = self.kernel.st.lock().pop_next(hot, limit.as_nanos());
-        let (pid, body) = match popped {
+        let (pid, body) = match self.kernel.pop_next(limit) {
             Popped::Quiescent => return Ok(StepResult::Quiescent),
             Popped::Limit => return Ok(StepResult::LimitReached),
             Popped::Ready { pid, body } => (pid, body),
         };
         hot.lap(t_sched, HotCat::Sched);
-        Hot::bump(&hot.dispatches);
         hot.count_proc(pid);
         let t_run = hot.clock();
         let fin = self.resume(pid, body);

@@ -15,9 +15,9 @@
 //!   a simulation is fully deterministic.
 //! * A process blocks by calling a primitive ([`Ctx::sleep`],
 //!   [`Event::wait`], [`Queue::pop`], [`Link::transfer`], ...). Each block
-//!   has a single *canonical wake*: a timer in the kernel heap. Wakers
-//!   replace the pending timer, so retiming (e.g. a bandwidth share change)
-//!   and spurious-wake suppression are uniform.
+//!   has a single *canonical wake*: the process's one entry in the kernel's
+//!   timer heap. Wakers re-key that entry in place, so retiming (e.g. a
+//!   bandwidth share change) and spurious-wake suppression are uniform.
 //! * Killing a process ([`SimHandle::kill`]) raises a [`Killed`] unwind at
 //!   its next blocking call; the process harness recognises the sentinel
 //!   and records a clean death. This mirrors how signal-driven teardown
@@ -57,6 +57,7 @@ mod link;
 mod process;
 mod sync;
 mod time;
+mod timers;
 mod trace;
 
 pub use error::{Killed, SimError};

@@ -3,7 +3,9 @@
 //! adds or removes simulator work — FTB events flooded to agents with no
 //! matching subscription, or FlowNet wakes re-pushed for flows whose
 //! rate did not change — moves them and fails here until the pins are
-//! updated on purpose.
+//! updated on purpose. A timer push either inserts a process's wake or
+//! re-keys the one it has; the re-keys are pinned on their own, and no
+//! popped timer is ever stale.
 
 use jobmig_core::bufpool::PoolConfig;
 use npbsim::NpbApp;
@@ -17,6 +19,8 @@ const ROOT_AGENT_DISPATCHES: u64 = 519;
 const TIMER_PUSHES: u64 = 71_172;
 /// FlowNet completion wakes pushed (one per flow start or rate change).
 const FLOW_RETIMES: u64 = 12_888;
+/// Timer pushes that re-keyed a process's pending wake in place.
+const TIMER_REKEYS: u64 = 8_731;
 
 #[test]
 fn fig4_lu_migration_dispatch_counts_are_pinned() {
@@ -46,11 +50,16 @@ fn fig4_lu_migration_dispatch_counts_are_pinned() {
         (TIMER_PUSHES, FLOW_RETIMES),
         "(timer pushes, flow retimes) moved"
     );
+    assert_eq!(hot.timer_rekeys, TIMER_REKEYS, "timer re-keys moved");
+    assert_eq!(
+        hot.stale_timers_skipped, 0,
+        "the timer heap held a stale wake"
+    );
 }
 
 /// (dispatches, timer pushes, flow retimes) of a tuned LU.C.64 cycle, run
-/// through the tuning-aware bench runner.
-fn tuned_counts(tuning: jobmig_core::runtime::MigrationTuning) -> (u64, u64, u64) {
+/// through the tuning-aware bench runner, and its timer re-keys.
+fn tuned_counts(tuning: jobmig_core::runtime::MigrationTuning) -> ((u64, u64, u64), u64) {
     let mut handle: Option<SimHandle> = None;
     let (report, _) = jobmig_bench::fig_migration_tuned_observed(NpbApp::Lu, 64, 8, tuning, |sh| {
         sh.set_prof(true);
@@ -58,7 +67,14 @@ fn tuned_counts(tuning: jobmig_core::runtime::MigrationTuning) -> (u64, u64, u64
     });
     assert_eq!(report.ranks_moved, 8);
     let hot = handle.unwrap().hot_stats();
-    (hot.events_dispatched, hot.timer_pushes, hot.flow_retimes)
+    assert_eq!(
+        hot.stale_timers_skipped, 0,
+        "the timer heap held a stale wake"
+    );
+    (
+        (hot.events_dispatched, hot.timer_pushes, hot.flow_retimes),
+        hot.timer_rekeys,
+    )
 }
 
 /// The overlap data path: per-rank restart, bounded admission.
@@ -69,11 +85,13 @@ fn tuned_counts(tuning: jobmig_core::runtime::MigrationTuning) -> (u64, u64, u64
 /// lane workers, stager and 50 µs manager poll no longer dispatch.
 #[test]
 fn pipelined_lu_migration_dispatch_counts_are_pinned() {
+    let (counts, rekeys) = tuned_counts(jobmig_core::runtime::MigrationTuning::pipelined());
     assert_eq!(
-        tuned_counts(jobmig_core::runtime::MigrationTuning::pipelined()),
+        counts,
         (57_516, 65_553, 11_776),
         "(dispatches, timer pushes, flow retimes) moved"
     );
+    assert_eq!(rekeys, 7_963, "timer re-keys moved");
 }
 
 /// Iterative pre-copy on top of the overlap data path.
@@ -83,9 +101,11 @@ fn pipelined_lu_migration_dispatch_counts_are_pinned() {
 /// previous engine's counts at one lane.
 #[test]
 fn live_lu_migration_dispatch_counts_are_pinned() {
+    let (counts, rekeys) = tuned_counts(jobmig_core::runtime::MigrationTuning::live());
     assert_eq!(
-        tuned_counts(jobmig_core::runtime::MigrationTuning::live()),
+        counts,
         (61_940, 70_229, 12_520),
         "(dispatches, timer pushes, flow retimes) moved"
     );
+    assert_eq!(rekeys, 8_215, "timer re-keys moved");
 }
