@@ -269,7 +269,6 @@ mod tests {
                     }
                 }
                 assert_eq!(heap.len(), model.pending(), "seed {seed}");
-                assert_eq!(heap.peek_time().is_none(), heap.len() == 0);
             }
             while let Some(got) = heap.pop() {
                 assert_eq!(Some(got), model.pop(), "seed {seed}, drain");
