@@ -46,6 +46,9 @@ use simkit::{SimHandle, TraceDigest};
 const GOLDEN_FIG4: (u64, u64) = (3926710353137595242, 7531);
 const GOLDEN_FAULT_MATRIX: (u64, u64) = (639705965089129597, 783);
 const GOLDEN_FLEET: (u64, u64) = (13640947123385823924, 296356);
+/// Recorded when it was added, before FlowNet wakes moved into timer
+/// groups, so that change had to hold it exactly.
+const GOLDEN_FLEET_QUARTER: (u64, u64) = (2676760008724056112, 74605);
 
 fn assert_golden(name: &str, got: TraceDigest, want: (u64, u64)) {
     assert_eq!(
@@ -108,4 +111,31 @@ fn fleet_soak_trace_is_byte_identical_to_pre_optimization() {
     );
     assert!(stats.jobs_completed > 0);
     assert_golden("fleet", handle.unwrap().tracer().digest(), GOLDEN_FLEET);
+}
+
+/// The fleet soak cut to a quarter, as the `twoclock` fleet workload runs
+/// it: a 30-minute horizon with 3 dooms. Cheap enough for every tier-1
+/// run, it keeps the GigE FTB storms (dozens of flows re-timed at one
+/// instant) under a digest.
+#[test]
+fn fleet_quarter_trace_is_byte_identical_to_pre_optimization() {
+    let mut cfg = fleetsched::FleetConfig::soak(jobmig_bench::SEED);
+    cfg.horizon = std::time::Duration::from_secs(1800);
+    cfg.doom_count = 3;
+    let mut handle: Option<SimHandle> = None;
+    let stats = fleetsched::run_policy_observed(
+        &cfg,
+        fleetsched::PolicyKind::Proactive,
+        &cfg.doom_plan(),
+        |sh| {
+            sh.tracer().set_digest_enabled(true);
+            handle = Some(sh.clone());
+        },
+    );
+    assert!(stats.jobs_completed > 0);
+    assert_golden(
+        "fleet-quarter",
+        handle.unwrap().tracer().digest(),
+        GOLDEN_FLEET_QUARTER,
+    );
 }
