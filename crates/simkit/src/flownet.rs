@@ -16,8 +16,12 @@
 //! progress is settled and its owner's completion wake re-pushed only when
 //! its rate changes bit-wise. A flow whose rate is unchanged keeps its
 //! finish nanosecond and its pending timer, so there is no float drift to
-//! correct and no no-op retime to detect. The owner is done exactly when
-//! the clock reaches `finish`.
+//! correct and no no-op retime to detect. The owner is woken only when the
+//! clock reaches `finish`, or to unwind after a kill.
+//!
+//! The owners' completion wakes live in the net's kernel timer group,
+//! allocated with its first flow, so a recompute that re-times many flows
+//! re-keys the scheduler heap once.
 //!
 //! [`crate::Link`] is a one-link `FlowNet`: use `Link` for a standalone
 //! resource (a disk, a memory bus), `FlowNet` when flows share *paths*.
@@ -90,27 +94,28 @@ struct NetInner {
     // same-seed runs to replay identically (same-timestamp tie-breaks).
     flows: BTreeMap<u64, NetFlow>,
     next_flow: u64,
+    /// Kernel timer group of the owners' completion wakes, allocated with
+    /// the first flow.
+    group: Option<u32>,
 }
 
 impl NetInner {
     /// Recompute every flow's rate from the link shares. A flow whose rate
     /// changed bit-wise has its progress settled at `now`, a new `finish`
-    /// and a fresh completion wake; the others keep theirs.
-    ///
-    /// `running` names the caller's own flow, whose wake has just fired
-    /// and been consumed: it is always re-pushed, or its owner would block
-    /// with no pending timer.
-    fn recompute_and_retime(&mut self, kernel: &Kernel, now: SimTime, running: Option<u64>) {
+    /// and a fresh completion wake; the others keep theirs. A new flow's
+    /// rate is 0, so it always gets its first wake here.
+    fn recompute_and_retime(&mut self, kernel: &Kernel, now: SimTime) {
         let links = &self.links;
-        kernel.with_wake_batch(|batch| {
-            for (&id, f) in self.flows.iter_mut() {
+        let group = self.group.expect("a net with flows has a timer group");
+        kernel.with_wake_batch(group, |batch| {
+            for f in self.flows.values_mut() {
                 let rate = f
                     .links
                     .iter()
                     .map(|l| links[l.0 as usize].share)
                     .fold(f64::INFINITY, f64::min);
                 debug_assert!(rate.is_finite() && rate > 0.0);
-                if rate.to_bits() == f.rate.to_bits() && running != Some(id) {
+                if rate.to_bits() == f.rate.to_bits() {
                     continue;
                 }
                 f.left = (f.left - f.rate * (now - f.since).as_secs_f64()).max(0.0);
@@ -154,6 +159,7 @@ impl FlowNet {
                 links: Vec::new(),
                 flows: BTreeMap::new(),
                 next_flow: 0,
+                group: None,
             })),
         }
     }
@@ -194,6 +200,9 @@ impl FlowNet {
         let flow_id = {
             let mut inner = self.inner.lock();
             let now = ctx.now();
+            if inner.group.is_none() {
+                inner.group = Some(self.kernel.new_timer_group());
+            }
             let id = inner.next_flow;
             inner.next_flow += 1;
             for l in links {
@@ -211,7 +220,7 @@ impl FlowNet {
                     finish: SimTime::MAX,
                 },
             );
-            inner.recompute_and_retime(&self.kernel, now, Some(id));
+            inner.recompute_and_retime(&self.kernel, now);
             id
         };
         let mut guard = NetFlowGuard {
@@ -219,23 +228,18 @@ impl FlowNet {
             flow_id,
             armed: true,
         };
-        loop {
-            ctx.block();
-            let mut inner = self.inner.lock();
-            let now = ctx.now();
-            let finish = inner
-                .flows
-                .get(&flow_id)
-                .map(|f| f.finish)
-                .expect("flow vanished while owner blocked");
-            if now >= finish {
-                inner.finish_flow(flow_id, now, true);
-                inner.recompute_and_retime(&self.kernel, now, None);
-                guard.armed = false;
-                return;
-            }
-            inner.recompute_and_retime(&self.kernel, now, Some(flow_id));
-        }
+        ctx.block();
+        let mut inner = self.inner.lock();
+        let now = ctx.now();
+        let finish = inner
+            .flows
+            .get(&flow_id)
+            .map(|f| f.finish)
+            .expect("flow vanished while owner blocked");
+        debug_assert!(now >= finish, "flow owner woken before its finish");
+        inner.finish_flow(flow_id, now, true);
+        inner.recompute_and_retime(&self.kernel, now);
+        guard.armed = false;
     }
 
     /// Number of flows currently crossing `link`.
@@ -288,6 +292,6 @@ impl Drop for NetFlowGuard<'_> {
         let mut inner = self.net.inner.lock();
         let now = self.net.kernel.now();
         inner.finish_flow(self.flow_id, now, false);
-        inner.recompute_and_retime(&self.net.kernel, now, None);
+        inner.recompute_and_retime(&self.net.kernel, now);
     }
 }

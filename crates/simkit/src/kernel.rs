@@ -2,19 +2,28 @@
 //!
 //! # Scheduling model
 //!
-//! Every blocked process has at most one *canonical wake*: its entry in the
-//! timer heap ([`crate::timers`]), which holds one entry per process at
-//! most. Waking, retiming and killing all go through the same mechanism —
-//! allocate a fresh sequence number and insert the process's entry, or
-//! re-key the one it has in place — so the heap never holds a superseded
-//! wake and every pop dispatches. This gives a single, easily-audited
-//! source of truth for "who runs next" and makes the simulation
-//! deterministic: ties at equal virtual time are broken by the sequence
-//! number of the latest wake.
+//! Every blocked process has at most one *canonical wake* in the timer
+//! heap ([`crate::timers`]). Waking, retiming and killing all go through
+//! the same mechanism — allocate a fresh sequence number and insert the
+//! process's wake, or re-key the one it has in place — so nothing ever
+//! holds a superseded wake and every pop dispatches. This gives a single,
+//! easily-audited source of truth for "who runs next" and makes the
+//! simulation deterministic: ties at equal virtual time are broken by the
+//! sequence number of the latest wake.
+//!
+//! A process blocked in a FlowNet transfer keeps its completion wake in
+//! the net's *timer group* ([`Kernel::new_timer_group`]); the heap holds
+//! one entry per process not blocked in a flow plus one proxy per
+//! non-empty group. A rate recompute re-times all of a net's flows
+//! through one [`WakeBatch`], each retime a store into the group, and the
+//! group's proxy is re-keyed once before the next pop. Any other wake of
+//! a grouped process (a kill) moves it back to the heap. The grouping
+//! changes only the work per retime, not which wake pops next.
 //!
 //! The virtual clock is one atomic word that only the scheduler stores
 //! (at each pop, and when [`Simulation::run_until`] reaches its limit),
-//! so reading it takes no lock.
+//! so reading it takes no lock. Each process's killed flag is an atomic
+//! its [`Ctx`] shares, so a process checks for its own kill with no lock.
 //!
 //! # One host thread
 //!
@@ -39,7 +48,7 @@ use rand::SeedableRng;
 use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a simulated process.
@@ -67,7 +76,10 @@ struct Slot {
     /// The body until the first dispatch takes it onto a stack.
     body: Option<Body>,
     dead: bool,
-    killed: bool,
+    /// Set by [`Kernel::kill`] and at teardown, never cleared; the
+    /// process's [`Ctx`] shares it and reads it without the scheduler
+    /// lock.
+    killed: Arc<AtomicBool>,
     daemon: bool,
     /// Processes blocked in `join()` on this process.
     join_waiters: Vec<u32>,
@@ -86,8 +98,15 @@ pub(crate) struct KState {
 
 impl KState {
     /// Core of [`Kernel::schedule_wake`], callable with the state lock
-    /// already held (the batch-retime path). `now` is the clock.
-    fn schedule_wake_locked(&mut self, now: SimTime, pid: ProcId, time: SimTime) -> bool {
+    /// already held (the batch-retime path). `now` is the clock; `group`
+    /// is the timer group the wake goes into, `None` for the heap.
+    fn schedule_wake_locked(
+        &mut self,
+        now: SimTime,
+        pid: ProcId,
+        time: SimTime,
+        group: Option<u32>,
+    ) -> bool {
         let time = time.max(now);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -97,7 +116,7 @@ impl KState {
         }
         let c = &mut self.counts;
         c.timer_pushes += 1;
-        if self.timers.schedule(pid.0, time, seq) {
+        if self.timers.schedule(pid.0, time, seq, group) {
             c.timer_rekeys += 1;
         } else {
             c.heap_peak = c.heap_peak.max(self.timers.len() as u64);
@@ -110,10 +129,11 @@ impl KState {
 enum Popped {
     Quiescent,
     Limit,
-    /// `body` is the process body on its first dispatch, `None` after.
+    /// `first` is the process body and its killed flag on its first
+    /// dispatch, `None` after.
     Ready {
         pid: u32,
-        body: Option<Body>,
+        first: Option<(Body, Arc<AtomicBool>)>,
     },
 }
 
@@ -138,16 +158,26 @@ impl Kernel {
     /// scheduled.
     pub(crate) fn schedule_wake(&self, pid: ProcId, time: SimTime) -> bool {
         let now = self.now();
-        self.st.lock().schedule_wake_locked(now, pid, time)
+        self.st.lock().schedule_wake_locked(now, pid, time, None)
     }
 
-    /// Run `f` against a [`WakeBatch`]: the scheduler lock is taken once
-    /// for one FlowNet recompute and all the wakes it retimes.
-    pub(crate) fn with_wake_batch<R>(&self, f: impl FnOnce(&mut WakeBatch) -> R) -> R {
+    /// A new, empty timer group for one FlowNet's completion wakes.
+    pub(crate) fn new_timer_group(&self) -> u32 {
+        self.st.lock().timers.add_group()
+    }
+
+    /// Run `f` against a [`WakeBatch`] onto timer group `group`: the
+    /// scheduler lock is taken once for one FlowNet recompute and all the
+    /// wakes it retimes.
+    pub(crate) fn with_wake_batch<R>(&self, group: u32, f: impl FnOnce(&mut WakeBatch) -> R) -> R {
         let now = self.now();
         let mut st = self.st.lock();
         st.counts.flow_recomputes += 1;
-        f(&mut WakeBatch { st: &mut st, now })
+        f(&mut WakeBatch {
+            st: &mut st,
+            now,
+            group,
+        })
     }
 
     /// Pop the next timer at or before `limit`, advance the clock to it
@@ -163,9 +193,10 @@ impl Kernel {
         let (time, pid) = st.timers.pop().expect("peeked timer");
         self.clock.store(time.as_nanos(), Ordering::Relaxed);
         st.counts.dispatches += 1;
+        let slot = &mut st.procs[pid as usize];
         Popped::Ready {
             pid,
-            body: st.procs[pid as usize].body.take(),
+            first: slot.body.take().map(|b| (b, Arc::clone(&slot.killed))),
         }
     }
 
@@ -182,23 +213,25 @@ impl Kernel {
 
     /// Mark `pid` killed and schedule an immediate wake so it unwinds.
     pub(crate) fn kill(&self, pid: ProcId) {
+        let now = self.now();
         {
             let mut st = self.st.lock();
-            match st.procs.get_mut(pid.0 as usize) {
-                Some(s) if !s.dead => s.killed = true,
+            match st.procs.get(pid.0 as usize) {
+                Some(s) if !s.dead => s.killed.store(true, Ordering::Relaxed),
                 _ => return,
             }
+            st.schedule_wake_locked(now, pid, now, None);
         }
-        self.wake_now(pid);
-        self.tracer.rec(self.now(), Some(pid), "killed");
+        self.tracer.rec(now, Some(pid), "killed");
     }
 
+    /// Whether `pid` was killed; stays true after it finished.
     pub(crate) fn is_killed(&self, pid: ProcId) -> bool {
         self.st
             .lock()
             .procs
             .get(pid.0 as usize)
-            .map(|s| s.killed)
+            .map(|s| s.killed.load(Ordering::Relaxed))
             .unwrap_or(true)
     }
 
@@ -257,13 +290,13 @@ impl Kernel {
                 name: Arc::from(name),
                 body: Some(Box::new(f)),
                 dead: false,
-                killed: false,
+                killed: Arc::new(AtomicBool::new(false)),
                 daemon,
                 join_waiters: Vec::new(),
             });
             st.timers.add_proc();
             st.counts.spawns += 1;
-            st.schedule_wake_locked(now, pid, now);
+            st.schedule_wake_locked(now, pid, now, None);
             pid
         };
         self.tracer.name_proc(pid, name);
@@ -292,21 +325,29 @@ impl Kernel {
     }
 }
 
-/// A single-lock window onto the scheduler, handed out by
-/// [`Kernel::with_wake_batch`]. Wakes scheduled through it are identical —
-/// same sequence-number allocation, same heap discipline — to individual
-/// [`Kernel::schedule_wake`] calls; only the locking is batched.
+/// A single-lock window onto the scheduler and one timer group, handed
+/// out by [`Kernel::with_wake_batch`]. Wakes scheduled through it are
+/// identical — same sequence-number allocation, same counts, same pop
+/// order — to individual [`Kernel::schedule_wake`] calls; only the
+/// locking is batched, and the heap re-keys the group's proxy once.
 pub(crate) struct WakeBatch<'a> {
     st: &'a mut KState,
     now: SimTime,
+    group: u32,
 }
 
 impl WakeBatch<'_> {
-    /// Retime a flow owner's completion wake (see
-    /// [`Kernel::schedule_wake`]), counted as a FlowNet retime.
+    /// Retime a flow owner's completion wake into the group (see
+    /// [`Kernel::schedule_wake`]), counted as a FlowNet retime. A killed
+    /// owner keeps its immediate wake, so it unwinds and gives up its
+    /// links at the instant it was killed.
     pub(crate) fn retime(&mut self, pid: ProcId, time: SimTime) {
+        if self.st.procs[pid.0 as usize].killed.load(Ordering::Relaxed) {
+            return;
+        }
         self.st.counts.flow_retimes += 1;
-        self.st.schedule_wake_locked(self.now, pid, time);
+        self.st
+            .schedule_wake_locked(self.now, pid, time, Some(self.group));
     }
 }
 
@@ -647,15 +688,15 @@ impl Simulation {
         assert!(!self.poisoned, "simulation used after a process panic");
         let hot = &self.kernel.hot;
         let t_sched = hot.clock();
-        let (pid, body) = match self.kernel.pop_next(limit) {
+        let (pid, first) = match self.kernel.pop_next(limit) {
             Popped::Quiescent => return Ok(StepResult::Quiescent),
             Popped::Limit => return Ok(StepResult::LimitReached),
-            Popped::Ready { pid, body } => (pid, body),
+            Popped::Ready { pid, first } => (pid, first),
         };
         hot.lap(t_sched, HotCat::Sched);
         hot.count_proc(pid);
         let t_run = hot.clock();
-        let fin = self.resume(pid, body);
+        let fin = self.resume(pid, first);
         self.kernel.hot.lap(t_run, HotCat::Run);
         let Some(fin) = fin else {
             return Ok(StepResult::Ran);
@@ -681,19 +722,19 @@ impl Simulation {
         Ok(StepResult::Ran)
     }
 
-    /// Run process `pid` until it blocks (`None`) or finishes. `body` is
-    /// its body at the first dispatch, which gives it a stack; a process
-    /// killed before then finishes without one.
-    fn resume(&mut self, pid: u32, body: Option<Body>) -> Option<Fin> {
+    /// Run process `pid` until it blocks (`None`) or finishes. `first` is
+    /// its body and killed flag at the first dispatch, which gives it a
+    /// stack; a process killed before then finishes without one.
+    fn resume(&mut self, pid: u32, first: Option<(Body, Arc<AtomicBool>)>) -> Option<Fin> {
         let i = pid as usize;
-        if let Some(body) = body {
-            if self.kernel.is_killed(ProcId(pid)) {
+        if let Some((body, killed)) = first {
+            if killed.load(Ordering::Relaxed) {
                 return Some(Fin::Killed);
             }
             let kernel = Arc::clone(&self.kernel);
             let fin = Rc::clone(&self.fin);
             let entry = Box::new(move || {
-                let ctx = Ctx::new(kernel, ProcId(pid));
+                let ctx = Ctx::new(kernel, ProcId(pid), killed);
                 fin.set(Some(match catch_unwind(AssertUnwindSafe(|| body(&ctx))) {
                     Ok(()) => Fin::Ok,
                     Err(p) if p.is::<Killed>() => Fin::Killed,
@@ -734,7 +775,7 @@ impl Drop for Simulation {
             {
                 let mut st = self.kernel.st.lock();
                 for s in st.procs.iter_mut().filter(|s| !s.dead) {
-                    s.killed = true;
+                    s.killed.store(true, Ordering::Relaxed);
                     bodies.extend(s.body.take());
                 }
             }

@@ -6,6 +6,7 @@ use crate::kernel::{Kernel, ProcId, SimHandle};
 use crate::time::SimTime;
 use crate::trace::Args;
 use rand::rngs::StdRng;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,11 +20,17 @@ use std::time::Duration;
 pub struct Ctx {
     kernel: Arc<Kernel>,
     pid: ProcId,
+    /// This process's killed flag, shared with its kernel slot.
+    killed: Arc<AtomicBool>,
 }
 
 impl Ctx {
-    pub(crate) fn new(kernel: Arc<Kernel>, pid: ProcId) -> Self {
-        Ctx { kernel, pid }
+    pub(crate) fn new(kernel: Arc<Kernel>, pid: ProcId, killed: Arc<AtomicBool>) -> Self {
+        Ctx {
+            kernel,
+            pid,
+            killed,
+        }
     }
 
     /// This process's id.
@@ -153,8 +160,9 @@ impl Ctx {
 
     /// Unwind with [`Killed`] if this process has been killed. All blocking
     /// primitives call this; long compute-only loops may call it to poll.
+    /// It takes no lock.
     pub fn check_killed(&self) {
-        if self.kernel.is_killed(self.pid) {
+        if self.killed.load(Ordering::Relaxed) {
             std::panic::panic_any(Killed { pid: self.pid });
         }
     }

@@ -173,3 +173,38 @@ fn unchanged_rate_keeps_exact_finish_and_single_wake() {
     assert_eq!(side_retimes.load(Ordering::SeqCst), 1);
     assert_eq!(h.hot_stats().flow_retimes, 2);
 }
+
+#[test]
+fn flow_start_does_not_delay_a_pending_kill() {
+    // A kills X mid-transfer at t = 1 s. B, whose wake at that instant
+    // was scheduled before X's kill wake, runs first and starts a flow on
+    // X's link. The recompute must leave X's kill wake alone: X unwinds
+    // at 1 s, and B has the whole link from then on.
+    let mut sim = Simulation::new(0);
+    let net = FlowNet::new(&sim.handle());
+    let l = net.add_link("l", 100e6, Sharing::Fair);
+    let n1 = net.clone();
+    let x = sim.spawn("x", move |ctx| {
+        n1.transfer(ctx, &[l], 1_000_000_000);
+        unreachable!();
+    });
+    let x2 = x.clone();
+    sim.spawn("a", move |ctx| {
+        ctx.sleep(secs(1));
+        x2.kill();
+    });
+    let b_done = Arc::new(AtomicU64::new(0));
+    let (n2, done) = (net.clone(), b_done.clone());
+    sim.spawn("b", move |ctx| {
+        ctx.sleep(secs(1));
+        n2.transfer(ctx, &[l], 100_000_000);
+        done.store(ctx.now().as_nanos(), Ordering::SeqCst);
+    });
+    sim.run_until(simkit::SimTime::from_nanos(1_000_000_000))
+        .unwrap();
+    assert!(x.is_dead(), "killed owner kept its flow past the kill");
+    assert_eq!(net.active_on(l), 1);
+    sim.run().unwrap();
+    assert_eq!(b_done.load(Ordering::SeqCst), 2_000_000_000);
+    assert_eq!(net.bytes_completed_on(l), 100_000_000);
+}
