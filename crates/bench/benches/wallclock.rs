@@ -131,7 +131,8 @@ fn load_baseline() -> Option<String> {
 
 /// Cost of a trace call site when tracing is disabled, in ns/call. The
 /// calls run inside a simulation process so the measurement exercises
-/// the real `Ctx::instant_with` path, argument closure included.
+/// the real `ctx.instant_with` path (`Scope::instant_with` through a
+/// `Ctx`), argument closure included.
 fn disabled_trace_ns_per_call() -> f64 {
     const CALLS: u64 = 4_000_000;
     let mut sim = Simulation::new(SEED);

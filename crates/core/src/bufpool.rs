@@ -65,9 +65,6 @@ pub struct PoolConfig {
     pub transport: Transport,
     /// Phase 3 restart strategy.
     pub restart_mode: RestartMode,
-    /// Per-chunk RDMA Read re-issue budget on CQ error or checksum
-    /// mismatch.
-    pub chunk_retries: u32,
     /// Overlap Phase 3 with Phase 2: restart each rank as soon as its
     /// image is staged instead of waiting for the whole-pull barrier.
     pub overlap: bool,
@@ -88,7 +85,6 @@ impl Default for PoolConfig {
             chunk_bytes: calib::CHUNK_BYTES,
             transport: Transport::RdmaRead,
             restart_mode: RestartMode::FileBased,
-            chunk_retries: calib::CHUNK_RETRIES,
             overlap: false,
             restart_admission: 0,
             live: None,
@@ -775,7 +771,7 @@ fn pull_chunk(
                 ("error", error.into()),
             ]
         });
-        if tries > cfg.chunk_retries {
+        if tries > calib::CHUNK_RETRIES {
             ctx.instant_with("pool", "chunk_failed", || {
                 vec![("rank", req.rank.into()), ("slot", req.slot.into())]
             });

@@ -92,12 +92,6 @@ pub const CHUNK_BYTES: u64 = 1 << 20;
 /// default; what makes very small chunks a bad idea.
 pub const CHUNK_PROTOCOL_OVERHEAD: Duration = Duration::from_micros(20);
 
-/// Whether restarts read their checkpoint/temp files cold. BLCR's
-/// `cr_restart` read path does not benefit from the page cache the way a
-/// plain sequential read would (the paper attributes Phase 3's dominance
-/// to exactly this file I/O), so restarts drop caches first.
-pub const RESTART_READS_COLD: bool = true;
-
 /// Effective kernel-copy bandwidth of the IPoIB socket path, charged once
 /// per side per chunk in the staged-copy transport ablation (socket-based
 /// process migration achieves ~250-400 MB/s on DDR IB, vs ~1.4 GB/s for
@@ -116,8 +110,7 @@ pub const NLA_SPAWN: Duration = Duration::from_millis(8);
 /// confirmation delay (a missed heartbeat window on the launch node).
 pub const TAKEOVER_DETECT: Duration = Duration::from_millis(5);
 
-/// Per-chunk RDMA Read re-issue budget on CQ error or checksum mismatch
-/// (the default of `PoolConfig::chunk_retries`).
+/// Per-chunk RDMA Read re-issue budget on CQ error or checksum mismatch.
 pub const CHUNK_RETRIES: u32 = 4;
 
 /// Recovery policy for the self-healing migration protocol: per-phase

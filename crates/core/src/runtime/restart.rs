@@ -98,7 +98,11 @@ pub(super) fn target_side(
         cycle.images_ready.wait(ctx);
     }
     let res = inner.cluster.node(r.target);
-    let cold = calib::RESTART_READS_COLD && cycle.pool.restart_mode == RestartMode::FileBased;
+    // File-based restarts read their checkpoint/temp files cold: BLCR's
+    // `cr_restart` read path does not benefit from the page cache the way
+    // a plain sequential read would (the paper attributes Phase 3's
+    // dominance to exactly this file I/O).
+    let cold = cycle.pool.restart_mode == RestartMode::FileBased;
     if cold && !overlap {
         use storesim::CkptStore;
         res.fs.drop_caches();

@@ -142,7 +142,7 @@ fn live_migrated_job_completes_with_verified_images() {
 /// CQ errors during a pre-copy round must not sink the trigger: single
 /// errors are absorbed by the chunk reissue loop exactly as in
 /// stop-and-copy, and a *persistent* error burst (every read failing,
-/// exhausting `chunk_retries`) aborts the round's pull, which the
+/// exhausting `calib::CHUNK_RETRIES`) aborts the round's pull, which the
 /// controller answers with a fallback to classic stop-and-copy — the
 /// migration still completes.
 #[test]
@@ -161,7 +161,7 @@ fn cq_error_mid_round_falls_back_to_stop_and_copy() {
         "a single reissued chunk must not trigger a fallback"
     );
 
-    // Persistent burst: chunk_retries (4) is exhausted on the first
+    // Persistent burst: CHUNK_RETRIES (4) is exhausted on the first
     // chunk of whichever lane the errors land on, aborting round 0's
     // pull. The controller falls back and the cycle completes as
     // stop-and-copy.

@@ -33,7 +33,7 @@
 
 use crate::policy::{AlertLevel, FleetAlert, FleetPolicy, FleetView, PolicyAction, PolicyKind};
 use faultplane::{DoomPlan, FaultPlan, FaultSpec, NodeDoom};
-use ftb::{EventFilter, FtbClient, FtbConfig, Severity};
+use ftb::{EventFilter, FtbClient, Severity};
 use healthmon::{HealthAlert, MonitorConfig, SensorKind, SensorProfile, HEALTH_SPACE};
 use ibfabric::NodeId;
 use jobmig_core::prelude::*;
@@ -747,10 +747,7 @@ pub fn run_policy_observed(
     let mut sim = Simulation::new(cfg.seed);
     observe(&sim.handle());
     let mut spec = ClusterSpec::sized(cfg.slots as u32 * cfg.nodes_per_slot, cfg.spares);
-    spec.ftb = FtbConfig {
-        heartbeat: cfg.ftb_heartbeat,
-        ..spec.ftb
-    };
+    spec.ftb.heartbeat = cfg.ftb_heartbeat;
     let cluster = Cluster::build(&sim.handle(), spec);
     assert_eq!(
         cluster.compute_nodes(),

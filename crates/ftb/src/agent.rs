@@ -40,26 +40,23 @@ pub(crate) struct AgentState {
     pub delivered: Mutex<u64>,
 }
 
+/// Forward-up retry budget: how many times an agent re-sends an event
+/// toward a re-attached parent, with no pause, after the first send
+/// fails. When the budget is exhausted the event is dropped and an
+/// `ftb/event_dropped` trace instant is emitted.
+const FORWARD_RETRIES: u32 = 1;
+
 /// Backplane tunables.
 #[derive(Debug, Clone)]
 pub struct FtbConfig {
     /// Parent heartbeat period (drives failure detection latency).
     pub heartbeat: Duration,
-    /// Forward-up retry budget: how many times an agent re-sends an event
-    /// toward (a possibly re-attached) parent after the first send fails.
-    /// When the budget is exhausted the event is dropped and an
-    /// `ftb/event_dropped` trace instant is emitted.
-    pub forward_retries: u32,
-    /// Pause between forward-up retry attempts (0 = immediate).
-    pub forward_retry_backoff: Duration,
 }
 
 impl Default for FtbConfig {
     fn default() -> Self {
         FtbConfig {
             heartbeat: Duration::from_millis(500),
-            forward_retries: 1,
-            forward_retry_backoff: Duration::ZERO,
         }
     }
 }
@@ -79,7 +76,7 @@ type Registry = Mutex<HashMap<NodeId, AgentHandles>>;
 pub struct FtbBackplane {
     handle: SimHandle,
     net: Net,
-    cfg: Arc<FtbConfig>,
+    cfg: FtbConfig,
     agents: Arc<Registry>,
 }
 
@@ -90,7 +87,7 @@ impl FtbBackplane {
         FtbBackplane {
             handle: handle.clone(),
             net,
-            cfg: Arc::new(cfg),
+            cfg,
             agents: Arc::new(Mutex::new(HashMap::new())),
         }
     }
@@ -133,12 +130,11 @@ impl FtbBackplane {
         let inbox = self.net.bind(node, FTB_AGENT_PORT);
         let loop_state = state.clone();
         let loop_net = self.net.clone();
-        let loop_cfg = self.cfg.clone();
         let loop_agents = Arc::downgrade(&self.agents);
         let main = self
             .handle
             .spawn_daemon(&format!("ftb-agent@{node}"), move |ctx| {
-                agent_main(ctx, loop_state, loop_net, loop_cfg, loop_agents, inbox)
+                agent_main(ctx, loop_state, loop_net, loop_agents, inbox)
             });
         let hb_state = state.clone();
         let hb_net = self.net.clone();
@@ -260,11 +256,11 @@ fn deliver_local(state: &Arc<AgentState>, event: &FtbEvent) {
     *state.delivered.lock() += n.min(1); // count events, not fan-out
 }
 
-/// Forward an event toward the root, re-attaching and retrying within the
-/// configured budget. When the budget is exhausted (or no ancestor is
+/// Forward an event toward the root, re-attaching and retrying within
+/// [`FORWARD_RETRIES`]. When the budget is exhausted (or no ancestor is
 /// reachable) the event is dropped with a trace instant — bounded loss,
 /// never an unbounded stall of the agent loop.
-fn forward_up(ctx: &Ctx, state: &Arc<AgentState>, net: &Net, cfg: &FtbConfig, event: &FtbEvent) {
+fn forward_up(ctx: &Ctx, state: &Arc<AgentState>, net: &Net, event: &FtbEvent) {
     let Some(mut parent) = *state.parent.lock() else {
         return; // we are the root
     };
@@ -278,11 +274,8 @@ fn forward_up(ctx: &Ctx, state: &Arc<AgentState>, net: &Net, cfg: &FtbConfig, ev
             return;
         }
         attempts += 1;
-        if attempts > cfg.forward_retries {
+        if attempts > FORWARD_RETRIES {
             break;
-        }
-        if !cfg.forward_retry_backoff.is_zero() {
-            ctx.sleep(cfg.forward_retry_backoff);
         }
         match reattach(ctx, state, net) {
             Some(np) => parent = np,
@@ -331,7 +324,6 @@ fn agent_main(
     ctx: &Ctx,
     state: Arc<AgentState>,
     net: Net,
-    cfg: Arc<FtbConfig>,
     agents: Weak<Registry>,
     inbox: Queue<ibfabric::Datagram>,
 ) {
@@ -357,7 +349,7 @@ fn agent_main(
                 deliver_local(&state, &event);
                 // forward up (bounded retry, see `forward_up`)
                 if via != Via::Parent {
-                    forward_up(ctx, &state, &net, &cfg, &event);
+                    forward_up(ctx, &state, &net, &event);
                 }
                 // forward down, only into subtrees that subscribe
                 // (BTreeSet: deterministic delivery order)

@@ -139,11 +139,6 @@ impl Net {
         *self.hook.lock() = Some(hook);
     }
 
-    /// Remove the fault hook.
-    pub fn clear_fault_hook(&self) {
-        *self.hook.lock() = None;
-    }
-
     pub(crate) fn fault_hook(&self) -> Option<Arc<dyn FaultHook>> {
         self.hook.lock().clone()
     }
@@ -170,11 +165,6 @@ impl Net {
             Sharing::Fair,
         );
         inner.ports.insert(node, Port { tx, rx });
-    }
-
-    /// Whether `node` is attached.
-    pub fn has_node(&self, node: NodeId) -> bool {
-        self.inner.lock().ports.contains_key(&node)
     }
 
     /// Block for the time `wire_bytes` takes from `from` to `to` under

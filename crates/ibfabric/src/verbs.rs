@@ -497,11 +497,6 @@ impl Qp {
         self.shared.recv_q.pop(ctx)
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Result<IbMessage, VerbsError>> {
-        self.shared.recv_q.try_pop()
-    }
-
     /// Number of undelivered messages queued on this QP.
     pub fn pending(&self) -> usize {
         self.shared.recv_q.len()

@@ -189,11 +189,6 @@ impl ImageAccumulator {
         self.base = Some(img);
     }
 
-    /// Whether a base image has been installed.
-    pub fn has_base(&self) -> bool {
-        self.base.is_some()
-    }
-
     /// Delta rounds applied so far.
     pub fn rounds_applied(&self) -> u32 {
         self.rounds_applied

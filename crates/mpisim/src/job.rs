@@ -5,7 +5,7 @@ use crate::rank::{Arrival, MpiRank, RankCr, RankShared};
 use bytes::Bytes;
 use ibfabric::{IbFabric, NodeId};
 use parking_lot::Mutex;
-use simkit::{Ctx, Gate, SimHandle};
+use simkit::{Ctx, Event, SimHandle};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,17 +48,19 @@ pub struct JobStats {
 }
 
 /// Tracks in-flight wire operations job-wide; Phase 1's drain waits for it
-/// to reach zero. A [`Gate`] that is open exactly when the count is zero.
+/// to reach zero. An [`Event`] that is set exactly when the count is zero.
 pub(crate) struct DrainCounter {
     count: Mutex<u64>,
-    zero: Gate,
+    zero: Event,
 }
 
 impl DrainCounter {
     fn new(handle: &SimHandle) -> Self {
+        let zero = Event::new(handle, "drain-zero");
+        zero.set();
         DrainCounter {
             count: Mutex::new(0),
-            zero: Gate::new(handle, true),
+            zero,
         }
     }
 
@@ -66,7 +68,7 @@ impl DrainCounter {
         let mut c = self.count.lock();
         *c += 1;
         if *c == 1 {
-            self.zero.close();
+            self.zero.reset();
         }
     }
 
@@ -75,7 +77,7 @@ impl DrainCounter {
         debug_assert!(*c > 0, "drain counter underflow");
         *c -= 1;
         if *c == 0 {
-            self.zero.open();
+            self.zero.set();
         }
     }
 

@@ -7,7 +7,7 @@ use bytes::Bytes;
 use ibfabric::{DataSrc, Mr, NodeId, Qp, QpAddr};
 use livemig::{DirtySnapshot, DirtyTracker};
 use parking_lot::Mutex;
-use simkit::{Ctx, Event, Gate, Queue, SimHandle};
+use simkit::{Ctx, Event, Queue, SimHandle};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,9 +52,9 @@ pub(crate) struct RankShared {
     // BTreeMap: purge passes iterate the matching queues; (src, tag)
     // order keeps replay deterministic.
     queues: Mutex<BTreeMap<(u32, u64), Queue<Arrival>>>,
-    /// Open while communication is allowed; closed during a
+    /// Set while communication is allowed; reset during a
     /// checkpoint/migration cycle.
-    pub gate: Gate,
+    pub gate: Event,
     endpoints: Mutex<Option<Endpoints>>,
     /// Ops to skip on replay after a restart.
     pub skip: Mutex<u64>,
@@ -75,7 +75,7 @@ impl RankShared {
             rank,
             node: Mutex::new(node),
             queues: Mutex::new(BTreeMap::new()),
-            gate: Gate::new(handle, false), // closed until endpoints built
+            gate: Event::new(handle, "mpi-gate"), // closed until endpoints built
             endpoints: Mutex::new(None),
             skip: Mutex::new(0),
             completed_in_iter: Mutex::new(0),
@@ -414,7 +414,7 @@ impl RankCr {
                 ("inflight", self.job.inflight().into()),
             ]
         });
-        self.shared.gate.close();
+        self.shared.gate.reset();
         // pairwise flush exchange with every peer
         let peers = self.job.size().saturating_sub(1);
         ctx.sleep(self.job.config().drain_per_peer * peers);
@@ -500,18 +500,18 @@ impl RankCr {
 
     /// Reopen the communication gate (end of Phase 4).
     pub fn reopen(&self) {
-        self.shared.gate.open();
+        self.shared.gate.set();
     }
 
     /// Force the communication gate closed without draining (failure
     /// path: the processes are gone, nothing to drain).
     pub fn close_gate(&self) {
-        self.shared.gate.close();
+        self.shared.gate.reset();
     }
 
     /// Whether the gate is open.
     pub fn is_open(&self) -> bool {
-        self.shared.gate.is_open()
+        self.shared.gate.is_set()
     }
 
     /// Arm dirty-page tracking over the rank's current segment layout

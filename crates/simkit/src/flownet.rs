@@ -26,9 +26,10 @@
 //! [`crate::Link`] is a one-link `FlowNet`: use `Link` for a standalone
 //! resource (a disk, a memory bus), `FlowNet` when flows share *paths*.
 
-use crate::kernel::{Kernel, ProcId, SimHandle};
+use crate::kernel::{Kernel, ProcId};
 use crate::link::{LinkStats, Sharing};
 use crate::process::Ctx;
+use crate::process::SimHandle;
 use crate::time::SimTime;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;

@@ -4,22 +4,22 @@
 //! live-migration round sweeps push millions of scheduler events through
 //! the kernel — so the kernel profiles itself. Two tiers:
 //!
-//! * **Counters** (events dispatched, wakes scheduled and re-keyed, the
-//!   timer heap's peak, process spawns, FlowNet recomputes and retimes —
-//!   every [`Link`](crate::Link) is a one-link FlowNet, so its traffic
-//!   counts there too) are always maintained: plain integers in the
-//!   scheduler state, bumped under the lock the scheduler already holds.
-//! * **Wall-clock timing** (ns per kernel category, per-process dispatch
-//!   counts) reads the host monotonic clock twice per event and is off
-//!   unless the `SIMKIT_PROF=1` environment variable is set when the
+//! * **Counters** (events dispatched, in total and per process, wakes
+//!   scheduled and re-keyed, the timer heap's peak, process spawns,
+//!   FlowNet recomputes and retimes — every [`Link`](crate::Link) is a
+//!   one-link FlowNet, so its traffic counts there too) are always
+//!   maintained: plain integers in the scheduler state and its process
+//!   slots, bumped under the lock the scheduler already holds.
+//! * **Wall-clock timing** (ns per kernel category) reads the host
+//!   monotonic clock twice per event and is off unless the
+//!   `SIMKIT_PROF=1` environment variable is set when the
 //!   [`Simulation`](crate::Simulation) is created (or
-//!   [`SimHandle::set_prof`](crate::SimHandle::set_prof) is called).
+//!   [`Scope::set_prof`](crate::Scope::set_prof) is called).
 //!
 //! Neither tier affects virtual time or the trace stream: profiling a
 //! run and not profiling it produce byte-identical traces.
 
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -56,8 +56,6 @@ pub(crate) struct Hot {
     /// ns spent in `spawn_inner` (slot setup + first wake).
     /// Prof only.
     spawn_ns: AtomicU64,
-    /// Dispatches per process. Prof only.
-    per_proc: Mutex<BTreeMap<u32, u64>>,
 }
 
 impl Hot {
@@ -70,7 +68,6 @@ impl Hot {
             sched_ns: AtomicU64::new(0),
             run_ns: AtomicU64::new(0),
             spawn_ns: AtomicU64::new(0),
-            per_proc: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -102,17 +99,10 @@ impl Hot {
         }
     }
 
-    /// Count one dispatch against `pid` (prof only — map update).
-    #[inline]
-    pub(crate) fn count_proc(&self, pid: u32) {
-        if self.prof.load(Ordering::Relaxed) {
-            *self.per_proc.lock().entry(pid).or_insert(0) += 1;
-        }
-    }
-
-    pub(crate) fn snapshot(&self, c: &Counters) -> HotStats {
-        let mut per_proc: Vec<(u32, u64)> =
-            self.per_proc.lock().iter().map(|(&p, &n)| (p, n)).collect();
+    /// The profile from the scheduler's counters and each process's
+    /// dispatch count, in pid order.
+    pub(crate) fn snapshot(&self, c: &Counters, per_pid: impl Iterator<Item = u64>) -> HotStats {
+        let mut per_proc: Vec<(u32, u64)> = (0..).zip(per_pid).filter(|&(_, n)| n > 0).collect();
         per_proc.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         HotStats {
             events_dispatched: c.dispatches,
@@ -140,7 +130,7 @@ pub(crate) enum HotCat {
 }
 
 /// A point-in-time snapshot of the kernel's self-profile (see
-/// [`Simulation::hot_stats`](crate::Simulation::hot_stats)).
+/// [`Scope::hot_stats`](crate::Scope::hot_stats)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HotStats {
     /// Dispatches: timers popped and their process resumed. This is the
@@ -177,7 +167,8 @@ pub struct HotStats {
     pub run_ns: u64,
     /// Wall ns spent spawning processes (prof only).
     pub spawn_ns: u64,
-    /// Dispatch counts per process id, busiest first (prof only).
+    /// Dispatch counts per process id, busiest first; only processes
+    /// dispatched at least once.
     pub per_proc: Vec<(u32, u64)>,
 }
 
@@ -203,7 +194,7 @@ impl HotStats {
 
     /// Human-readable profile. `names` (e.g. from
     /// [`Tracer::proc_names`](crate::Tracer::proc_names)) labels the
-    /// busiest processes when per-process counts were collected.
+    /// busiest processes.
     pub fn report(&self, names: &HashMap<u32, String>) -> String {
         let mut out = String::new();
         let ms = |ns: u64| ns as f64 / 1e6;

@@ -38,14 +38,15 @@
 use crate::coro::{Coroutine, Stack, Switch};
 use crate::error::{Killed, SimError};
 use crate::hotstats::{Counters, Hot, HotCat, HotStats};
-use crate::process::{Ctx, ProcHandle, Span};
+use crate::process::{Ctx, ProcHandle, Scope};
 use crate::time::SimTime;
 use crate::timers::TimerHeap;
-use crate::trace::{Args, Tracer};
+use crate::trace::{EventKind, Tracer};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::{Cell, RefCell};
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -83,6 +84,8 @@ struct Slot {
     daemon: bool,
     /// Processes blocked in `join()` on this process.
     join_waiters: Vec<u32>,
+    /// Times this process was dispatched.
+    dispatches: u64,
 }
 
 pub(crate) struct KState {
@@ -194,6 +197,7 @@ impl Kernel {
         self.clock.store(time.as_nanos(), Ordering::Relaxed);
         st.counts.dispatches += 1;
         let slot = &mut st.procs[pid as usize];
+        slot.dispatches += 1;
         Popped::Ready {
             pid,
             first: slot.body.take().map(|b| (b, Arc::clone(&slot.killed))),
@@ -201,14 +205,19 @@ impl Kernel {
     }
 
     pub(crate) fn hot_stats(&self) -> HotStats {
-        let counts = self.st.lock().counts;
-        self.hot.snapshot(&counts)
+        let st = self.st.lock();
+        let per_proc = st.procs.iter().map(|s| s.dispatches);
+        self.hot.snapshot(&st.counts, per_proc)
     }
 
-    /// Wake `pid` at the current instant. Returns false if it is dead.
-    pub(crate) fn wake_now(&self, pid: ProcId) -> bool {
+    /// Run `f` against a [`WakeSweep`]: the scheduler lock is taken once
+    /// for a primitive's whole pass over its waiter list.
+    pub(crate) fn sweep<R>(&self, f: impl FnOnce(&mut WakeSweep) -> R) -> R {
         let now = self.now();
-        self.schedule_wake(pid, now)
+        f(&mut WakeSweep {
+            st: &mut self.st.lock(),
+            now,
+        })
     }
 
     /// Mark `pid` killed and schedule an immediate wake so it unwinds.
@@ -222,17 +231,14 @@ impl Kernel {
             }
             st.schedule_wake_locked(now, pid, now, None);
         }
-        self.tracer.rec(now, Some(pid), "killed");
+        self.log(Some(pid), "killed");
     }
 
-    /// Whether `pid` was killed; stays true after it finished.
-    pub(crate) fn is_killed(&self, pid: ProcId) -> bool {
-        self.st
-            .lock()
-            .procs
-            .get(pid.0 as usize)
-            .map(|s| s.killed.load(Ordering::Relaxed))
-            .unwrap_or(true)
+    /// Record a kernel log message about `pid`, stamped now.
+    fn log(&self, pid: Option<ProcId>, msg: impl Into<String>) {
+        let kind = EventKind::Message;
+        self.tracer
+            .record(self.now(), pid, "log", msg, kind, Vec::new);
     }
 
     pub(crate) fn is_dead(&self, pid: ProcId) -> bool {
@@ -293,6 +299,7 @@ impl Kernel {
                 killed: Arc::new(AtomicBool::new(false)),
                 daemon,
                 join_waiters: Vec::new(),
+                dispatches: 0,
             });
             st.timers.add_proc();
             st.counts.spawns += 1;
@@ -301,8 +308,7 @@ impl Kernel {
         };
         self.tracer.name_proc(pid, name);
         if self.tracer.armed() {
-            self.tracer
-                .rec(self.now(), Some(pid), &format!("spawned '{name}'"));
+            self.log(Some(pid), format!("spawned '{name}'"));
         }
         self.hot.lap(t0, HotCat::Spawn);
         ProcHandle::new(pid, Arc::clone(self))
@@ -351,6 +357,35 @@ impl WakeBatch<'_> {
     }
 }
 
+/// A single-lock window onto the scheduler for one primitive's pass over
+/// its waiter list, handed out by [`Kernel::sweep`]. Its wakes allocate
+/// sequence numbers and count exactly as [`Kernel::schedule_wake`] at the
+/// current instant would.
+pub(crate) struct WakeSweep<'a> {
+    st: &'a mut KState,
+    now: SimTime,
+}
+
+impl WakeSweep<'_> {
+    /// Whether `pid` was killed (an unknown pid counts as killed); stays
+    /// true after it finished.
+    pub(crate) fn killed(&self, pid: u32) -> bool {
+        self.st
+            .procs
+            .get(pid as usize)
+            .is_none_or(|s| s.killed.load(Ordering::Relaxed))
+    }
+
+    /// Wake `pid` at the current instant unless it was killed. Returns
+    /// whether a wake was scheduled (false too for a finished process).
+    pub(crate) fn wake(&mut self, pid: u32) -> bool {
+        !self.killed(pid)
+            && self
+                .st
+                .schedule_wake_locked(self.now, ProcId(pid), self.now, None)
+    }
+}
+
 thread_local! {
     /// The process this thread is running right now, with its name: set
     /// where [`Simulation::resume`] switches in, cleared when it switches
@@ -380,125 +415,6 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A cloneable handle onto a running (or not-yet-run) simulation.
-///
-/// `SimHandle` is how code *outside* a process context (test setup, the main
-/// thread between [`Simulation::run_until`] calls) and primitives interact
-/// with the kernel: reading the clock, spawning processes, killing them,
-/// tracing.
-#[derive(Clone)]
-pub struct SimHandle {
-    pub(crate) kernel: Arc<Kernel>,
-}
-
-impl SimHandle {
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.kernel.now()
-    }
-
-    /// Spawn a process that participates in deadlock detection.
-    pub fn spawn(&self, name: &str, f: impl FnOnce(&Ctx) + Send + 'static) -> ProcHandle {
-        self.kernel.spawn_inner(name, false, f)
-    }
-
-    /// Spawn a *daemon* process: a service that legitimately blocks forever
-    /// (e.g. an FTB agent waiting for events) and is ignored by deadlock
-    /// detection and by [`Simulation::run`] completion.
-    pub fn spawn_daemon(&self, name: &str, f: impl FnOnce(&Ctx) + Send + 'static) -> ProcHandle {
-        self.kernel.spawn_inner(name, true, f)
-    }
-
-    /// Kill a process: it unwinds at its next (or current) blocking call.
-    pub fn kill(&self, pid: ProcId) {
-        self.kernel.kill(pid)
-    }
-
-    /// Whether the process has terminated (finished, killed, or panicked).
-    pub fn is_dead(&self, pid: ProcId) -> bool {
-        self.kernel.is_dead(pid)
-    }
-
-    /// Draw from the simulation-global deterministic RNG.
-    pub fn with_rng<R>(&self, f: impl FnOnce(&mut StdRng) -> R) -> R {
-        self.kernel.with_rng(f)
-    }
-
-    /// Append a trace record (no-op unless tracing is enabled).
-    pub fn trace(&self, msg: &str) {
-        self.kernel.tracer.rec(self.now(), None, msg);
-    }
-
-    /// Access the tracer (enable, drain records).
-    pub fn tracer(&self) -> &Tracer {
-        &self.kernel.tracer
-    }
-
-    /// Whether telemetry events are built (collected or digested). Check
-    /// before building an expensive event payload (formatted names,
-    /// argument vectors).
-    #[inline]
-    pub fn telemetry_on(&self) -> bool {
-        self.kernel.tracer.armed()
-    }
-
-    /// Open a telemetry span not attributed to any process; it ends when
-    /// the returned guard drops (or at an explicit [`Span::end`]).
-    pub fn span(&self, cat: &'static str, name: impl Into<String>) -> Span {
-        self.span_with(cat, name, Vec::new)
-    }
-
-    /// Open a telemetry span with arguments attached to its begin event.
-    /// `args` is only invoked when telemetry is on.
-    pub fn span_with(
-        &self,
-        cat: &'static str,
-        name: impl Into<String>,
-        args: impl FnOnce() -> Args,
-    ) -> Span {
-        Span::open(Arc::clone(&self.kernel), None, cat, name, args)
-    }
-
-    /// Emit a point-in-time telemetry event not attributed to any process.
-    pub fn instant(&self, cat: &'static str, name: impl Into<String>) {
-        self.instant_with(cat, name, Vec::new);
-    }
-
-    /// Emit an instant event with arguments; `args` is only invoked when
-    /// telemetry is on.
-    pub fn instant_with(
-        &self,
-        cat: &'static str,
-        name: impl Into<String>,
-        args: impl FnOnce() -> Args,
-    ) {
-        if self.kernel.tracer.armed() {
-            self.kernel
-                .tracer
-                .instant(self.now(), None, cat, name, args());
-        }
-    }
-
-    /// Emit a telemetry counter sample not attributed to any process.
-    pub fn counter(&self, cat: &'static str, name: impl Into<String>, value: f64) {
-        self.kernel
-            .tracer
-            .counter(self.now(), None, cat, name, value);
-    }
-
-    /// Snapshot the kernel self-profile (see [`HotStats`]). Counters are
-    /// always live; wall-clock categories need profiling armed.
-    pub fn hot_stats(&self) -> HotStats {
-        self.kernel.hot_stats()
-    }
-
-    /// Arm or disarm wall-clock profiling at runtime (equivalent to the
-    /// `SIMKIT_PROF=1` environment variable at construction).
-    pub fn set_prof(&self, on: bool) {
-        self.kernel.hot.set_prof(on)
-    }
-}
-
 enum StepResult {
     Ran,
     Quiescent,
@@ -520,9 +436,10 @@ pub enum RunOutcome {
 /// Construct with [`Simulation::new`], spawn processes, then drive with
 /// [`Simulation::run`] (to quiescence) or [`Simulation::run_until`]. The
 /// processes run on the thread that drives it, so a `Simulation` is not
-/// `Send`; [`SimHandle`]s are.
+/// `Send`; [`SimHandle`](crate::SimHandle)s are. Its clock, spawn and
+/// telemetry methods are [`Scope`]'s, attributed to no process.
 pub struct Simulation {
-    kernel: Arc<Kernel>,
+    scope: Scope,
     /// Started processes by pid, with their names; `None` before the
     /// first dispatch and after the process finished.
     procs: Vec<Option<(Coroutine, Rc<str>)>>,
@@ -569,39 +486,12 @@ impl Simulation {
             switch: Arc::new(Switch::new()),
         });
         Simulation {
-            kernel,
+            scope: Scope::new(kernel, None),
             procs: Vec::new(),
             stacks: Vec::new(),
             fin: Rc::new(Cell::new(None)),
             poisoned: false,
         }
-    }
-
-    /// A cloneable handle for spawning/killing/tracing.
-    pub fn handle(&self) -> SimHandle {
-        SimHandle {
-            kernel: Arc::clone(&self.kernel),
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.kernel.now()
-    }
-
-    /// Spawn a process (see [`SimHandle::spawn`]).
-    pub fn spawn(&self, name: &str, f: impl FnOnce(&Ctx) + Send + 'static) -> ProcHandle {
-        self.handle().spawn(name, f)
-    }
-
-    /// Spawn a daemon process (see [`SimHandle::spawn_daemon`]).
-    pub fn spawn_daemon(&self, name: &str, f: impl FnOnce(&Ctx) + Send + 'static) -> ProcHandle {
-        self.handle().spawn_daemon(name, f)
-    }
-
-    /// Snapshot the kernel self-profile (see [`HotStats`]).
-    pub fn hot_stats(&self) -> HotStats {
-        self.kernel.hot_stats()
     }
 
     /// Run until `event` fires. Use this to drive simulations containing
@@ -642,7 +532,7 @@ impl Simulation {
 
     /// A deadlock report listing every live non-daemon process.
     fn deadlock(&self) -> SimError {
-        let st = self.kernel.st.lock();
+        let st = self.scope.kernel.st.lock();
         let blocked: Vec<(ProcId, String)> = st
             .procs
             .iter()
@@ -662,7 +552,10 @@ impl Simulation {
     pub fn run_until(&mut self, limit: SimTime) -> Result<RunOutcome, SimError> {
         let outcome = self.drive(limit)?;
         if outcome == RunOutcome::LimitReached {
-            self.kernel.clock.store(limit.as_nanos(), Ordering::Relaxed);
+            self.scope
+                .kernel
+                .clock
+                .store(limit.as_nanos(), Ordering::Relaxed);
         }
         Ok(outcome)
     }
@@ -686,30 +579,30 @@ impl Simulation {
     /// Pop the next event and run its process until it blocks or ends.
     fn step_one(&mut self, limit: SimTime) -> Result<StepResult, SimError> {
         assert!(!self.poisoned, "simulation used after a process panic");
-        let hot = &self.kernel.hot;
+        let hot = &self.scope.kernel.hot;
         let t_sched = hot.clock();
-        let (pid, first) = match self.kernel.pop_next(limit) {
+        let (pid, first) = match self.scope.kernel.pop_next(limit) {
             Popped::Quiescent => return Ok(StepResult::Quiescent),
             Popped::Limit => return Ok(StepResult::LimitReached),
             Popped::Ready { pid, first } => (pid, first),
         };
         hot.lap(t_sched, HotCat::Sched);
-        hot.count_proc(pid);
         let t_run = hot.clock();
         let fin = self.resume(pid, first);
-        self.kernel.hot.lap(t_run, HotCat::Run);
+        self.scope.kernel.hot.lap(t_run, HotCat::Run);
         let Some(fin) = fin else {
             return Ok(StepResult::Ran);
         };
         let fin_pid = ProcId(pid);
-        let (name, waiters) = self.kernel.finish_proc(pid);
+        let kernel = &self.scope.kernel;
+        let (name, waiters) = kernel.finish_proc(pid);
+        // Join wakes go to every waiter, killed ones included.
         for w in waiters {
-            self.kernel.wake_now(ProcId(w));
+            kernel.schedule_wake(ProcId(w), kernel.now());
         }
-        let tracer = &self.kernel.tracer;
         match fin {
-            Fin::Ok => tracer.rec(self.now(), Some(fin_pid), "finished"),
-            Fin::Killed => tracer.rec(self.now(), Some(fin_pid), "died (killed)"),
+            Fin::Ok => kernel.log(Some(fin_pid), "finished"),
+            Fin::Killed => kernel.log(Some(fin_pid), "died (killed)"),
             Fin::Panic(message) => {
                 self.poisoned = true;
                 return Err(SimError::ProcPanic {
@@ -731,7 +624,7 @@ impl Simulation {
             if killed.load(Ordering::Relaxed) {
                 return Some(Fin::Killed);
             }
-            let kernel = Arc::clone(&self.kernel);
+            let kernel = Arc::clone(&self.scope.kernel);
             let fin = Rc::clone(&self.fin);
             let entry = Box::new(move || {
                 let ctx = Ctx::new(kernel, ProcId(pid), killed);
@@ -745,8 +638,8 @@ impl Simulation {
             if self.procs.len() <= i {
                 self.procs.resize_with(i + 1, || None);
             }
-            let coro = Coroutine::new(stack, &self.kernel.switch, entry);
-            let name = Rc::from(&*self.kernel.proc_name(ProcId(pid)));
+            let coro = Coroutine::new(stack, &self.scope.kernel.switch, entry);
+            let name = Rc::from(&*self.scope.kernel.proc_name(ProcId(pid)));
             self.procs[i] = Some((coro, name));
         }
         let (coro, name) = self.procs[i]
@@ -764,6 +657,13 @@ impl Simulation {
     }
 }
 
+impl Deref for Simulation {
+    type Target = Scope;
+    fn deref(&self) -> &Scope {
+        &self.scope
+    }
+}
+
 impl Drop for Simulation {
     fn drop(&mut self) {
         // Kill every live process, then resume each started one in pid
@@ -773,7 +673,7 @@ impl Drop for Simulation {
         loop {
             let mut bodies = Vec::new();
             {
-                let mut st = self.kernel.st.lock();
+                let mut st = self.scope.kernel.st.lock();
                 for s in st.procs.iter_mut().filter(|s| !s.dead) {
                     s.killed.store(true, Ordering::Relaxed);
                     bodies.extend(s.body.take());

@@ -4,7 +4,7 @@
 //! workspace simulates an InfiniBand cluster: a scheduler with a nanosecond
 //! virtual clock, *coroutine processes* (each simulated process runs on its
 //! own stack, on the one host thread that drives the simulation), timers,
-//! one-shot events, FIFO queues, counting semaphores, and fluid-flow
+//! resettable events, FIFO queues, counting semaphores, and fluid-flow
 //! (processor sharing) bandwidth links.
 //!
 //! ## Model
@@ -18,11 +18,15 @@
 //!   has a single *canonical wake*: the process's one entry in the kernel's
 //!   timer heap. Wakers re-key that entry in place, so retiming (e.g. a
 //!   bandwidth share change) and spurious-wake suppression are uniform.
-//! * Killing a process ([`SimHandle::kill`]) raises a [`Killed`] unwind at
+//! * Killing a process ([`Scope::kill`]) raises a [`Killed`] unwind at
 //!   its next blocking call; the process harness recognises the sentinel
 //!   and records a clean death. This mirrors how signal-driven teardown
 //!   interrupts real processes without forcing error plumbing through
 //!   application code.
+//! * The clock, spawn, kill, RNG and telemetry methods are written once,
+//!   on [`Scope`]. A process's [`Ctx`], a [`SimHandle`] and the
+//!   [`Simulation`] all deref to one; a `Ctx`'s scope attributes its
+//!   telemetry to its process, the others' to none.
 //!
 //! ## Quick start
 //!
@@ -63,10 +67,10 @@ mod trace;
 pub use error::{Killed, SimError};
 pub use flownet::{FlowNet, LinkId};
 pub use hotstats::HotStats;
-pub use kernel::{ProcId, RunOutcome, SimHandle, Simulation};
+pub use kernel::{ProcId, RunOutcome, Simulation};
 pub use link::{Link, LinkStats, Sharing};
-pub use process::{Ctx, ProcHandle, Span};
-pub use sync::{Countdown, Event, Gate, Queue, Semaphore};
+pub use process::{Ctx, ProcHandle, Scope, SimHandle, Span};
+pub use sync::{Countdown, Event, Queue, Semaphore};
 pub use time::SimTime;
 pub use trace::{ArgValue, Args, EventKind, TraceDigest, TraceEvent, Tracer};
 

@@ -14,8 +14,8 @@
 //! this as `aggregate(n) = capacity / (1 + alpha * (n - 1))`.
 
 use crate::flownet::{FlowNet, LinkId};
-use crate::kernel::SimHandle;
 use crate::process::Ctx;
+use crate::process::SimHandle;
 use std::time::Duration;
 
 /// How concurrent flows share a link's capacity.

@@ -1,14 +1,187 @@
-//! Per-process execution context.
+//! [`Scope`], the one copy of the simulation's methods, and what reaches
+//! it: the cloneable [`SimHandle`], each process's [`Ctx`], telemetry
+//! [`Span`]s and [`ProcHandle`]s.
 
 use crate::coro;
 use crate::error::Killed;
-use crate::kernel::{Kernel, ProcId, SimHandle};
+use crate::hotstats::HotStats;
+use crate::kernel::{Kernel, ProcId};
 use crate::time::SimTime;
-use crate::trace::Args;
+use crate::trace::{Args, EventKind, Tracer};
 use rand::rngs::StdRng;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The simulation seen from one place: from inside a process (a [`Ctx`])
+/// or from outside any (a [`SimHandle`] or the [`Simulation`](crate::Simulation)).
+///
+/// It holds the one copy of the clock, spawn, kill, RNG and telemetry
+/// methods; `Ctx`, `SimHandle` and `Simulation` all deref to it. Telemetry
+/// emitted through a process's scope is attributed to that process, and
+/// through any other scope to none.
+pub struct Scope {
+    pub(crate) kernel: Arc<Kernel>,
+    pid: Option<ProcId>,
+}
+
+impl Scope {
+    pub(crate) fn new(kernel: Arc<Kernel>, pid: Option<ProcId>) -> Self {
+        Scope { kernel, pid }
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.kernel.now()
+    }
+
+    /// A cloneable kernel handle with no process attached (for spawning,
+    /// killing, constructing primitives).
+    pub fn handle(&self) -> SimHandle {
+        SimHandle(Scope::new(Arc::clone(&self.kernel), None))
+    }
+
+    /// Spawn a process that participates in deadlock detection.
+    pub fn spawn(&self, name: &str, f: impl FnOnce(&Ctx) + Send + 'static) -> ProcHandle {
+        self.kernel.spawn_inner(name, false, f)
+    }
+
+    /// Spawn a *daemon* process: a service that legitimately blocks forever
+    /// (e.g. an FTB agent waiting for events) and is ignored by deadlock
+    /// detection and by [`Simulation::run`](crate::Simulation::run) completion.
+    pub fn spawn_daemon(&self, name: &str, f: impl FnOnce(&Ctx) + Send + 'static) -> ProcHandle {
+        self.kernel.spawn_inner(name, true, f)
+    }
+
+    /// Kill a process: it unwinds at its next (or current) blocking call.
+    pub fn kill(&self, pid: ProcId) {
+        self.kernel.kill(pid)
+    }
+
+    /// Whether the process has terminated (finished, killed, or panicked).
+    pub fn is_dead(&self, pid: ProcId) -> bool {
+        self.kernel.is_dead(pid)
+    }
+
+    /// Draw from the simulation-global deterministic RNG.
+    pub fn with_rng<R>(&self, f: impl FnOnce(&mut StdRng) -> R) -> R {
+        self.kernel.with_rng(f)
+    }
+
+    /// Access the tracer (enable, drain records).
+    pub fn tracer(&self) -> &Tracer {
+        &self.kernel.tracer
+    }
+
+    /// Whether telemetry events are built (collected or digested). Check
+    /// before building an expensive event payload (formatted names,
+    /// argument vectors).
+    #[inline]
+    pub fn telemetry_on(&self) -> bool {
+        self.kernel.tracer.armed()
+    }
+
+    /// Record a telemetry event of this scope, stamped now. With
+    /// telemetry off this is the armed check alone: the clock is not read.
+    #[inline]
+    fn record(
+        &self,
+        cat: &'static str,
+        name: impl Into<String>,
+        kind: EventKind,
+        args: impl FnOnce() -> Args,
+    ) {
+        if self.telemetry_on() {
+            let tracer = &self.kernel.tracer;
+            tracer.record(self.now(), self.pid, cat, name, kind, args);
+        }
+    }
+
+    /// Append a free-form trace message (no-op unless tracing is on).
+    pub fn trace(&self, msg: &str) {
+        self.record("log", msg, EventKind::Message, Vec::new);
+    }
+
+    /// Open a telemetry span; it ends when the returned guard drops (or at
+    /// an explicit [`Span::end`]).
+    pub fn span(&self, cat: &'static str, name: impl Into<String>) -> Span {
+        self.span_with(cat, name, Vec::new)
+    }
+
+    /// Open a telemetry span with arguments attached to its begin event.
+    /// `args` is only invoked when telemetry is on.
+    pub fn span_with(
+        &self,
+        cat: &'static str,
+        name: impl Into<String>,
+        args: impl FnOnce() -> Args,
+    ) -> Span {
+        if !self.telemetry_on() {
+            return Span { armed: None };
+        }
+        let name = name.into();
+        self.record(cat, name.clone(), EventKind::Begin, args);
+        Span {
+            armed: Some((Scope::new(Arc::clone(&self.kernel), self.pid), cat, name)),
+        }
+    }
+
+    /// Emit a point-in-time telemetry event.
+    pub fn instant(&self, cat: &'static str, name: impl Into<String>) {
+        self.instant_with(cat, name, Vec::new);
+    }
+
+    /// Emit an instant event with arguments; `args` is only invoked when
+    /// telemetry is on.
+    pub fn instant_with(
+        &self,
+        cat: &'static str,
+        name: impl Into<String>,
+        args: impl FnOnce() -> Args,
+    ) {
+        self.record(cat, name, EventKind::Instant, args);
+    }
+
+    /// Emit a telemetry counter sample.
+    pub fn counter(&self, cat: &'static str, name: impl Into<String>, value: f64) {
+        self.record(cat, name, EventKind::Counter(value), Vec::new);
+    }
+
+    /// Snapshot the kernel self-profile (see [`HotStats`]). Counters are
+    /// always live; wall-clock categories need profiling armed.
+    pub fn hot_stats(&self) -> HotStats {
+        self.kernel.hot_stats()
+    }
+
+    /// Arm or disarm wall-clock profiling at runtime (equivalent to the
+    /// `SIMKIT_PROF=1` environment variable at construction).
+    pub fn set_prof(&self, on: bool) {
+        self.kernel.hot.set_prof(on)
+    }
+}
+
+/// A cloneable handle onto a running (or not-yet-run) simulation, with no
+/// process attached.
+///
+/// `SimHandle` is how code *outside* a process context (test setup, the
+/// main thread between [`Simulation::run_until`](crate::Simulation::run_until)
+/// calls) and primitives interact with the kernel; its methods are
+/// [`Scope`]'s.
+pub struct SimHandle(Scope);
+
+impl Clone for SimHandle {
+    fn clone(&self) -> Self {
+        self.handle()
+    }
+}
+
+impl Deref for SimHandle {
+    type Target = Scope;
+    fn deref(&self) -> &Scope {
+        &self.0
+    }
+}
 
 /// The execution context handed to every simulated process body.
 ///
@@ -16,18 +189,26 @@ use std::time::Duration;
 /// ([`Ctx::sleep`], [`Event::wait`](crate::Event::wait), [`Queue::pop`](crate::Queue::pop),
 /// [`Link::transfer`](crate::Link::transfer), ...)
 /// may only be made through it. All blocking calls are kill points: if the
-/// process has been killed they unwind with a [`Killed`] payload.
+/// process has been killed they unwind with a [`Killed`] payload. Its
+/// other methods are [`Scope`]'s, attributed to this process.
 pub struct Ctx {
-    kernel: Arc<Kernel>,
+    scope: Scope,
     pid: ProcId,
     /// This process's killed flag, shared with its kernel slot.
     killed: Arc<AtomicBool>,
 }
 
+impl Deref for Ctx {
+    type Target = Scope;
+    fn deref(&self) -> &Scope {
+        &self.scope
+    }
+}
+
 impl Ctx {
     pub(crate) fn new(kernel: Arc<Kernel>, pid: ProcId, killed: Arc<AtomicBool>) -> Self {
         Ctx {
-            kernel,
+            scope: Scope::new(kernel, Some(pid)),
             pid,
             killed,
         }
@@ -41,29 +222,6 @@ impl Ctx {
     /// This process's name (interned at spawn; cloning is a refcount).
     pub fn name(&self) -> Arc<str> {
         self.kernel.proc_name(self.pid)
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.kernel.now()
-    }
-
-    /// A cloneable kernel handle (for spawning, killing, constructing
-    /// primitives).
-    pub fn handle(&self) -> SimHandle {
-        SimHandle {
-            kernel: Arc::clone(&self.kernel),
-        }
-    }
-
-    /// Spawn a child process (not a daemon).
-    pub fn spawn(&self, name: &str, f: impl FnOnce(&Ctx) + Send + 'static) -> ProcHandle {
-        self.handle().spawn(name, f)
-    }
-
-    /// Spawn a daemon process (exempt from deadlock detection).
-    pub fn spawn_daemon(&self, name: &str, f: impl FnOnce(&Ctx) + Send + 'static) -> ProcHandle {
-        self.handle().spawn_daemon(name, f)
     }
 
     /// Advance virtual time by `d`. A zero-duration sleep still yields,
@@ -88,68 +246,6 @@ impl Ctx {
                 return;
             }
         }
-    }
-
-    /// Draw from the simulation-global deterministic RNG.
-    pub fn with_rng<R>(&self, f: impl FnOnce(&mut StdRng) -> R) -> R {
-        self.kernel.with_rng(f)
-    }
-
-    /// Append a trace record attributed to this process.
-    pub fn trace(&self, msg: &str) {
-        self.kernel.tracer.rec(self.now(), Some(self.pid), msg);
-    }
-
-    /// Whether telemetry events are built (collected or digested). Check
-    /// before building an expensive event payload (formatted names,
-    /// argument vectors).
-    #[inline]
-    pub fn telemetry_on(&self) -> bool {
-        self.kernel.tracer.armed()
-    }
-
-    /// Open a telemetry span attributed to this process; it ends when the
-    /// returned guard drops (or at an explicit [`Span::end`]).
-    pub fn span(&self, cat: &'static str, name: impl Into<String>) -> Span {
-        self.span_with(cat, name, Vec::new)
-    }
-
-    /// Open a telemetry span with arguments attached to its begin event.
-    /// `args` is only invoked when telemetry is on.
-    pub fn span_with(
-        &self,
-        cat: &'static str,
-        name: impl Into<String>,
-        args: impl FnOnce() -> Args,
-    ) -> Span {
-        Span::open(Arc::clone(&self.kernel), Some(self.pid), cat, name, args)
-    }
-
-    /// Emit a point-in-time telemetry event attributed to this process.
-    pub fn instant(&self, cat: &'static str, name: impl Into<String>) {
-        self.instant_with(cat, name, Vec::new);
-    }
-
-    /// Emit an instant event with arguments; `args` is only invoked when
-    /// telemetry is on.
-    pub fn instant_with(
-        &self,
-        cat: &'static str,
-        name: impl Into<String>,
-        args: impl FnOnce() -> Args,
-    ) {
-        if self.kernel.tracer.armed() {
-            self.kernel
-                .tracer
-                .instant(self.now(), Some(self.pid), cat, name, args());
-        }
-    }
-
-    /// Emit a telemetry counter sample attributed to this process.
-    pub fn counter(&self, cat: &'static str, name: impl Into<String>, value: f64) {
-        self.kernel
-            .tracer
-            .counter(self.now(), Some(self.pid), cat, name, value);
     }
 
     /// Terminate this process immediately (clean voluntary exit via the
@@ -219,42 +315,23 @@ impl std::fmt::Debug for ProcHandle {
 }
 
 /// RAII telemetry span: emits a begin event when opened (via
-/// [`Ctx::span`]/[`SimHandle::span`]) and the matching end event — stamped
-/// with the virtual time at that moment — when dropped or explicitly
-/// closed with [`Span::end`].
+/// [`Scope::span`]) and the matching end event — stamped with the virtual
+/// time at that moment, attributed like the begin — when dropped or
+/// explicitly closed with [`Span::end`].
 ///
 /// When the tracer neither collects nor digests at open time the span is
 /// disarmed: no event is built and drop is free.
 #[must_use = "a span ends when dropped; binding it to _ ends it immediately"]
 pub struct Span {
     // None when telemetry was off at open time.
-    armed: Option<(Arc<Kernel>, Option<ProcId>, &'static str, String)>,
+    armed: Option<(Scope, &'static str, String)>,
 }
 
 impl Span {
-    pub(crate) fn open(
-        kernel: Arc<Kernel>,
-        pid: Option<ProcId>,
-        cat: &'static str,
-        name: impl Into<String>,
-        args: impl FnOnce() -> Args,
-    ) -> Self {
-        if !kernel.tracer.armed() {
-            return Span { armed: None };
-        }
-        let name = name.into();
-        kernel
-            .tracer
-            .begin(kernel.now(), pid, cat, name.clone(), args());
-        Span {
-            armed: Some((kernel, pid, cat, name)),
-        }
-    }
-
     /// Close the span now, attaching `args` to the end event.
     pub fn end_with(mut self, args: Args) {
-        if let Some((kernel, pid, cat, name)) = self.armed.take() {
-            kernel.tracer.end(kernel.now(), pid, cat, name, args);
+        if let Some((scope, cat, name)) = self.armed.take() {
+            scope.record(cat, name, EventKind::End, || args);
         }
     }
 
@@ -266,8 +343,8 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((kernel, pid, cat, name)) = self.armed.take() {
-            kernel.tracer.end(kernel.now(), pid, cat, name, Vec::new());
+        if let Some((scope, cat, name)) = self.armed.take() {
+            scope.record(cat, name, EventKind::End, Vec::new);
         }
     }
 }

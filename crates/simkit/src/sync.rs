@@ -1,14 +1,16 @@
-//! Blocking coordination primitives: one-shot events, resettable gates,
-//! FIFO queues, counting semaphores.
+//! Blocking coordination primitives: resettable events, FIFO queues,
+//! counting semaphores, and the countdown latch built on an event.
 //!
 //! All primitives share the kernel's canonical-wake discipline: a waiter
-//! registers itself in the primitive's waiter list and parks; a waker pushes
-//! a fresh timer at the current instant. Waiter lists may contain processes
-//! that have since been killed — wakers skip dead/killed entries so an item
-//! or permit is never handed to a corpse.
+//! registers itself in the primitive's waiter list and parks; a waker
+//! schedules its wake at the current instant. Waiter lists may contain
+//! processes that have since been killed, so every wake goes through one
+//! [`Kernel::sweep`]: a single scheduler lock per pass over a list, under
+//! which killed entries are skipped and an item or permit is never handed
+//! to a corpse.
 
-use crate::kernel::{Kernel, ProcId, SimHandle};
-use crate::process::Ctx;
+use crate::kernel::Kernel;
+use crate::process::{Ctx, SimHandle};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -23,21 +25,22 @@ fn unregister(waiters: &mut VecDeque<u32>, pid: u32) {
     }
 }
 
+/// Wake the first live waiter, dropping the killed and finished ones
+/// before it.
 fn wake_one_live(kernel: &Kernel, waiters: &mut VecDeque<u32>) {
-    while let Some(w) = waiters.pop_front() {
-        let pid = ProcId(w);
-        if !kernel.is_killed(pid) && kernel.wake_now(pid) {
-            return;
-        }
+    if !waiters.is_empty() {
+        kernel.sweep(|s| while waiters.pop_front().is_some_and(|w| !s.wake(w)) {});
     }
 }
 
+/// Wake every live waiter, emptying the list.
 fn wake_all_live(kernel: &Kernel, waiters: &mut VecDeque<u32>) {
-    for w in waiters.drain(..) {
-        let pid = ProcId(w);
-        if !kernel.is_killed(pid) {
-            kernel.wake_now(pid);
-        }
+    if !waiters.is_empty() {
+        kernel.sweep(|s| {
+            for w in waiters.drain(..) {
+                s.wake(w);
+            }
+        });
     }
 }
 
@@ -50,8 +53,11 @@ struct EventInner {
     st: Mutex<(bool, VecDeque<u32>)>,
 }
 
-/// A one-shot broadcast event: once [`Event::set`], every current and future
-/// [`Event::wait`] returns immediately. Cloning shares the event.
+/// A broadcast event: once [`Event::set`], every current and future
+/// [`Event::wait`] returns immediately, until [`Event::reset`] clears it
+/// again. Used one-shot (a job finished) and as a gate (the MPI library's
+/// communication gate, set while traffic may flow). Cloning shares the
+/// event.
 #[derive(Clone)]
 pub struct Event {
     kernel: Arc<Kernel>,
@@ -83,6 +89,11 @@ impl Event {
         }
         st.0 = true;
         wake_all_live(&self.kernel, &mut st.1);
+    }
+
+    /// Clear the event: later waiters park until the next [`Event::set`].
+    pub fn reset(&self) {
+        self.inner.st.lock().0 = false;
     }
 
     /// Block until the event fires (immediately if already set).
@@ -131,67 +142,6 @@ impl Event {
 impl std::fmt::Debug for Event {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Event({}, set={})", self.inner.name, self.is_set())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gate
-// ---------------------------------------------------------------------------
-
-struct GateInner {
-    st: Mutex<(bool, VecDeque<u32>)>,
-}
-
-/// A resettable gate: [`Gate::wait`] passes while open and parks while
-/// closed. Used for suspend/resume points (e.g. the MPI library's
-/// checkpoint gate, which closes during a migration and reopens after).
-#[derive(Clone)]
-pub struct Gate {
-    kernel: Arc<Kernel>,
-    inner: Arc<GateInner>,
-}
-
-impl Gate {
-    /// Create a gate in the given initial state.
-    pub fn new(handle: &SimHandle, open: bool) -> Self {
-        Gate {
-            kernel: Arc::clone(&handle.kernel),
-            inner: Arc::new(GateInner {
-                st: Mutex::new((open, VecDeque::new())),
-            }),
-        }
-    }
-
-    /// Whether the gate is currently open.
-    pub fn is_open(&self) -> bool {
-        self.inner.st.lock().0
-    }
-
-    /// Open the gate, releasing all parked waiters.
-    pub fn open(&self) {
-        let mut st = self.inner.st.lock();
-        st.0 = true;
-        wake_all_live(&self.kernel, &mut st.1);
-    }
-
-    /// Close the gate: subsequent waiters park until reopened.
-    pub fn close(&self) {
-        self.inner.st.lock().0 = false;
-    }
-
-    /// Pass if open, park until opened otherwise.
-    pub fn wait(&self, ctx: &Ctx) {
-        ctx.check_killed();
-        loop {
-            {
-                let mut st = self.inner.st.lock();
-                if st.0 {
-                    return;
-                }
-                st.1.push_back(ctx.pid().0);
-            }
-            ctx.block();
-        }
     }
 }
 
@@ -439,14 +389,14 @@ impl Semaphore {
             {
                 let mut st = self.inner.st.lock();
                 let (permits, waiters) = &mut *st;
-                Self::purge_dead(&self.kernel, waiters);
+                self.settle(None, waiters);
                 let at_front = waiters.front().map(|w| w.pid == pid).unwrap_or(false);
                 if *permits >= n && (waiters.is_empty() || at_front) {
                     if at_front {
                         waiters.pop_front();
                     }
                     *permits -= n;
-                    Self::wake_front_if_eligible(&self.kernel, *permits, waiters);
+                    self.settle(Some(*permits), waiters);
                     return;
                 }
                 if !queued {
@@ -462,7 +412,7 @@ impl Semaphore {
     pub fn try_acquire(&self, n: u64) -> bool {
         let mut st = self.inner.st.lock();
         let (permits, waiters) = &mut *st;
-        Self::purge_dead(&self.kernel, waiters);
+        self.settle(None, waiters);
         if waiters.is_empty() && *permits >= n {
             *permits -= n;
             true
@@ -476,26 +426,26 @@ impl Semaphore {
         let mut st = self.inner.st.lock();
         st.0 += n;
         let (permits, waiters) = &mut *st;
-        Self::wake_front_if_eligible(&self.kernel, *permits, waiters);
+        self.settle(Some(*permits), waiters);
     }
 
-    fn purge_dead(kernel: &Kernel, waiters: &mut VecDeque<SemWaiter>) {
-        while let Some(w) = waiters.front() {
-            if kernel.is_killed(ProcId(w.pid)) {
+    /// Drop killed waiters from the front of the queue; then, given the
+    /// `permits` now available, wake the front waiter if its request fits.
+    /// One sweep, and no scheduler lock when no one waits.
+    fn settle(&self, permits: Option<u64>, waiters: &mut VecDeque<SemWaiter>) {
+        if waiters.is_empty() {
+            return;
+        }
+        self.kernel.sweep(|s| {
+            while waiters.front().is_some_and(|w| s.killed(w.pid)) {
                 waiters.pop_front();
-            } else {
-                break;
             }
-        }
-    }
-
-    fn wake_front_if_eligible(kernel: &Kernel, permits: u64, waiters: &mut VecDeque<SemWaiter>) {
-        Self::purge_dead(kernel, waiters);
-        if let Some(w) = waiters.front() {
-            if w.n <= permits {
-                kernel.wake_now(ProcId(w.pid));
+            if let (Some(w), Some(p)) = (waiters.front(), permits) {
+                if w.n <= p {
+                    s.wake(w.pid);
+                }
             }
-        }
+        });
     }
 }
 

@@ -35,7 +35,7 @@ pub enum EventKind {
     Instant,
     /// A sampled numeric series value (queue depth, bytes in flight, ...).
     Counter(f64),
-    /// A free-form log message (the [`Ctx::trace`](crate::Ctx::trace) path).
+    /// A free-form log message (the [`Scope::trace`](crate::Scope::trace) path).
     Message,
 }
 
@@ -250,120 +250,35 @@ impl Tracer {
         self.proc_names.lock().clone()
     }
 
-    /// Append a structured event (no-op unless enabled or digesting).
-    pub fn emit(&self, ev: TraceEvent) {
+    /// Record one event stamped `time` (no-op unless enabled or
+    /// digesting). `name` and `args` are only materialised when armed.
+    /// Every span, instant, counter and log message goes through here.
+    pub(crate) fn record(
+        &self,
+        time: SimTime,
+        pid: Option<ProcId>,
+        cat: &'static str,
+        name: impl Into<String>,
+        kind: EventKind,
+        args: impl FnOnce() -> Args,
+    ) {
         if !self.armed() {
             return;
         }
+        let ev = TraceEvent {
+            time,
+            pid,
+            cat,
+            name: name.into(),
+            kind,
+            args: args(),
+        };
         if self.digest_on.load(Ordering::Relaxed) {
             self.digest.lock().fold_event(&ev);
         }
         if self.enabled.load(Ordering::Relaxed) {
             self.events.lock().push(ev);
         }
-    }
-
-    /// Emit a span-begin event.
-    pub fn begin(
-        &self,
-        time: SimTime,
-        pid: Option<ProcId>,
-        cat: &'static str,
-        name: impl Into<String>,
-        args: Args,
-    ) {
-        if !self.armed() {
-            return;
-        }
-        self.emit(TraceEvent {
-            time,
-            pid,
-            cat,
-            name: name.into(),
-            kind: EventKind::Begin,
-            args,
-        });
-    }
-
-    /// Emit a span-end event.
-    pub fn end(
-        &self,
-        time: SimTime,
-        pid: Option<ProcId>,
-        cat: &'static str,
-        name: impl Into<String>,
-        args: Args,
-    ) {
-        if !self.armed() {
-            return;
-        }
-        self.emit(TraceEvent {
-            time,
-            pid,
-            cat,
-            name: name.into(),
-            kind: EventKind::End,
-            args,
-        });
-    }
-
-    /// Emit a point-in-time instant event.
-    pub fn instant(
-        &self,
-        time: SimTime,
-        pid: Option<ProcId>,
-        cat: &'static str,
-        name: impl Into<String>,
-        args: Args,
-    ) {
-        if !self.armed() {
-            return;
-        }
-        self.emit(TraceEvent {
-            time,
-            pid,
-            cat,
-            name: name.into(),
-            kind: EventKind::Instant,
-            args,
-        });
-    }
-
-    /// Emit a counter sample.
-    pub fn counter(
-        &self,
-        time: SimTime,
-        pid: Option<ProcId>,
-        cat: &'static str,
-        name: impl Into<String>,
-        value: f64,
-    ) {
-        if !self.armed() {
-            return;
-        }
-        self.emit(TraceEvent {
-            time,
-            pid,
-            cat,
-            name: name.into(),
-            kind: EventKind::Counter(value),
-            args: Vec::new(),
-        });
-    }
-
-    /// Free-form message record.
-    pub(crate) fn rec(&self, time: SimTime, pid: Option<ProcId>, msg: &str) {
-        if !self.armed() {
-            return;
-        }
-        self.emit(TraceEvent {
-            time,
-            pid,
-            cat: "log",
-            name: msg.to_string(),
-            kind: EventKind::Message,
-            args: Vec::new(),
-        });
     }
 
     /// Remove and return all collected events.
@@ -385,12 +300,13 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use EventKind::*;
 
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::new();
-        t.rec(SimTime::ZERO, None, "hello");
-        t.instant(SimTime::ZERO, None, "rdma", "chunk", Vec::new());
+        t.record(SimTime::ZERO, None, "log", "hello", Message, Vec::new);
+        t.record(SimTime::ZERO, None, "rdma", "chunk", Instant, Vec::new);
         assert!(t.is_empty());
         assert!(!t.is_enabled());
     }
@@ -399,8 +315,15 @@ mod tests {
     fn enabled_tracer_collects_and_drains() {
         let t = Tracer::new();
         t.set_enabled(true);
-        t.rec(SimTime::from_nanos(5), Some(ProcId(3)), "a");
-        t.rec(SimTime::from_nanos(9), None, "b");
+        t.record(
+            SimTime::from_nanos(5),
+            Some(ProcId(3)),
+            "log",
+            "a",
+            Message,
+            Vec::new,
+        );
+        t.record(SimTime::from_nanos(9), None, "log", "b", Message, Vec::new);
         assert_eq!(t.len(), 2);
         let evs = t.drain_events();
         assert_eq!(evs[0].name, "a");
@@ -414,20 +337,30 @@ mod tests {
     fn structured_events_roundtrip() {
         let t = Tracer::new();
         t.set_enabled(true);
-        t.begin(
+        t.record(
             SimTime::from_nanos(1),
             Some(ProcId(1)),
             "phase",
             "migrate",
-            vec![("cycle", 0u64.into())],
+            Begin,
+            || vec![("cycle", 0u64.into())],
         );
-        t.counter(SimTime::from_nanos(2), None, "store", "dirty", 0.5);
-        t.end(
+        let dirty = Counter(0.5);
+        t.record(
+            SimTime::from_nanos(2),
+            None,
+            "store",
+            "dirty",
+            dirty,
+            Vec::new,
+        );
+        t.record(
             SimTime::from_nanos(3),
             Some(ProcId(1)),
             "phase",
             "migrate",
-            Vec::new(),
+            End,
+            Vec::new,
         );
         let evs = t.drain_events();
         assert_eq!(evs.len(), 3);
@@ -443,12 +376,13 @@ mod tests {
             let t = Tracer::new();
             t.set_digest_enabled(true);
             for (i, n) in names.iter().enumerate() {
-                t.instant(
+                t.record(
                     SimTime::from_nanos(i as u64),
                     Some(ProcId(1)),
                     "pool",
                     *n,
-                    vec![("k", (i as u64).into())],
+                    Instant,
+                    || vec![("k", (i as u64).into())],
                 );
             }
             t.digest()
@@ -462,7 +396,7 @@ mod tests {
         // digesting alone stores no events
         let t = Tracer::new();
         t.set_digest_enabled(true);
-        t.instant(SimTime::ZERO, None, "pool", "x", Vec::new());
+        t.record(SimTime::ZERO, None, "pool", "x", Instant, Vec::new);
         assert!(t.is_empty());
         assert_eq!(t.digest().events, 1);
     }
@@ -472,14 +406,7 @@ mod tests {
         let one = |kind: EventKind, args: Args| {
             let t = Tracer::new();
             t.set_digest_enabled(true);
-            t.emit(TraceEvent {
-                time: SimTime::ZERO,
-                pid: None,
-                cat: "c",
-                name: "n".into(),
-                kind,
-                args,
-            });
+            t.record(SimTime::ZERO, None, "c", "n", kind, || args);
             t.digest().hash
         };
         let h1 = one(EventKind::Instant, Vec::new());

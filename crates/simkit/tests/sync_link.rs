@@ -1,7 +1,7 @@
-//! Primitive semantics: Event, Gate, Queue, Semaphore, Link fluid model.
+//! Primitive semantics: Event, Queue, Semaphore, Link fluid model.
 
 use simkit::dur::*;
-use simkit::{Event, Gate, Link, Queue, Semaphore, Sharing, Simulation};
+use simkit::{Event, Link, Queue, Semaphore, Sharing, Simulation};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,10 +44,47 @@ fn event_wait_after_set_is_instant() {
 }
 
 #[test]
-fn gate_close_blocks_and_reopen_releases() {
+fn event_set_wakes_only_live_waiters_in_fifo_order() {
     let mut sim = Simulation::new(0);
     let h = sim.handle();
-    let gate = Gate::new(&h, true);
+    let ev = Event::new(&h, "go");
+    let woke = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    // Registered in spawn order at t=0: finished, first, killed, second.
+    let waiter = |name: &'static str| {
+        let (ev, woke) = (ev.clone(), woke.clone());
+        sim.spawn(name, move |ctx| {
+            ev.wait(ctx);
+            woke.lock().push((name, ctx.now().as_millis()));
+        })
+    };
+    let finished = waiter("finished");
+    let _first = waiter("first");
+    let killed = waiter("killed");
+    let _second = waiter("second");
+    sim.spawn("setter", move |ctx| {
+        ctx.sleep(ms(1));
+        finished.kill(); // unwinds and finishes at t=1, still registered
+        ctx.sleep(ms(4));
+        assert!(finished.is_dead());
+        killed.kill(); // killed but not yet unwound when the event fires
+        let pushes = ctx.hot_stats().timer_pushes;
+        ev.set();
+        assert_eq!(
+            ctx.hot_stats().timer_pushes - pushes,
+            2,
+            "woke a dead waiter"
+        );
+    });
+    sim.run().unwrap();
+    assert_eq!(*woke.lock(), vec![("first", 5), ("second", 5)]);
+}
+
+#[test]
+fn event_reset_blocks_and_set_releases() {
+    let mut sim = Simulation::new(0);
+    let h = sim.handle();
+    let gate = Event::new(&h, "gate");
+    gate.set();
     let passed = Arc::new(AtomicU64::new(0));
 
     let g2 = gate.clone();
@@ -56,15 +93,15 @@ fn gate_close_blocks_and_reopen_releases() {
         g2.wait(ctx); // open: passes at t=0
         p2.fetch_add(1, Ordering::SeqCst);
         ctx.sleep(ms(10));
-        g2.wait(ctx); // closed at t=5, reopened at t=20
+        g2.wait(ctx); // reset at t=5, set again at t=20
         assert_eq!(ctx.now().as_millis(), 20);
         p2.fetch_add(1, Ordering::SeqCst);
     });
     sim.spawn("controller", move |ctx| {
         ctx.sleep(ms(5));
-        gate.close();
+        gate.reset();
         ctx.sleep(ms(15));
-        gate.open();
+        gate.set();
     });
     sim.run().unwrap();
     assert_eq!(passed.load(Ordering::SeqCst), 2);

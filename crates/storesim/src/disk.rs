@@ -27,33 +27,6 @@ pub struct DiskConfig {
     pub read_factor: f64,
 }
 
-impl DiskConfig {
-    /// A 2010-era SATA disk under ext3, as in the paper's compute nodes.
-    pub fn ext3_local() -> Self {
-        DiskConfig {
-            bandwidth: 72e6,
-            alpha: 0.24,
-            mem_bandwidth: 2.4e9,
-            dirty_limit: 64 << 20,
-            flush_bandwidth: 60e6,
-            read_factor: 1.45,
-        }
-    }
-
-    /// A PVFS data-server disk (server-class, better sustained rate, less
-    /// seek penalty thanks to larger server-side staging).
-    pub fn pvfs_server() -> Self {
-        DiskConfig {
-            bandwidth: 96e6,
-            alpha: 0.042,
-            mem_bandwidth: 2.4e9,
-            dirty_limit: 64 << 20,
-            flush_bandwidth: 80e6,
-            read_factor: 1.3,
-        }
-    }
-}
-
 struct DirtyState {
     level: f64,
     at: SimTime,

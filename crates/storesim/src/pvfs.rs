@@ -32,17 +32,6 @@ pub struct PvfsConfig {
     pub meta_latency: Duration,
 }
 
-impl Default for PvfsConfig {
-    fn default() -> Self {
-        PvfsConfig {
-            servers: 4,
-            stripe: 1 << 20,
-            disk: DiskConfig::pvfs_server(),
-            meta_latency: Duration::from_micros(600),
-        }
-    }
-}
-
 struct StoredFile {
     slices: Rope,
     len: u64,

@@ -169,8 +169,6 @@ fn run_link_fallback_rows() -> Traced {
         net,
         FtbConfig {
             heartbeat: secs(3600), // keep pings out of the race windows
-            forward_retries: 1,
-            forward_retry_backoff: std::time::Duration::ZERO,
         },
     );
     bp.add_agent(NodeId(0), None);
@@ -381,7 +379,7 @@ fn suite_refines_model_and_covers_tables() {
         // the controller cuts over to the residual stop-and-copy round —
         // the LiveTrigger → PrecopyRound → Cutover rows.
         run_traced("clean_live", 92, 1, false, MigrationTuning::live(), None),
-        // Every RDMA read in the first round errors until chunk_retries
+        // Every RDMA read in the first round errors until CHUNK_RETRIES
         // is exhausted: the round's pull aborts and the cycle walks the
         // FallbackStopCopy row into a classic stop-and-copy that still
         // completes.

@@ -27,7 +27,6 @@ fn fig4_lu_migration_dispatch_counts_are_pinned() {
     let mut handle: Option<SimHandle> = None;
     let report =
         jobmig_bench::fig_migration_observed(NpbApp::Lu, 64, 8, PoolConfig::default(), |sh| {
-            sh.set_prof(true);
             handle = Some(sh.clone());
         });
     assert_eq!(report.ranks_moved, 8);
@@ -62,7 +61,6 @@ fn fig4_lu_migration_dispatch_counts_are_pinned() {
 fn tuned_counts(tuning: jobmig_core::runtime::MigrationTuning) -> ((u64, u64, u64), u64) {
     let mut handle: Option<SimHandle> = None;
     let (report, _) = jobmig_bench::fig_migration_tuned_observed(NpbApp::Lu, 64, 8, tuning, |sh| {
-        sh.set_prof(true);
         handle = Some(sh.clone());
     });
     assert_eq!(report.ranks_moved, 8);
