@@ -116,32 +116,13 @@ pub fn fig_migration_tuned(
     ppn: u32,
     tuning: MigrationTuning,
 ) -> (jobmig_core::report::MigrationReport, Vec<u64>) {
-    fig_migration_tuned_observed(app, np, ppn, tuning, |_| {})
-}
-
-/// [`fig_migration_tuned`] exposing the simulation handle before the run
-/// starts (the dispatch-count pins stash it to read the kernel
-/// self-profile after the run). Tracing is always on here; an untraced
-/// run of a tuning is [`fig_migration_observed`].
-pub fn fig_migration_tuned_observed(
-    app: NpbApp,
-    np: u32,
-    ppn: u32,
-    tuning: MigrationTuning,
-    observe: impl FnOnce(&simkit::SimHandle),
-) -> (jobmig_core::report::MigrationReport, Vec<u64>) {
-    let mut sim = Simulation::new(SEED);
-    sim.handle().tracer().set_enabled(true);
-    observe(&sim.handle());
-    let cluster = paper_cluster(&sim);
-    let wl = Workload::new(app, NpbClass::C, np);
-    let rt = JobRuntime::launch(&cluster, JobSpec::npb(wl, ppn));
-    rt.control()
-        .migrate_after(dur::secs(30), MigrationRequest::new().tuning(tuning));
-    let rt2 = rt.clone();
-    run_until_pred(&mut sim, move || !rt2.migration_reports().is_empty(), 600);
-    let round_bytes = sim
-        .handle()
+    let mut handle = None;
+    let report = fig_migration_observed(app, np, ppn, tuning, |h| {
+        h.tracer().set_enabled(true);
+        handle = Some(h.clone());
+    });
+    let round_bytes = handle
+        .expect("observed")
         .tracer()
         .drain_events()
         .iter()
@@ -153,7 +134,7 @@ pub fn fig_migration_tuned_observed(
             })
         })
         .collect();
-    (rt.migration_reports()[0].clone(), round_bytes)
+    (report, round_bytes)
 }
 
 // ---------------------------------------------------------------------------

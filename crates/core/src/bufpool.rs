@@ -66,12 +66,10 @@ pub struct PoolConfig {
     /// Phase 3 restart strategy.
     pub restart_mode: RestartMode,
     /// Overlap Phase 3 with Phase 2: restart each rank as soon as its
-    /// image is staged instead of waiting for the whole-pull barrier.
+    /// image is staged instead of waiting for the whole-pull barrier, at
+    /// most [`calib::RESTART_ADMISSION`] at a time. Off, every rank
+    /// restarts at once behind the barrier.
     pub overlap: bool,
-    /// Maximum concurrent per-rank restarts in overlap mode (bounds the
-    /// Phase 3 cold-read storm on the target disk). 0 = unbounded, which
-    /// matches the barrier engine's all-at-once restart.
-    pub restart_admission: u32,
     /// Iterative pre-copy live migration. `Some` streams the image while
     /// ranks keep running and only holds the barrier for a short residual
     /// round; `None` is classic stop-and-copy.
@@ -86,7 +84,6 @@ impl Default for PoolConfig {
             transport: Transport::RdmaRead,
             restart_mode: RestartMode::FileBased,
             overlap: false,
-            restart_admission: 0,
             live: None,
         }
     }
@@ -127,21 +124,20 @@ impl PoolConfig {
     }
 
     /// The pipelined data path: per-rank restart overlap, with restart
-    /// admission bounded to two concurrent cold reads (the sweet spot on
-    /// the paper testbed's ext3 disk — see EXPERIMENTS.md).
+    /// admission bounded to [`calib::RESTART_ADMISSION`] concurrent cold
+    /// reads.
     pub fn pipelined() -> Self {
         PoolConfig {
             overlap: true,
-            restart_admission: 2,
             ..Self::default()
         }
     }
 
     /// Iterative pre-copy live migration on top of the pipelined data
     /// path: round 0 streams the full image while the ranks keep running,
-    /// later rounds stream only dirtied segments, and the convergence
-    /// controller (downtime-budget policy by default) decides when to
-    /// suspend for a short residual stop-and-copy.
+    /// later rounds stream only dirtied segments, and the downtime-budget
+    /// controller decides when to suspend for a short residual
+    /// stop-and-copy.
     pub fn live() -> Self {
         PoolConfig {
             live: Some(livemig::LiveConfig::default()),

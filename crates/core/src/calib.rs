@@ -113,6 +113,12 @@ pub const TAKEOVER_DETECT: Duration = Duration::from_millis(5);
 /// Per-chunk RDMA Read re-issue budget on CQ error or checksum mismatch.
 pub const CHUNK_RETRIES: u32 = 4;
 
+/// Concurrent per-rank restarts in overlap mode: two cold `cr_restart`
+/// readers is the sweet spot on the testbed's ext3 disk, where eight at
+/// once thrash it. It takes the pipelined LU.C.64 restart from 4.5 s to
+/// 2.5 s (EXPERIMENTS.md, pipelined data path table).
+pub const RESTART_ADMISSION: u32 = 2;
+
 /// Recovery policy for the self-healing migration protocol: per-phase
 /// virtual-time deadlines, the migration retry budget, and the backoff
 /// between attempts. The deadlines are deliberately generous relative to

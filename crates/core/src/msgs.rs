@@ -106,8 +106,6 @@ pub struct PrecopyDoneMsg {
     pub ok: bool,
     /// Wire bytes this round moved (full image or delta payload).
     pub bytes: u64,
-    /// Dirty pages the round carried (0 for round 0's full image).
-    pub pages: u64,
 }
 
 /// Payload of [`FTB_CHECKPOINT`].

@@ -17,7 +17,7 @@ pub(super) fn run(a: &mut Attempt, live: &LiveState) -> Result<(), ()> {
     // The controller is instantiated after round 0 completes, so its
     // bandwidth estimate comes from the measured full-image round rather
     // than a static calibration constant.
-    let mut policy: Option<Box<dyn livemig::ConvergencePolicy>> = None;
+    let mut controller: Option<livemig::DowntimeBudget> = None;
     let mut round: u32 = 0;
     let mut fell_back = false;
     loop {
@@ -65,23 +65,20 @@ pub(super) fn run(a: &mut Attempt, live: &LiveState) -> Result<(), ()> {
         // Residual pending right now: the size of the next round (or of
         // the cutover stop-and-copy, if the verdict is to stop).
         let pending: u64 = c.ranks.iter().map(|&r| inner.job.cr(r).dirty_bytes()).sum();
-        let report = livemig::RoundReport {
-            round,
-            bytes: done.bytes,
-            pages: done.pages,
-            duration: dur,
-            dirty_bytes_pending: pending,
-        };
-        let p = policy.get_or_insert_with(|| {
-            let bw = done.bytes as f64 / dur.as_secs_f64().max(1e-9);
+        let budget = controller.get_or_insert_with(|| livemig::DowntimeBudget {
+            budget: Duration::from_millis(live.cfg.downtime_budget_ms.into()),
+            lane_bw: done.bytes as f64 / dur.as_secs_f64().max(1e-9),
             // The fixed floor covers only what the cutover timing can
             // influence (tree adjust + per-process restart base); the
             // constant Phase 4 resume is paid whenever we stop, so it has
             // no place in the convergence decision.
-            live.cfg
-                .controller(bw, calib::SPAWN_TREE_ADJUST + calib::restart_costs().base)
+            fixed: calib::SPAWN_TREE_ADJUST + calib::restart_costs().base,
+            max_rounds: live.cfg.max_rounds,
         });
-        let verdict = p.decide(&report);
+        let verdict = budget.decide(&livemig::RoundReport {
+            round,
+            dirty_bytes_pending: pending,
+        });
         ctx.instant_with("live", "round_verdict", || {
             vec![
                 ("cycle", id.into()),
@@ -147,7 +144,7 @@ pub(super) fn source_side(ctx: &Ctx, rt: &JobRuntime, nla: &Arc<NlaShared>, m: P
         let snap = if m.round == 0 {
             // Arm *before* capturing: a write landing during the capture
             // is re-sent in round 1 — duplicated, never lost.
-            cr.arm_dirty(live.cfg.page);
+            cr.arm_dirty(livemig::PAGE_BYTES);
             None
         } else {
             cr.take_dirty()
@@ -192,7 +189,7 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
     let hca = inner.cluster.fabric().attach(m.target);
     let res = inner.cluster.node(m.target);
     let store: Arc<dyn storesim::CkptStore> = Arc::new(res.fs.clone());
-    let report = |ok: bool, bytes: u64, pages: u64| {
+    let report = |ok: bool, bytes: u64| {
         ftb.publish(
             ctx,
             FtbEvent::with_payload(
@@ -205,7 +202,6 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
                     round: m.round,
                     ok,
                     bytes,
-                    pages,
                 },
             ),
         );
@@ -228,7 +224,7 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
                     ("reason", abort.reason.into()),
                 ]
             });
-            report(false, abort.bytes_pulled, 0);
+            report(false, abort.bytes_pulled);
             return;
         }
     };
@@ -237,7 +233,6 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
     // jmlint: allow(hash_iter)
     let mut staged: Vec<(u32, AssembledImage)> = result.images.into_iter().collect();
     staged.sort_by_key(|(rank, _)| *rank);
-    let mut pages = 0u64;
     let mut ok = true;
     for (rank, info) in staged {
         let Ok(img) = restart::blcr_restart(ctx, res, info.slices, &info.path) else {
@@ -253,11 +248,6 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
         let mut accums = live.accums.lock();
         match livemig::delta::decode(&img) {
             Ok(Some(d)) => {
-                pages += d
-                    .runs
-                    .iter()
-                    .map(|r| r.data.len.div_ceil(d.page.max(1)))
-                    .sum::<u64>();
                 if accums.entry(rank).or_default().apply(&d).is_err() {
                     ok = false;
                 }
@@ -266,5 +256,5 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
             Err(_) => ok = false,
         }
     }
-    report(ok, result.bytes_pulled, pages);
+    report(ok, result.bytes_pulled);
 }

@@ -110,9 +110,11 @@ pub(super) fn target_side(
     // Restart admission throttles how many ranks hit the local disk at
     // once: with all images behind one degraded-sharing spindle, a full
     // fan-out of cold readers is slower end-to-end than a small window.
-    let admission = match cycle.pool.restart_admission {
-        0 => r.ranks.len() as u32,
-        n => n,
+    // The barrier restarts every rank at once, as the paper does.
+    let admission = if overlap {
+        calib::RESTART_ADMISSION
+    } else {
+        r.ranks.len() as u32
     };
     let gate = Semaphore::new(&ctx.handle(), admission.into());
     let done = Countdown::new(&ctx.handle(), "restart-workers", r.ranks.len() as u64);

@@ -373,8 +373,8 @@ impl WalEntry {
     }
 
     /// Serialize the entry to its on-disk frame: `seq` (u64 LE),
-    /// `checksum` (u64 LE), payload length (u32 LE), payload
-    /// ([`WalRecord::encode`]).
+    /// `checksum` (u64 LE), payload length (u32 LE), payload (the
+    /// record's canonical encoding: a tag byte, then every field LE).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = Vec::with_capacity(32);
         self.record.encode(&mut payload);

@@ -156,3 +156,62 @@ fn early_rank_restarts_before_slowest_pull_completes() {
         .collect();
     assert_eq!(ready.len(), 2, "one readiness instant per migrated rank");
 }
+
+/// Peak number of Phase 3 `ckpt/restart` spans open at once on the
+/// migration target, over a traced LU.A.16 run at 8 ranks per node, and
+/// the number of ranks the migration moved.
+fn peak_concurrent_restarts(tuning: MigrationTuning) -> (usize, usize) {
+    use simkit::EventKind;
+
+    let mut sim = Simulation::new(23);
+    sim.handle().tracer().set_enabled(true);
+    let cluster = Cluster::build(&sim.handle(), ClusterSpec::sized(2, 1));
+    let rt = JobRuntime::launch(
+        &cluster,
+        JobSpec::npb(Workload::new(NpbApp::Lu, NpbClass::A, 16), 8),
+    );
+    rt.control()
+        .migrate_after(secs(5), MigrationRequest::new().tuning(tuning));
+    for _ in 0..60 {
+        if !rt.migration_reports().is_empty() {
+            break;
+        }
+        sim.run_for(secs(5)).expect("simulation");
+    }
+    let report = rt.migration_reports()[0].clone();
+    let names = sim.handle().tracer().proc_names();
+    let (mut open, mut peak) = (0usize, 0usize);
+    for ev in sim.handle().tracer().drain_events() {
+        let worker = ev.pid.and_then(|p| names.get(&p.0));
+        if ev.cat != "ckpt"
+            || ev.name != "restart"
+            || !worker.is_some_and(|n| n.starts_with("restart-r"))
+        {
+            continue;
+        }
+        match ev.kind {
+            EventKind::Begin => {
+                open += 1;
+                peak = peak.max(open);
+            }
+            EventKind::End => open -= 1,
+            _ => {}
+        }
+    }
+    assert_eq!(open, 0, "every restart span closed");
+    (peak, report.ranks_moved)
+}
+
+/// Restart admission is derived from `overlap`: the pipelined data path
+/// restarts at most `calib::RESTART_ADMISSION` ranks at once on the
+/// target and reaches that bound, while the barrier restarts every
+/// migrated rank at once.
+#[test]
+fn restart_admission_bounds_concurrent_restarts() {
+    let admission = jobmig_core::calib::RESTART_ADMISSION as usize;
+    let (peak, moved) = peak_concurrent_restarts(MigrationTuning::pipelined());
+    assert!(moved > admission, "{moved} ranks cannot test the bound");
+    assert_eq!(peak, admission, "pipelined concurrent restarts");
+    let (peak, moved) = peak_concurrent_restarts(MigrationTuning::barrier());
+    assert_eq!(peak, moved, "barrier restarts every migrated rank at once");
+}

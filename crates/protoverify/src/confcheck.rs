@@ -1076,23 +1076,13 @@ pub fn observe_trace(events: &[TraceEvent]) -> ConformanceReport {
 }
 
 // ---------------------------------------------------------------------------
-// trace artifact: JSON writer + minimal parser (offline, zero deps)
+// trace artifact: JSON writer (simkit's escaper) + minimal parser
 // ---------------------------------------------------------------------------
 
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    simkit::escape_json(&mut out, s);
     out.push('"');
     out
 }

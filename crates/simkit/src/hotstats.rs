@@ -173,25 +173,6 @@ pub struct HotStats {
 }
 
 impl HotStats {
-    /// Difference against an earlier snapshot (for profiling one phase of
-    /// a longer run). `per_proc` is left empty.
-    pub fn since(&self, earlier: &HotStats) -> HotStats {
-        HotStats {
-            events_dispatched: self.events_dispatched - earlier.events_dispatched,
-            stale_timers_skipped: self.stale_timers_skipped - earlier.stale_timers_skipped,
-            timer_pushes: self.timer_pushes - earlier.timer_pushes,
-            timer_rekeys: self.timer_rekeys - earlier.timer_rekeys,
-            heap_peak: self.heap_peak,
-            procs_spawned: self.procs_spawned - earlier.procs_spawned,
-            flow_recomputes: self.flow_recomputes - earlier.flow_recomputes,
-            flow_retimes: self.flow_retimes - earlier.flow_retimes,
-            sched_ns: self.sched_ns - earlier.sched_ns,
-            run_ns: self.run_ns - earlier.run_ns,
-            spawn_ns: self.spawn_ns - earlier.spawn_ns,
-            per_proc: Vec::new(),
-        }
-    }
-
     /// Human-readable profile. `names` (e.g. from
     /// [`Tracer::proc_names`](crate::Tracer::proc_names)) labels the
     /// busiest processes.

@@ -72,7 +72,7 @@ pub use link::{Link, LinkStats, Sharing};
 pub use process::{Ctx, ProcHandle, Scope, SimHandle, Span};
 pub use sync::{Countdown, Event, Queue, Semaphore};
 pub use time::SimTime;
-pub use trace::{ArgValue, Args, EventKind, TraceDigest, TraceEvent, Tracer};
+pub use trace::{escape_json, ArgValue, Args, EventKind, TraceDigest, TraceEvent, Tracer};
 
 /// Convenience constructors for [`std::time::Duration`] used pervasively in
 /// simulation code and tests.

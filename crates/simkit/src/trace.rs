@@ -9,10 +9,9 @@
 //! (span/instant helpers take `impl Into<String>` and only materialise the
 //! name when armed).
 //!
-//! Downstream, the `telemetry` crate aggregates the event stream into
-//! counters/histograms, exports it as chrome://tracing JSON, and its
-//! `Timeline` rebuilds per-phase stacks (paper Fig. 4) from
-//! `cat = "phase"` spans.
+//! Downstream, the `telemetry` crate exports the event stream as
+//! chrome://tracing JSON, and its `Timeline` rebuilds per-phase stacks
+//! (paper Fig. 4) from `cat = "phase"` spans.
 //!
 //! Because the kernel is deterministic, the event sequence for a given
 //! seed is bit-for-bit reproducible — traces are comparable across runs.
@@ -186,6 +185,29 @@ impl TraceDigest {
     }
 }
 
+/// Append `s` to `out` as the body of a JSON string literal, without
+/// the surrounding quotes: quotes and backslashes are backslash-escaped,
+/// newline, carriage return and tab by name, other control characters as
+/// `\u00XX`. The workspace's one JSON string escaper: telemetry's chrome
+/// export and `Json` builder and protoverify's trace artifacts all call
+/// it, so a trace string escapes the same way in every file format.
+pub fn escape_json(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
 /// Collects [`TraceEvent`]s when enabled, and folds them into a
 /// [`TraceDigest`] when digesting.
 ///
@@ -225,13 +247,6 @@ impl Tracer {
     /// Turn event collection on or off.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether collection is enabled. Check this before building an
-    /// expensive event payload (formatted names, argument vectors).
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     #[inline]
@@ -285,16 +300,6 @@ impl Tracer {
     pub fn drain_events(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut *self.events.lock())
     }
-
-    /// Number of collected events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether no events have been collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -307,8 +312,8 @@ mod tests {
         let t = Tracer::new();
         t.record(SimTime::ZERO, None, "log", "hello", Message, Vec::new);
         t.record(SimTime::ZERO, None, "rdma", "chunk", Instant, Vec::new);
-        assert!(t.is_empty());
-        assert!(!t.is_enabled());
+        assert!(!t.armed());
+        assert!(t.drain_events().is_empty());
     }
 
     #[test]
@@ -324,13 +329,14 @@ mod tests {
             Vec::new,
         );
         t.record(SimTime::from_nanos(9), None, "log", "b", Message, Vec::new);
-        assert_eq!(t.len(), 2);
+        assert!(t.armed());
         let evs = t.drain_events();
+        assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].name, "a");
         assert_eq!(evs[0].kind, EventKind::Message);
         assert_eq!(evs[0].pid, Some(ProcId(3)));
         assert_eq!(evs[1].time.as_nanos(), 9);
-        assert!(t.is_empty());
+        assert!(t.drain_events().is_empty());
     }
 
     #[test]
@@ -397,7 +403,7 @@ mod tests {
         let t = Tracer::new();
         t.set_digest_enabled(true);
         t.record(SimTime::ZERO, None, "pool", "x", Instant, Vec::new);
-        assert!(t.is_empty());
+        assert!(t.drain_events().is_empty());
         assert_eq!(t.digest().events, 1);
     }
 

@@ -8,24 +8,10 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use simkit::{ArgValue, EventKind, TraceEvent};
+use simkit::{escape_json, ArgValue, EventKind, TraceEvent};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
-
-fn esc(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
 
 fn num(out: &mut String, v: f64) {
     if v.is_finite() {
@@ -42,14 +28,14 @@ fn push_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
             out.push(',');
         }
         out.push('"');
-        esc(out, k);
+        escape_json(out, k);
         out.push_str("\":");
         match v {
             ArgValue::U64(n) => out.push_str(&n.to_string()),
             ArgValue::F64(f) => num(out, *f),
             ArgValue::Str(s) => {
                 out.push('"');
-                esc(out, s);
+                escape_json(out, s);
                 out.push('"');
             }
         }
@@ -66,9 +52,9 @@ fn tid_of(ev: &TraceEvent) -> u32 {
 
 fn push_common(out: &mut String, ev: &TraceEvent, ph: char) {
     out.push_str("{\"name\":\"");
-    esc(out, &ev.name);
+    escape_json(out, &ev.name);
     out.push_str("\",\"cat\":\"");
-    esc(out, ev.cat);
+    escape_json(out, ev.cat);
     out.push_str("\",\"ph\":\"");
     out.push(ph);
     out.push_str("\",\"ts\":");
@@ -107,7 +93,7 @@ pub fn chrome_trace(events: &[TraceEvent], proc_names: &HashMap<u32, String>) ->
         out.push_str(&format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\""
         ));
-        esc(&mut out, &name);
+        escape_json(&mut out, &name);
         out.push_str("\"}}");
     }
 

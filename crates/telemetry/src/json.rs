@@ -8,6 +8,7 @@
 //! formatting — so "same run ⇒ byte-identical artifact" holds for JSON
 //! output exactly as it does for traces.
 
+use simkit::escape_json;
 use std::fmt::Write as _;
 
 /// One JSON value. Objects preserve insertion order.
@@ -138,7 +139,7 @@ impl Json {
             Json::Float(_) => out.push_str("null"),
             Json::Str(s) => {
                 out.push('"');
-                escape(out, s);
+                escape_json(out, s);
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -163,7 +164,7 @@ impl Json {
                     }
                     pad(out, depth + 1);
                     out.push('"');
-                    escape(out, k);
+                    escape_json(out, k);
                     out.push_str("\":");
                     if indent.is_some() {
                         out.push(' ');
@@ -175,22 +176,6 @@ impl Json {
                 }
                 out.push('}');
             }
-        }
-    }
-}
-
-fn escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }

@@ -10,9 +10,8 @@
 //!    overlap;
 //! 2. **live pre-copy** — round 0 streams the full image while the ranks
 //!    keep computing, later rounds stream only the segments dirtied since
-//!    the previous round, and the convergence controller (downtime-budget
-//!    policy by default) suspends the job only for the short residual
-//!    stop-and-copy round.
+//!    the previous round, and the downtime-budget convergence controller
+//!    suspends the job only for the short residual stop-and-copy round.
 //!
 //! Both runs are traced, so the comparison is shown twice: from the
 //! in-band `MigrationReport` and independently from the trace via

@@ -101,14 +101,14 @@ fn main() {
     if tuning.overlap {
         println!(
             "pipelined data path: per-rank restart overlap, restart admission {}",
-            tuning.restart_admission
+            rdma_jobmig::core::calib::RESTART_ADMISSION
         );
     }
     if let Some(cfg) = &tuning.live {
         println!(
             "live pre-copy: up to {} rounds, {} KiB pages, {} ms downtime budget",
             cfg.max_rounds,
-            cfg.page >> 10,
+            rdma_jobmig::livemig::PAGE_BYTES >> 10,
             cfg.downtime_budget_ms,
         );
     }

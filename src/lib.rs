@@ -37,8 +37,8 @@ pub mod prelude {
     pub use jobmig_core::runtime::{
         AppBody, CheckpointRequest, Control, JobRuntime, JobSpec, MigrationRequest, MigrationTuning,
     };
-    pub use livemig::{ConvergencePolicy, Decision, LiveConfig, LivePolicyKind};
+    pub use livemig::{Decision, LiveConfig};
     pub use npbsim::{NpbApp, NpbClass, Workload};
     pub use simkit::{dur, SimTime, Simulation};
-    pub use telemetry::{chrome_trace, write_chrome_trace, Registry, Timeline};
+    pub use telemetry::{chrome_trace, write_chrome_trace, Timeline};
 }

@@ -56,11 +56,12 @@ fn fig4_lu_migration_dispatch_counts_are_pinned() {
     );
 }
 
-/// (dispatches, timer pushes, flow retimes) of a tuned LU.C.64 cycle, run
-/// through the tuning-aware bench runner, and its timer re-keys.
+/// (dispatches, timer pushes, flow retimes) of a tuned LU.C.64 cycle, and
+/// its timer re-keys. The run is untraced: tracing records events but
+/// schedules no work, so it moves none of these counts.
 fn tuned_counts(tuning: jobmig_core::runtime::MigrationTuning) -> ((u64, u64, u64), u64) {
     let mut handle: Option<SimHandle> = None;
-    let (report, _) = jobmig_bench::fig_migration_tuned_observed(NpbApp::Lu, 64, 8, tuning, |sh| {
+    let report = jobmig_bench::fig_migration_observed(NpbApp::Lu, 64, 8, tuning, |sh| {
         handle = Some(sh.clone());
     });
     assert_eq!(report.ranks_moved, 8);
