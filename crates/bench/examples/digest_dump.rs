@@ -3,10 +3,14 @@
 //! event a change moved when a golden digest in `tests/determinism_digest.rs`
 //! fails. Debug aid for the determinism oracle; not part of any benchmark.
 //!
-//! `cargo run --release -p jobmig-bench --example digest_dump -- [fig4|fault-matrix|fleet] > trace.txt`
+//! `cargo run --release -p jobmig-bench --example digest_dump -- [fig4|fault-matrix|fleet] [--canonical] > trace.txt`
 //!
 //! The scenario defaults to `fleet`. Each one is built by the same
 //! `jobmig_bench` function the digest test runs.
+//!
+//! `--canonical` sorts the events within each nanosecond. Two canonical
+//! dumps are identical when a change moved only same-instant tie-breaks:
+//! the same events at the same instants, in another order.
 
 use jobmig_core::bufpool::PoolConfig;
 use npbsim::NpbApp;
@@ -15,7 +19,17 @@ use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let scenario = std::env::args().nth(1).unwrap_or_else(|| "fleet".into());
+    let (flags, args): (Vec<String>, Vec<String>) =
+        std::env::args().skip(1).partition(|a| a.starts_with("--"));
+    let canonical = match flags.as_slice() {
+        [] => false,
+        [f] if f == "--canonical" => true,
+        _ => {
+            eprintln!("unknown flags {flags:?}; expected --canonical");
+            return ExitCode::from(2);
+        }
+    };
+    let scenario = args.first().cloned().unwrap_or_else(|| "fleet".into());
     let mut handle: Option<SimHandle> = None;
     let observe = |sh: &SimHandle| {
         sh.tracer().set_enabled(true);
@@ -38,21 +52,25 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
+    let mut lines: Vec<(u64, String)> = handle
+        .unwrap()
+        .tracer()
+        .drain_events()
+        .into_iter()
+        .map(|e| {
+            let pid = e.pid.map(|p| p.0 as i64).unwrap_or(-1);
+            let t = e.time.as_nanos();
+            let line = format!("{t} {pid} {} {} {:?} {:?}", e.cat, e.name, e.kind, e.args);
+            (t, line)
+        })
+        .collect();
+    if canonical {
+        lines.sort();
+    }
     let out = std::io::stdout();
     let mut w = std::io::BufWriter::new(out.lock());
-    for e in handle.unwrap().tracer().drain_events() {
-        let pid = e.pid.map(|p| p.0 as i64).unwrap_or(-1);
-        writeln!(
-            w,
-            "{} {} {} {} {:?} {:?}",
-            e.time.as_nanos(),
-            pid,
-            e.cat,
-            e.name,
-            e.kind,
-            e.args
-        )
-        .unwrap();
+    for (_, line) in lines {
+        writeln!(w, "{line}").unwrap();
     }
     ExitCode::SUCCESS
 }

@@ -6,18 +6,30 @@
 //! shares. This is the classic conservative approximation of max-min fair
 //! sharing (slack from non-bottleneck links is not redistributed), accurate
 //! to first order for the traffic patterns simulated here and — importantly
-//! — monotone and cheap to recompute on every arrival/departure.
+//! — monotone and cheap to recompute.
 //!
 //! # Exact finish times
 //!
 //! A flow stores the bytes it had `left` at the instant `since` its `rate`
-//! last changed, and the absolute `finish` instant that rate implies. On
-//! every arrival or departure all rates are recomputed, but a flow's
-//! progress is settled and its owner's completion wake re-pushed only when
-//! its rate changes bit-wise. A flow whose rate is unchanged keeps its
-//! finish nanosecond and its pending timer, so there is no float drift to
-//! correct and no no-op retime to detect. The owner is woken only when the
-//! clock reaches `finish`, or to unwind after a kill.
+//! last changed, and the absolute `finish` instant that rate implies. When
+//! rates are recomputed, a flow's progress is settled and its owner's
+//! completion wake re-pushed only when its rate changes bit-wise. A flow
+//! whose rate is unchanged keeps its finish nanosecond and its pending
+//! timer, so there is no float drift to correct and no no-op retime to
+//! detect. The owner is woken only when the clock reaches `finish`, or to
+//! unwind after a kill.
+//!
+//! # One settle per instant
+//!
+//! A join or a departure only updates the link counts and the flow map and
+//! marks the net *stale* with the kernel, noting whether a flow joined.
+//! The kernel settles a stale net — one rate recompute — before the clock
+//! moves, and before the net's earliest wake pops if a flow joined: a join
+//! lowers shares, so a pending wake may be early. Departures only raise
+//! shares (a [`Sharing::Degraded`] factor is never negative), so a flow
+//! due now stays due now and its wake pops unsettled. Flows that start or
+//! end together at one instant thus cost one recompute, not one each; a
+//! rate that would have held for zero virtual time is never set.
 //!
 //! The owners' completion wakes live in the net's kernel timer group,
 //! allocated with its first flow, so a recompute that re-times many flows
@@ -33,6 +45,7 @@ use crate::process::SimHandle;
 use crate::time::SimTime;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -98,6 +111,8 @@ struct NetInner {
     /// Kernel timer group of the owners' completion wakes, allocated with
     /// the first flow.
     group: Option<u32>,
+    /// The net is in the kernel's stale list, awaiting a settle.
+    stale: bool,
 }
 
 impl NetInner {
@@ -144,11 +159,34 @@ impl NetInner {
     }
 }
 
+/// A net's state, shared with the kernel while the net is stale.
+pub(crate) struct NetCell {
+    inner: Mutex<NetInner>,
+    /// A flow joined since the last settle. The kernel reads it under its
+    /// own lock, where it must not take the net's.
+    joined: AtomicBool,
+}
+
+impl NetCell {
+    pub(crate) fn joined(&self) -> bool {
+        self.joined.load(Ordering::Relaxed)
+    }
+
+    /// Recompute the rates of a stale net at the current instant; called
+    /// by the kernel with its own lock released.
+    pub(crate) fn settle(&self, kernel: &Kernel) {
+        let mut inner = self.inner.lock();
+        inner.stale = false;
+        self.joined.store(false, Ordering::Relaxed);
+        inner.recompute_and_retime(kernel, kernel.now());
+    }
+}
+
 /// A set of bandwidth links over which multi-link fluid flows run.
 #[derive(Clone)]
 pub struct FlowNet {
     kernel: Arc<Kernel>,
-    inner: Arc<Mutex<NetInner>>,
+    cell: Arc<NetCell>,
 }
 
 impl FlowNet {
@@ -156,22 +194,51 @@ impl FlowNet {
     pub fn new(handle: &SimHandle) -> Self {
         FlowNet {
             kernel: Arc::clone(&handle.kernel),
-            inner: Arc::new(Mutex::new(NetInner {
-                links: Vec::new(),
-                flows: BTreeMap::new(),
-                next_flow: 0,
-                group: None,
-            })),
+            cell: Arc::new(NetCell {
+                inner: Mutex::new(NetInner {
+                    links: Vec::new(),
+                    flows: BTreeMap::new(),
+                    next_flow: 0,
+                    group: None,
+                    stale: false,
+                }),
+                joined: AtomicBool::new(false),
+            }),
+        }
+    }
+
+    /// Note a flow joining or leaving at the current instant: the kernel
+    /// settles the net's rates before the clock moves. Only the first
+    /// change since the last settle takes the scheduler lock, and a
+    /// departure that leaves no flow has no rate to settle.
+    fn mark_stale(&self, inner: &mut NetInner, joined: bool) {
+        if joined {
+            self.cell.joined.store(true, Ordering::Relaxed);
+        }
+        if !inner.stale && (joined || !inner.flows.is_empty()) {
+            inner.stale = true;
+            let group = inner.group.expect("a net with flows has a timer group");
+            self.kernel.mark_stale(group, Arc::clone(&self.cell));
         }
     }
 
     /// Add a link with `capacity_bps` bytes/second.
+    ///
+    /// Panics unless the capacity is positive and finite, and a
+    /// [`Sharing::Degraded`] factor finite and non-negative: a negative
+    /// factor would let a departure lower the other flows' shares.
     pub fn add_link(&self, name: &str, capacity_bps: f64, sharing: Sharing) -> LinkId {
         assert!(
             capacity_bps > 0.0 && capacity_bps.is_finite(),
             "link capacity must be positive"
         );
-        let mut inner = self.inner.lock();
+        if let Sharing::Degraded { alpha } = sharing {
+            assert!(
+                alpha.is_finite() && alpha >= 0.0,
+                "degradation factor must be finite and non-negative"
+            );
+        }
+        let mut inner = self.cell.inner.lock();
         let id = LinkId(inner.links.len() as u32);
         inner.links.push(NetLink {
             name: name.to_string(),
@@ -199,7 +266,7 @@ impl FlowNet {
             return;
         }
         let flow_id = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.cell.inner.lock();
             let now = ctx.now();
             if inner.group.is_none() {
                 inner.group = Some(self.kernel.new_timer_group());
@@ -221,7 +288,7 @@ impl FlowNet {
                     finish: SimTime::MAX,
                 },
             );
-            inner.recompute_and_retime(&self.kernel, now);
+            self.mark_stale(&mut inner, true);
             id
         };
         let mut guard = NetFlowGuard {
@@ -230,7 +297,7 @@ impl FlowNet {
             armed: true,
         };
         ctx.block();
-        let mut inner = self.inner.lock();
+        let mut inner = self.cell.inner.lock();
         let now = ctx.now();
         let finish = inner
             .flows
@@ -239,31 +306,31 @@ impl FlowNet {
             .expect("flow vanished while owner blocked");
         debug_assert!(now >= finish, "flow owner woken before its finish");
         inner.finish_flow(flow_id, now, true);
-        inner.recompute_and_retime(&self.kernel, now);
+        self.mark_stale(&mut inner, false);
         guard.armed = false;
     }
 
     /// Number of flows currently crossing `link`.
     pub fn active_on(&self, link: LinkId) -> usize {
-        self.inner.lock().links[link.0 as usize].active as usize
+        self.cell.inner.lock().links[link.0 as usize].active as usize
     }
 
     /// Total completed bytes carried over `link`.
     pub fn bytes_completed_on(&self, link: LinkId) -> u64 {
-        self.inner.lock().links[link.0 as usize]
+        self.cell.inner.lock().links[link.0 as usize]
             .stats
             .bytes_completed
     }
 
     /// The link's diagnostic name.
     pub fn link_name(&self, link: LinkId) -> String {
-        self.inner.lock().links[link.0 as usize].name.clone()
+        self.cell.inner.lock().links[link.0 as usize].name.clone()
     }
 
     /// Usage statistics of `link`; `busy` includes a busy period still open.
     pub(crate) fn link_stats(&self, link: LinkId) -> LinkStats {
         let now = self.kernel.now();
-        let inner = self.inner.lock();
+        let inner = self.cell.inner.lock();
         let l = &inner.links[link.0 as usize];
         let mut stats = l.stats;
         if l.active > 0 {
@@ -274,7 +341,7 @@ impl FlowNet {
 
     /// Configured capacity of `link` in bytes/second.
     pub(crate) fn link_capacity(&self, link: LinkId) -> f64 {
-        self.inner.lock().links[link.0 as usize].cap
+        self.cell.inner.lock().links[link.0 as usize].cap
     }
 }
 
@@ -290,9 +357,9 @@ impl Drop for NetFlowGuard<'_> {
         if !self.armed {
             return;
         }
-        let mut inner = self.net.inner.lock();
+        let mut inner = self.net.cell.inner.lock();
         let now = self.net.kernel.now();
         inner.finish_flow(self.flow_id, now, false);
-        inner.recompute_and_retime(&self.net.kernel, now);
+        self.net.mark_stale(&mut inner, false);
     }
 }

@@ -37,7 +37,7 @@ pub(crate) struct Counters {
     pub(crate) heap_peak: u64,
     /// Simulated processes spawned.
     pub(crate) spawns: u64,
-    /// FlowNet rate recomputations (flow add/remove/wake).
+    /// FlowNet rate recomputations: one per stale net settled.
     pub(crate) flow_recomputes: u64,
     /// Per-flow completion-wake reschedules issued to the kernel.
     pub(crate) flow_retimes: u64,
@@ -154,8 +154,9 @@ pub struct HotStats {
     pub heap_peak: u64,
     /// Simulated processes spawned.
     pub procs_spawned: u64,
-    /// FlowNet rate recomputations ([`Link`](crate::Link) traffic
-    /// included: a `Link` is a one-link FlowNet).
+    /// FlowNet rate recomputations, at most one per net and virtual
+    /// instant ([`Link`](crate::Link) traffic included: a `Link` is a
+    /// one-link FlowNet).
     pub flow_recomputes: u64,
     /// Per-flow completion-wake reschedules issued: one per flow whose
     /// rate changed, plus one when a flow starts.

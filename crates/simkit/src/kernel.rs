@@ -20,6 +20,16 @@
 //! a grouped process (a kill) moves it back to the heap. The grouping
 //! changes only the work per retime, not which wake pops next.
 //!
+//! A FlowNet does not recompute rates when a flow joins or leaves: it
+//! marks itself *stale* ([`Kernel::mark_stale`]), and [`Kernel::pop_next`]
+//! settles it. Every stale net is settled before a wake later than the
+//! current instant pops and before the run stops, so no rate is ever
+//! stale across a clock move. A net that had a join is also settled
+//! before its group's proxy pops, since a join can make a stored wake
+//! early; departures only raise shares, so a departure-only net's due-now
+//! wakes pop unsettled. The settle runs with the scheduler lock released,
+//! because a net takes its own lock and then the scheduler's.
+//!
 //! The virtual clock is one atomic word that only the scheduler stores
 //! (at each pop, and when [`Simulation::run_until`] reaches its limit),
 //! so reading it takes no lock. Each process's killed flag is an atomic
@@ -37,6 +47,7 @@
 
 use crate::coro::{Coroutine, Stack, Switch};
 use crate::error::{Killed, SimError};
+use crate::flownet::NetCell;
 use crate::hotstats::{Counters, Hot, HotCat, HotStats};
 use crate::process::{Ctx, ProcHandle, Scope};
 use crate::time::SimTime;
@@ -97,6 +108,9 @@ pub(crate) struct KState {
     procs: Vec<Slot>,
     rng: StdRng,
     counts: Counters,
+    /// FlowNets whose rates are stale, with their timer groups, in the
+    /// order they went stale.
+    stale: Vec<(u32, Arc<NetCell>)>,
 }
 
 impl KState {
@@ -169,6 +183,13 @@ impl Kernel {
         self.st.lock().timers.add_group()
     }
 
+    /// Queue the FlowNet `net`, whose completion wakes are in timer group
+    /// `group`, to have its rates settled (see the module docs). A net is
+    /// queued once per settle.
+    pub(crate) fn mark_stale(&self, group: u32, net: Arc<NetCell>) {
+        self.st.lock().stale.push((group, net));
+    }
+
     /// Run `f` against a [`WakeBatch`] onto timer group `group`: the
     /// scheduler lock is taken once for one FlowNet recompute and all the
     /// wakes it retimes.
@@ -185,12 +206,49 @@ impl Kernel {
 
     /// Pop the next timer at or before `limit`, advance the clock to it
     /// and hand over its owner (and the owner's body on its first
-    /// dispatch).
+    /// dispatch). Stale FlowNets are settled first where the module docs
+    /// say.
     fn pop_next(&self, limit: SimTime) -> Popped {
         let mut st = self.st.lock();
-        match st.timers.peek_time() {
+        let top = loop {
+            let top = st.timers.peek();
+            if st.stale.is_empty() {
+                break top;
+            }
+            let now = self.now();
+            match top {
+                // A wake due now: settle the net it belongs to if, and
+                // only if, a flow joined that net.
+                Some((t, group)) if t <= now && t <= limit => {
+                    let joined = group
+                        .and_then(|g| st.stale.iter().position(|(h, net)| *h == g && net.joined()));
+                    let Some(i) = joined else {
+                        break top;
+                    };
+                    let (_, net) = st.stale.remove(i);
+                    drop(st);
+                    net.settle(self);
+                }
+                // The clock is about to move or the run to stop: settle
+                // every stale net. A settle marks none stale, so the
+                // emptied list goes back for its capacity.
+                _ => {
+                    let mut nets = std::mem::take(&mut st.stale);
+                    drop(st);
+                    for (_, net) in nets.drain(..) {
+                        net.settle(self);
+                    }
+                    st = self.st.lock();
+                    debug_assert!(st.stale.is_empty(), "a settle marked a net stale");
+                    st.stale = nets;
+                    continue;
+                }
+            }
+            st = self.st.lock();
+        };
+        match top {
             None => return Popped::Quiescent,
-            Some(t) if t > limit => return Popped::Limit,
+            Some((t, _)) if t > limit => return Popped::Limit,
             Some(_) => {}
         }
         let (time, pid) = st.timers.pop().expect("peeked timer");
@@ -479,6 +537,7 @@ impl Simulation {
                 procs: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
                 counts: Counters::default(),
+                stale: Vec::new(),
             }),
             clock: AtomicU64::new(0),
             tracer: Tracer::new(),

@@ -3,8 +3,9 @@
 //! A [`Link`] models a shared bandwidth resource — an InfiniBand port, a
 //! GigE NIC, a disk, a memory bus — using the classic *fluid model*: at any
 //! instant the `n` active transfers share the link's aggregate capacity
-//! equally, and shares are recomputed whenever a transfer starts or ends.
-//! This captures the first-order contention behaviour the paper's
+//! equally. When transfers start or end, the rates are recomputed once
+//! per virtual instant, however many of them start or end at it. This
+//! captures the first-order contention behaviour the paper's
 //! evaluation depends on (concurrent checkpoint streams degrading each
 //! other) without per-packet simulation. A `Link` is a [`FlowNet`] with a
 //! single link, so both run on the one fluid engine.
@@ -27,7 +28,8 @@ pub enum Sharing {
     Fair,
     /// Seek-degraded sharing for rotating disks: aggregate capacity is
     /// `capacity / (1 + alpha * (n - 1))`, split evenly. `alpha = 0`
-    /// degenerates to [`Sharing::Fair`].
+    /// degenerates to [`Sharing::Fair`]; `alpha` must be finite and
+    /// non-negative, so that a departure never lowers a share.
     Degraded {
         /// Per-extra-stream degradation factor (typical ext3: 0.1–0.3).
         alpha: f64,

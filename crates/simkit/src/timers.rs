@@ -160,10 +160,14 @@ impl TimerHeap {
         replaced
     }
 
-    /// Time of the earliest wake.
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
+    /// Time of the earliest wake, and the group it is in (`None` for a
+    /// wake in the heap).
+    pub(crate) fn peek(&mut self) -> Option<(SimTime, Option<u32>)> {
         self.flush();
-        self.entries.first().map(|e| time_of(e.key))
+        self.entries.first().map(|e| {
+            let group = (e.id & GROUP != 0).then_some(e.id & !GROUP);
+            (time_of(e.key), group)
+        })
     }
 
     /// Take the earliest wake: its time and owner.

@@ -208,3 +208,232 @@ fn flow_start_does_not_delay_a_pending_kill() {
     assert_eq!(b_done.load(Ordering::SeqCst), 2_000_000_000);
     assert_eq!(net.bytes_completed_on(l), 100_000_000);
 }
+
+/// Finish instants (ns) of flows of `bytes` that all start at t = 0 on one
+/// fair link of `cap` bytes/s, computed as a FlowNet that recomputed rates
+/// on every arrival and departure would: the same float arithmetic,
+/// applied at each distinct finish instant.
+fn eager_finishes(cap: f64, bytes: &[u64]) -> Vec<u64> {
+    struct F {
+        left: f64,
+        since: u64,
+        rate: f64,
+        finish: u64,
+    }
+    let mut flows: Vec<Option<F>> = bytes
+        .iter()
+        .map(|&b| {
+            Some(F {
+                left: b as f64,
+                since: 0,
+                rate: 0.0,
+                finish: u64::MAX,
+            })
+        })
+        .collect();
+    let mut done = vec![0; bytes.len()];
+    let mut now = 0u64;
+    loop {
+        let n = flows.iter().flatten().count();
+        if n == 0 {
+            return done;
+        }
+        let share = cap / n as f64;
+        for f in flows.iter_mut().flatten() {
+            if f.rate.to_bits() != share.to_bits() {
+                let dt = (now - f.since) as f64 / 1e9;
+                f.left = (f.left - f.rate * dt).max(0.0);
+                f.since = now;
+                f.rate = share;
+                f.finish = now + secs_f64(f.left / share).as_nanos() as u64;
+            }
+        }
+        now = flows.iter().flatten().map(|f| f.finish).min().unwrap();
+        for (i, slot) in flows.iter_mut().enumerate() {
+            if slot.as_ref().is_some_and(|f| f.finish == now) {
+                *slot = None;
+                done[i] = now;
+            }
+        }
+    }
+}
+
+#[test]
+fn same_instant_joins_cost_one_recompute() {
+    // Eight flows of different sizes join one link at t = 0: their rates
+    // are recomputed once, before the clock moves, and each flow then
+    // finishes at the nanosecond that per-event recomputes give.
+    const CAP: f64 = 100e6;
+    let bytes: Vec<u64> = (1..=8).map(|i| i * 3_000_001).collect();
+    let want = eager_finishes(CAP, &bytes);
+    let mut sim = Simulation::new(0);
+    let h = sim.handle();
+    let net = FlowNet::new(&h);
+    let l = net.add_link("l", CAP, Sharing::Fair);
+    let finish: Arc<Vec<AtomicU64>> = Arc::new(bytes.iter().map(|_| AtomicU64::new(0)).collect());
+    for (i, &b) in bytes.iter().enumerate() {
+        let (n, f) = (net.clone(), finish.clone());
+        sim.spawn(&format!("f{i}"), move |ctx| {
+            n.transfer(ctx, &[l], b);
+            f[i].store(ctx.now().as_nanos(), Ordering::SeqCst);
+        });
+    }
+    let after_joins = Arc::new(AtomicU64::new(0));
+    let seen = after_joins.clone();
+    sim.spawn("watch", move |ctx| {
+        ctx.sleep(ns(1));
+        seen.store(ctx.handle().hot_stats().flow_recomputes, Ordering::SeqCst);
+    });
+    sim.run().unwrap();
+    assert_eq!(after_joins.load(Ordering::SeqCst), 1);
+    let got: Vec<u64> = finish.iter().map(|f| f.load(Ordering::SeqCst)).collect();
+    assert_eq!(got, want);
+    // One settle for the joins and one after each departure but the last.
+    assert_eq!(h.hot_stats().flow_recomputes, 8);
+}
+
+#[test]
+fn same_instant_departures_complete_at_that_instant() {
+    // Sixteen equal flows start together and so finish together. Every
+    // owner wakes at the shared finish nanosecond, and no recompute runs
+    // between their departures: the clock does not move until all of
+    // them have left.
+    const N: u64 = 16;
+    const BYTES: u64 = 1_000_003;
+    const CAP: f64 = 125e6;
+    let want = secs_f64(BYTES as f64 / (CAP / N as f64)).as_nanos() as u64;
+    let mut sim = Simulation::new(0);
+    let h = sim.handle();
+    let net = FlowNet::new(&h);
+    let l = net.add_link("l", CAP, Sharing::Fair);
+    let seen: Arc<Vec<(AtomicU64, AtomicU64)>> = Arc::new(
+        (0..N)
+            .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
+            .collect(),
+    );
+    for i in 0..N as usize {
+        let (n, s) = (net.clone(), seen.clone());
+        sim.spawn(&format!("f{i}"), move |ctx| {
+            n.transfer(ctx, &[l], BYTES);
+            s[i].0.store(ctx.now().as_nanos(), Ordering::SeqCst);
+            let recomputes = ctx.handle().hot_stats().flow_recomputes;
+            s[i].1.store(recomputes, Ordering::SeqCst);
+        });
+    }
+    sim.run().unwrap();
+    for (i, (t, recomputes)) in seen.iter().enumerate() {
+        assert_eq!(t.load(Ordering::SeqCst), want, "flow {i}");
+        assert_eq!(recomputes.load(Ordering::SeqCst), 1, "flow {i}");
+    }
+    // The joins' settle, then one for the departures, over no flows.
+    assert_eq!(h.hot_stats().flow_recomputes, 2);
+    assert_eq!(h.hot_stats().flow_retimes, N);
+    assert_eq!(net.bytes_completed_on(l), N * BYTES);
+}
+
+#[test]
+fn joins_then_run_until_settle_at_that_instant() {
+    // A flow joins at t = 1 ms with a far-off timer pending. `run_until`
+    // stops at a limit with the net stale: it must settle at 1 ms, before
+    // it moves the clock to the limit, not when the next run resumes.
+    const BYTES: u64 = 40_000_000;
+    const CAP: f64 = 100e6;
+    let want = 1_000_000 + secs_f64(BYTES as f64 / CAP).as_nanos() as u64;
+    for limit in [ms(1), ms(2)] {
+        let mut sim = Simulation::new(0);
+        let h = sim.handle();
+        let net = FlowNet::new(&h);
+        let l = net.add_link("l", CAP, Sharing::Fair);
+        sim.spawn_daemon("far", |ctx| ctx.sleep(secs(100)));
+        let done = Arc::new(AtomicU64::new(0));
+        let (n, d) = (net.clone(), done.clone());
+        sim.spawn("tx", move |ctx| {
+            ctx.sleep(ms(1));
+            n.transfer(ctx, &[l], BYTES);
+            d.store(ctx.now().as_nanos(), Ordering::SeqCst);
+        });
+        let limit = simkit::SimTime::ZERO + limit;
+        sim.run_until(limit).unwrap();
+        assert_eq!(sim.now(), limit);
+        let hot = h.hot_stats();
+        assert_eq!((hot.flow_recomputes, hot.flow_retimes), (1, 1));
+        sim.run_until(simkit::SimTime::ZERO + secs(1)).unwrap();
+        assert_eq!(done.load(Ordering::SeqCst), want, "limit {limit:?}");
+    }
+}
+
+#[test]
+fn killing_an_owner_of_a_stale_net_frees_its_links_at_the_kill_instant() {
+    // At t = 1 s, X joins link l, a killer kills X, and Y joins l, all
+    // before the net is settled. X unwinds at 1 s and gives up l there,
+    // so Y runs alone from 1 s on.
+    const BYTES: u64 = 50_000_000;
+    const CAP: f64 = 100e6;
+    let mut sim = Simulation::new(0);
+    let net = FlowNet::new(&sim.handle());
+    let l = net.add_link("l", CAP, Sharing::Fair);
+    let n1 = net.clone();
+    let x = sim.spawn("x", move |ctx| {
+        ctx.sleep(secs(1));
+        n1.transfer(ctx, &[l], BYTES);
+        unreachable!();
+    });
+    let x2 = x.clone();
+    sim.spawn("killer", move |ctx| {
+        ctx.sleep(secs(1));
+        x2.kill();
+    });
+    let y_done = Arc::new(AtomicU64::new(0));
+    let (n2, done) = (net.clone(), y_done.clone());
+    sim.spawn("y", move |ctx| {
+        ctx.sleep(secs(1));
+        n2.transfer(ctx, &[l], BYTES);
+        done.store(ctx.now().as_nanos(), Ordering::SeqCst);
+    });
+    sim.run_until(simkit::SimTime::from_nanos(1_000_000_000))
+        .unwrap();
+    assert!(x.is_dead(), "killed owner kept its flow past the kill");
+    assert_eq!(net.active_on(l), 1);
+    sim.run().unwrap();
+    let want = 1_000_000_000 + secs_f64(BYTES as f64 / CAP).as_nanos() as u64;
+    assert_eq!(y_done.load(Ordering::SeqCst), want);
+    assert_eq!(net.bytes_completed_on(l), BYTES);
+}
+
+#[test]
+#[should_panic(expected = "degradation factor must be finite and non-negative")]
+fn negative_degradation_factor_is_refused() {
+    // A negative factor would let a departure lower the other flows'
+    // shares, and a departure-only net's due wakes pop unsettled.
+    let sim = Simulation::new(0);
+    let net = FlowNet::new(&sim.handle());
+    net.add_link("disk", 100e6, Sharing::Degraded { alpha: -0.1 });
+}
+
+#[test]
+fn join_at_a_flows_finish_instant_settles_it_before_its_wake_pops() {
+    // A's 1,001 bytes at 2.5 B/ns take 400.4 ns, so its wake is at 400 ns
+    // with a byte left. B joins at 400 ns, before A's wake pops, and halves
+    // A's rate: A's last byte then takes 0.8 ns, and it finishes at 401 ns,
+    // as a recompute on B's arrival gives. A join must settle the net
+    // before its due wakes pop.
+    const CAP: f64 = 2.5e9;
+    let mut sim = Simulation::new(0);
+    let net = FlowNet::new(&sim.handle());
+    let l = net.add_link("l", CAP, Sharing::Fair);
+    let a_done = Arc::new(AtomicU64::new(0));
+    // B's sleep is scheduled before A's completion wake, so B runs first
+    // at 400 ns.
+    let n2 = net.clone();
+    sim.spawn("b", move |ctx| {
+        ctx.sleep(ns(400));
+        n2.transfer(ctx, &[l], 1_000);
+    });
+    let (n1, done) = (net.clone(), a_done.clone());
+    sim.spawn("a", move |ctx| {
+        n1.transfer(ctx, &[l], 1_001);
+        done.store(ctx.now().as_nanos(), Ordering::SeqCst);
+    });
+    sim.run().unwrap();
+    assert_eq!(a_done.load(Ordering::SeqCst), 401);
+}

@@ -10,7 +10,9 @@
 //! printed by the failing assertions and say below why they moved. To see
 //! what moved, diff the output of `jobmig-bench`'s `digest_dump` example
 //! (`fig4`, `fault-matrix` or `fleet`; it runs the same scenario functions)
-//! at the parent commit against the change.
+//! at the parent commit against the change; with `--canonical` it sorts
+//! the events within each nanosecond, so a change that only reorders
+//! same-instant tie-breaks gives identical canonical dumps.
 
 use jobmig_core::bufpool::PoolConfig;
 use npbsim::NpbApp;
@@ -43,11 +45,19 @@ use simkit::{SimHandle, TraceDigest};
 /// boundary passed every golden. The simulation is unchanged; each digest
 /// now folds the same events a collecting run records (fig4 7,531, fault
 /// matrix 783, fleet 296,356).
-const GOLDEN_FIG4: (u64, u64) = (3926710353137595242, 7531);
+///
+/// Re-recorded (fig4 only; the fault matrix, fleet and fleet-quarter
+/// held) when FlowNet began to settle each net once per virtual instant
+/// instead of recomputing rates on every arrival and departure. One
+/// `rdma read` Begin moved within its nanosecond (t = 30.044908007 s):
+/// `digest_dump fig4 --canonical`, which sorts the events within each
+/// nanosecond, prints the same dump before and after the change.
+const GOLDEN_FIG4: (u64, u64) = (8165966689613443670, 7531);
 const GOLDEN_FAULT_MATRIX: (u64, u64) = (639705965089129597, 783);
 const GOLDEN_FLEET: (u64, u64) = (13640947123385823924, 296356);
 /// Recorded when it was added, before FlowNet wakes moved into timer
-/// groups, so that change had to hold it exactly.
+/// groups, so that change had to hold it exactly; so did the change to
+/// one FlowNet settle per instant.
 const GOLDEN_FLEET_QUARTER: (u64, u64) = (2676760008724056112, 74605);
 
 fn assert_golden(name: &str, got: TraceDigest, want: (u64, u64)) {
