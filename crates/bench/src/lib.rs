@@ -94,7 +94,7 @@ pub fn fault_matrix_observed(observe: impl FnOnce(&simkit::SimHandle)) -> bool {
     let mut sim = Simulation::new(51);
     observe(&sim.handle());
     let cluster = Cluster::build(&sim.handle(), ClusterSpec::sized(2, 1));
-    cluster.install_fault_plane(&FaultPlan::new(0xB1).with(FaultSpec::RdmaCqError { nth: 1 }));
+    cluster.install_fault_plane(&FaultPlan::new().with(FaultSpec::RdmaCqError { nth: 1 }));
     let wl = Workload::new(NpbApp::Lu, NpbClass::A, 4);
     let deadline = SimTime::ZERO + wl.base_runtime + dur::secs(600);
     let rt = JobRuntime::launch(&cluster, JobSpec::npb(wl, 2));

@@ -25,7 +25,6 @@ use ibfabric::{DataSlice, Hca, Qp, QpAddr, RemoteMr, Rope};
 use parking_lot::Mutex;
 use simkit::{Ctx, Event, Semaphore, SimHandle};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use storesim::CkptStore;
@@ -211,16 +210,14 @@ impl PoolRendezvous {
 }
 
 struct SourceState {
-    free_slots: Mutex<Vec<u32>>,
-    slot_sem: Semaphore,
+    /// Counted by `slot_sem`.
+    free_slots: Vec<u32>,
     /// Requests sent and not yet acked.
-    outstanding: Mutex<u64>,
+    outstanding: u64,
     /// Ranks that have not closed their sink yet.
-    ranks_remaining: Mutex<u32>,
-    done_sent: Mutex<bool>,
-    bytes_streamed: AtomicU64,
-    /// All data acked and DONE_ACK received.
-    finished: Event,
+    ranks_remaining: u32,
+    done_sent: bool,
+    bytes_streamed: u64,
 }
 
 /// The source-side buffer manager.
@@ -230,7 +227,10 @@ pub struct SourcePool {
     mr: ibfabric::Mr,
     /// Target connected and ready to receive requests.
     channel_ready: Event,
-    st: Arc<SourceState>,
+    slot_sem: Semaphore,
+    /// All data acked and DONE_ACK received.
+    finished: Event,
+    state: Mutex<SourceState>,
 }
 
 /// Set up the source half on `hca`: registers the pool MR (timed),
@@ -249,21 +249,20 @@ pub fn source(
     let qp = hca.create_qp();
     rendezvous.publish(qp.addr());
     let slots = cfg.slots();
-    let st = Arc::new(SourceState {
-        free_slots: Mutex::new((0..slots).collect()),
-        slot_sem: Semaphore::new(&handle, slots as u64),
-        outstanding: Mutex::new(0),
-        ranks_remaining: Mutex::new(nranks),
-        done_sent: Mutex::new(false),
-        bytes_streamed: AtomicU64::new(0),
-        finished: Event::new(&handle, "source-pool-finished"),
-    });
     let pool = Arc::new(SourcePool {
         cfg,
         qp: qp.clone(),
         mr,
         channel_ready: Event::new(&handle, "pool-channel-ready"),
-        st,
+        slot_sem: Semaphore::new(&handle, slots as u64),
+        finished: Event::new(&handle, "source-pool-finished"),
+        state: Mutex::new(SourceState {
+            free_slots: (0..slots).collect(),
+            outstanding: 0,
+            ranks_remaining: nranks,
+            done_sent: false,
+            bytes_streamed: 0,
+        }),
     });
     // Ack loop: receives HELLO (target address), ACKs and DONE_ACK.
     // A daemon: on a healthy cycle it exits at DONE_ACK; on an aborted
@@ -300,20 +299,20 @@ impl SourcePool {
                     let Ok(ack) = msg.body.downcast::<AckMsg>() else {
                         continue; // foreign traffic: ignore
                     };
-                    self.st.free_slots.lock().push(ack.slot);
-                    self.st.slot_sem.release(1);
                     let outstanding = {
-                        let mut o = self.st.outstanding.lock();
-                        *o -= 1;
-                        *o
+                        let mut st = self.state.lock();
+                        st.free_slots.push(ack.slot);
+                        st.outstanding -= 1;
+                        st.outstanding
                     };
+                    self.slot_sem.release(1);
                     if ctx.telemetry_on() {
                         ctx.instant_with("pool", "chunk_ack", || vec![("slot", ack.slot.into())]);
                         ctx.counter("pool", "outstanding", outstanding as f64);
                     }
                 }
                 TAG_DONE_ACK => {
-                    self.st.finished.set();
+                    self.finished.set();
                     return;
                 }
                 other => {
@@ -345,20 +344,21 @@ impl SourcePool {
 
     /// Completion event: all data pulled and acknowledged by the target.
     pub fn finished(&self) -> &Event {
-        &self.st.finished
+        &self.finished
     }
 
     /// Stream bytes pushed through the pool (Table I accounting).
     pub fn bytes_streamed(&self) -> u64 {
-        self.st.bytes_streamed.load(Ordering::Relaxed)
+        self.state.lock().bytes_streamed
     }
 
     fn submit_chunk(&self, ctx: &Ctx, rank: u32, slot: u32, len: u64, checksum: u64) {
         ctx.sleep(calib::CHUNK_PROTOCOL_OVERHEAD);
         let outstanding = {
-            let mut o = self.st.outstanding.lock();
-            *o += 1;
-            *o
+            let mut st = self.state.lock();
+            st.outstanding += 1;
+            st.bytes_streamed += len;
+            st.outstanding
         };
         if ctx.telemetry_on() {
             ctx.instant_with("pool", "chunk_submit", || {
@@ -370,7 +370,6 @@ impl SourcePool {
             });
             ctx.counter("pool", "outstanding", outstanding as f64);
         }
-        self.st.bytes_streamed.fetch_add(len, Ordering::Relaxed);
         // A failed control send (link fault) is treated as a lost message:
         // the target never pulls the chunk, the pool stalls, and the Job
         // Manager's phase deadline aborts and retries the cycle.
@@ -410,17 +409,18 @@ impl SourcePool {
                 vec![("msg", "eof".into()), ("error", e.to_string().into())]
             });
         }
-        let mut remaining = self.st.ranks_remaining.lock();
-        *remaining -= 1;
-        if *remaining == 0 {
-            let mut sent = self.st.done_sent.lock();
-            if !*sent {
-                *sent = true;
-                if let Err(e) = self.qp.send(ctx, TAG_DONE, Box::new(()), 64) {
-                    ctx.instant_with("pool", "control_send_failed", || {
-                        vec![("msg", "done".into()), ("error", e.to_string().into())]
-                    });
-                }
+        // Decide under the lock, send without it: the send blocks, and
+        // the ack loop locks the same state meanwhile.
+        let send_done = {
+            let mut st = self.state.lock();
+            st.ranks_remaining -= 1;
+            st.ranks_remaining == 0 && !std::mem::replace(&mut st.done_sent, true)
+        };
+        if send_done {
+            if let Err(e) = self.qp.send(ctx, TAG_DONE, Box::new(()), 64) {
+                ctx.instant_with("pool", "control_send_failed", || {
+                    vec![("msg", "done".into()), ("error", e.to_string().into())]
+                });
             }
         }
     }
@@ -446,12 +446,12 @@ impl AggregationSink {
         if let Some(s) = self.slot {
             return s;
         }
-        self.pool.st.slot_sem.acquire(ctx, 1);
+        self.pool.slot_sem.acquire(ctx, 1);
         let s = self
             .pool
-            .st
-            .free_slots
+            .state
             .lock()
+            .free_slots
             .pop()
             // jmlint: allow(hot_unwrap) — slot_sem counts free_slots exactly
             .expect("semaphore guarantees a free slot");
@@ -467,8 +467,8 @@ impl AggregationSink {
                 self.pool.submit_chunk(ctx, self.rank, slot, self.fill, sum);
             } else {
                 // nothing written: return the slot silently
-                self.pool.st.free_slots.lock().push(slot);
-                self.pool.st.slot_sem.release(1);
+                self.pool.state.lock().free_slots.push(slot);
+                self.pool.slot_sem.release(1);
             }
             self.fill = 0;
             self.chunk.clear();

@@ -16,8 +16,6 @@ use ftb::{FtbClient, FtbEvent, Severity};
 use mpisim::RankCr;
 use parking_lot::Mutex;
 use simkit::{Countdown, Ctx, Queue};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// JM-side orchestration of one coordinated checkpoint.
@@ -39,13 +37,11 @@ pub(crate) fn run_checkpoint(
         id,
         store,
         stall_done: Countdown::new(handle, "ckpt-stall", n),
-        cut: Mutex::new(None),
         ckpt_done: Countdown::new(handle, "ckpt-done", n),
         resumed: Countdown::new(handle, "ckpt-resumed", n),
-        bytes: AtomicU64::new(0),
-        checksums: Mutex::new(HashMap::new()),
+        state: Mutex::default(),
     });
-    inner.ckpt_cycles.lock().insert(id, cycle.clone());
+    inner.state.lock().ckpt_cycles.insert(id, cycle.clone());
 
     let phase_args = move || -> simkit::Args { vec![("cycle", id.into())] };
     let t0 = ctx.now();
@@ -65,7 +61,7 @@ pub(crate) fn run_checkpoint(
     cycle.stall_done.wait(ctx);
     ph.end();
     let t1 = ctx.now();
-    *cycle.cut.lock() = Some(t1);
+    cycle.state.lock().cut = Some(t1);
     // Phase: Checkpoint.
     let ph = ctx.span_with("phase", "cr_checkpoint", phase_args);
     cycle.ckpt_done.wait(ctx);
@@ -77,14 +73,15 @@ pub(crate) fn run_checkpoint(
     ph.end();
     let t3 = ctx.now();
 
-    inner.cr_reports.lock().push(CrReport {
+    let bytes_written = cycle.state.lock().bytes;
+    inner.state.lock().cr_reports.push(CrReport {
         cycle: id,
         store,
         stall: t1 - t0,
         checkpoint: t2 - t1,
         resume: t3 - t2,
         restart: None,
-        bytes_written: cycle.bytes.load(Ordering::Relaxed),
+        bytes_written,
     });
 }
 
@@ -98,7 +95,7 @@ pub(crate) fn checkpoint_rank(ctx: &Ctx, rt: &JobRuntime, cr: &RankCr, cycle: &C
     let store = rt.store_for(cycle.store, mynode);
     let meta = cr.capture_meta();
     let image = build_image(rank, &meta);
-    cycle.checksums.lock().insert(rank, image.checksum());
+    cycle.state.lock().checksums.insert(rank, image.checksum());
     let blcr = &inner.cluster.node(mynode).blcr;
     let rec = calib::recovery();
     let path = format!("ckpt.{}.{}", cycle.id, rank);
@@ -131,7 +128,7 @@ pub(crate) fn checkpoint_rank(ctx: &Ctx, rt: &JobRuntime, cr: &RankCr, cycle: &C
             }
         }
     }
-    cycle.bytes.fetch_add(written, Ordering::Relaxed);
+    cycle.state.lock().bytes += written;
     cycle.ckpt_done.arrive_and_wait(ctx);
     rt.resume_rank(ctx, cr, &cycle.resumed);
 }
@@ -148,7 +145,7 @@ pub(crate) fn run_restart(ctx: &Ctx, rt: &JobRuntime, cycle_id: u64) {
         });
         return;
     };
-    let Some(cut) = *cycle.cut.lock() else {
+    let Some(cut) = cycle.state.lock().cut else {
         // The checkpoint cycle never reached its consistent cut; there is
         // nothing to roll back to.
         ctx.instant_with("log", "cr_restart_no_cut", || {
@@ -200,8 +197,8 @@ pub(crate) fn run_restart(ctx: &Ctx, rt: &JobRuntime, cycle_id: u64) {
         cr.reopen();
     }
 
-    let mut reports = inner.cr_reports.lock();
-    if let Some(rep) = reports.iter_mut().find(|r| r.cycle == cycle_id) {
+    let mut st = inner.state.lock();
+    if let Some(rep) = st.cr_reports.iter_mut().find(|r| r.cycle == cycle_id) {
         rep.restart = Some(restart);
     }
 }
@@ -217,7 +214,7 @@ fn restart_rank(ctx: &Ctx, rt: &JobRuntime, cycle: &CkptCycle, rank: u32) -> Res
     let image = blcr
         .restart(ctx, &mut src, &calib::restart_costs())
         .map_err(|e| format!("checkpoint image parse: {e}"))?;
-    let expected = cycle.checksums.lock().get(&rank).copied();
+    let expected = cycle.state.lock().checksums.get(&rank).copied();
     if expected != Some(image.checksum()) {
         return Err(format!(
             "checkpoint integrity violated: got {:#x}, want {expected:?}",

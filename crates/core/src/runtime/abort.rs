@@ -39,10 +39,14 @@ impl Attempt<'_, '_> {
 pub(super) fn kill_spare(ctx: &Ctx, rt: &JobRuntime, node: NodeId) {
     ctx.instant_with("log", "spare_node_dead", || vec![("node", node.0.into())]);
     let inner = &rt.inner;
-    if let Some(ph) = inner.nla_procs.lock().remove(&node) {
+    let ph = {
+        let mut st = inner.state.lock();
+        st.nlas.remove(&node);
+        st.nla_procs.remove(&node)
+    };
+    if let Some(ph) = ph {
         ph.kill();
     }
-    inner.nlas.lock().remove(&node);
     inner.cluster.ftb().kill_agent(node);
 }
 
@@ -70,15 +74,17 @@ pub(super) fn abort_cycle(
             ("reason", reason.to_string().into()),
         ]
     });
-    // Close the entry gate and snapshot who is inside the protocol.
-    let entered: HashSet<u32> = {
-        let mut g = cycle.gate.lock();
-        g.aborted = true;
-        g.entered.clone()
+    // Close the entry gate and snapshot who is inside the protocol, and
+    // the metadata captured from those whose app already died.
+    let (entered, procs, metas) = {
+        let mut st = cycle.state.lock();
+        st.aborted = true;
+        let procs = std::mem::take(&mut st.procs);
+        (st.entered.clone(), procs, st.captured_meta.clone())
     };
     // Kill the cycle's worker processes (buffer-pool managers, the ack
     // loop, restart workers).
-    for ph in cycle.procs.lock().drain(..) {
+    for ph in procs {
         ph.kill();
     }
     // A live cycle's dirty trackers are abandoned with the cycle: the
@@ -89,13 +95,13 @@ pub(super) fn abort_cycle(
             inner.job.cr(rank).disarm_dirty();
         }
     }
-    let metas = cycle.captured_meta.lock().clone();
     let mut recover: Vec<u32> = Vec::new();
     for &rank in &cycle.ranks {
         if !entered.contains(&rank) {
             continue;
         }
-        if let Some(ph) = inner.cr_threads.lock().get(&rank) {
+        let ph = inner.state.lock().cr_threads.get(&rank).cloned();
+        if let Some(ph) = ph {
             ph.kill();
         }
         if inner.job.rank_node(rank) == cycle.target {
@@ -127,15 +133,20 @@ pub(super) fn abort_cycle(
     // NLA goes back to being a clean spare. Both moves go through the
     // declarative NLA table (legal from either side of the PIIC /
     // restart-complete boundaries).
-    if let Some(nla) = inner.nlas.lock().get(&cycle.source) {
-        nla_apply(ctx, nla, NlaEvent::RollbackSource);
-        *nla.ranks.lock() = cycle.ranks.clone();
+    let (source, target) = {
+        let mut st = inner.state.lock();
+        if tree_adjusted {
+            st.spawn_tree.replace(cycle.target, cycle.source);
+        }
+        let nla = |n| st.nlas.get(&n).cloned();
+        (nla(cycle.source), nla(cycle.target))
+    };
+    if let Some(nla) = source {
+        nla_apply(ctx, &nla, NlaEvent::RollbackSource);
+        nla.set_ranks(cycle.ranks.clone());
     }
-    if let Some(nla) = inner.nlas.lock().get(&cycle.target) {
-        nla_apply(ctx, nla, NlaEvent::RollbackTarget);
-        nla.ranks.lock().clear();
-    }
-    if tree_adjusted {
-        inner.spawn_tree.lock().replace(cycle.target, cycle.source);
+    if let Some(nla) = target {
+        nla_apply(ctx, &nla, NlaEvent::RollbackTarget);
+        nla.set_ranks(Vec::new());
     }
 }

@@ -37,13 +37,12 @@ pub(super) fn health_bridge(ctx: &Ctx, rt: JobRuntime) {
             continue;
         };
         let node = alert.node;
-        let hosts_ranks = rt
-            .inner
-            .nlas
-            .lock()
-            .get(&node)
-            .is_some_and(|n| n.hosts_ready_ranks());
-        if hosts_ranks && rt.inner.pending_sources.lock().insert(node) {
+        let queue = {
+            let mut st = rt.inner.state.lock();
+            let hosts_ranks = st.nlas.get(&node).is_some_and(|n| n.hosts_ready_ranks());
+            hosts_ranks && st.pending_sources.insert(node)
+        };
+        if queue {
             rt.inner.triggers.push(Trigger::Migrate {
                 req: MigrationRequest::new().from_node(node).label("health-auto"),
             });
@@ -114,7 +113,7 @@ pub(super) fn wait_countdown_until(ctx: &Ctx, cd: &Countdown, deadline: SimTime)
 }
 
 pub(super) fn record_outcome(ctx: &Ctx, rt: &JobRuntime, outcome: MigrationOutcome) {
-    rt.inner.outcomes.lock().record(outcome);
+    rt.inner.state.lock().outcomes.record(outcome);
     ctx.instant_with("log", "migration_outcome", || {
         vec![("outcome", outcome.name().into())]
     });
@@ -154,23 +153,20 @@ fn run_migration(
     let inner = &rt.inner;
     // Resolve the source node: the requested one, else the first ready
     // node hosting ranks (the registry iterates in node-id order).
-    let nlas = inner.nlas.lock();
+    let mut st = inner.state.lock();
     let ready = |n: &&Arc<NlaShared>| n.hosts_ready_ranks();
     let Some(source) = req
         .source
-        .or_else(|| nlas.values().find(ready).map(|n| n.node))
+        .or_else(|| st.nlas.values().find(ready).map(|n| n.node))
     else {
         return;
     };
-    let ranks = nlas
-        .get(&source)
-        .filter(ready)
-        .map(|n| n.ranks.lock().clone());
-    drop(nlas);
+    let ranks = st.nlas.get(&source).filter(ready).map(|n| n.ranks());
     let Some(ranks) = ranks else {
-        inner.pending_sources.lock().remove(&source);
+        st.pending_sources.remove(&source);
         return;
     };
+    drop(st);
 
     // Self-healing attempt loop: each attempt leases a spare from the
     // front of the cluster's shared pool; a spare that survives its
@@ -203,7 +199,7 @@ fn run_migration(
             (0, None) => CycleEvent::Trigger,
             _ => CycleEvent::Retry,
         };
-        let epoch = inner.epoch.load(Ordering::Relaxed);
+        let epoch = inner.state.lock().epoch;
         // Lease before stepping: with several jobs migrating concurrently
         // the pool may drain between a check and a take, so the guard's
         // "spare available" answer must come from one atomic pool
@@ -258,7 +254,7 @@ fn run_migration(
             epoch,
         });
         ctx.check_killed();
-        let live = pool.live.filter(|_| attempt == 1).map(LiveState::new);
+        let live = pool.live.filter(|_| attempt == 1);
         let cycle = rt.open_cycle(id, source, target, &ranks, pool, live);
         let mut a = Attempt {
             ctx,
@@ -284,8 +280,10 @@ fn run_migration(
         ctx.check_killed();
         inner.pool.consume_at(target, inner.job_id, epoch);
         record_outcome(ctx, rt, report.outcome);
-        inner.mig_reports.lock().push(report);
-        inner.pending_sources.lock().remove(&source);
+        let mut st = inner.state.lock();
+        st.mig_reports.push(report);
+        st.pending_sources.remove(&source);
+        drop(st);
         inner.journal.append(WalRecord::CycleEnd { cycle: id });
         ctx.check_killed();
         return;
@@ -313,7 +311,8 @@ fn run_migration(
     });
     cr_baseline::run_checkpoint(ctx, rt, ftb, sub, store);
     record_outcome(ctx, rt, MigrationOutcome::FellBackToCr);
-    let cr_cycle = inner.cr_reports.lock().last().map(|r| r.cycle).unwrap_or(0);
+    let mut st = inner.state.lock();
+    let cr_cycle = st.cr_reports.last().map(|r| r.cycle).unwrap_or(0);
     // Nothing moved: the report's target is the source.
     let report = MigrationReport::unmeasured(
         cr_cycle,
@@ -322,8 +321,8 @@ fn run_migration(
         MigrationOutcome::FellBackToCr,
         attempt,
     );
-    inner.mig_reports.lock().push(report);
-    inner.pending_sources.lock().remove(&source);
+    st.mig_reports.push(report);
+    st.pending_sources.remove(&source);
 }
 
 /// One migration attempt in flight: what its phase bodies share.
@@ -469,10 +468,11 @@ fn run_attempt(a: &mut Attempt) -> Result<MigrationReport, ()> {
     } else {
         MigrationOutcome::MigratedAfterRetry
     };
-    let live = cycle.live.as_ref();
-    let rounds = live.map_or(0, |l| l.rounds.load(Ordering::Relaxed));
-    let precopied = live.map_or(0, |l| l.precopied.load(Ordering::Relaxed));
-    let bytes_moved = *cycle.piic_bytes.lock() + precopied;
+    // A stop-and-copy cycle leaves the pre-copy counters at zero.
+    let (rounds, bytes_moved) = {
+        let st = cycle.state.lock();
+        (st.rounds, st.piic_bytes + st.precopied)
+    };
     Ok(MigrationReport {
         precopy: t0 - pre0,
         precopy_rounds: rounds,

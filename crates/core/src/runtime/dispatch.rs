@@ -6,10 +6,10 @@ use super::*;
 
 pub(super) fn nla_proc(ctx: &Ctx, rt: JobRuntime, node: NodeId) {
     let inner = &rt.inner;
-    let nla = inner.nlas.lock()[&node].clone();
+    let nla = inner.state.lock().nlas[&node].clone();
     // Startup: launch local MPI processes (fork/exec cost per rank),
     // build endpoints untimed, start app + C/R threads.
-    let local_ranks = nla.ranks.lock().clone();
+    let local_ranks = nla.ranks();
     for rank in &local_ranks {
         ctx.sleep(calib::NLA_SPAWN);
         let cr = inner.job.cr(*rank);

@@ -91,7 +91,7 @@ pub(super) fn stream_rank(ctx: &Ctx, rt: &JobRuntime, cr: &RankCr, cycle: &MigCy
     let meta = cr.capture_meta();
     // Keep the captured state around: if the cycle aborts after the app
     // is killed, the rank is resurrected from exactly this state.
-    cycle.captured_meta.lock().insert(rank, meta.clone());
+    cycle.state.lock().captured_meta.insert(rank, meta.clone());
     rt.rank_apply(ctx, rank, RankEvent::Capture);
     let image = build_image(rank, &meta);
     rt.kill_app(rank);
@@ -101,11 +101,11 @@ pub(super) fn stream_rank(ctx: &Ctx, rt: &JobRuntime, cr: &RankCr, cycle: &MigCy
     // runs against the accumulator + residual merge, proving no dirty
     // segment was lost.
     let checksum = image.checksum();
-    let image = match cycle.live.as_ref().filter(|l| l.cut_over()) {
-        Some(live) => match cr.take_dirty() {
+    let image = match cycle.cut_over() {
+        Some(rounds) => match cr.take_dirty() {
             Some(snap) => {
                 cr.disarm_dirty();
-                delta_image(rank, &meta, &snap, live.rounds.load(Ordering::Relaxed))
+                delta_image(rank, &meta, &snap, rounds)
             }
             // Unknown dirty state: stream everything.
             None => image,
@@ -137,15 +137,15 @@ pub(super) fn source_side(
     let Some(cycle) = rt.mig_cycle(m.cycle) else {
         return;
     };
-    let nlocal = nla.ranks.lock().len() as u32;
+    let nlocal = nla.state.lock().ranks.len() as u32;
     let hca = inner.cluster.fabric().attach(m.source);
     let (pool, ackloop) = bufpool::source(ctx, &hca, cycle.pool, nlocal, &cycle.rendezvous);
     cycle.track(ackloop);
     cycle.set_source_pool(pool.clone());
     pool.finished().wait(ctx);
-    *cycle.piic_bytes.lock() = pool.bytes_streamed();
+    cycle.state.lock().piic_bytes = pool.bytes_streamed();
     nla_apply(ctx, nla, NlaEvent::SourceDrained);
-    let moved = std::mem::take(&mut *nla.ranks.lock());
+    let moved = std::mem::take(&mut nla.state.lock().ranks);
     ftb.publish(
         ctx,
         FtbEvent::with_payload(
@@ -185,7 +185,7 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, m: MigrateMsg) {
             cycle: cycle.id,
             rank,
         });
-        cycle.images.lock().insert(rank, image);
+        cycle.state.lock().images.insert(rank, image);
         if let Some(ev) = cycle.rank_ready.get(&rank) {
             ev.set();
         }
@@ -203,7 +203,7 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, m: MigrateMsg) {
         Some(&on_rank_ready),
     ) {
         Ok(result) => {
-            *cycle.images.lock() = result.images;
+            cycle.state.lock().images = result.images;
             cycle.images_ready.set();
         }
         Err(abort) => {

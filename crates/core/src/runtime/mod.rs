@@ -58,7 +58,7 @@ use protoverify::{
 };
 use simkit::{Countdown, Ctx, Event, ProcHandle, Queue, Semaphore, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -274,13 +274,14 @@ pub(crate) struct MigCycle {
     pub ranks: Vec<u32>,
     /// Pool configuration in effect for this cycle (the request's tuning).
     pub pool: PoolConfig,
+    /// Live tunables, `Some` when the cycle runs iterative pre-copy —
+    /// never for a retry attempt: only the first attempt runs live, since
+    /// a retry's pre-copied state died with the abandoned target.
+    pub live: Option<livemig::LiveConfig>,
     pub stall_done: Countdown,
     pub rendezvous: PoolRendezvous,
-    source_pool: Mutex<Option<Arc<SourcePool>>>,
     source_pool_ready: Event,
     pub piic: Event,
-    pub piic_bytes: Mutex<u64>,
-    pub images: Mutex<HashMap<u32, AssembledImage>>,
     pub images_ready: Event,
     /// Per-rank image readiness, set by the target pull the moment that
     /// rank's stream is fully staged and verified — the pipelined restart
@@ -291,81 +292,54 @@ pub(crate) struct MigCycle {
     pub restart_done: Event,
     pub barrier: Countdown,
     pub resumed: Countdown,
-    /// Abort gate plus the set of ranks that entered the protocol.
-    gate: Mutex<CycleGate>,
+    pub state: Mutex<CycleState>,
+}
+
+/// The mutable part of a [`MigCycle`].
+#[derive(Default)]
+pub(crate) struct CycleState {
+    source_pool: Option<Arc<SourcePool>>,
+    piic_bytes: u64,
+    images: HashMap<u32, AssembledImage>,
+    /// Abort gate: once set, late C/R threads are turned away.
+    aborted: bool,
+    /// Ranks that entered the protocol.
+    entered: HashSet<u32>,
     /// Checkpoint metadata captured by source ranks before their app
     /// incarnation was killed. Presence of a rank here means its app is
     /// dead and must be resurrected from this state on abort.
-    captured_meta: Mutex<HashMap<u32, CrMeta>>,
+    captured_meta: HashMap<u32, CrMeta>,
     /// Worker processes owned by this cycle (pool managers, ack loop,
     /// restart workers) — killed wholesale on abort.
-    procs: Mutex<Vec<ProcHandle>>,
+    procs: Vec<ProcHandle>,
     /// Claim flag for the Phase 3 `FTB_RESTART` reaction: the standby
     /// re-publishes the restart broadcast when the WAL cannot prove the
     /// original went out, so the target NLA must react to exactly one of
     /// the (at most two) publishes.
-    restart_claim: Mutex<bool>,
-    /// Iterative pre-copy state (`None` for stop-and-copy cycles — and
-    /// for every retry attempt: only the first attempt runs live, since a
-    /// retry's pre-copied state died with the abandoned target).
-    pub live: Option<LiveState>,
-}
-
-/// Shared state of a live cycle's pre-copy rounds, bridging the Job
-/// Manager (round loop, convergence decisions), the source NLA (capture +
-/// stream), the target NLA (pull + merge), and the Phase 3 restart (merge
-/// the cutover residual).
-pub(crate) struct LiveState {
-    /// Live tunables in effect for this cycle.
-    pub cfg: livemig::LiveConfig,
+    restart_claimed: bool,
+    // Pre-copy state of a live cycle, bridging the Job Manager (round
+    // loop, convergence decisions), the source NLA (capture + stream),
+    // the target NLA (pull + merge), and the Phase 3 restart (merge the
+    // cutover residual).
     /// Rendezvous of the round currently streaming; replaced by the Job
     /// Manager before each `FTB_PRECOPY` publish (each round is its own
     /// source/target pool pair).
-    round_rv: Mutex<Option<PoolRendezvous>>,
+    round_rv: Option<PoolRendezvous>,
     /// Target-side per-rank merge state, carried across rounds and
     /// consumed by the cutover restart.
-    pub accums: Mutex<HashMap<u32, livemig::ImageAccumulator>>,
+    accums: HashMap<u32, livemig::ImageAccumulator>,
     /// Set when the controller cuts over: source ranks stream only the
     /// residual delta and the target restarts from accumulator + residual.
-    cutover: AtomicBool,
+    cutover: bool,
     /// Pre-copy wire bytes across all completed rounds.
-    pub precopied: AtomicU64,
+    precopied: u64,
     /// Completed pre-copy rounds.
-    pub rounds: AtomicU32,
-}
-
-impl LiveState {
-    fn new(cfg: livemig::LiveConfig) -> Self {
-        LiveState {
-            cfg,
-            round_rv: Mutex::new(None),
-            accums: Mutex::new(HashMap::new()),
-            cutover: AtomicBool::new(false),
-            precopied: AtomicU64::new(0),
-            rounds: AtomicU32::new(0),
-        }
-    }
-
-    /// The current round's rendezvous (NLA reaction side).
-    fn round_rendezvous(&self) -> Option<PoolRendezvous> {
-        self.round_rv.lock().clone()
-    }
-
-    /// Whether the controller has cut over to the residual round.
-    pub fn cut_over(&self) -> bool {
-        self.cutover.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Default)]
-struct CycleGate {
-    aborted: bool,
-    entered: HashSet<u32>,
+    rounds: u32,
 }
 
 impl MigCycle {
     fn set_source_pool(&self, p: Arc<SourcePool>) {
-        *self.source_pool.lock() = Some(p);
+        self.state.lock().source_pool = Some(p);
         self.source_pool_ready.set();
     }
 
@@ -374,32 +348,34 @@ impl MigCycle {
     /// callers bail out and let the Phase 2 deadline recover the cycle.
     fn wait_source_pool(&self, ctx: &Ctx) -> Option<Arc<SourcePool>> {
         self.source_pool_ready.wait(ctx);
-        self.source_pool.lock().clone()
+        self.state.lock().source_pool.clone()
     }
 
     /// A C/R thread checks in before acting on this cycle's events. Once
     /// the cycle is aborted, late arrivals are turned away (they never
     /// suspended, so they need no recovery).
     fn enter(&self, rank: u32) -> bool {
-        let mut g = self.gate.lock();
-        if g.aborted {
+        let mut st = self.state.lock();
+        if st.aborted {
             return false;
         }
-        g.entered.insert(rank);
+        st.entered.insert(rank);
         true
     }
 
     pub(crate) fn is_aborted(&self) -> bool {
-        self.gate.lock().aborted
+        self.state.lock().aborted
     }
 
     /// Register a cycle-owned worker process; if the cycle is already
     /// aborted the worker is killed on the spot.
     pub(crate) fn track(&self, ph: ProcHandle) {
-        if self.gate.lock().aborted {
+        let mut st = self.state.lock();
+        if st.aborted {
+            drop(st);
             ph.kill();
         } else {
-            self.procs.lock().push(ph);
+            st.procs.push(ph);
         }
     }
 
@@ -407,8 +383,19 @@ impl MigCycle {
     /// a duplicate `FTB_RESTART` (original + standby re-publish) is a
     /// no-op for everyone else.
     fn claim_restart(&self) -> bool {
-        let mut claimed = self.restart_claim.lock();
-        !std::mem::replace(&mut *claimed, true)
+        !std::mem::replace(&mut self.state.lock().restart_claimed, true)
+    }
+
+    /// The current pre-copy round's rendezvous (NLA reaction side).
+    fn round_rendezvous(&self) -> Option<PoolRendezvous> {
+        self.state.lock().round_rv.clone()
+    }
+
+    /// The completed pre-copy round count, if the controller has cut over
+    /// to the residual round of a live cycle.
+    fn cut_over(&self) -> Option<u32> {
+        let st = self.state.lock();
+        (self.live.is_some() && st.cutover).then_some(st.rounds)
     }
 }
 
@@ -417,33 +404,60 @@ pub(crate) struct CkptCycle {
     pub id: u64,
     pub store: CrStoreKind,
     pub stall_done: Countdown,
-    pub cut: Mutex<Option<SimTime>>,
     pub ckpt_done: Countdown,
     pub resumed: Countdown,
-    pub bytes: AtomicU64,
-    pub checksums: Mutex<HashMap<u32, u64>>,
+    pub state: Mutex<CkptState>,
+}
+
+/// The mutable part of a [`CkptCycle`].
+#[derive(Default)]
+pub(crate) struct CkptState {
+    /// The consistent cut: when every rank had stalled.
+    pub cut: Option<SimTime>,
+    /// Image bytes the ranks wrote.
+    pub bytes: u64,
+    /// Per-rank image checksums, verified on restart.
+    pub checksums: HashMap<u32, u64>,
 }
 
 pub(crate) struct NlaShared {
     pub node: NodeId,
-    pub state: Mutex<NlaState>,
-    pub ranks: Mutex<Vec<u32>>,
+    pub state: Mutex<NlaCell>,
+}
+
+/// The mutable part of an [`NlaShared`]: its position in the NLA table
+/// and the ranks it hosts.
+pub(crate) struct NlaCell {
+    state: NlaState,
+    ranks: Vec<u32>,
 }
 
 impl NlaShared {
     fn new(node: NodeId, state: NlaState) -> Arc<NlaShared> {
-        let ranks = Mutex::new(Vec::new());
         Arc::new(NlaShared {
             node,
-            state: Mutex::new(state),
-            ranks,
+            state: Mutex::new(NlaCell {
+                state,
+                ranks: Vec::new(),
+            }),
         })
     }
 
     /// Whether this node can be a migration source: it is ready and
     /// hosts ranks.
     fn hosts_ready_ranks(&self) -> bool {
-        *self.state.lock() == NlaState::MigrationReady && !self.ranks.lock().is_empty()
+        let st = self.state.lock();
+        st.state == NlaState::MigrationReady && !st.ranks.is_empty()
+    }
+
+    /// The ranks this node hosts.
+    fn ranks(&self) -> Vec<u32> {
+        self.state.lock().ranks.clone()
+    }
+
+    /// Replace the ranks this node hosts.
+    fn set_ranks(&self, ranks: Vec<u32>) {
+        self.state.lock().ranks = ranks;
     }
 }
 
@@ -519,38 +533,43 @@ pub(crate) struct RtInner {
     /// namespace `job_id << 32`, so cycles of concurrently-running jobs
     /// never collide and foreign FTB events miss every cycle lookup.
     pub job_id: u64,
-    /// NLA registry, keyed by node id. A `BTreeMap` so that any iteration
-    /// (source auto-selection, launch order) is in node-id order — the
-    /// deterministic-replay guarantee forbids `HashMap` iteration here.
-    pub nlas: Mutex<BTreeMap<NodeId, Arc<NlaShared>>>,
     /// The cluster's shared spare pool (leases are keyed by `job_id`).
     pub pool: SparePool,
     pub triggers: Queue<Trigger>,
-    pub pending_sources: Mutex<HashSet<NodeId>>,
-    pub next_cycle: Mutex<u64>,
-    pub mig_cycles: Mutex<HashMap<u64, Arc<MigCycle>>>,
-    pub ckpt_cycles: Mutex<HashMap<u64, Arc<CkptCycle>>>,
-    pub mig_reports: Mutex<Vec<MigrationReport>>,
-    pub cr_reports: Mutex<Vec<CrReport>>,
-    pub app_threads: Mutex<HashMap<u32, ProcHandle>>,
-    pub cr_threads: Mutex<HashMap<u32, ProcHandle>>,
-    pub nla_procs: Mutex<HashMap<NodeId, ProcHandle>>,
-    pub finished: Mutex<HashSet<u32>>,
     pub all_done: Event,
-    pub spawn_tree: Mutex<SpawnTree>,
-    pub outcomes: Mutex<OutcomeCounts>,
-    /// Per-rank lifecycle position, advanced only through
-    /// `protoverify::RANK_TABLE` (see [`JobRuntime::rank_apply`]).
-    pub rank_life: Mutex<BTreeMap<u32, RankLife>>,
     /// The WAL-backed cycle journal (always on; crash injection and the
     /// standby read it).
     pub journal: CycleJournal,
+    /// Live-coordinator registration for crash injection / takeover.
+    pub(crate) coord: Arc<CoordSignal>,
+    pub state: Mutex<RtState>,
+}
+
+/// The mutable part of a [`RtInner`].
+pub(crate) struct RtState {
+    /// NLA registry, keyed by node id. A `BTreeMap` so that any iteration
+    /// (source auto-selection, launch order) is in node-id order — the
+    /// deterministic-replay guarantee forbids `HashMap` iteration here.
+    pub nlas: BTreeMap<NodeId, Arc<NlaShared>>,
+    pub pending_sources: HashSet<NodeId>,
+    pub next_cycle: u64,
+    pub mig_cycles: HashMap<u64, Arc<MigCycle>>,
+    pub ckpt_cycles: HashMap<u64, Arc<CkptCycle>>,
+    pub mig_reports: Vec<MigrationReport>,
+    pub cr_reports: Vec<CrReport>,
+    pub app_threads: HashMap<u32, ProcHandle>,
+    pub cr_threads: HashMap<u32, ProcHandle>,
+    pub nla_procs: HashMap<NodeId, ProcHandle>,
+    pub finished: HashSet<u32>,
+    pub spawn_tree: SpawnTree,
+    pub outcomes: OutcomeCounts,
+    /// Per-rank lifecycle position, advanced only through
+    /// `protoverify::RANK_TABLE` (see [`JobRuntime::rank_apply`]).
+    pub rank_life: BTreeMap<u32, RankLife>,
     /// Coordinator fencing epoch. Starts at 0 (the legacy, never-fenced
     /// epoch); each standby takeover bumps it and fences the spare pool
     /// and FTB publishes of every deposed epoch.
-    pub epoch: AtomicU64,
-    /// Live-coordinator registration for crash injection / takeover.
-    pub(crate) coord: Arc<CoordSignal>,
+    pub epoch: u64,
 }
 
 /// Where a job sits on the cluster: its identity and (optionally) an
@@ -631,7 +650,7 @@ impl JobRuntime {
                 used_nodes.push(node);
                 NlaShared::new(node, NlaState::MigrationReady)
             });
-            nla.ranks.lock().push(r);
+            nla.state.lock().ranks.push(r);
         }
         // Spare-state NLAs on every node currently free in the shared
         // pool; nodes leased or reclaimed later are adopted on demand
@@ -651,28 +670,30 @@ impl JobRuntime {
                 job,
                 job_id,
                 pool: cluster.spare_pool().clone(),
-                nlas: Mutex::new(nlas),
                 triggers: Queue::new(&handle),
-                pending_sources: Mutex::new(HashSet::new()),
-                next_cycle: Mutex::new((job_id << 32) + 1),
-                mig_cycles: Mutex::new(HashMap::new()),
-                ckpt_cycles: Mutex::new(HashMap::new()),
-                mig_reports: Mutex::new(Vec::new()),
-                cr_reports: Mutex::new(Vec::new()),
-                app_threads: Mutex::new(HashMap::new()),
-                cr_threads: Mutex::new(HashMap::new()),
-                nla_procs: Mutex::new(HashMap::new()),
-                finished: Mutex::new(HashSet::new()),
                 all_done: Event::new(&handle, "job-complete"),
-                spawn_tree: Mutex::new(SpawnTree {
-                    root: cluster.login(),
-                    nodes: used_nodes,
-                }),
-                outcomes: Mutex::new(OutcomeCounts::default()),
-                rank_life: Mutex::new((0..spec_nranks).map(|r| (r, RankLife::Running)).collect()),
                 journal: journal.clone(),
-                epoch: AtomicU64::new(0),
                 coord: coord.clone(),
+                state: Mutex::new(RtState {
+                    nlas,
+                    pending_sources: HashSet::new(),
+                    next_cycle: (job_id << 32) + 1,
+                    mig_cycles: HashMap::new(),
+                    ckpt_cycles: HashMap::new(),
+                    mig_reports: Vec::new(),
+                    cr_reports: Vec::new(),
+                    app_threads: HashMap::new(),
+                    cr_threads: HashMap::new(),
+                    nla_procs: HashMap::new(),
+                    finished: HashSet::new(),
+                    spawn_tree: SpawnTree {
+                        root: cluster.login(),
+                        nodes: used_nodes,
+                    },
+                    outcomes: OutcomeCounts::default(),
+                    rank_life: (0..spec_nranks).map(|r| (r, RankLife::Running)).collect(),
+                    epoch: 0,
+                }),
             }),
         };
         // A scheduled coordinator crash fires inside `CycleJournal::append`:
@@ -681,7 +702,7 @@ impl JobRuntime {
 
         // NLA daemons on every participating node (compute + spares), in
         // node-id order.
-        let all_nla_nodes: Vec<NodeId> = rt.inner.nlas.lock().keys().copied().collect();
+        let all_nla_nodes: Vec<NodeId> = rt.inner.state.lock().nlas.keys().copied().collect();
         for node in all_nla_nodes {
             rt.spawn_nla(node);
         }
@@ -747,12 +768,12 @@ impl JobRuntime {
 
     /// Completed migration reports, in order.
     pub fn migration_reports(&self) -> Vec<MigrationReport> {
-        self.inner.mig_reports.lock().clone()
+        self.inner.state.lock().mig_reports.clone()
     }
 
     /// Completed checkpoint reports, in order.
     pub fn cr_reports(&self) -> Vec<CrReport> {
-        self.inner.cr_reports.lock().clone()
+        self.inner.state.lock().cr_reports.clone()
     }
 
     /// Whether every rank's application body has finished.
@@ -767,7 +788,8 @@ impl JobRuntime {
 
     /// The NLA state of `node`.
     pub fn nla_state(&self, node: NodeId) -> Option<NlaState> {
-        self.inner.nlas.lock().get(&node).map(|n| *n.state.lock())
+        let nla = self.inner.state.lock().nlas.get(&node).cloned();
+        nla.map(|n| n.state.lock().state)
     }
 
     /// Spare nodes still available in the cluster's shared pool.
@@ -782,21 +804,15 @@ impl JobRuntime {
 
     /// Whether `node` currently hosts any of this job's ranks.
     pub fn hosts_ranks_on(&self, node: NodeId) -> bool {
-        self.inner
-            .nlas
-            .lock()
-            .get(&node)
-            .map(|n| !n.ranks.lock().is_empty())
-            .unwrap_or(false)
+        let nla = self.inner.state.lock().nlas.get(&node).cloned();
+        nla.is_some_and(|n| !n.state.lock().ranks.is_empty())
     }
 
     /// Nodes currently hosting at least one rank, in id order.
     pub fn rank_nodes(&self) -> Vec<NodeId> {
-        self.inner
-            .nlas
-            .lock()
-            .values()
-            .filter(|n| !n.ranks.lock().is_empty())
+        let nlas: Vec<Arc<NlaShared>> = self.inner.state.lock().nlas.values().cloned().collect();
+        nlas.into_iter()
+            .filter(|n| !n.state.lock().ranks.is_empty())
             .map(|n| n.node)
             .collect()
     }
@@ -808,14 +824,19 @@ impl JobRuntime {
     pub fn shutdown(&self) {
         // Collect-and-sort before killing: the registries are HashMaps
         // and kill order must not depend on hash order.
+        let mut st = self.inner.state.lock();
         // jmlint: allow(hash_iter)
-        let mut nlas: Vec<(NodeId, ProcHandle)> = self.inner.nla_procs.lock().drain().collect();
+        let mut nlas: Vec<(NodeId, ProcHandle)> = st.nla_procs.drain().collect();
+        // jmlint: allow(hash_iter)
+        let crs: Vec<(u32, ProcHandle)> = st.cr_threads.drain().collect();
+        // jmlint: allow(hash_iter)
+        let apps: Vec<(u32, ProcHandle)> = st.app_threads.drain().collect();
+        drop(st);
         nlas.sort_by_key(|(n, _)| *n);
         for (_, ph) in nlas {
             ph.kill();
         }
-        for registry in [&self.inner.cr_threads, &self.inner.app_threads] {
-            let mut procs: Vec<(u32, ProcHandle)> = registry.lock().drain().collect();
+        for mut procs in [crs, apps] {
             procs.sort_by_key(|(r, _)| *r);
             for (_, ph) in procs {
                 ph.kill();
@@ -826,7 +847,7 @@ impl JobRuntime {
     /// Per-outcome migration counters: first-attempt successes, retried
     /// successes, CR fallbacks, and (defensively) lost triggers.
     pub fn migration_outcomes(&self) -> OutcomeCounts {
-        *self.inner.outcomes.lock()
+        self.inner.state.lock().outcomes
     }
 
     /// The job's WAL-backed cycle journal (always on).
@@ -837,13 +858,13 @@ impl JobRuntime {
     /// The current coordinator fencing epoch: 0 until the first standby
     /// takeover, bumped once per takeover.
     pub fn fencing_epoch(&self) -> u64 {
-        self.inner.epoch.load(Ordering::Relaxed)
+        self.inner.state.lock().epoch
     }
 
     /// The current mpispawn tree: `(root, NLA nodes in launch order)`.
     /// Phase 3 replaces the migration source with the target here.
     pub fn spawn_tree(&self) -> (NodeId, Vec<NodeId>) {
-        let tree = self.inner.spawn_tree.lock();
+        let tree = &self.inner.state.lock().spawn_tree;
         (tree.root, tree.nodes.clone())
     }
 
@@ -866,19 +887,18 @@ impl JobRuntime {
     /// FTB event from a cycle this runtime never started) — callers skip
     /// the event instead of panicking.
     pub(crate) fn mig_cycle(&self, id: u64) -> Option<Arc<MigCycle>> {
-        self.inner.mig_cycles.lock().get(&id).cloned()
+        self.inner.state.lock().mig_cycles.get(&id).cloned()
     }
 
     /// Look up a checkpoint cycle by id; `None` for an unknown id.
     pub(crate) fn ckpt_cycle(&self, id: u64) -> Option<Arc<CkptCycle>> {
-        self.inner.ckpt_cycles.lock().get(&id).cloned()
+        self.inner.state.lock().ckpt_cycles.get(&id).cloned()
     }
 
     pub(crate) fn next_cycle_id(&self) -> u64 {
-        let mut c = self.inner.next_cycle.lock();
-        let id = *c;
-        *c += 1;
-        id
+        let mut st = self.inner.state.lock();
+        st.next_cycle += 1;
+        st.next_cycle - 1
     }
 
     /// Open migration cycle `id` moving `ranks` from `source` to `target`
@@ -890,7 +910,7 @@ impl JobRuntime {
         target: NodeId,
         ranks: &[u32],
         pool: PoolConfig,
-        live: Option<LiveState>,
+        live: Option<livemig::LiveConfig>,
     ) -> Arc<MigCycle> {
         let handle = self.inner.cluster.handle();
         let n = self.inner.spec.nranks as u64;
@@ -900,13 +920,11 @@ impl JobRuntime {
             target,
             ranks: ranks.to_vec(),
             pool,
+            live,
             stall_done: Countdown::new(handle, "mig-stall", n),
             rendezvous: PoolRendezvous::new(handle),
-            source_pool: Mutex::new(None),
             source_pool_ready: Event::new(handle, "srcpool"),
             piic: Event::new(handle, "piic"),
-            piic_bytes: Mutex::new(0),
-            images: Mutex::new(HashMap::new()),
             images_ready: Event::new(handle, "images-ready"),
             rank_ready: ranks
                 .iter()
@@ -915,13 +933,9 @@ impl JobRuntime {
             restart_done: Event::new(handle, "restart-done"),
             barrier: Countdown::new(handle, "mig-barrier", n),
             resumed: Countdown::new(handle, "mig-resumed", n),
-            gate: Mutex::new(CycleGate::default()),
-            captured_meta: Mutex::new(HashMap::new()),
-            procs: Mutex::new(Vec::new()),
-            restart_claim: Mutex::new(false),
-            live,
+            state: Mutex::default(),
         });
-        self.inner.mig_cycles.lock().insert(id, cycle.clone());
+        self.inner.state.lock().mig_cycles.insert(id, cycle.clone());
         cycle
     }
 
@@ -934,23 +948,21 @@ impl JobRuntime {
     /// time pass so the daemon subscribes to the FTB before the attempt's
     /// `FTB_MIGRATE` is published.
     pub(crate) fn adopt_spare(&self, ctx: &Ctx, node: NodeId) -> bool {
-        {
-            let nlas = self.inner.nlas.lock();
-            if let Some(nla) = nlas.get(&node) {
-                let st = *nla.state.lock();
-                match st {
-                    NlaState::MigrationSpare => {}
-                    NlaState::MigrationInactive => nla_apply(ctx, nla, NlaEvent::Reprovision),
-                    NlaState::MigrationReady => panic!(
-                        "spare pool corrupt: leased {node} still hosts ranks of job {}",
-                        self.inner.job_id
-                    ),
-                }
-                return false;
+        let known = self.inner.state.lock().nlas.get(&node).cloned();
+        if let Some(nla) = known {
+            let st = nla.state.lock().state;
+            match st {
+                NlaState::MigrationSpare => {}
+                NlaState::MigrationInactive => nla_apply(ctx, &nla, NlaEvent::Reprovision),
+                NlaState::MigrationReady => panic!(
+                    "spare pool corrupt: leased {node} still hosts ranks of job {}",
+                    self.inner.job_id
+                ),
             }
+            return false;
         }
         let nla = NlaShared::new(node, NlaState::MigrationSpare);
-        self.inner.nlas.lock().insert(node, nla);
+        self.inner.state.lock().nlas.insert(node, nla);
         self.spawn_nla(node);
         true
     }
@@ -964,7 +976,7 @@ impl JobRuntime {
             .spawn_daemon(&self.proc_name("nla", &node.to_string()), move |ctx| {
                 dispatch::nla_proc(ctx, rt, node)
             });
-        self.inner.nla_procs.lock().insert(node, ph);
+        self.inner.state.lock().nla_procs.insert(node, ph);
     }
 
     pub(crate) fn spawn_app(&self, rank: u32) {
@@ -978,18 +990,22 @@ impl JobRuntime {
                 rt.inner.spec.app.run(ctx, &mut r);
                 rt.rank_finished(rank);
             });
-        self.inner.app_threads.lock().insert(rank, ph);
+        self.inner.state.lock().app_threads.insert(rank, ph);
     }
 
     pub(crate) fn kill_app(&self, rank: u32) {
-        if let Some(ph) = self.inner.app_threads.lock().get(&rank) {
+        let ph = self.inner.state.lock().app_threads.get(&rank).cloned();
+        if let Some(ph) = ph {
             ph.kill();
         }
     }
 
     fn rank_finished(&self, rank: u32) {
-        let mut f = self.inner.finished.lock();
-        if f.insert(rank) && f.len() as u32 == self.inner.spec.nranks {
+        let all = {
+            let f = &mut self.inner.state.lock().finished;
+            f.insert(rank) && f.len() as u32 == self.inner.spec.nranks
+        };
+        if all {
             self.inner.all_done.set();
         }
     }
@@ -1003,7 +1019,7 @@ impl JobRuntime {
             .spawn_daemon(&format!("cr-r{rank}"), move |ctx| {
                 dispatch::cr_thread(ctx, rt, rank, resume)
             });
-        self.inner.cr_threads.lock().insert(rank, ph);
+        self.inner.state.lock().cr_threads.insert(rank, ph);
     }
 
     /// The checkpoint store for `kind` as seen from `node`. A PVFS
@@ -1027,14 +1043,14 @@ impl JobRuntime {
 
     /// The lifecycle position of `rank` per the `protoverify` rank table.
     pub fn rank_life(&self, rank: u32) -> Option<RankLife> {
-        self.inner.rank_life.lock().get(&rank).copied()
+        self.inner.state.lock().rank_life.get(&rank).copied()
     }
 
     /// Advance `rank`'s lifecycle through the declarative rank table
     /// (`protoverify::traced_step` traps a missing row: the runtime fired
     /// an event the spec forbids in the rank's current state).
     pub(crate) fn rank_apply(&self, ctx: &Ctx, rank: u32, ev: RankEvent) {
-        let mut life = self.inner.rank_life.lock();
+        let life = &mut self.inner.state.lock().rank_life;
         let cur = life.get(&rank).copied().unwrap_or(RankLife::Running);
         life.insert(rank, traced_step(ctx, rank.into(), cur, ev));
     }
@@ -1045,7 +1061,7 @@ impl JobRuntime {
 /// missing row is trapped.
 pub(crate) fn nla_apply(ctx: &Ctx, nla: &NlaShared, ev: NlaEvent) {
     let mut st = nla.state.lock();
-    *st = traced_step(ctx, nla.node.0.into(), *st, ev);
+    st.state = traced_step(ctx, nla.node.0.into(), st.state, ev);
 }
 
 // ---------------------------------------------------------------------------

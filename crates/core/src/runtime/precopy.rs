@@ -9,7 +9,7 @@ use super::*;
 /// already streamed — the cycle degrades to the classic stop-and-copy
 /// phases instead of aborting. Only the spare dying aborts from here
 /// (there is nothing to roll back: no rank ever suspended).
-pub(super) fn run(a: &mut Attempt, live: &LiveState) -> Result<(), ()> {
+pub(super) fn run(a: &mut Attempt, live: &livemig::LiveConfig) -> Result<(), ()> {
     let ph = a.enter(MigPhase::Precopy, None)?;
     let (ctx, rt, c) = (a.ctx, a.rt, a.cycle.clone());
     let (inner, id) = (&rt.inner, c.id);
@@ -24,7 +24,7 @@ pub(super) fn run(a: &mut Attempt, live: &LiveState) -> Result<(), ()> {
         // Each round is one self-contained source/target pool pair; a
         // fresh rendezvous keeps a straggler from a failed round from
         // pairing with the next round's pool.
-        *live.round_rv.lock() = Some(PoolRendezvous::new(handle));
+        c.state.lock().round_rv = Some(PoolRendezvous::new(handle));
         let r0 = ctx.now();
         a.ftb.publish(
             ctx,
@@ -60,20 +60,23 @@ pub(super) fn run(a: &mut Attempt, live: &LiveState) -> Result<(), ()> {
         });
         ctx.check_killed();
         a.step(CycleEvent::PrecopyRound);
-        live.precopied.fetch_add(done.bytes, Ordering::Relaxed);
-        live.rounds.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut st = c.state.lock();
+            st.precopied += done.bytes;
+            st.rounds += 1;
+        }
         // Residual pending right now: the size of the next round (or of
         // the cutover stop-and-copy, if the verdict is to stop).
         let pending: u64 = c.ranks.iter().map(|&r| inner.job.cr(r).dirty_bytes()).sum();
         let budget = controller.get_or_insert_with(|| livemig::DowntimeBudget {
-            budget: Duration::from_millis(live.cfg.downtime_budget_ms.into()),
+            budget: Duration::from_millis(live.downtime_budget_ms.into()),
             lane_bw: done.bytes as f64 / dur.as_secs_f64().max(1e-9),
             // The fixed floor covers only what the cutover timing can
             // influence (tree adjust + per-process restart base); the
             // constant Phase 4 resume is paid whenever we stop, so it has
             // no place in the convergence decision.
             fixed: calib::SPAWN_TREE_ADJUST + calib::restart_costs().base,
-            max_rounds: live.cfg.max_rounds,
+            max_rounds: live.max_rounds,
         });
         let verdict = budget.decide(&livemig::RoundReport {
             round,
@@ -91,7 +94,7 @@ pub(super) fn run(a: &mut Attempt, live: &LiveState) -> Result<(), ()> {
         match verdict {
             livemig::Decision::Continue => round += 1,
             livemig::Decision::CutOver => {
-                live.cutover.store(true, Ordering::Relaxed);
+                c.state.lock().cutover = true;
                 a.step(CycleEvent::Cutover);
                 break;
             }
@@ -107,7 +110,7 @@ pub(super) fn run(a: &mut Attempt, live: &LiveState) -> Result<(), ()> {
         // dirty trackers are disarmed so source ranks stream complete
         // images.
         a.step(CycleEvent::FallbackStopCopy);
-        live.accums.lock().clear();
+        c.state.lock().accums.clear();
         for &r in &c.ranks {
             inner.job.cr(r).disarm_dirty();
         }
@@ -128,13 +131,10 @@ pub(super) fn source_side(ctx: &Ctx, rt: &JobRuntime, nla: &Arc<NlaShared>, m: P
     let Some(cycle) = rt.mig_cycle(m.cycle) else {
         return;
     };
-    let Some(live) = &cycle.live else {
+    let Some(rv) = cycle.round_rendezvous() else {
         return;
     };
-    let Some(rv) = live.round_rendezvous() else {
-        return;
-    };
-    let ranks = nla.ranks.lock().clone();
+    let ranks = nla.ranks();
     let hca = inner.cluster.fabric().attach(m.source);
     let (pool, ackloop) = bufpool::source(ctx, &hca, cycle.pool, ranks.len() as u32, &rv);
     cycle.track(ackloop);
@@ -180,10 +180,7 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
     let Some(cycle) = rt.mig_cycle(m.cycle) else {
         return;
     };
-    let Some(live) = &cycle.live else {
-        return;
-    };
-    let Some(rv) = live.round_rendezvous() else {
+    let Some(rv) = cycle.round_rendezvous() else {
         return;
     };
     let hca = inner.cluster.fabric().attach(m.target);
@@ -245,7 +242,7 @@ pub(super) fn target_side(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: Precop
             ok = false;
             continue;
         }
-        let mut accums = live.accums.lock();
+        let accums = &mut cycle.state.lock().accums;
         match livemig::delta::decode(&img) {
             Ok(Some(d)) => {
                 if accums.entry(rank).or_default().apply(&d).is_err() {

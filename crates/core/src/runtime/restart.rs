@@ -59,7 +59,11 @@ pub(super) fn broadcast<R>(
         ctx.check_killed();
     }
     ctx.sleep(calib::SPAWN_TREE_ADJUST);
-    inner.spawn_tree.lock().replace(cycle.source, cycle.target);
+    inner
+        .state
+        .lock()
+        .spawn_tree
+        .replace(cycle.source, cycle.target);
     let r = adjusted();
     ftb.publish(
         ctx,
@@ -142,8 +146,9 @@ pub(super) fn target_side(
                 // semantics) without flushing files still being staged.
                 use storesim::CkptStore;
                 let path = cycle2
-                    .images
+                    .state
                     .lock()
+                    .images
                     .get(&rank)
                     .and_then(|i| i.slices.is_none().then(|| i.path.clone()));
                 if let Some(path) = path {
@@ -176,7 +181,7 @@ pub(super) fn target_side(
         // instead of tearing down the simulation.
         return;
     }
-    *nla.ranks.lock() = r.ranks.clone();
+    nla.set_ranks(r.ranks.clone());
     nla_apply(ctx, nla, NlaEvent::RestartComplete);
     ftb.publish(
         ctx,
@@ -259,8 +264,9 @@ fn restart_one_rank(
 ) -> Result<(), RestartRankError> {
     let inner = &rt.inner;
     let info = cycle
-        .images
+        .state
         .lock()
+        .images
         .get(&rank)
         .cloned()
         .ok_or(RestartRankError::ImageMissing)?;
@@ -273,12 +279,13 @@ fn restart_one_rank(
     // and fall through to the same end-to-end checksum verification,
     // which now proves the *merged* image equals the source's final
     // state: the no-lost-dirty-segment invariant, checked per restart.
-    let image = match cycle.live.as_ref().filter(|l| l.cut_over()) {
-        Some(live) => match livemig::delta::decode(&image) {
+    let image = match cycle.cut_over() {
+        Some(_) => match livemig::delta::decode(&image) {
             Ok(Some(d)) => {
-                let mut acc = live
-                    .accums
+                let mut acc = cycle
+                    .state
                     .lock()
+                    .accums
                     .remove(&rank)
                     .ok_or_else(|| RestartRankError::DeltaApply("no accumulator".into()))?;
                 acc.apply(&d)

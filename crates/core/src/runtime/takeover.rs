@@ -34,7 +34,11 @@ pub(super) fn standby_proc(ctx: &Ctx, rt: JobRuntime) {
 /// / roll-forward past the commit point) or roll it back to the source.
 fn takeover(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient) {
     let inner = &rt.inner;
-    let epoch = inner.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+    let epoch = {
+        let mut st = inner.state.lock();
+        st.epoch += 1;
+        st.epoch
+    };
     let adopted = inner.pool.fence(inner.job_id, epoch) as u64;
     let fl = inner.journal.in_flight();
     let in_flight_cycle = fl.as_ref().map(|f| f.cycle).unwrap_or(0);
@@ -162,7 +166,7 @@ fn roll_forward(ctx: &Ctx, rt: &JobRuntime, cycle: &Arc<MigCycle>, fl: &InFlight
         }
         inner.pool.consume_at(node, inner.job_id, epoch);
     }
-    let bytes = *cycle.piic_bytes.lock();
+    let bytes = cycle.state.lock().piic_bytes;
     settle_standby_outcome(
         ctx,
         rt,
@@ -220,13 +224,15 @@ fn settle_standby_outcome(
 ) {
     let inner = &rt.inner;
     record_outcome(ctx, rt, outcome);
-    inner.mig_reports.lock().push(MigrationReport {
+    let mut st = inner.state.lock();
+    st.mig_reports.push(MigrationReport {
         precopy_rounds: fl.precopy_rounds,
         ranks_moved,
         bytes_moved,
         ..MigrationReport::unmeasured(fl.cycle, fl.source, target, outcome, fl.attempt)
     });
-    inner.pending_sources.lock().remove(&fl.source);
+    st.pending_sources.remove(&fl.source);
+    drop(st);
     inner
         .journal
         .append(WalRecord::CycleEnd { cycle: fl.cycle });

@@ -539,15 +539,16 @@ struct JournalState {
     /// Phase context for crash targeting: the phase of the last
     /// `PhaseEnter` (records before the first phase count as Stall).
     phase: MigPhase,
+    plane: Option<FaultPlane>,
+    /// Invoked when a scheduled coordinator crash fires; installed by the
+    /// runtime to kill the Job Manager proc and wake the standby. Cloned
+    /// out and called with the journal unlocked.
+    crash_hook: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
 struct JournalInner {
     handle: SimHandle,
     state: Mutex<JournalState>,
-    plane: Mutex<Option<FaultPlane>>,
-    /// Invoked when a scheduled coordinator crash fires; installed by the
-    /// runtime to kill the Job Manager proc and wake the standby.
-    crash_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 /// The shared write-ahead cycle journal of one job. Cloning shares the
@@ -567,9 +568,9 @@ impl CycleJournal {
                 state: Mutex::new(JournalState {
                     entries: Vec::new(),
                     phase: MigPhase::Stall,
+                    plane: None,
+                    crash_hook: None,
                 }),
-                plane: Mutex::new(None),
-                crash_hook: Mutex::new(None),
             }),
         }
     }
@@ -577,13 +578,13 @@ impl CycleJournal {
     /// Arm the journal against a fault plane: every append will poll
     /// [`FaultPlane::take_coordinator_crash`].
     pub fn install_fault_plane(&self, plane: FaultPlane) {
-        *self.inner.plane.lock() = Some(plane);
+        self.inner.state.lock().plane = Some(plane);
     }
 
     /// Install the crash hook a scheduled coordinator crash executes
     /// (kill the Job Manager, signal the standby).
     pub fn set_crash_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
-        *self.inner.crash_hook.lock() = Some(Box::new(hook));
+        self.inner.state.lock().crash_hook = Some(Arc::new(hook));
     }
 
     /// Append `record` ahead of its side effect. Returns the assigned
@@ -595,7 +596,7 @@ impl CycleJournal {
     /// from its own proc must follow the append with `ctx.check_killed()`
     /// so the self-inflicted kill unwinds immediately.
     pub fn append(&self, record: WalRecord) -> u64 {
-        let (seq, phase, phase_first) = {
+        let (seq, phase, phase_first, plane) = {
             let mut st = self.inner.state.lock();
             let seq = st.entries.len() as u64 + 1;
             let phase_first = matches!(record, WalRecord::PhaseEnter { .. });
@@ -604,7 +605,7 @@ impl CycleJournal {
             }
             let phase = st.phase;
             st.entries.push(frame(seq, &record));
-            (seq, phase, phase_first)
+            (seq, phase, phase_first, st.plane.clone())
         };
         self.inner.handle.instant_with("wal", "wal_append", || {
             let mut args = vec![
@@ -619,16 +620,10 @@ impl CycleJournal {
             }
             args
         });
-        let crash = self
-            .inner
-            .plane
-            .lock()
-            .as_ref()
-            .map(|p| p.take_coordinator_crash(seq, phase, phase_first))
-            .unwrap_or(false);
+        let crash = plane.is_some_and(|p| p.take_coordinator_crash(seq, phase, phase_first));
         if crash {
-            let hook = self.inner.crash_hook.lock();
-            if let Some(hook) = hook.as_ref() {
+            let hook = self.inner.state.lock().crash_hook.clone();
+            if let Some(hook) = hook {
                 hook();
             }
         }
@@ -825,7 +820,7 @@ mod tests {
     fn scheduled_crash_fires_hook_at_exact_boundary() {
         let sim = Simulation::new(1);
         let j = CycleJournal::new(&sim.handle());
-        let plan = FaultPlan::new(7).with(FaultSpec::CoordinatorCrash {
+        let plan = FaultPlan::new().with(FaultSpec::CoordinatorCrash {
             at: WalPoint::Seq(2),
         });
         j.install_fault_plane(faultplane::FaultPlane::new(&sim.handle(), &plan));

@@ -66,7 +66,7 @@ fn run_crash(seed: u64, tuning: MigrationTuning, plan: Option<&FaultPlan>) -> Cr
 }
 
 fn crash_plan(at: WalPoint) -> FaultPlan {
-    FaultPlan::new(0xC0FFEE).with(FaultSpec::CoordinatorCrash { at })
+    FaultPlan::new().with(FaultSpec::CoordinatorCrash { at })
 }
 
 /// The outcome classes a coordinator crash is allowed to resolve to.

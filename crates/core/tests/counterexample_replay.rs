@@ -34,7 +34,7 @@ fn checker_counterexample_replays_in_the_simulator() {
 
     // Lower the abstract trace to a concrete fault plan. The SpareCrash
     // edge maps exactly: same phase, same attempt.
-    let plan = cx.to_fault_plan(0xCE);
+    let plan = cx.to_fault_plan();
     assert!(
         plan.entries.iter().any(|s| matches!(
             s,

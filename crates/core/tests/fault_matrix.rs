@@ -48,7 +48,7 @@ fn run_scenario(name: &str, seed: u64, plan: FaultPlan) -> OutcomeCounts {
 fn spare_crash_at_every_phase_completes_or_degrades() {
     for (i, phase) in MigPhase::ALL.iter().enumerate() {
         let name = format!("spare_crash_{}", phase.name());
-        let plan = FaultPlan::new(0xA0).with(FaultSpec::SpareCrash {
+        let plan = FaultPlan::new().with(FaultSpec::SpareCrash {
             phase: *phase,
             attempt: 1,
         });
@@ -66,7 +66,7 @@ fn io_faults_complete_or_degrade() {
     let o = run_scenario(
         "blcr_write_error",
         50,
-        FaultPlan::new(0xB0).with(FaultSpec::BlcrWriteError { nth: 1 }),
+        FaultPlan::new().with(FaultSpec::BlcrWriteError { nth: 1 }),
     );
     assert_eq!(o.migrated_after_retry, 1, "[blcr_write_error] {o:?}");
 
@@ -74,13 +74,13 @@ fn io_faults_complete_or_degrade() {
     let o = run_scenario(
         "rdma_cq_error",
         51,
-        FaultPlan::new(0xB1).with(FaultSpec::RdmaCqError { nth: 1 }),
+        FaultPlan::new().with(FaultSpec::RdmaCqError { nth: 1 }),
     );
     assert_eq!(o.migrated, 1, "[rdma_cq_error] {o:?}");
     let o = run_scenario(
         "rdma_corrupt",
         52,
-        FaultPlan::new(0xB2).with(FaultSpec::RdmaCorrupt { nth: 2 }),
+        FaultPlan::new().with(FaultSpec::RdmaCorrupt { nth: 2 }),
     );
     assert_eq!(o.migrated, 1, "[rdma_corrupt] {o:?}");
 
@@ -91,7 +91,7 @@ fn io_faults_complete_or_degrade() {
         ("store_disk_full_on_fallback", 53, StoreFault::DiskFull, 1),
         ("store_io_error_on_fallback", 54, StoreFault::IoError, 2),
     ] {
-        let plan = FaultPlan::new(0xB3)
+        let plan = FaultPlan::new()
             .with(FaultSpec::SpareCrash {
                 phase: MigPhase::Migrate,
                 attempt: 1,
@@ -146,7 +146,7 @@ fn network_faults_complete_or_degrade() {
         ),
     ];
     for (name, seed, spec) in windows {
-        let o = run_scenario(name, seed, FaultPlan::new(0xC0).with(spec));
+        let o = run_scenario(name, seed, FaultPlan::new().with(spec));
         // Whatever the loss hits, the trigger must resolve to a success
         // (possibly after a timeout-driven retry) or the CR fallback.
         assert!(

@@ -149,7 +149,7 @@ fn live_migrated_job_completes_with_verified_images() {
 fn cq_error_mid_round_falls_back_to_stop_and_copy() {
     // One transient error: the round's chunk is reissued, live migration
     // proceeds to cutover as if nothing happened.
-    let transient = FaultPlan::new(0xBEEF).with(FaultSpec::RdmaCqError { nth: 1 });
+    let transient = FaultPlan::new().with(FaultSpec::RdmaCqError { nth: 1 });
     let (o, _, events) = run_traced(31, Some(&transient), MigrationTuning::live());
     assert_eq!(o.migrated, 1, "transient CQ error is absorbed: {o:?}");
     assert!(
@@ -165,7 +165,7 @@ fn cq_error_mid_round_falls_back_to_stop_and_copy() {
     // chunk of whichever lane the errors land on, aborting round 0's
     // pull. The controller falls back and the cycle completes as
     // stop-and-copy.
-    let mut burst = FaultPlan::new(0xBEEF);
+    let mut burst = FaultPlan::new();
     for nth in 1..=10 {
         burst = burst.with(FaultSpec::RdmaCqError { nth });
     }
@@ -191,7 +191,7 @@ fn cq_error_mid_round_falls_back_to_stop_and_copy() {
 /// being lost.
 #[test]
 fn spare_crash_during_precopy_degrades_cleanly() {
-    let plan = FaultPlan::new(0xD00D).with(FaultSpec::SpareCrash {
+    let plan = FaultPlan::new().with(FaultSpec::SpareCrash {
         phase: MigPhase::Precopy,
         attempt: 1,
     });

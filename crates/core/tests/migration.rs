@@ -176,15 +176,15 @@ mod determinism {
 
     fn plan(choice: u8) -> FaultPlan {
         match choice % 4 {
-            0 => FaultPlan::new(9).with(FaultSpec::SpareCrash {
+            0 => FaultPlan::new().with(FaultSpec::SpareCrash {
                 phase: MigPhase::Restart,
                 attempt: 1,
             }),
-            1 => FaultPlan::new(9)
+            1 => FaultPlan::new()
                 .with(FaultSpec::RdmaCqError { nth: 1 })
                 .with(FaultSpec::RdmaCorrupt { nth: 3 }),
-            2 => FaultPlan::new(9).with(FaultSpec::BlcrWriteError { nth: 1 }),
-            _ => FaultPlan::new(9).with(FaultSpec::LinkFlap {
+            2 => FaultPlan::new().with(FaultSpec::BlcrWriteError { nth: 1 }),
+            _ => FaultPlan::new().with(FaultSpec::LinkFlap {
                 net: NetSel::Gige,
                 at: secs(10),
                 lasts: ms(700),

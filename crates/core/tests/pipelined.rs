@@ -78,7 +78,7 @@ proptest! {
         seed in 0u64..1_000,
         fault in fault_strategy(),
     ) {
-        let plan = FaultPlan::new(seed ^ 0xF00D).with(fault);
+        let plan = FaultPlan::new().with(fault);
         let barrier = run_with(seed, Some(&plan), MigrationTuning::barrier());
         let pipelined = run_with(seed, Some(&plan), MigrationTuning::pipelined());
         prop_assert_eq!(barrier, pipelined);

@@ -28,7 +28,7 @@ fn spare_death_during_restart_recovers_on_second_spare() {
     let mut sim = Simulation::new(11);
     sim.handle().tracer().set_enabled(true);
     let (cluster, rt) = launch(&sim, 2);
-    let plane = cluster.install_fault_plane(&FaultPlan::new(1).with(FaultSpec::SpareCrash {
+    let plane = cluster.install_fault_plane(&FaultPlan::new().with(FaultSpec::SpareCrash {
         phase: MigPhase::Restart,
         attempt: 1,
     }));
@@ -73,7 +73,7 @@ fn spare_death_with_no_backup_degrades_to_cr() {
     let mut sim = Simulation::new(12);
     sim.handle().tracer().set_enabled(true);
     let (cluster, rt) = launch(&sim, 1);
-    cluster.install_fault_plane(&FaultPlan::new(1).with(FaultSpec::SpareCrash {
+    cluster.install_fault_plane(&FaultPlan::new().with(FaultSpec::SpareCrash {
         phase: MigPhase::Restart,
         attempt: 1,
     }));
@@ -113,7 +113,7 @@ fn rdma_faults_are_reissued_within_the_attempt() {
     sim.handle().tracer().set_enabled(true);
     let (cluster, rt) = launch(&sim, 1);
     let plane = cluster.install_fault_plane(
-        &FaultPlan::new(1)
+        &FaultPlan::new()
             .with(FaultSpec::RdmaCqError { nth: 2 })
             .with(FaultSpec::RdmaCorrupt { nth: 5 }),
     );

@@ -43,7 +43,6 @@ use npbsim::{NpbApp, NpbClass, Workload};
 use parking_lot::Mutex;
 use simkit::{Ctx, SimTime, Simulation};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -272,14 +271,20 @@ struct FleetShared {
     cluster: Cluster,
     pool: SparePool,
     slots: Vec<Arc<Mutex<Slot>>>,
+    state: Mutex<FleetState>,
+}
+
+/// Fleet-wide mutable state. Lock order: a slot's lock, then this one;
+/// no guard on it is held while a slot is locked.
+struct FleetState {
     /// Queued orders keyed by (deadline nanos, slot) — dispatch most
     /// urgent first; the slot index breaks ties deterministically.
-    orders: Mutex<BTreeMap<(u64, usize), Order>>,
+    orders: BTreeMap<(u64, usize), Order>,
     /// Whole-cycle durations of completed migrations, fleet-wide — the
     /// measured cost the utility policy weighs.
-    mig_costs: Mutex<Vec<Duration>>,
-    next_job_id: AtomicU64,
-    stats: Mutex<RunningStats>,
+    mig_costs: Vec<Duration>,
+    next_job_id: u64,
+    stats: RunningStats,
 }
 
 /// Launch one job incarnation on `nodes` as a fresh [`Slot`].
@@ -318,7 +323,11 @@ fn launch_slot(
 
 impl FleetShared {
     fn launch_into(&self, nodes: Vec<NodeId>, now: SimTime) -> Slot {
-        let job_id = self.next_job_id.fetch_add(1, Ordering::Relaxed);
+        let job_id = {
+            let mut st = self.state.lock();
+            st.next_job_id += 1;
+            st.next_job_id - 1
+        };
         launch_slot(&self.cfg, &self.cluster, job_id, nodes, now)
     }
 
@@ -331,7 +340,8 @@ impl FleetShared {
     }
 
     fn est_migration_cost(&self) -> Duration {
-        let costs = self.mig_costs.lock();
+        let st = self.state.lock();
+        let costs = &st.mig_costs;
         if costs.is_empty() {
             self.cfg.cost_prior
         } else {
@@ -379,7 +389,7 @@ impl FleetShared {
         let mut req = MigrationRequest::new().from_node(node).label(label);
         if live {
             req = req.tuning(MigrationTuning::live());
-            self.stats.lock().live_migrations += 1;
+            self.state.lock().stats.live_migrations += 1;
         }
         s.rt.control().migrate(req);
     }
@@ -425,7 +435,7 @@ fn fleet_manager(ctx: &Ctx, fleet: Arc<FleetShared>, mut policy: Box<dyn FleetPo
             _ => continue,
         };
         let node = payload.node;
-        fleet.stats.lock().alerts += 1;
+        fleet.state.lock().stats.alerts += 1;
         ctx.instant_with("fleet", "alert", || {
             vec![
                 ("node", u64::from(node.0).into()),
@@ -449,7 +459,7 @@ fn fleet_manager(ctx: &Ctx, fleet: Arc<FleetShared>, mut policy: Box<dyn FleetPo
             PolicyAction::CheckpointNow => {
                 s.handled.push(node);
                 fleet.issue_checkpoint(&mut s);
-                fleet.stats.lock().alert_checkpoints += 1;
+                fleet.state.lock().stats.alert_checkpoints += 1;
             }
             action @ (PolicyAction::Migrate | PolicyAction::MigrateLive) => {
                 let live = action == PolicyAction::MigrateLive;
@@ -462,7 +472,8 @@ fn fleet_manager(ctx: &Ctx, fleet: Arc<FleetShared>, mut policy: Box<dyn FleetPo
                 } else {
                     drop(s);
                     let key = (order_deadline(&fleet.cfg, level, ctx.now()), idx);
-                    fleet.orders.lock().insert(
+                    let mut st = fleet.state.lock();
+                    st.orders.insert(
                         key,
                         Order {
                             slot: idx,
@@ -470,7 +481,7 @@ fn fleet_manager(ctx: &Ctx, fleet: Arc<FleetShared>, mut policy: Box<dyn FleetPo
                             live,
                         },
                     );
-                    fleet.stats.lock().queued_orders += 1;
+                    st.stats.queued_orders += 1;
                 }
             }
         }
@@ -496,7 +507,7 @@ fn pump(ctx: &Ctx, fleet: Arc<FleetShared>) {
                 }
                 s.reserved_mig = false;
                 if r.ranks_moved > 0 {
-                    fleet.mig_costs.lock().push(r.total());
+                    fleet.state.lock().mig_costs.push(r.total());
                 }
             }
             s.seen_mig = migs.len();
@@ -541,18 +552,18 @@ fn pump(ctx: &Ctx, fleet: Arc<FleetShared>) {
         // control: never more in-flight migrations than free spares, at
         // most one per slot. Orders for busy slots stay queued for the
         // next tick; orders for dead or vacated targets are dropped.
-        let keys: Vec<(u64, usize)> = fleet.orders.lock().keys().copied().collect();
+        let keys: Vec<(u64, usize)> = fleet.state.lock().orders.keys().copied().collect();
         for key in keys {
             if fleet.uncommitted_spares() == 0 {
                 break;
             }
-            let Some(order) = fleet.orders.lock().get(&key).copied() else {
+            let Some(order) = fleet.state.lock().orders.get(&key).copied() else {
                 continue;
             };
             let mut s = fleet.slots[order.slot].lock();
             if s.down || s.rt.is_complete() || !s.rt.hosts_ranks_on(order.node) {
                 drop(s);
-                fleet.orders.lock().remove(&key);
+                fleet.state.lock().orders.remove(&key);
                 continue;
             }
             if s.pending_migs > 0 {
@@ -560,26 +571,27 @@ fn pump(ctx: &Ctx, fleet: Arc<FleetShared>) {
             }
             fleet.issue_migration(&mut s, order.node, "queued", order.live);
             drop(s);
-            fleet.orders.lock().remove(&key);
+            fleet.state.lock().orders.remove(&key);
         }
         // Expire overdue orders: degrade to an immediate checkpoint so
         // the coming crash loses almost nothing (the CR baseline is the
         // recovery path of last resort).
         let overdue: Vec<(u64, usize)> = fleet
-            .orders
+            .state
             .lock()
+            .orders
             .keys()
             .take_while(|(deadline, _)| *deadline <= now.as_nanos())
             .copied()
             .collect();
         for key in overdue {
-            let Some(order) = fleet.orders.lock().remove(&key) else {
+            let Some(order) = fleet.state.lock().orders.remove(&key) else {
                 continue;
             };
             let mut s = fleet.slots[order.slot].lock();
             if !s.down && !s.rt.is_complete() && s.rt.hosts_ranks_on(order.node) {
                 fleet.issue_checkpoint(&mut s);
-                fleet.stats.lock().degraded_orders += 1;
+                fleet.state.lock().stats.degraded_orders += 1;
             }
         }
     }
@@ -640,7 +652,7 @@ fn doom_executor(ctx: &Ctx, fleet: Arc<FleetShared>, doom: NodeDoom) {
         let ckpt = s.last_ckpt;
         drop(s);
         {
-            let mut st = fleet.stats.lock();
+            let st = &mut fleet.state.lock().stats;
             st.crashes += 1;
             st.work_lost += lost;
         }
@@ -665,7 +677,7 @@ fn doom_executor(ctx: &Ctx, fleet: Arc<FleetShared>, doom: NodeDoom) {
                 s.down = false;
                 // The restart observation counts as the new recovery line.
                 s.last_ckpt = Some((cycle, ctx.now()));
-                fleet.stats.lock().restarts += 1;
+                fleet.state.lock().stats.restarts += 1;
             }
             None => {
                 // Crashed before its first checkpoint: relaunch the slot
@@ -682,7 +694,7 @@ fn doom_executor(ctx: &Ctx, fleet: Arc<FleetShared>, doom: NodeDoom) {
                 s.past_outcomes = past_out;
                 s.past_ckpts = past_ckpts;
                 s.past_takeovers = past_takeovers;
-                fleet.stats.lock().scratch_restarts += 1;
+                fleet.state.lock().stats.scratch_restarts += 1;
             }
         }
         break;
@@ -699,7 +711,7 @@ fn doom_executor(ctx: &Ctx, fleet: Arc<FleetShared>, doom: NodeDoom) {
         fleet.pool.free_nodes().contains(&doom.node) || fleet.pool.leased_to(doom.node).is_some();
     if !occupied && !pooled {
         fleet.pool.reclaim(doom.node);
-        fleet.stats.lock().reclaimed += 1;
+        fleet.state.lock().stats.reclaimed += 1;
         ctx.instant_with("fleet", "reclaim", || {
             vec![("node", u64::from(doom.node.0).into())]
         });
@@ -755,7 +767,7 @@ pub fn run_policy_observed(
         "fleet compute-node preview out of sync with Cluster::build"
     );
     if !cfg.coord_crashes.is_empty() {
-        let mut fp = FaultPlan::new(cfg.seed.wrapping_mul(0x1000_0193).wrapping_add(0xFE2CE));
+        let mut fp = FaultPlan::new();
         for at in &cfg.coord_crashes {
             fp = fp.with(FaultSpec::CoordinatorCrash { at: *at });
         }
@@ -807,10 +819,12 @@ pub fn run_policy_observed(
         cluster: cluster.clone(),
         pool: cluster.spare_pool().clone(),
         slots,
-        orders: Mutex::new(BTreeMap::new()),
-        mig_costs: Mutex::new(Vec::new()),
-        next_job_id: AtomicU64::new(1 + cfg.slots as u64),
-        stats: Mutex::new(RunningStats::default()),
+        state: Mutex::new(FleetState {
+            orders: BTreeMap::new(),
+            mig_costs: Vec::new(),
+            next_job_id: 1 + cfg.slots as u64,
+            stats: RunningStats::default(),
+        }),
     });
 
     let f = fleet.clone();
@@ -853,7 +867,7 @@ pub fn run_policy_observed(
         checkpoints += s.past_ckpts + s.rt.cr_reports().len() as u64;
         takeovers += s.past_takeovers + s.rt.fencing_epoch();
     }
-    let st = fleet.stats.lock();
+    let st = &fleet.state.lock().stats;
     PolicyStats {
         policy: policy.name().to_string(),
         jobs_completed,

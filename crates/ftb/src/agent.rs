@@ -26,18 +26,22 @@ pub(crate) enum AgentMsg {
     Ping { from: NodeId },
 }
 
-pub(crate) struct AgentState {
+pub(crate) struct AgentShared {
     pub node: NodeId,
-    pub parent: Mutex<Option<NodeId>>,
-    pub grandparent: Mutex<Option<NodeId>>,
+    pub state: Mutex<AgentState>,
+}
+
+pub(crate) struct AgentState {
+    parent: Option<NodeId>,
+    grandparent: Option<NodeId>,
     /// Uplink state machine (protoverify's `LINK_TABLE` is the single
     /// source of truth for the self-healing policy).
-    pub link: Mutex<LinkState>,
+    link: LinkState,
     /// Sorted: forward-down order is deterministic by construction.
-    pub children: Mutex<BTreeSet<NodeId>>,
-    pub subs: Mutex<Vec<(EventFilter, Queue<FtbEvent>)>>,
+    children: BTreeSet<NodeId>,
+    pub subs: Vec<(EventFilter, Queue<FtbEvent>)>,
     /// Events delivered to local subscribers (diagnostics).
-    pub delivered: Mutex<u64>,
+    delivered: u64,
 }
 
 /// Forward-up retry budget: how many times an agent re-sends an event
@@ -62,7 +66,7 @@ impl Default for FtbConfig {
 }
 
 struct AgentHandles {
-    state: Arc<AgentState>,
+    state: Arc<AgentShared>,
     procs: Vec<ProcHandle>,
 }
 
@@ -111,21 +115,23 @@ impl FtbBackplane {
         // re-parenting relies on after failures).
         if let Some(p) = parent {
             if let Some(pa) = agents.get(&p) {
-                pa.state.children.lock().insert(node);
+                pa.state.state.lock().children.insert(node);
             }
         }
-        let state = Arc::new(AgentState {
+        let state = Arc::new(AgentShared {
             node,
-            parent: Mutex::new(parent),
-            grandparent: Mutex::new(None),
-            link: Mutex::new(if parent.is_some() {
-                LinkState::Attached
-            } else {
-                LinkState::Root
+            state: Mutex::new(AgentState {
+                parent,
+                grandparent: None,
+                link: if parent.is_some() {
+                    LinkState::Attached
+                } else {
+                    LinkState::Root
+                },
+                children: BTreeSet::new(),
+                subs: Vec::new(),
+                delivered: 0,
             }),
-            children: Mutex::new(BTreeSet::new()),
-            subs: Mutex::new(Vec::new()),
-            delivered: Mutex::new(0),
         });
         let inbox = self.net.bind(node, FTB_AGENT_PORT);
         let loop_state = state.clone();
@@ -168,7 +174,7 @@ impl FtbBackplane {
     /// The agent's current parent (tests of self-healing).
     pub fn parent_of(&self, node: NodeId) -> Option<NodeId> {
         let agents = self.agents.lock();
-        agents.get(&node).and_then(|a| *a.state.parent.lock())
+        agents.get(&node).and_then(|a| a.state.state.lock().parent)
     }
 
     /// Count of events delivered to local subscribers on `node`.
@@ -176,11 +182,11 @@ impl FtbBackplane {
         let agents = self.agents.lock();
         agents
             .get(&node)
-            .map(|a| *a.state.delivered.lock())
+            .map(|a| a.state.state.lock().delivered)
             .unwrap_or(0)
     }
 
-    pub(crate) fn agent_state(&self, node: NodeId) -> Option<Arc<AgentState>> {
+    pub(crate) fn agent_state(&self, node: NodeId) -> Option<Arc<AgentShared>> {
         self.agents.lock().get(&node).map(|a| a.state.clone())
     }
 }
@@ -205,9 +211,8 @@ fn send_agent(
 /// Advance the agent's uplink machine. A missing row is a protocol bug
 /// (e.g. the root reacting to an `AttachAck` it can never have solicited),
 /// not a runtime condition — `traced_step` traps it loudly.
-fn link_apply(ctx: &Ctx, state: &AgentState, ev: LinkEvent) {
-    let mut link = state.link.lock();
-    *link = traced_step(ctx, state.node.0.into(), *link, ev);
+fn link_apply(ctx: &Ctx, node: NodeId, st: &mut AgentState, ev: LinkEvent) {
+    st.link = traced_step(ctx, node.0.into(), st.link, ev);
 }
 
 /// Re-attach after a send to the parent failed. The uplink table decides
@@ -216,20 +221,21 @@ fn link_apply(ctx: &Ctx, state: &AgentState, ev: LinkEvent) {
 /// keep the current parent — a transient link error (flap, dropped
 /// window) must not orphan the subtree permanently. Returns the parent
 /// now in effect.
-fn reattach(ctx: &Ctx, state: &Arc<AgentState>, net: &Net) -> Option<NodeId> {
-    let had_fallback = *state.link.lock() == LinkState::AttachedWithFallback;
-    link_apply(ctx, state, LinkEvent::ParentLost);
-    let new_parent = if had_fallback {
-        let gp = state.grandparent.lock().take();
-        debug_assert!(
-            gp.is_some(),
-            "uplink said AttachedWithFallback but no grandparent is recorded"
-        );
-        gp.or_else(|| *state.parent.lock())
-    } else {
-        *state.parent.lock()
+fn reattach(ctx: &Ctx, state: &Arc<AgentShared>, net: &Net) -> Option<NodeId> {
+    let new_parent = {
+        let mut st = state.state.lock();
+        let had_fallback = st.link == LinkState::AttachedWithFallback;
+        link_apply(ctx, state.node, &mut st, LinkEvent::ParentLost);
+        if had_fallback {
+            let gp = st.grandparent.take();
+            debug_assert!(
+                gp.is_some(),
+                "uplink said AttachedWithFallback but no grandparent is recorded"
+            );
+            st.parent = gp.or(st.parent);
+        }
+        st.parent
     };
-    *state.parent.lock() = new_parent;
     if let Some(gp) = new_parent {
         let _ = send_agent(
             net,
@@ -243,25 +249,24 @@ fn reattach(ctx: &Ctx, state: &Arc<AgentState>, net: &Net) -> Option<NodeId> {
     new_parent
 }
 
-fn deliver_local(state: &Arc<AgentState>, event: &FtbEvent) {
-    let subs = state.subs.lock();
+fn deliver_local(state: &Arc<AgentShared>, event: &FtbEvent) {
+    let mut st = state.state.lock();
     let mut n = 0u64;
-    for (filter, q) in subs.iter() {
+    for (filter, q) in st.subs.iter() {
         if filter.matches(event) {
             q.push(event.clone());
             n += 1;
         }
     }
-    drop(subs);
-    *state.delivered.lock() += n.min(1); // count events, not fan-out
+    st.delivered += n.min(1); // count events, not fan-out
 }
 
 /// Forward an event toward the root, re-attaching and retrying within
 /// [`FORWARD_RETRIES`]. When the budget is exhausted (or no ancestor is
 /// reachable) the event is dropped with a trace instant — bounded loss,
 /// never an unbounded stall of the agent loop.
-fn forward_up(ctx: &Ctx, state: &Arc<AgentState>, net: &Net, event: &FtbEvent) {
-    let Some(mut parent) = *state.parent.lock() else {
+fn forward_up(ctx: &Ctx, state: &Arc<AgentShared>, net: &Net, event: &FtbEvent) {
+    let Some(mut parent) = state.state.lock().parent else {
         return; // we are the root
     };
     let mut attempts = 0u32;
@@ -307,13 +312,13 @@ fn subtree_wants(agents: &Weak<Registry>, parent: NodeId, child: NodeId, event: 
         let Some(a) = agents.get(&node) else {
             return false; // dead: nothing below it is reachable through it
         };
-        let s = &a.state;
-        *s.parent.lock() == Some(parent)
-            && (s.subs.lock().iter().any(|(f, _)| f.matches(event))
-                || s.children
-                    .lock()
-                    .iter()
-                    .any(|&c| wants(agents, node, c, event)))
+        // The guard spans the walk below `node`. It never comes back to a
+        // node it holds: an agent attaches only to its deployed ancestors,
+        // so every `children` edge points down the deployed tree.
+        let s = a.state.state.lock();
+        s.parent == Some(parent)
+            && (s.subs.iter().any(|(f, _)| f.matches(event))
+                || s.children.iter().any(|&c| wants(agents, node, c, event)))
     }
     agents
         .upgrade()
@@ -322,13 +327,13 @@ fn subtree_wants(agents: &Weak<Registry>, parent: NodeId, child: NodeId, event: 
 
 fn agent_main(
     ctx: &Ctx,
-    state: Arc<AgentState>,
+    state: Arc<AgentShared>,
     net: Net,
     agents: Weak<Registry>,
     inbox: Queue<ibfabric::Datagram>,
 ) {
     // Announce ourselves to the configured parent.
-    let parent0 = *state.parent.lock();
+    let parent0 = state.state.lock().parent;
     if let Some(p) = parent0 {
         let _ = send_agent(
             &net,
@@ -353,7 +358,7 @@ fn agent_main(
                 }
                 // forward down, only into subtrees that subscribe
                 // (BTreeSet: deterministic delivery order)
-                let children: Vec<NodeId> = state.children.lock().iter().copied().collect();
+                let children: Vec<NodeId> = state.state.lock().children.iter().copied().collect();
                 for c in children {
                     if via == Via::Child(c) || !subtree_wants(&agents, state.node, c, &event) {
                         continue;
@@ -363,13 +368,16 @@ fn agent_main(
                         via: Via::Parent,
                     };
                     if send_agent(&net, ctx, state.node, c, fwd, event.wire_bytes()).is_err() {
-                        state.children.lock().remove(&c);
+                        state.state.lock().children.remove(&c);
                     }
                 }
             }
             AgentMsg::Attach { child } => {
-                state.children.lock().insert(child);
-                let gp = *state.parent.lock();
+                let gp = {
+                    let mut st = state.state.lock();
+                    st.children.insert(child);
+                    st.parent
+                };
                 let _ = send_agent(
                     &net,
                     ctx,
@@ -385,22 +393,23 @@ fn agent_main(
                 } else {
                     LinkEvent::AckNoGrandparent
                 };
-                link_apply(ctx, &state, ev);
-                *state.grandparent.lock() = grandparent;
+                let mut st = state.state.lock();
+                link_apply(ctx, state.node, &mut st, ev);
+                st.grandparent = grandparent;
             }
             AgentMsg::Ping { from } => {
                 // liveness is implied by successful delivery; remember the
                 // child in case we restarted and lost membership
-                state.children.lock().insert(from);
+                state.state.lock().children.insert(from);
             }
         }
     }
 }
 
-fn heartbeat_main(ctx: &Ctx, state: Arc<AgentState>, net: Net, period: Duration) {
+fn heartbeat_main(ctx: &Ctx, state: Arc<AgentShared>, net: Net, period: Duration) {
     loop {
         ctx.sleep(period);
-        let parent = *state.parent.lock();
+        let parent = state.state.lock().parent;
         if let Some(p) = parent {
             if send_agent(
                 &net,

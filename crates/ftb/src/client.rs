@@ -1,6 +1,6 @@
 //! The FTB client layer: connect, subscribe, publish.
 
-use crate::agent::{AgentMsg, AgentState, FtbBackplane, Via};
+use crate::agent::{AgentMsg, AgentShared, FtbBackplane, Via};
 use crate::event::{EventFilter, FtbEvent};
 use crate::FTB_AGENT_PORT;
 use ibfabric::{Net, NodeId};
@@ -17,7 +17,7 @@ pub struct FtbClient {
     name: String,
     node: NodeId,
     net: Net,
-    agent: Arc<AgentState>,
+    agent: Arc<AgentShared>,
 }
 
 impl FtbClient {
@@ -53,7 +53,7 @@ impl FtbClient {
     /// and client are co-resident).
     pub fn subscribe(&self, handle: &simkit::SimHandle, filter: EventFilter) -> Queue<FtbEvent> {
         let q = Queue::new(handle);
-        self.agent.subs.lock().push((filter, q.clone()));
+        self.agent.state.lock().subs.push((filter, q.clone()));
         q
     }
 

@@ -4,9 +4,9 @@
 //! the owning [`IbFabric`](crate::IbFabric)) is consulted on every datagram
 //! send and every RDMA Read. The default implementation of every method is
 //! a no-op, so a hook only pays for what it overrides. The hook object
-//! itself decides *whether* to inject (by schedule, by count, or
-//! probabilistically from its own seeded RNG) — the transport layers only
-//! ask and obey, which keeps them deterministic and policy-free.
+//! itself decides *whether* to inject (by schedule or by count) — the
+//! transport layers only ask and obey, which keeps them deterministic and
+//! policy-free.
 
 use crate::NodeId;
 use simkit::SimTime;

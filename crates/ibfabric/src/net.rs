@@ -107,6 +107,7 @@ struct Port {
 struct NetInner {
     ports: HashMap<NodeId, Port>,
     inboxes: HashMap<(NodeId, u16), Queue<Datagram>>,
+    hook: Option<Arc<dyn FaultHook>>,
 }
 
 /// A switched datagram network. Cloning shares the network.
@@ -116,7 +117,6 @@ pub struct Net {
     flows: FlowNet,
     cfg: Arc<NetConfig>,
     inner: Arc<Mutex<NetInner>>,
-    hook: Arc<Mutex<Option<Arc<dyn FaultHook>>>>,
 }
 
 impl Net {
@@ -129,18 +129,18 @@ impl Net {
             inner: Arc::new(Mutex::new(NetInner {
                 ports: HashMap::new(),
                 inboxes: HashMap::new(),
+                hook: None,
             })),
-            hook: Arc::new(Mutex::new(None)),
         }
     }
 
     /// Install (or replace) the fault hook consulted on every send.
     pub fn set_fault_hook(&self, hook: Arc<dyn FaultHook>) {
-        *self.hook.lock() = Some(hook);
+        self.inner.lock().hook = Some(hook);
     }
 
     pub(crate) fn fault_hook(&self) -> Option<Arc<dyn FaultHook>> {
-        self.hook.lock().clone()
+        self.inner.lock().hook.clone()
     }
 
     /// Network configuration.
@@ -220,13 +220,14 @@ impl Net {
         payload: Box<dyn Any + Send>,
         wire_bytes: u64,
     ) -> Result<(), NetError> {
-        {
+        let hook = {
             let inner = self.inner.lock();
             if !inner.ports.contains_key(&to.0) {
                 return Err(NetError::NoSuchNode(to.0));
             }
-        }
-        let verdict = match self.fault_hook() {
+            inner.hook.clone()
+        };
+        let verdict = match hook {
             Some(h) => h.on_send(ctx.now(), &self.cfg.name, from.0, to.0, to.1, wire_bytes),
             None => SendVerdict::Deliver,
         };

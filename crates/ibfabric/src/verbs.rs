@@ -151,14 +151,13 @@ impl fmt::Debug for IbMessage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QpState {
     Init,
-    Connected,
+    Connected(QpAddr),
     Destroyed,
 }
 
 struct QpShared {
     addr: QpAddr,
     state: Mutex<QpState>,
-    peer: Mutex<Option<QpAddr>>,
     recv_q: Queue<Result<IbMessage, VerbsError>>,
 }
 
@@ -169,10 +168,14 @@ struct MrEntry {
 
 struct HcaShared {
     node: NodeId,
-    mrs: Mutex<HashMap<u32, MrEntry>>,
-    qps: Mutex<HashMap<u32, Arc<QpShared>>>,
-    next_rkey: Mutex<u32>,
-    next_qpn: Mutex<u32>,
+    state: Mutex<HcaState>,
+}
+
+struct HcaState {
+    mrs: HashMap<u32, MrEntry>,
+    qps: HashMap<u32, Arc<QpShared>>,
+    next_rkey: u32,
+    next_qpn: u32,
 }
 
 struct FabricInner {
@@ -221,10 +224,12 @@ impl IbFabric {
             .or_insert_with(|| {
                 Arc::new(HcaShared {
                     node,
-                    mrs: Mutex::new(HashMap::new()),
-                    qps: Mutex::new(HashMap::new()),
-                    next_rkey: Mutex::new(1),
-                    next_qpn: Mutex::new(1),
+                    state: Mutex::new(HcaState {
+                        mrs: HashMap::new(),
+                        qps: HashMap::new(),
+                        next_rkey: 1,
+                        next_qpn: 1,
+                    }),
                 })
             })
             .clone();
@@ -240,8 +245,9 @@ impl IbFabric {
 
     fn lookup_qp(&self, addr: QpAddr) -> Option<Arc<QpShared>> {
         self.hca_shared(addr.node)?
-            .qps
+            .state
             .lock()
+            .qps
             .get(&addr.qpn)
             .cloned()
     }
@@ -258,8 +264,8 @@ impl IbFabric {
         let hca = self
             .hca_shared(node)
             .ok_or(VerbsError::RemoteAccess { node, rkey })?;
-        let mrs = hca.mrs.lock();
-        let entry = mrs.get(&rkey).ok_or(denied)?;
+        let st = hca.state.lock();
+        let entry = st.mrs.get(&rkey).ok_or(denied)?;
         if !entry.valid {
             return Err(VerbsError::RemoteAccess { node, rkey });
         }
@@ -302,18 +308,18 @@ impl Hca {
     pub fn register_mr_instant(&self, len: u64) -> Mr {
         let buf = Arc::new(Mutex::new(SparseBuf::new(len)));
         let rkey = {
-            let mut k = self.shared.next_rkey.lock();
-            let r = *k;
-            *k += 1;
-            r
+            let mut st = self.shared.state.lock();
+            let rkey = st.next_rkey;
+            st.next_rkey += 1;
+            st.mrs.insert(
+                rkey,
+                MrEntry {
+                    buf: buf.clone(),
+                    valid: true,
+                },
+            );
+            rkey
         };
-        self.shared.mrs.lock().insert(
-            rkey,
-            MrEntry {
-                buf: buf.clone(),
-                valid: true,
-            },
-        );
         Mr {
             hca: self.shared.clone(),
             rkey,
@@ -324,22 +330,19 @@ impl Hca {
 
     /// Create a queue pair in the `Init` state.
     pub fn create_qp(&self) -> Qp {
-        let qpn = {
-            let mut k = self.shared.next_qpn.lock();
-            let q = *k;
-            *k += 1;
-            q
-        };
+        let mut st = self.shared.state.lock();
+        let qpn = st.next_qpn;
+        st.next_qpn += 1;
         let shared = Arc::new(QpShared {
             addr: QpAddr {
                 node: self.shared.node,
                 qpn,
             },
             state: Mutex::new(QpState::Init),
-            peer: Mutex::new(None),
             recv_q: Queue::new(&self.fabric.handle),
         });
-        self.shared.qps.lock().insert(qpn, shared.clone());
+        st.qps.insert(qpn, shared.clone());
+        drop(st);
         Qp {
             fabric: self.fabric.clone(),
             shared,
@@ -391,7 +394,7 @@ impl Mr {
     /// Invalidate the region: any [`RemoteMr`] captured earlier becomes a
     /// stale rkey and RDMA through it fails.
     pub fn deregister(&self) {
-        if let Some(e) = self.hca.mrs.lock().get_mut(&self.rkey) {
+        if let Some(e) = self.hca.state.lock().mrs.get_mut(&self.rkey) {
             e.valid = false;
         }
     }
@@ -399,8 +402,9 @@ impl Mr {
     /// Whether the region is still registered.
     pub fn is_valid(&self) -> bool {
         self.hca
-            .mrs
+            .state
             .lock()
+            .mrs
             .get(&self.rkey)
             .map(|e| e.valid)
             .unwrap_or(false)
@@ -434,8 +438,8 @@ impl Qp {
         if *st == QpState::Destroyed {
             return Err(VerbsError::Destroyed);
         }
-        *self.shared.peer.lock() = Some(peer);
-        *st = QpState::Connected;
+        *st = QpState::Connected(peer);
+        drop(st);
         ctx.instant_with("rdma", "qp_connect", || {
             vec![
                 ("node", self.shared.addr.node.0.into()),
@@ -449,7 +453,7 @@ impl Qp {
         match *self.shared.state.lock() {
             QpState::Init => Err(VerbsError::NotConnected),
             QpState::Destroyed => Err(VerbsError::Destroyed),
-            QpState::Connected => self.shared.peer.lock().ok_or(VerbsError::NotConnected),
+            QpState::Connected(peer) => Ok(peer),
         }
     }
 

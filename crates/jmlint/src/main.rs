@@ -6,7 +6,7 @@
 //! code, a stray wall-clock read, an `unwrap()` on a path the fault plane
 //! can reach. `jmlint` walks `crates/*/src/**/*.rs` with a hand-rolled
 //! lexer (no `syn`: the tool must build offline with zero registry deps)
-//! and flags four rule classes:
+//! and flags five rule classes:
 //!
 //! - `hash_iter` — iteration over a `HashMap`/`HashSet` in sim/protocol
 //!   code. Iteration order is randomized per process; anything it feeds
@@ -14,6 +14,11 @@
 //!   Struct fields are matched across files, so a map declared in one
 //!   module and iterated in another is caught. Fix:
 //!   `BTreeMap`/`BTreeSet`, or collect-and-sort.
+//! - `one_lock` — a struct outside `simkit` with two or more
+//!   `Mutex`/`Arc<Mutex>`/`Atomic*` fields. One host thread runs every
+//!   simulated process, so per-field locks buy nothing and lose the
+//!   invariants that span fields; each shared object keeps its mutable
+//!   state behind one lock.
 //! - `wall_clock` — `SystemTime::now`/`Instant::now`/entropy-seeded RNG
 //!   outside the simulator's virtual clock. Simulated time comes from
 //!   `simkit` (`ctx.now()`); host time leaking into model code breaks
@@ -156,6 +161,7 @@ fn main() -> ExitCode {
     for src in &sources {
         let mut raw = Vec::new();
         rules::hash_iter(src, &hash_fields, &mut raw);
+        rules::one_lock(src, &mut raw);
         rules::wall_clock(src, &mut raw);
         rules::hot_unwrap(src, &mut raw);
         rules::hot_alloc(src, &mut raw);

@@ -86,41 +86,85 @@ const ITER_TOKENS: &[&str] = &[
 pub fn hash_fields<'a>(sources: impl IntoIterator<Item = &'a SourceFile>) -> Vec<String> {
     let mut out = Vec::new();
     for src in sources {
-        for (id, hash) in struct_fields(src) {
-            if hash {
-                push_unique(&mut out, &id);
+        for f in struct_fields(src) {
+            if f.is_hash() {
+                push_unique(&mut out, &f.name);
             }
         }
     }
     out
 }
 
-/// The struct fields declared in `src`, each with whether its type is a
-/// hash collection (`IDENT: ... HashMap<` directly inside a `struct`
-/// body).
-fn struct_fields(src: &SourceFile) -> Vec<(String, bool)> {
-    let mut out: Vec<(String, bool)> = Vec::new();
+/// One named field directly inside a `struct` body.
+struct Field {
+    /// The struct that declares it.
+    owner: String,
+    /// Line number (1-based) of the struct's `struct` keyword.
+    owner_line: usize,
+    name: String,
+    /// The type text, up to the next field's colon on the same line.
+    ty: String,
+}
+
+impl Field {
+    fn is_hash(&self) -> bool {
+        ["HashMap", "HashSet"]
+            .iter()
+            .any(|t| find_word(&self.ty, t, 0).is_some())
+    }
+
+    /// Whether the type is `Mutex<…>`, `Arc<Mutex<…>>`, `Atomic*` or
+    /// `Arc<Atomic*>`, path-qualified or not.
+    fn is_lock(&self) -> bool {
+        let ty = strip_path(self.ty.trim());
+        let ty = ty.strip_prefix("Arc<").map_or(ty, strip_path);
+        ty.starts_with("Mutex<") || ty.starts_with("Atomic")
+    }
+}
+
+/// `ty` without leading path segments (`std::sync::`).
+fn strip_path(mut ty: &str) -> &str {
+    while let Some(sep) = ty.find("::") {
+        if ty[..sep].chars().all(is_ident_char) {
+            ty = &ty[sep + 2..];
+        } else {
+            break;
+        }
+    }
+    ty
+}
+
+/// The struct fields declared in `src` (`IDENT: TYPE` directly inside a
+/// `struct` body).
+fn struct_fields(src: &SourceFile) -> Vec<Field> {
+    let mut out = Vec::new();
     let mut depth = 0usize;
     // Brace depth of the innermost open struct body.
     let mut body: Option<usize> = None;
+    // Name and line of the struct whose body is pending or open.
+    let mut owner: Option<(String, usize)> = None;
     let mut struct_pending = false;
-    for line in &src.lines {
+    for (n, line) in src.lines.iter().enumerate() {
         let code = &line.code;
         let structs = word_positions(code, "struct");
         let bytes = code.as_bytes();
         for (i, c) in code.char_indices() {
             if structs.contains(&i) {
                 struct_pending = true;
+                let name = ident_after(code, i + "struct".len()).unwrap_or_default();
+                owner = Some((name.to_string(), n + 1));
             }
             if single_colon(bytes, i) && body == Some(depth) {
-                if let Some(id) = trailing_ident(&code[..i]) {
+                if let (Some(id), Some((name, line))) = (trailing_ident(&code[..i]), &owner) {
                     // The type runs to the next field's colon.
                     let ty = &code[i + 1..];
                     let ty = &ty[..next_single_colon(ty).unwrap_or(ty.len())];
-                    let hash = ["HashMap", "HashSet"]
-                        .iter()
-                        .any(|t| find_word(ty, t, 0).is_some());
-                    out.push((id.to_string(), hash));
+                    out.push(Field {
+                        owner: name.clone(),
+                        owner_line: *line,
+                        name: id.to_string(),
+                        ty: ty.to_string(),
+                    });
                 }
             }
             match c {
@@ -196,7 +240,7 @@ pub fn hash_iter(src: &SourceFile, fields: &[String], out: &mut Vec<Finding>) {
     let own = struct_fields(src);
     let mut idents: Vec<String> = fields
         .iter()
-        .filter(|f| !own.iter().any(|(id, hash)| id == *f && !hash))
+        .filter(|f| !own.iter().any(|o| o.name == **f && !o.is_hash()))
         .cloned()
         .collect();
     for line in &src.lines {
@@ -289,6 +333,53 @@ fn for_in_target(code: &str, id: &str) -> bool {
         .unwrap_or(rest.len());
     let path = &rest[..path_end];
     path.rsplit('.').next() == Some(id) && !rest[path_end..].trim_start().starts_with('(')
+}
+
+// ---------------------------------------------------------------------------
+// one_lock
+// ---------------------------------------------------------------------------
+
+/// Flag a struct with two or more fields typed `Mutex<…>`,
+/// `Arc<Mutex<…>>`, `Atomic*` or `Arc<Atomic*>`.
+///
+/// One host thread runs every simulated process, so splitting an
+/// object's state over several locks buys no concurrency: it only loses
+/// the invariants that span two fields and costs a lock round trip per
+/// field. Each shared model object keeps its mutable state in one
+/// `…State` struct behind one lock. `simkit` is exempt: it implements
+/// the synchronisation primitives themselves.
+pub fn one_lock(src: &SourceFile, out: &mut Vec<Finding>) {
+    if src.path.to_string_lossy().contains("simkit/src/") {
+        return;
+    }
+    let fields = struct_fields(src);
+    let mut i = 0;
+    while i < fields.len() {
+        let (owner, line) = (&fields[i].owner, fields[i].owner_line);
+        let end = i + fields[i..]
+            .iter()
+            .take_while(|f| f.owner_line == line)
+            .count();
+        let locks: Vec<&str> = fields[i..end]
+            .iter()
+            .filter(|f| f.is_lock())
+            .map(|f| f.name.as_str())
+            .collect();
+        if locks.len() >= 2 {
+            out.push(Finding {
+                path: src.path.clone(),
+                line,
+                rule: "one_lock",
+                message: format!(
+                    "struct `{owner}` splits its state over {} locks/atomics \
+                     ({}) — move them into one `…State` behind one `Mutex`",
+                    locks.len(),
+                    locks.join(", ")
+                ),
+            });
+        }
+        i = end;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -632,6 +723,22 @@ mod tests {
         let mut out = Vec::new();
         hash_iter(&shadow, &fields, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn one_lock_flags_two_locks_in_one_struct() {
+        let text = "pub struct Two {\n\
+                    \x20   id: u32,\n\
+                    \x20   a: Mutex<Vec<u64>>,\n\
+                    \x20   b: std::sync::Arc<parking_lot::Mutex<u64>>,\n\
+                    }\n\
+                    struct One { s: Mutex<State>, done: Event }\n\
+                    struct Counters { n: AtomicU64, m: Arc<AtomicBool> }\n";
+        let f = run(one_lock, "crates/x/src/a.rs", text);
+        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1, 7], "{f:?}");
+        assert!(f[0].message.contains("(a, b)"), "{}", f[0].message);
+        assert!(run(one_lock, "crates/simkit/src/sync.rs", text).is_empty());
     }
 
     #[test]

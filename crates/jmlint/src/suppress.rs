@@ -21,6 +21,7 @@ use crate::Finding;
 /// Every rule a marker may name. `stale_allow` is deliberately absent.
 pub const VALID_RULES: &[&str] = &[
     "hash_iter",
+    "one_lock",
     "wall_clock",
     "hot_unwrap",
     "hot_alloc",

@@ -95,11 +95,16 @@ pub(crate) struct JobInner {
     pub fabric: IbFabric,
     pub cfg: MpiConfig,
     pub size: u32,
+    pub drain: DrainCounter,
+    state: Mutex<JobState>,
+}
+
+#[derive(Default)]
+struct JobState {
     // BTreeMap: rollback/purge passes iterate all ranks; rank order keeps
     // those passes deterministic.
-    pub ranks: Mutex<BTreeMap<u32, Arc<RankShared>>>,
-    pub drain: DrainCounter,
-    pub stats: Mutex<JobStats>,
+    ranks: BTreeMap<u32, Arc<RankShared>>,
+    stats: JobStats,
 }
 
 /// A running MPI job: the shared library state of all ranks.
@@ -122,9 +127,8 @@ impl MpiJob {
                 fabric,
                 cfg,
                 size,
-                ranks: Mutex::new(BTreeMap::new()),
                 drain,
-                stats: Mutex::new(JobStats::default()),
+                state: Mutex::default(),
             }),
         }
     }
@@ -151,7 +155,7 @@ impl MpiJob {
         assert!(rank < self.inner.size, "rank {rank} out of range");
         self.inner.fabric.attach(node);
         let shared = Arc::new(RankShared::new(&self.inner.handle, rank, node, app_state));
-        let prev = self.inner.ranks.lock().insert(rank, shared);
+        let prev = self.inner.state.lock().ranks.insert(rank, shared);
         assert!(prev.is_none(), "rank {rank} initialised twice");
     }
 
@@ -170,13 +174,13 @@ impl MpiJob {
 
     /// The node a rank currently lives on.
     pub fn rank_node(&self, rank: u32) -> NodeId {
-        *self.shared(rank).node.lock()
+        self.shared(rank).node()
     }
 
     /// Re-home a rank (Phase 3 of a migration).
     pub fn set_rank_node(&self, rank: u32, node: NodeId) {
         self.inner.fabric.attach(node);
-        *self.shared(rank).node.lock() = node;
+        self.shared(rank).set_node(node);
     }
 
     /// Block until no wire operation is in flight anywhere in the job.
@@ -195,8 +199,7 @@ impl MpiJob {
     /// releasing connection state before checkpoint, applied to the
     /// matching layer).
     pub fn purge_stale_rts_from(&self, rank: u32) {
-        let ranks = self.inner.ranks.lock();
-        for shared in ranks.values() {
+        for shared in self.ranks() {
             shared.purge_rts_from(rank);
         }
     }
@@ -206,28 +209,34 @@ impl MpiJob {
     /// tokens and post-cut eager deliveries are discarded because both
     /// endpoints re-execute those operations.
     pub fn purge_rollback_all(&self, cut: simkit::SimTime) {
-        let ranks = self.inner.ranks.lock();
-        for shared in ranks.values() {
+        for shared in self.ranks() {
             shared.purge_rollback(cut);
         }
     }
 
     /// Snapshot of traffic statistics.
     pub fn stats(&self) -> JobStats {
-        *self.inner.stats.lock()
+        self.inner.state.lock().stats
+    }
+
+    /// Every rank in rank order, cloned out so no job guard is held
+    /// while a rank's own state is locked.
+    fn ranks(&self) -> Vec<Arc<RankShared>> {
+        self.inner.state.lock().ranks.values().cloned().collect()
     }
 
     pub(crate) fn shared(&self, rank: u32) -> Arc<RankShared> {
         self.inner
-            .ranks
+            .state
             .lock()
+            .ranks
             .get(&rank)
             .unwrap_or_else(|| panic!("rank {rank} not initialised"))
             .clone()
     }
 
     pub(crate) fn record_message(&self, bytes: u64, rendezvous: bool) {
-        let mut s = self.inner.stats.lock();
+        let s = &mut self.inner.state.lock().stats;
         s.messages += 1;
         s.bytes += bytes;
         if rendezvous {

@@ -48,46 +48,63 @@ pub(crate) struct Endpoints {
 /// per-node-incarnation and lives in `endpoints`.
 pub(crate) struct RankShared {
     pub rank: u32,
-    pub node: Mutex<NodeId>,
-    // BTreeMap: purge passes iterate the matching queues; (src, tag)
-    // order keeps replay deterministic.
-    queues: Mutex<BTreeMap<(u32, u64), Queue<Arrival>>>,
     /// Set while communication is allowed; reset during a
     /// checkpoint/migration cycle.
     pub gate: Event,
-    endpoints: Mutex<Option<Endpoints>>,
+    state: Mutex<RankState>,
+}
+
+struct RankState {
+    node: NodeId,
+    // BTreeMap: purge passes iterate the matching queues; (src, tag)
+    // order keeps replay deterministic.
+    queues: BTreeMap<(u32, u64), Queue<Arrival>>,
+    endpoints: Option<Endpoints>,
     /// Ops to skip on replay after a restart.
-    pub skip: Mutex<u64>,
+    skip: u64,
     /// Ops completed since the last `op_boundary`.
-    pub completed_in_iter: Mutex<u64>,
+    completed_in_iter: u64,
     /// Serialized application state as of the last `op_boundary`.
-    pub app_state: Mutex<Bytes>,
+    app_state: Bytes,
     /// The application's memory footprint (checkpointed bulk data).
-    pub segments: Mutex<Vec<Segment>>,
+    segments: Vec<Segment>,
     /// Dirty-page tracking, armed only while a live pre-copy migration of
     /// this rank is in flight ([`RankCr::arm_dirty`]).
-    pub dirty: Mutex<Option<DirtyTracker>>,
+    dirty: Option<DirtyTracker>,
 }
 
 impl RankShared {
     pub(crate) fn new(handle: &SimHandle, rank: u32, node: NodeId, app_state: Bytes) -> Self {
         RankShared {
             rank,
-            node: Mutex::new(node),
-            queues: Mutex::new(BTreeMap::new()),
             gate: Event::new(handle, "mpi-gate"), // closed until endpoints built
-            endpoints: Mutex::new(None),
-            skip: Mutex::new(0),
-            completed_in_iter: Mutex::new(0),
-            app_state: Mutex::new(app_state),
-            segments: Mutex::new(Vec::new()),
-            dirty: Mutex::new(None),
+            state: Mutex::new(RankState {
+                node,
+                queues: BTreeMap::new(),
+                endpoints: None,
+                skip: 0,
+                completed_in_iter: 0,
+                app_state,
+                segments: Vec::new(),
+                dirty: None,
+            }),
         }
     }
 
+    /// The node the rank currently lives on.
+    pub(crate) fn node(&self) -> NodeId {
+        self.state.lock().node
+    }
+
+    /// Re-home the rank.
+    pub(crate) fn set_node(&self, node: NodeId) {
+        self.state.lock().node = node;
+    }
+
     fn queue(&self, handle: &SimHandle, src: u32, tag: u64) -> Queue<Arrival> {
-        self.queues
+        self.state
             .lock()
+            .queues
             .entry((src, tag))
             .or_insert_with(|| Queue::new(handle))
             .clone()
@@ -98,8 +115,8 @@ impl RankShared {
     }
 
     pub(crate) fn purge_rts_from(&self, sender: u32) {
-        let queues = self.queues.lock();
-        for ((src, _), q) in queues.iter() {
+        let st = self.state.lock();
+        for ((src, _), q) in st.queues.iter() {
             if *src == sender {
                 q.retain(|a| !matches!(a, Arrival::Rts { .. }));
             }
@@ -110,8 +127,8 @@ impl RankShared {
     /// sides re-execute the handshake) and every eager token delivered
     /// after the consistent cut (the sender re-sends it).
     pub(crate) fn purge_rollback(&self, cut: simkit::SimTime) {
-        let queues = self.queues.lock();
-        for q in queues.values() {
+        let st = self.state.lock();
+        for q in st.queues.values() {
             q.retain(|a| match a {
                 Arrival::Rts { .. } => false,
                 Arrival::Eager { delivered_at, .. } => *delivered_at <= cut,
@@ -166,7 +183,7 @@ impl MpiRank {
 
     /// The node this rank currently runs on.
     pub fn node(&self) -> NodeId {
-        *self.shared.node.lock()
+        self.shared.node()
     }
 
     /// The job handle.
@@ -176,15 +193,16 @@ impl MpiRank {
 
     /// Current serialized application state.
     pub fn app_state(&self) -> Bytes {
-        self.shared.app_state.lock().clone()
+        self.shared.state.lock().app_state.clone()
     }
 
     /// Replace the application's registered memory segments (the bulk
     /// data a checkpoint captures).
     pub fn set_segments(&self, segments: Vec<Segment>) {
-        *self.shared.segments.lock() = segments;
+        let mut st = self.shared.state.lock();
+        st.segments = segments;
         // A wholesale replacement invalidates any armed dirty bitmap.
-        *self.shared.dirty.lock() = None;
+        st.dirty = None;
     }
 
     /// Application write interception: reseed whole pages of a paged
@@ -196,9 +214,9 @@ impl MpiRank {
     /// the page index, so replaying an interrupted iteration after a
     /// restart rewrites identical values.
     pub fn write_pages(&self, seg: usize, pages: &[u64], stamp: u64) {
+        let mut st = self.shared.state.lock();
         let (page, len) = {
-            let mut segs = self.shared.segments.lock();
-            let data = &mut segs[seg].data;
+            let data = &mut st.segments[seg].data;
             let len = data.len;
             let DataSrc::Paged { seeds, page, .. } = &mut data.src else {
                 panic!("write_pages on a non-paged segment");
@@ -212,7 +230,7 @@ impl MpiRank {
             }
             (page, len)
         };
-        if let Some(t) = self.shared.dirty.lock().as_mut() {
+        if let Some(t) = st.dirty.as_mut() {
             for &p in pages {
                 t.mark_range(seg, p * page, page.min(len - p * page));
             }
@@ -224,19 +242,21 @@ impl MpiRank {
     fn begin_op(&mut self) -> bool {
         let seq = self.ops_this_iter;
         self.ops_this_iter += 1;
-        seq >= *self.shared.skip.lock()
+        seq >= self.shared.state.lock().skip
     }
 
     fn end_op(&self) {
-        *self.shared.completed_in_iter.lock() += 1;
+        self.shared.state.lock().completed_in_iter += 1;
     }
 
     /// Mark an application safe point: persist `state` as the new logical
     /// application state and reset replay counters.
     pub fn op_boundary(&mut self, state: Bytes) {
-        *self.shared.app_state.lock() = state;
-        *self.shared.skip.lock() = 0;
-        *self.shared.completed_in_iter.lock() = 0;
+        let mut st = self.shared.state.lock();
+        st.app_state = state;
+        st.skip = 0;
+        st.completed_in_iter = 0;
+        drop(st);
         self.ops_this_iter = 0;
     }
 
@@ -262,7 +282,7 @@ impl MpiRank {
         let drain = &self.job.inner.drain;
         if eager {
             drain.inc();
-            let from = *self.shared.node.lock();
+            let from = self.shared.node();
             let to_node = self.job.rank_node(to);
             self.wire(ctx, from, to_node, bytes + WIRE_HDR);
             self.job.deliver(
@@ -283,7 +303,7 @@ impl MpiRank {
             let bulk_done = Event::new(h, "bulk");
             // RTS control message (in-flight while on the wire).
             drain.inc();
-            let from = *self.shared.node.lock();
+            let from = self.shared.node();
             let to_node = self.job.rank_node(to);
             self.wire(ctx, from, to_node, WIRE_HDR);
             self.job.deliver(
@@ -303,7 +323,7 @@ impl MpiRank {
             // Bulk RDMA transfer, with node placement looked up afresh —
             // the receiver may have migrated while we were parked.
             drain.inc();
-            let from = *self.shared.node.lock();
+            let from = self.shared.node();
             let to_node = self.job.rank_node(to);
             self.wire(ctx, from, to_node, bytes + WIRE_HDR);
             self.job.record_message(bytes, true);
@@ -338,7 +358,7 @@ impl MpiRank {
                 // IS the draining of an in-flight message.
                 let drain = &self.job.inner.drain;
                 drain.inc();
-                let my = *self.shared.node.lock();
+                let my = self.shared.node();
                 let sender_node = self.job.rank_node(src);
                 self.wire(ctx, my, sender_node, WIRE_HDR); // CTS
                 cts.set();
@@ -435,7 +455,7 @@ impl RankCr {
     /// Destroy this rank's endpoints without draining (used on the
     /// failure path, where the node is simply gone).
     pub fn teardown(&self, ctx: &Ctx) -> TeardownReport {
-        let eps = self.shared.endpoints.lock().take();
+        let eps = self.shared.state.lock().endpoints.take();
         match eps {
             Some(eps) => {
                 for qp in &eps.qps {
@@ -465,7 +485,7 @@ impl RankCr {
                 ("timed", u64::from(timed).into()),
             ]
         });
-        let node = *self.shared.node.lock();
+        let node = self.shared.node();
         let hca = self.job.fabric().attach(node);
         let mr = if timed {
             hca.register_mr(ctx, self.job.config().comm_buf_bytes)
@@ -489,13 +509,13 @@ impl RankCr {
             }
             qps.push(qp);
         }
-        *self.shared.endpoints.lock() = Some(Endpoints { mr, qps });
+        self.shared.state.lock().endpoints = Some(Endpoints { mr, qps });
         span.end();
     }
 
     /// Whether endpoints currently exist.
     pub fn has_endpoints(&self) -> bool {
-        self.shared.endpoints.lock().is_some()
+        self.shared.state.lock().endpoints.is_some()
     }
 
     /// Reopen the communication gate (end of Phase 4).
@@ -518,52 +538,50 @@ impl RankCr {
     /// (pre-copy round 0 start). Bitmaps start all-clean: round 0 streams
     /// the whole image, so only writes landing *after* this call matter.
     pub fn arm_dirty(&self, page: u64) {
-        let lens: Vec<u64> = self
-            .shared
-            .segments
-            .lock()
-            .iter()
-            .map(|s| s.data.len)
-            .collect();
-        *self.shared.dirty.lock() = Some(DirtyTracker::new(page, &lens));
+        let mut st = self.shared.state.lock();
+        let lens: Vec<u64> = st.segments.iter().map(|s| s.data.len).collect();
+        st.dirty = Some(DirtyTracker::new(page, &lens));
     }
 
     /// Drop dirty tracking (cycle over or abandoned).
     pub fn disarm_dirty(&self) {
-        *self.shared.dirty.lock() = None;
+        self.shared.state.lock().dirty = None;
     }
 
     /// Snapshot-and-clear the dirty bitmap — the epoch boundary between
     /// two pre-copy rounds. `None` when tracking is not armed.
     pub fn take_dirty(&self) -> Option<DirtySnapshot> {
-        self.shared.dirty.lock().as_mut().map(|t| t.take())
+        self.shared.state.lock().dirty.as_mut().map(|t| t.take())
     }
 
     /// Bytes currently dirty (the size of the next round if taken now).
     pub fn dirty_bytes(&self) -> u64 {
         self.shared
-            .dirty
+            .state
             .lock()
+            .dirty
             .as_ref()
             .map_or(0, |t| t.dirty_bytes())
     }
 
     /// Capture checkpoint metadata (Phase 2, on the migration source).
     pub fn capture_meta(&self) -> CrMeta {
+        let st = self.shared.state.lock();
         CrMeta {
-            app_state: self.shared.app_state.lock().clone(),
-            completed_ops: *self.shared.completed_in_iter.lock(),
-            segments: self.shared.segments.lock().clone(),
+            app_state: st.app_state.clone(),
+            completed_ops: st.completed_in_iter,
+            segments: st.segments.clone(),
         }
     }
 
     /// Restore checkpoint metadata into the rank before its new
     /// application thread starts (Phase 3, on the migration target).
     pub fn restore_meta(&self, meta: CrMeta) {
-        *self.shared.app_state.lock() = meta.app_state;
-        *self.shared.skip.lock() = meta.completed_ops;
-        *self.shared.completed_in_iter.lock() = meta.completed_ops;
-        *self.shared.segments.lock() = meta.segments;
-        *self.shared.dirty.lock() = None;
+        let mut st = self.shared.state.lock();
+        st.app_state = meta.app_state;
+        st.skip = meta.completed_ops;
+        st.completed_in_iter = meta.completed_ops;
+        st.segments = meta.segments;
+        st.dirty = None;
     }
 }

@@ -190,7 +190,7 @@ fn main() -> ExitCode {
                             "  {mode} spares={spares} max_attempts={max_attempts}: VIOLATION"
                         );
                         eprintln!("{cx}");
-                        let plan = cx.to_fault_plan(0);
+                        let plan = cx.to_fault_plan();
                         eprintln!("  replay plan: {plan:?}");
                     }
                 }

@@ -318,13 +318,12 @@ pub struct Counterexample {
 }
 
 impl Counterexample {
-    /// Lower the trace to a concrete [`FaultPlan`] with the given RNG
-    /// seed. Spare-crash edges map exactly (`FaultSpec::SpareCrash`
-    /// carries phase + attempt); timeout edges map to the most aggressive
-    /// fault of their kind so the same failure manifests in the
-    /// simulator.
-    pub fn to_fault_plan(&self, seed: u64) -> FaultPlan {
-        let mut plan = FaultPlan::new(seed);
+    /// Lower the trace to a concrete [`FaultPlan`]. Spare-crash edges map
+    /// exactly (`FaultSpec::SpareCrash` carries phase + attempt); timeout
+    /// edges map to the most aggressive fault of their kind so the same
+    /// failure manifests in the simulator.
+    pub fn to_fault_plan(&self) -> FaultPlan {
+        let mut plan = FaultPlan::new();
         for label in &self.labels {
             let Some((phase, kind)) = label.fault else {
                 continue;
@@ -1094,7 +1093,7 @@ mod tests {
             .labels
             .iter()
             .any(|l| matches!(l.fault, Some((_, FaultKind::CoordinatorCrash)))));
-        let plan = cx.to_fault_plan(7);
+        let plan = cx.to_fault_plan();
         assert!(format!("{plan:?}").contains("CoordinatorCrash"));
     }
 

@@ -54,7 +54,7 @@ fn mishandled_spare_crash_yields_replayable_plan() {
         fault_labels,
         vec![(MigPhase::Resume, FaultKind::SpareCrash)]
     );
-    let plan = cx.to_fault_plan(7);
+    let plan = cx.to_fault_plan();
     assert!(
         plan.entries.iter().any(|s| matches!(
             s,

@@ -48,8 +48,11 @@ pub(crate) struct Counters {
 pub(crate) struct Hot {
     /// Wall-clock timing armed (`SIMKIT_PROF=1` or `set_prof(true)`).
     prof: AtomicBool,
-    /// ns the scheduler spent selecting timers (heap pop). Prof only.
+    /// ns the scheduler spent selecting timers (heap pop), FlowNet
+    /// settles excluded. Prof only.
     sched_ns: AtomicU64,
+    /// ns spent settling stale FlowNets' rates. Prof only.
+    settle_ns: AtomicU64,
     /// ns from resuming a process until it blocks or finishes (user
     /// code + the switch). Prof only.
     run_ns: AtomicU64,
@@ -66,6 +69,7 @@ impl Hot {
         Hot {
             prof: AtomicBool::new(prof),
             sched_ns: AtomicU64::new(0),
+            settle_ns: AtomicU64::new(0),
             run_ns: AtomicU64::new(0),
             spawn_ns: AtomicU64::new(0),
         }
@@ -89,14 +93,29 @@ impl Hot {
     #[inline]
     pub(crate) fn lap(&self, t0: Option<Instant>, cat: HotCat) {
         if let Some(t0) = t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            let counter = match cat {
-                HotCat::Sched => &self.sched_ns,
-                HotCat::Run => &self.run_ns,
-                HotCat::Spawn => &self.spawn_ns,
-            };
-            counter.fetch_add(ns, Ordering::Relaxed);
+            self.add(cat, t0.elapsed());
         }
+    }
+
+    /// Close the measurement `t0` into `cat` and open the next one at
+    /// the same instant, so back-to-back categories share a clock read.
+    #[inline]
+    pub(crate) fn split(&self, t0: &mut Option<Instant>, cat: HotCat) {
+        if let Some(t) = t0 {
+            let now = Instant::now(); // jmlint: allow(wall_clock) — the profiler measures host time by design
+            self.add(cat, now - *t);
+            *t = now;
+        }
+    }
+
+    fn add(&self, cat: HotCat, d: std::time::Duration) {
+        let counter = match cat {
+            HotCat::Sched => &self.sched_ns,
+            HotCat::Settle => &self.settle_ns,
+            HotCat::Run => &self.run_ns,
+            HotCat::Spawn => &self.spawn_ns,
+        };
+        counter.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// The profile from the scheduler's counters and each process's
@@ -114,6 +133,7 @@ impl Hot {
             flow_recomputes: c.flow_recomputes,
             flow_retimes: c.flow_retimes,
             sched_ns: self.sched_ns.load(Ordering::Relaxed),
+            settle_ns: self.settle_ns.load(Ordering::Relaxed),
             run_ns: self.run_ns.load(Ordering::Relaxed),
             spawn_ns: self.spawn_ns.load(Ordering::Relaxed),
             per_proc,
@@ -125,6 +145,7 @@ impl Hot {
 #[derive(Clone, Copy)]
 pub(crate) enum HotCat {
     Sched,
+    Settle,
     Run,
     Spawn,
 }
@@ -161,8 +182,12 @@ pub struct HotStats {
     /// Per-flow completion-wake reschedules issued: one per flow whose
     /// rate changed, plus one when a flow starts.
     pub flow_retimes: u64,
-    /// Wall ns the scheduler spent selecting timers (prof only).
+    /// Wall ns the scheduler spent selecting timers, FlowNet settles
+    /// excluded (prof only).
     pub sched_ns: u64,
+    /// Wall ns spent settling stale FlowNets' rates, once per net and
+    /// virtual instant, while selecting the next timer (prof only).
+    pub settle_ns: u64,
     /// Wall ns from resuming a process until it blocks or finishes
     /// (prof only).
     pub run_ns: u64,
@@ -196,12 +221,14 @@ impl HotStats {
             self.flow_recomputes,
             self.flow_retimes,
         ));
-        if self.sched_ns + self.run_ns + self.spawn_ns > 0 {
+        if self.sched_ns + self.settle_ns + self.run_ns + self.spawn_ns > 0 {
             out.push_str(&format!(
                 "sched wall          {:>12.1} ms\n\
+                 flow settle wall    {:>12.1} ms\n\
                  run+handoff wall    {:>12.1} ms\n\
                  spawn wall          {:>12.1} ms\n",
                 ms(self.sched_ns),
+                ms(self.settle_ns),
                 ms(self.run_ns),
                 ms(self.spawn_ns),
             ));

@@ -62,6 +62,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Identifier of a simulated process.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -208,7 +209,10 @@ impl Kernel {
     /// and hand over its owner (and the owner's body on its first
     /// dispatch). Stale FlowNets are settled first where the module docs
     /// say.
-    fn pop_next(&self, limit: SimTime) -> Popped {
+    ///
+    /// `t_sched` is the open scheduler lap: settle time is split out of
+    /// it into [`HotCat::Settle`].
+    fn pop_next(&self, limit: SimTime, t_sched: &mut Option<Instant>) -> Popped {
         let mut st = self.st.lock();
         let top = loop {
             let top = st.timers.peek();
@@ -227,7 +231,9 @@ impl Kernel {
                     };
                     let (_, net) = st.stale.remove(i);
                     drop(st);
+                    self.hot.split(t_sched, HotCat::Sched);
                     net.settle(self);
+                    self.hot.split(t_sched, HotCat::Settle);
                 }
                 // The clock is about to move or the run to stop: settle
                 // every stale net. A settle marks none stale, so the
@@ -235,9 +241,11 @@ impl Kernel {
                 _ => {
                     let mut nets = std::mem::take(&mut st.stale);
                     drop(st);
+                    self.hot.split(t_sched, HotCat::Sched);
                     for (_, net) in nets.drain(..) {
                         net.settle(self);
                     }
+                    self.hot.split(t_sched, HotCat::Settle);
                     st = self.st.lock();
                     debug_assert!(st.stale.is_empty(), "a settle marked a net stale");
                     st.stale = nets;
@@ -607,10 +615,11 @@ impl Simulation {
 
     /// Run until virtual time `limit` (inclusive of events at `limit`).
     /// On success the clock reads exactly `limit` unless the heap drained
-    /// earlier (then it reads the last event time).
+    /// earlier (then it reads the last event time). A `limit` already in
+    /// the past runs nothing and leaves the clock where it is.
     pub fn run_until(&mut self, limit: SimTime) -> Result<RunOutcome, SimError> {
         let outcome = self.drive(limit)?;
-        if outcome == RunOutcome::LimitReached {
+        if outcome == RunOutcome::LimitReached && limit > self.now() {
             self.scope
                 .kernel
                 .clock
@@ -639,8 +648,8 @@ impl Simulation {
     fn step_one(&mut self, limit: SimTime) -> Result<StepResult, SimError> {
         assert!(!self.poisoned, "simulation used after a process panic");
         let hot = &self.scope.kernel.hot;
-        let t_sched = hot.clock();
-        let (pid, first) = match self.scope.kernel.pop_next(limit) {
+        let mut t_sched = hot.clock();
+        let (pid, first) = match self.scope.kernel.pop_next(limit, &mut t_sched) {
             Popped::Quiescent => return Ok(StepResult::Quiescent),
             Popped::Limit => return Ok(StepResult::LimitReached),
             Popped::Ready { pid, first } => (pid, first),

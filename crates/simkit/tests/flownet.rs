@@ -293,6 +293,28 @@ fn same_instant_joins_cost_one_recompute() {
 }
 
 #[test]
+fn flow_settles_have_their_own_profile_category() {
+    // Eight same-instant joins force a settle before the clock moves;
+    // armed profiling charges it to `settle_ns`, disarmed to nothing.
+    for prof in [true, false] {
+        let mut sim = Simulation::new(0);
+        let h = sim.handle();
+        h.set_prof(prof);
+        let net = FlowNet::new(&h);
+        let l = net.add_link("l", 100e6, Sharing::Fair);
+        for i in 0..8u64 {
+            let n = net.clone();
+            sim.spawn(&format!("f{i}"), move |ctx| {
+                n.transfer(ctx, &[l], (i + 1) << 20)
+            });
+        }
+        sim.run().unwrap();
+        let settle_ns = h.hot_stats().settle_ns;
+        assert_eq!(settle_ns > 0, prof, "prof {prof}: settle_ns {settle_ns}");
+    }
+}
+
+#[test]
 fn same_instant_departures_complete_at_that_instant() {
     // Sixteen equal flows start together and so finish together. Every
     // owner wakes at the shared finish nanosecond, and no recompute runs

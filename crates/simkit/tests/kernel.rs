@@ -191,6 +191,22 @@ fn run_until_stops_at_limit_and_resumes() {
 }
 
 #[test]
+fn run_until_a_past_limit_leaves_the_clock_alone() {
+    let mut sim = Simulation::new(0);
+    let woke = Arc::new(AtomicU64::new(0));
+    let w = woke.clone();
+    sim.spawn_daemon("sleeper", move |ctx| {
+        ctx.sleep(secs(100));
+        w.store(ctx.now().as_nanos(), Ordering::SeqCst);
+    });
+    sim.run_until(SimTime::ZERO + secs(5)).unwrap();
+    sim.run_until(SimTime::ZERO + secs(1)).unwrap();
+    assert_eq!(sim.now(), SimTime::ZERO + secs(5), "clock moved backwards");
+    sim.run_until(SimTime::ZERO + secs(200)).unwrap();
+    assert_eq!(woke.load(Ordering::SeqCst), secs(100).as_nanos() as u64);
+}
+
+#[test]
 fn run_for_advances_relative() {
     let mut sim = Simulation::new(0);
     sim.spawn("s", |ctx| ctx.sleep(secs(10)));

@@ -7,7 +7,6 @@ use ibfabric::{DataSlice, Rope};
 use parking_lot::Mutex;
 use simkit::Ctx;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,10 +18,14 @@ struct StoredFile {
     cached: u64,
 }
 
+#[derive(Default)]
 struct Inner {
     // BTreeMap: `paths()` and cache drops iterate the namespace; path
     // order keeps listings deterministic.
     files: BTreeMap<String, StoredFile>,
+    written: u64,
+    read: u64,
+    hook: Option<Arc<dyn StoreFaultHook>>,
 }
 
 /// A local filesystem: files live on one disk, metadata ops are cheap,
@@ -32,9 +35,6 @@ pub struct LocalFs {
     disk: Disk,
     inner: Arc<Mutex<Inner>>,
     meta_latency: Duration,
-    written: Arc<AtomicU64>,
-    read: Arc<AtomicU64>,
-    hook: Arc<Mutex<Option<Arc<dyn StoreFaultHook>>>>,
 }
 
 impl LocalFs {
@@ -42,13 +42,8 @@ impl LocalFs {
     pub fn new(disk: Disk) -> Self {
         LocalFs {
             disk,
-            inner: Arc::new(Mutex::new(Inner {
-                files: BTreeMap::new(),
-            })),
+            inner: Arc::new(Mutex::new(Inner::default())),
             meta_latency: Duration::from_micros(150),
-            written: Arc::new(AtomicU64::new(0)),
-            read: Arc::new(AtomicU64::new(0)),
-            hook: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -60,7 +55,7 @@ impl LocalFs {
     /// Install (or replace) the fault hook consulted by
     /// [`CkptStore::try_append`].
     pub fn set_fault_hook(&self, hook: Arc<dyn StoreFaultHook>) {
-        *self.hook.lock() = Some(hook);
+        self.inner.lock().hook = Some(hook);
     }
 
     /// List stored file paths (diagnostics).
@@ -97,7 +92,7 @@ impl CkptStore for LocalFs {
         f.slices.push(data);
         f.len += len;
         f.cached += len; // written bytes are cache-resident either way
-        self.written.fetch_add(len, Ordering::Relaxed);
+        inner.written += len;
     }
 
     fn try_append(
@@ -107,11 +102,8 @@ impl CkptStore for LocalFs {
         data: DataSlice,
         sync: bool,
     ) -> Result<(), StoreFault> {
-        let fault = self
-            .hook
-            .lock()
-            .as_ref()
-            .and_then(|h| h.on_write(ctx.now(), "localfs", path, data.len));
+        let hook = self.inner.lock().hook.clone();
+        let fault = hook.and_then(|h| h.on_write(ctx.now(), "localfs", path, data.len));
         if let Some(f) = fault {
             // A failed write still costs the syscall round trip.
             ctx.sleep(self.meta_latency);
@@ -130,7 +122,7 @@ impl CkptStore for LocalFs {
             (f.slices.clone(), f.len, f.cached)
         };
         self.disk.read(ctx, len, cached);
-        self.read.fetch_add(len, Ordering::Relaxed);
+        self.inner.lock().read += len;
         Some(slices)
     }
 
@@ -155,11 +147,11 @@ impl CkptStore for LocalFs {
     }
 
     fn bytes_written(&self) -> u64 {
-        self.written.load(Ordering::Relaxed)
+        self.inner.lock().written
     }
 
     fn bytes_read(&self) -> u64 {
-        self.read.load(Ordering::Relaxed)
+        self.inner.lock().read
     }
 }
 

@@ -14,7 +14,6 @@ use ibfabric::{DataSlice, Net, NodeId, Rope};
 use parking_lot::Mutex;
 use simkit::{Ctx, SimHandle};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,6 +44,11 @@ struct Inner {
     // pass deterministic.
     files: BTreeMap<String, StoredFile>,
     next_start: usize,
+    written: u64,
+    read: u64,
+    /// Stripe operations currently in flight per server (telemetry).
+    inflight: Vec<u64>,
+    hook: Option<Arc<dyn StoreFaultHook>>,
 }
 
 /// The shared PVFS deployment. Obtain per-node handles with
@@ -57,11 +61,6 @@ pub struct Pvfs {
     /// for isolated storage benchmarks).
     transport: Option<(Net, Arc<Vec<NodeId>>)>,
     inner: Arc<Mutex<Inner>>,
-    written: Arc<AtomicU64>,
-    read: Arc<AtomicU64>,
-    /// Stripe operations currently in flight per server (telemetry).
-    inflight: Arc<Vec<AtomicU64>>,
-    hook: Arc<Mutex<Option<Arc<dyn StoreFaultHook>>>>,
 }
 
 impl Pvfs {
@@ -70,26 +69,26 @@ impl Pvfs {
         let disks = (0..cfg.servers)
             .map(|i| Disk::new(handle, &format!("pvfs-srv{i}"), cfg.disk.clone()))
             .collect();
-        let inflight = (0..cfg.servers).map(|_| AtomicU64::new(0)).collect();
+        let inner = Inner {
+            files: BTreeMap::new(),
+            next_start: 0,
+            written: 0,
+            read: 0,
+            inflight: vec![0; cfg.servers],
+            hook: None,
+        };
         Pvfs {
             cfg: Arc::new(cfg),
             server_disks: Arc::new(disks),
             transport: None,
-            inner: Arc::new(Mutex::new(Inner {
-                files: BTreeMap::new(),
-                next_start: 0,
-            })),
-            written: Arc::new(AtomicU64::new(0)),
-            read: Arc::new(AtomicU64::new(0)),
-            inflight: Arc::new(inflight),
-            hook: Arc::new(Mutex::new(None)),
+            inner: Arc::new(Mutex::new(inner)),
         }
     }
 
     /// Install (or replace) the fault hook consulted by every client's
     /// [`CkptStore::try_append`].
     pub fn set_fault_hook(&self, hook: Arc<dyn StoreFaultHook>) {
-        *self.hook.lock() = Some(hook);
+        self.inner.lock().hook = Some(hook);
     }
 
     /// Create a deployment whose stripes traverse `net` to the given
@@ -140,7 +139,11 @@ impl Pvfs {
     ) {
         let telemetry = ctx.telemetry_on();
         if telemetry {
-            let depth = self.inflight[server_idx].fetch_add(1, Ordering::Relaxed) + 1;
+            let depth = {
+                let mut inner = self.inner.lock();
+                inner.inflight[server_idx] += 1;
+                inner.inflight[server_idx]
+            };
             ctx.counter("store", format!("pvfs_queue:srv{server_idx}"), depth as f64);
         }
         if let Some((net, nodes)) = &self.transport {
@@ -157,7 +160,11 @@ impl Pvfs {
             StripeOp::Read => disk.read(ctx, bytes, cached),
         }
         if telemetry {
-            let depth = self.inflight[server_idx].fetch_sub(1, Ordering::Relaxed) - 1;
+            let depth = {
+                let mut inner = self.inner.lock();
+                inner.inflight[server_idx] -= 1;
+                inner.inflight[server_idx]
+            };
             ctx.counter("store", format!("pvfs_queue:srv{server_idx}"), depth as f64);
         }
     }
@@ -232,7 +239,7 @@ impl CkptStore for PvfsClient {
         f.slices.push(data);
         f.len += len;
         f.cached += len;
-        self.fs.written.fetch_add(len, Ordering::Relaxed);
+        inner.written += len;
     }
 
     fn try_append(
@@ -242,12 +249,8 @@ impl CkptStore for PvfsClient {
         data: DataSlice,
         sync: bool,
     ) -> Result<(), StoreFault> {
-        let fault = self
-            .fs
-            .hook
-            .lock()
-            .as_ref()
-            .and_then(|h| h.on_write(ctx.now(), "pvfs", path, data.len));
+        let hook = self.fs.inner.lock().hook.clone();
+        let fault = hook.and_then(|h| h.on_write(ctx.now(), "pvfs", path, data.len));
         if let Some(f) = fault {
             ctx.sleep(self.fs.cfg.meta_latency);
             return Err(f);
@@ -285,7 +288,7 @@ impl CkptStore for PvfsClient {
             offset += chunk;
         }
         span.end();
-        self.fs.read.fetch_add(len, Ordering::Relaxed);
+        self.fs.inner.lock().read += len;
         Some(slices)
     }
 
@@ -304,11 +307,11 @@ impl CkptStore for PvfsClient {
     }
 
     fn bytes_written(&self) -> u64 {
-        self.fs.written.load(Ordering::Relaxed)
+        self.fs.inner.lock().written
     }
 
     fn bytes_read(&self) -> u64 {
-        self.fs.read.load(Ordering::Relaxed)
+        self.fs.inner.lock().read
     }
 }
 
@@ -316,6 +319,7 @@ impl CkptStore for PvfsClient {
 mod tests {
     use super::*;
     use simkit::Simulation;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn cfg() -> PvfsConfig {
         PvfsConfig {

@@ -42,14 +42,14 @@ fn usage() -> ! {
 
 fn fault_preset(name: &str) -> FaultPlan {
     match name {
-        "spare-crash" => FaultPlan::new(2010).with(FaultSpec::SpareCrash {
+        "spare-crash" => FaultPlan::new().with(FaultSpec::SpareCrash {
             phase: MigPhase::Restart,
             attempt: 1,
         }),
-        "rdma" => FaultPlan::new(2010)
+        "rdma" => FaultPlan::new()
             .with(FaultSpec::RdmaCqError { nth: 2 })
             .with(FaultSpec::RdmaCorrupt { nth: 5 }),
-        "flaky-net" => FaultPlan::new(2010).with(FaultSpec::LinkFlap {
+        "flaky-net" => FaultPlan::new().with(FaultSpec::LinkFlap {
             net: NetSel::Gige,
             at: dur::secs(30),
             lasts: dur::ms(800),

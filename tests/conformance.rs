@@ -221,11 +221,11 @@ fn run_link_fallback_rows() -> Traced {
 }
 
 fn spare_crash(phase: MigPhase) -> FaultPlan {
-    FaultPlan::new(0xA0).with(FaultSpec::SpareCrash { phase, attempt: 1 })
+    FaultPlan::new().with(FaultSpec::SpareCrash { phase, attempt: 1 })
 }
 
 fn coord_crash(phase: MigPhase) -> FaultPlan {
-    FaultPlan::new(0xC0FFEE).with(FaultSpec::CoordinatorCrash {
+    FaultPlan::new().with(FaultSpec::CoordinatorCrash {
         at: WalPoint::Phase(phase),
     })
 }
@@ -292,7 +292,7 @@ fn suite_refines_model_and_covers_tables() {
             1,
             false,
             barrier(),
-            Some(FaultPlan::new(0xB0).with(FaultSpec::BlcrWriteError { nth: 1 })),
+            Some(FaultPlan::new().with(FaultSpec::BlcrWriteError { nth: 1 })),
         ),
         run_traced(
             "rdma_cq_error",
@@ -300,7 +300,7 @@ fn suite_refines_model_and_covers_tables() {
             1,
             false,
             barrier(),
-            Some(FaultPlan::new(0xB1).with(FaultSpec::RdmaCqError { nth: 1 })),
+            Some(FaultPlan::new().with(FaultSpec::RdmaCqError { nth: 1 })),
         ),
         run_traced(
             "rdma_corrupt",
@@ -308,7 +308,7 @@ fn suite_refines_model_and_covers_tables() {
             1,
             false,
             barrier(),
-            Some(FaultPlan::new(0xB2).with(FaultSpec::RdmaCorrupt { nth: 2 })),
+            Some(FaultPlan::new().with(FaultSpec::RdmaCorrupt { nth: 2 })),
         ),
         run_traced(
             "gige_drop_window",
@@ -316,7 +316,7 @@ fn suite_refines_model_and_covers_tables() {
             1,
             false,
             barrier(),
-            Some(FaultPlan::new(0xD0).with(FaultSpec::NetDrop {
+            Some(FaultPlan::new().with(FaultSpec::NetDrop {
                 net: NetSel::Gige,
                 after: secs(10),
                 count: 12,
@@ -328,7 +328,7 @@ fn suite_refines_model_and_covers_tables() {
             1,
             false,
             barrier(),
-            Some(FaultPlan::new(0xD1).with(FaultSpec::LinkFlap {
+            Some(FaultPlan::new().with(FaultSpec::LinkFlap {
                 net: NetSel::Gige,
                 at: secs(10),
                 lasts: ms(800),
@@ -340,7 +340,7 @@ fn suite_refines_model_and_covers_tables() {
             1,
             false,
             barrier(),
-            Some(FaultPlan::new(0xD2).with(FaultSpec::NetDrop {
+            Some(FaultPlan::new().with(FaultSpec::NetDrop {
                 net: NetSel::Ib,
                 after: secs(10),
                 count: 3,
@@ -352,7 +352,7 @@ fn suite_refines_model_and_covers_tables() {
             1,
             false,
             barrier(),
-            Some(FaultPlan::new(0xD3).with(FaultSpec::LinkFlap {
+            Some(FaultPlan::new().with(FaultSpec::LinkFlap {
                 net: NetSel::Ib,
                 at: secs(10),
                 lasts: ms(500),
@@ -368,7 +368,7 @@ fn suite_refines_model_and_covers_tables() {
             1,
             false,
             barrier(),
-            Some(FaultPlan::new(0xD4).with(FaultSpec::NetDrop {
+            Some(FaultPlan::new().with(FaultSpec::NetDrop {
                 net: NetSel::Gige,
                 after: us(10_125_100),
                 count: 1,
@@ -389,7 +389,7 @@ fn suite_refines_model_and_covers_tables() {
             1,
             false,
             MigrationTuning::live(),
-            Some((1..=10).fold(FaultPlan::new(0xE0), |p, nth| {
+            Some((1..=10).fold(FaultPlan::new(), |p, nth| {
                 p.with(FaultSpec::RdmaCqError { nth })
             })),
         ),
