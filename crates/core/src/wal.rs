@@ -33,7 +33,7 @@
 use faultplane::{FaultPlane, MigPhase};
 use ibfabric::NodeId;
 use parking_lot::Mutex;
-use simkit::SimHandle;
+use simkit::{fnv1a, SimHandle, FNV1A_OFFSET};
 use std::fmt;
 use std::sync::Arc;
 
@@ -345,15 +345,6 @@ pub struct WalEntry {
     pub checksum: u64,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn frame(seq: u64, record: &WalRecord) -> WalEntry {
     let mut buf = Vec::with_capacity(32);
     buf.extend_from_slice(&seq.to_le_bytes());
@@ -361,7 +352,7 @@ fn frame(seq: u64, record: &WalRecord) -> WalEntry {
     WalEntry {
         seq,
         record: record.clone(),
-        checksum: fnv1a(&buf),
+        checksum: fnv1a(FNV1A_OFFSET, &buf),
     }
 }
 

@@ -3,17 +3,12 @@
 //! work).
 
 use fleetsched::{run_soak, FleetConfig, PolicyKind};
+use simkit::{fnv1a, FNV1A_OFFSET};
 
 /// FNV-1a digest of the seed-2010 soak's `BENCH_fleet.json` render, and
 /// its length in bytes. Re-record it (from the failure message) only
 /// when a change is meant to move a fleet result.
 const GOLDEN_RENDER: (u64, usize) = (1763957893212121645, 4624);
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 #[test]
 fn soak_is_deterministic_and_migration_beats_periodic_cr() {
@@ -24,7 +19,7 @@ fn soak_is_deterministic_and_migration_beats_periodic_cr() {
     let a = run_soak(&cfg, &PolicyKind::ALL);
     let json = a.render();
     assert_eq!(
-        (fnv1a(json.as_bytes()), json.len()),
+        (fnv1a(FNV1A_OFFSET, json.as_bytes()), json.len()),
         GOLDEN_RENDER,
         "same seed must reproduce BENCH_fleet.json byte for byte; got:\n{json}"
     );

@@ -25,11 +25,6 @@
 //!   exercises; never-exercised edges are dead model rows or missing
 //!   tests — both findings. [`Coverage::to_json`] renders the
 //!   `COVERAGE_proto.json` artifact.
-//!
-//! Traces round-trip through a self-describing JSON artifact
-//! ([`trace_to_json`] / [`parse_trace_json`], hand-rolled: the workspace
-//! builds offline with zero registry deps) so the `protoverify` binary
-//! can re-check CI artifacts long after the simulation ran.
 
 use crate::spec::{
     next, CycleEvent, CyclePhase, LinkEvent, LinkState, Machine, MigrationSpec, Named, NlaEvent,
@@ -37,170 +32,50 @@ use crate::spec::{
 };
 use simkit::{ArgValue, EventKind, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 // ---------------------------------------------------------------------------
-// trace events, decoupled from simkit for offline artifacts
+// reading simkit trace events
 // ---------------------------------------------------------------------------
 
-/// An argument value on a trace event, owned (unlike simkit's borrowed
-/// keys) so events survive a round trip through a JSON artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArgVal {
-    /// Unsigned integer.
-    U64(u64),
-    /// Floating-point number.
-    F64(f64),
-    /// String.
-    Str(String),
+/// Look up an event argument by key.
+fn arg<'a>(ev: &'a TraceEvent, key: &str) -> Option<&'a ArgValue> {
+    ev.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
-impl ArgVal {
-    /// The value as a u64, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            ArgVal::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            ArgVal::Str(s) => Some(s),
-            _ => None,
-        }
+fn arg_u64(ev: &TraceEvent, key: &str) -> Option<u64> {
+    match arg(ev, key) {
+        Some(ArgValue::U64(v)) => Some(*v),
+        _ => None,
     }
 }
 
-/// The shape of a trace event (mirrors `simkit::EventKind` minus the
-/// counter payload, which rides in `args` after a round trip).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RawKind {
-    /// Span open.
-    Begin,
-    /// Span close.
-    End,
-    /// Point event.
-    Instant,
-    /// Counter sample.
-    Counter,
-    /// Message event.
-    Message,
-}
-
-impl RawKind {
-    /// One-letter code used in the JSON artifact (chrome-trace style).
-    pub fn code(self) -> &'static str {
-        match self {
-            RawKind::Begin => "B",
-            RawKind::End => "E",
-            RawKind::Instant => "I",
-            RawKind::Counter => "C",
-            RawKind::Message => "M",
-        }
-    }
-
-    fn from_code(s: &str) -> Option<RawKind> {
-        Some(match s {
-            "B" => RawKind::Begin,
-            "E" => RawKind::End,
-            "I" => RawKind::Instant,
-            "C" => RawKind::Counter,
-            "M" => RawKind::Message,
-            _ => return None,
-        })
+fn arg_str<'a>(ev: &'a TraceEvent, key: &str) -> Option<&'a str> {
+    match arg(ev, key) {
+        Some(ArgValue::Str(s)) => Some(s),
+        _ => None,
     }
 }
 
-/// One observed trace event, in the owned form the observer and the JSON
-/// artifact share.
-#[derive(Debug, Clone)]
-pub struct RawEvent {
-    /// Virtual time of the event, nanoseconds.
-    pub time_ns: u64,
-    /// Category (`"proto"`, `"wal"`, `"pool"`, `"phase"`, …).
-    pub cat: String,
-    /// Event name within the category.
-    pub name: String,
-    /// Event shape.
-    pub kind: RawKind,
-    /// Event arguments, in emission order.
-    pub args: Vec<(String, ArgVal)>,
-}
-
-impl RawEvent {
-    /// Convert a live simkit trace event into the owned form.
-    pub fn from_trace(ev: &TraceEvent) -> RawEvent {
-        let (kind, extra) = match ev.kind {
-            EventKind::Begin => (RawKind::Begin, None),
-            EventKind::End => (RawKind::End, None),
-            EventKind::Instant => (RawKind::Instant, None),
-            EventKind::Counter(v) => (
-                RawKind::Counter,
-                Some(("value".to_string(), ArgVal::F64(v))),
-            ),
-            EventKind::Message => (RawKind::Message, None),
+/// Compact one-line rendering used in nonconformance reports:
+/// `{ns}ns {cat}/{name} [{B|E|I|C|M}] k=v…`.
+fn render(ev: &TraceEvent) -> String {
+    let code = match ev.kind {
+        EventKind::Begin => "B",
+        EventKind::End => "E",
+        EventKind::Instant => "I",
+        EventKind::Counter(_) => "C",
+        EventKind::Message => "M",
+    };
+    let mut s = format!("{}ns {}/{} [{code}]", ev.time.as_nanos(), ev.cat, ev.name);
+    for (k, v) in &ev.args {
+        let _ = match v {
+            ArgValue::U64(n) => write!(s, " {k}={n}"),
+            ArgValue::F64(f) => write!(s, " {k}={f}"),
+            ArgValue::Str(t) => write!(s, " {k}={t}"),
         };
-        let mut args: Vec<(String, ArgVal)> = ev
-            .args
-            .iter()
-            .map(|(k, v)| {
-                let v = match v {
-                    ArgValue::U64(n) => ArgVal::U64(*n),
-                    ArgValue::F64(f) => ArgVal::F64(*f),
-                    ArgValue::Str(s) => ArgVal::Str(s.clone()),
-                };
-                (k.to_string(), v)
-            })
-            .collect();
-        args.extend(extra);
-        RawEvent {
-            time_ns: ev.time.as_nanos(),
-            cat: ev.cat.to_string(),
-            name: ev.name.clone(),
-            kind,
-            args,
-        }
     }
-
-    /// Look up an argument by key.
-    pub fn arg(&self, key: &str) -> Option<&ArgVal> {
-        self.args.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn arg_u64(&self, key: &str) -> Option<u64> {
-        self.arg(key).and_then(ArgVal::as_u64)
-    }
-
-    fn arg_str(&self, key: &str) -> Option<&str> {
-        self.arg(key).and_then(ArgVal::as_str)
-    }
-
-    /// Compact one-line rendering used in nonconformance reports.
-    pub fn render(&self) -> String {
-        let mut s = format!(
-            "{}ns {}/{} [{}]",
-            self.time_ns,
-            self.cat,
-            self.name,
-            self.kind.code()
-        );
-        for (k, v) in &self.args {
-            match v {
-                ArgVal::U64(n) => s.push_str(&format!(" {k}={n}")),
-                ArgVal::F64(f) => s.push_str(&format!(" {k}={f}")),
-                ArgVal::Str(t) => s.push_str(&format!(" {k}={t}")),
-            }
-        }
-        s
-    }
-}
-
-/// Convert a full simkit trace into the owned form the observer and the
-/// JSON artifact consume.
-pub fn raw_trace(events: &[TraceEvent]) -> Vec<RawEvent> {
-    events.iter().map(RawEvent::from_trace).collect()
+    s
 }
 
 // ---------------------------------------------------------------------------
@@ -334,6 +209,15 @@ pub struct Coverage {
 /// Render one edge key: `"<table>/<from> --<event>--> <to>"`.
 fn edge_key(table: &str, from: &str, ev: &str, to: &str) -> String {
     format!("{table}/{from} --{ev}--> {to}")
+}
+
+/// `s` as a quoted JSON string literal.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    simkit::escape_json(&mut out, s);
+    out.push('"');
+    out
 }
 
 /// The four shipped tables as `(machine, rows)`, each row its
@@ -609,7 +493,7 @@ fn keep<S>(cur: S, _from: S) -> S {
 fn on_transition<S: Named, E: Named>(
     tracker: &mut Tracker<S, E>,
     coverage: &mut Coverage,
-    ev: &RawEvent,
+    ev: &TraceEvent,
     next: impl Fn(S, E) -> Option<S>,
     rebase: impl Fn(S, S) -> S,
 ) -> Result<(), Nonconformance> {
@@ -623,15 +507,15 @@ fn on_transition<S: Named, E: Named>(
             suffix,
         })
     };
-    let id = labels.scope.map_or(Some(0), |key| ev.arg_u64(key));
+    let id = labels.scope.map_or(Some(0), |key| arg_u64(ev, key));
     let args = (
-        ev.arg_str("from"),
-        ev.arg_str(labels.event),
-        ev.arg_str("to"),
+        arg_str(ev, "from"),
+        arg_str(ev, labels.event),
+        arg_str(ev, "to"),
     );
     let (Some(id), (Some(from), Some(event), Some(to))) = (id, args) else {
-        let reason = format!("malformed {}: {}", labels.instant, ev.render());
-        return fail(String::new(), reason, vec![ev.render()]);
+        let reason = format!("malformed {}: {}", labels.instant, render(ev));
+        return fail(String::new(), reason, vec![render(ev)]);
     };
     let (Some(from), Some(event), Some(to)) =
         (S::from_name(from), E::from_name(event), S::from_name(to))
@@ -639,16 +523,16 @@ fn on_transition<S: Named, E: Named>(
         let reason = format!(
             "unknown {} state/event name: {}",
             labels.machine,
-            ev.render()
+            render(ev)
         );
-        return fail(String::new(), reason, vec![ev.render()]);
+        return fail(String::new(), reason, vec![render(ev)]);
     };
     let (f, e, t) = (from.name(), event.name(), to.name());
     let cur = tracker.cur.entry(id).or_insert(from);
     *cur = rebase(*cur, from);
     let cur = *cur;
     let hist = tracker.hist.entry(id).or_default();
-    hist.push((from, event, to, ev.render()));
+    hist.push((from, event, to, render(ev)));
     if cur != from || next(from, event) != Some(to) {
         let scope = labels
             .scope
@@ -684,7 +568,7 @@ struct CycleLog {
 }
 
 /// Online refinement observer: feed it a trace event at a time (or a
-/// whole trace via [`Observer::replay`]) and it replays the composed
+/// whole trace via [`observe_trace`]) and it replays the composed
 /// protoverify model alongside, rejecting the first event the model
 /// cannot derive.
 #[derive(Debug)]
@@ -697,7 +581,6 @@ pub struct Observer {
     next_seq: u64,
     wal: BTreeMap<u64, CycleLog>,
     last_epoch: u64,
-    events: usize,
     mapped: usize,
     coverage: Coverage,
 }
@@ -722,41 +605,15 @@ impl Observer {
             next_seq: 1,
             wal: BTreeMap::new(),
             last_epoch: 0,
-            events: 0,
             mapped: 0,
             coverage: Coverage::new(),
         }
     }
 
-    /// Edge coverage accumulated so far.
-    pub fn coverage(&self) -> &Coverage {
-        &self.coverage
-    }
-
-    /// Replay a whole trace, stopping at the first nonconformance.
-    pub fn replay(events: &[RawEvent]) -> ConformanceReport {
-        let mut obs = Observer::new();
-        let mut violation = None;
-        for (i, ev) in events.iter().enumerate() {
-            if let Err(mut v) = obs.observe(ev) {
-                v.index = i;
-                violation = Some(v);
-                break;
-            }
-        }
-        ConformanceReport {
-            events: events.len(),
-            mapped: obs.mapped,
-            violation,
-            coverage: obs.coverage,
-        }
-    }
-
     /// Observe one event. `Err` carries the nonconformance (with
-    /// `index` 0 — [`Observer::replay`] fills in the trace position).
-    pub fn observe(&mut self, ev: &RawEvent) -> Result<(), Nonconformance> {
-        self.events += 1;
-        let Some(edge) = classify(&ev.cat, &ev.name) else {
+    /// `index` 0 — [`observe_trace`] fills in the trace position).
+    pub fn observe(&mut self, ev: &TraceEvent) -> Result<(), Nonconformance> {
+        let Some(edge) = classify(ev.cat, &ev.name) else {
             return Ok(());
         };
         self.mapped += 1;
@@ -804,25 +661,26 @@ impl Observer {
         s
     }
 
-    fn on_wal_append(&mut self, ev: &RawEvent) -> Result<(), Nonconformance> {
-        let (Some(seq), Some(record), Some(cycle)) =
-            (ev.arg_u64("seq"), ev.arg_str("record"), ev.arg_u64("cycle"))
-        else {
+    fn on_wal_append(&mut self, ev: &TraceEvent) -> Result<(), Nonconformance> {
+        let (Some(seq), Some(record), Some(cycle)) = (
+            arg_u64(ev, "seq"),
+            arg_str(ev, "record"),
+            arg_u64(ev, "cycle"),
+        ) else {
             return self.fail(
                 "wal",
                 String::new(),
-                format!("malformed wal_append: {}", ev.render()),
-                vec![ev.render()],
+                format!("malformed wal_append: {}", render(ev)),
+                vec![render(ev)],
             );
         };
-        let record = record.to_string();
         if seq != self.next_seq {
             let exp = self.next_seq;
             return self.fail(
                 "wal",
                 format!("cycle {cycle}"),
                 format!("append seq {seq} out of order (expected {exp})"),
-                vec![ev.render()],
+                vec![render(ev)],
             );
         }
         self.next_seq += 1;
@@ -831,7 +689,7 @@ impl Observer {
         let scope = format!("cycle {cycle}");
         macro_rules! wal_fail {
             ($($msg:tt)*) => {{
-                let suffix = Observer::wal_suffix(log, &ev.render());
+                let suffix = Observer::wal_suffix(log, &render(ev));
                 let reason = format!($($msg)*);
                 return Err(Nonconformance {
                     index: 0,
@@ -845,7 +703,7 @@ impl Observer {
         if log.ended {
             wal_fail!("record {record} appended after cycle_end");
         }
-        match record.as_str() {
+        match record {
             "cycle_start" => {
                 if started {
                     wal_fail!("duplicate cycle_start");
@@ -861,7 +719,7 @@ impl Observer {
                 log.lease_acquired = true;
             }
             "phase_enter" => {
-                let Some(phase) = ev.arg_str("phase") else {
+                let Some(phase) = arg_str(ev, "phase") else {
                     wal_fail!("phase_enter without a phase argument");
                 };
                 let needs = match phase {
@@ -927,17 +785,17 @@ impl Observer {
                 wal_fail!("unknown WAL record {other}");
             }
         }
-        log.records.push(ev.render());
+        log.records.push(render(ev));
         Ok(())
     }
 
-    fn on_takeover(&mut self, ev: &RawEvent) -> Result<(), Nonconformance> {
-        let (Some(epoch), Some(cycle)) = (ev.arg_u64("epoch"), ev.arg_u64("cycle")) else {
+    fn on_takeover(&mut self, ev: &TraceEvent) -> Result<(), Nonconformance> {
+        let (Some(epoch), Some(cycle)) = (arg_u64(ev, "epoch"), arg_u64(ev, "cycle")) else {
             return self.fail(
                 "wal",
                 String::new(),
-                format!("malformed takeover: {}", ev.render()),
-                vec![ev.render()],
+                format!("malformed takeover: {}", render(ev)),
+                vec![render(ev)],
             );
         };
         if epoch <= self.last_epoch {
@@ -946,7 +804,7 @@ impl Observer {
                 "wal",
                 format!("cycle {cycle}"),
                 format!("takeover epoch {epoch} not greater than previous epoch {last}"),
-                vec![ev.render()],
+                vec![render(ev)],
             );
         }
         self.last_epoch = epoch;
@@ -959,35 +817,35 @@ impl Observer {
         Ok(())
     }
 
-    fn on_fenced(&mut self, ev: &RawEvent) -> Result<(), Nonconformance> {
+    fn on_fenced(&mut self, ev: &TraceEvent) -> Result<(), Nonconformance> {
         if self.last_epoch == 0 {
             return self.fail(
                 "fence",
                 "job".to_string(),
-                format!("fenced_publish before any takeover: {}", ev.render()),
-                vec![ev.render()],
+                format!("fenced_publish before any takeover: {}", render(ev)),
+                vec![render(ev)],
             );
         }
-        let epoch = ev.arg_u64("epoch").unwrap_or(u64::MAX);
+        let epoch = arg_u64(ev, "epoch").unwrap_or(u64::MAX);
         if epoch >= self.last_epoch {
             let last = self.last_epoch;
             return self.fail(
                 "fence",
                 "job".to_string(),
                 format!("fenced_publish for epoch {epoch} which is not stale (fence is {last})"),
-                vec![ev.render()],
+                vec![render(ev)],
             );
         }
         Ok(())
     }
 
-    fn on_image_ready(&mut self, ev: &RawEvent) -> Result<(), Nonconformance> {
-        let (Some(cycle), Some(rank)) = (ev.arg_u64("cycle"), ev.arg_u64("rank")) else {
+    fn on_image_ready(&mut self, ev: &TraceEvent) -> Result<(), Nonconformance> {
+        let (Some(cycle), Some(rank)) = (arg_u64(ev, "cycle"), arg_u64(ev, "rank")) else {
             return self.fail(
                 "pool",
                 String::new(),
-                format!("malformed rank_image_ready: {}", ev.render()),
-                vec![ev.render()],
+                format!("malformed rank_image_ready: {}", render(ev)),
+                vec![render(ev)],
             );
         };
         let Some(log) = self.wal.get_mut(&cycle) else {
@@ -995,20 +853,20 @@ impl Observer {
                 "pool",
                 format!("cycle {cycle}"),
                 "rank_image_ready for a cycle with no journal records".to_string(),
-                vec![ev.render()],
+                vec![render(ev)],
             );
         };
         log.images.insert(rank);
         Ok(())
     }
 
-    fn on_restart_begin(&mut self, ev: &RawEvent) -> Result<(), Nonconformance> {
-        let (Some(cycle), Some(rank)) = (ev.arg_u64("cycle"), ev.arg_u64("rank")) else {
+    fn on_restart_begin(&mut self, ev: &TraceEvent) -> Result<(), Nonconformance> {
+        let (Some(cycle), Some(rank)) = (arg_u64(ev, "cycle"), arg_u64(ev, "rank")) else {
             return self.fail(
                 "pool",
                 String::new(),
-                format!("malformed restart_begin: {}", ev.render()),
-                vec![ev.render()],
+                format!("malformed restart_begin: {}", render(ev)),
+                vec![render(ev)],
             );
         };
         let staged = self
@@ -1020,14 +878,14 @@ impl Observer {
                 "pool",
                 format!("cycle {cycle}"),
                 format!("restart_begin for rank {rank} before its image is staged"),
-                vec![ev.render()],
+                vec![render(ev)],
             );
         }
         Ok(())
     }
 
-    fn on_phase_span(&mut self, ev: &RawEvent) -> Result<(), Nonconformance> {
-        if ev.kind != RawKind::Begin {
+    fn on_phase_span(&mut self, ev: &TraceEvent) -> Result<(), Nonconformance> {
+        if ev.kind != EventKind::Begin {
             return Ok(());
         }
         // Only the four migration phases are journaled; other spans in
@@ -1039,12 +897,12 @@ impl Observer {
         ) {
             return Ok(());
         }
-        let Some(cycle) = ev.arg_u64("cycle") else {
+        let Some(cycle) = arg_u64(ev, "cycle") else {
             return self.fail(
                 "phase",
                 String::new(),
-                format!("phase span without a cycle argument: {}", ev.render()),
-                vec![ev.render()],
+                format!("phase span without a cycle argument: {}", render(ev)),
+                vec![render(ev)],
             );
         };
         // The pipelined data path legitimately opens the restart span
@@ -1061,385 +919,58 @@ impl Observer {
                 "phase",
                 format!("cycle {cycle}"),
                 format!("phase span {name} opened before its WAL phase_enter record"),
-                vec![ev.render()],
+                vec![render(ev)],
             );
         }
         Ok(())
     }
 }
 
-/// Replay a live simkit trace through the composed model — the
-/// convenience entry point test harnesses call after draining the
-/// tracer.
+/// Replay a simkit trace through the composed model, stopping at the
+/// first nonconformance — the entry point test harnesses call after
+/// draining the tracer.
 pub fn observe_trace(events: &[TraceEvent]) -> ConformanceReport {
-    Observer::replay(&raw_trace(events))
-}
-
-// ---------------------------------------------------------------------------
-// trace artifact: JSON writer (simkit's escaper) + minimal parser
-// ---------------------------------------------------------------------------
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    simkit::escape_json(&mut out, s);
-    out.push('"');
-    out
-}
-
-/// Serialize a trace to the `jobmig_trace/v1` JSON artifact consumed by
-/// `protoverify --conformance` / `--coverage`.
-pub fn trace_to_json(events: &[RawEvent]) -> String {
-    let mut out = String::from("{\"schema\": \"jobmig_trace/v1\", \"events\": [\n");
+    let mut obs = Observer::new();
+    let mut violation = None;
     for (i, ev) in events.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"t\": {}, \"cat\": {}, \"name\": {}, \"kind\": {}, \"args\": {{",
-            ev.time_ns,
-            json_string(&ev.cat),
-            json_string(&ev.name),
-            json_string(ev.kind.code()),
-        ));
-        for (j, (k, v)) in ev.args.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_string(k));
-            out.push_str(": ");
-            match v {
-                ArgVal::U64(n) => out.push_str(&n.to_string()),
-                ArgVal::F64(f) => out.push_str(&format!("{f:?}")),
-                ArgVal::Str(s) => out.push_str(&json_string(s)),
-            }
-        }
-        let comma = if i + 1 == events.len() { "" } else { "," };
-        out.push_str(&format!("}}}}{comma}\n"));
-    }
-    out.push_str("]}\n");
-    out
-}
-
-/// A malformed trace artifact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceParseError {
-    /// Byte offset where parsing failed.
-    pub at: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace artifact parse error at byte {}: {}",
-            self.at, self.message
-        )
-    }
-}
-
-/// Minimal JSON value for the artifact parser.
-enum JVal {
-    Null,
-    Bool,
-    Num(f64),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a JVal> {
-        match self {
-            JVal::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
+        if let Err(mut v) = obs.observe(ev) {
+            v.index = i;
+            violation = Some(v);
+            break;
         }
     }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JVal::Str(s) => Some(s),
-            _ => None,
-        }
+    ConformanceReport {
+        events: events.len(),
+        mapped: obs.mapped,
+        violation,
+        coverage: obs.coverage,
     }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            JVal::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct JParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JParser<'a> {
-    fn err<T>(&self, message: &str) -> Result<T, TraceParseError> {
-        Err(TraceParseError {
-            at: self.pos,
-            message: message.to_string(),
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), TraceParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected '{}'", b as char))
-        }
-    }
-
-    fn value(&mut self) -> Result<JVal, TraceParseError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b't') => self.literal("true", JVal::Bool),
-            Some(b'f') => self.literal("false", JVal::Bool),
-            Some(b'n') => self.literal("null", JVal::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => self.err("expected a JSON value"),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, val: JVal) -> Result<JVal, TraceParseError> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(val)
-        } else {
-            self.err(&format!("expected '{lit}'"))
-        }
-    }
-
-    fn number(&mut self) -> Result<JVal, TraceParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok();
-        match text.and_then(|t| t.parse::<f64>().ok()) {
-            Some(n) => Ok(JVal::Num(n)),
-            None => self.err("malformed number"),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, TraceParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return self.err("unterminated string");
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.bytes.get(self.pos) else {
-                        return self.err("unterminated escape");
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return self.err("truncated \\u escape");
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            self.pos += 4;
-                            match hex.and_then(char::from_u32) {
-                                Some(c) => out.push(c),
-                                None => return self.err("bad \\u escape"),
-                            }
-                        }
-                        _ => return self.err("unknown escape"),
-                    }
-                }
-                _ => {
-                    // Re-consume the full UTF-8 sequence starting here.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| {
-                        TraceParseError {
-                            at: self.pos,
-                            message: "invalid UTF-8".to_string(),
-                        }
-                    })?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JVal, TraceParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JVal::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JVal, TraceParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JVal::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JVal::Obj(fields));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-}
-
-/// Parse a `jobmig_trace/v1` JSON artifact back into events.
-pub fn parse_trace_json(text: &str) -> Result<Vec<RawEvent>, TraceParseError> {
-    let mut p = JParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let root = p.value()?;
-    let fail = |at: usize, m: &str| TraceParseError {
-        at,
-        message: m.to_string(),
-    };
-    match root.get("schema").and_then(JVal::as_str) {
-        Some("jobmig_trace/v1") => {}
-        Some(other) => return Err(fail(0, &format!("unsupported schema {other:?}"))),
-        None => return Err(fail(0, "missing schema field")),
-    }
-    let Some(JVal::Arr(items)) = root.get("events") else {
-        return Err(fail(0, "missing events array"));
-    };
-    let mut events = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let bad = |m: &str| fail(0, &format!("event #{i}: {m}"));
-        let time_ns = item
-            .get("t")
-            .and_then(JVal::as_num)
-            .ok_or_else(|| bad("missing t"))? as u64;
-        let cat = item
-            .get("cat")
-            .and_then(JVal::as_str)
-            .ok_or_else(|| bad("missing cat"))?
-            .to_string();
-        let name = item
-            .get("name")
-            .and_then(JVal::as_str)
-            .ok_or_else(|| bad("missing name"))?
-            .to_string();
-        let kind = item
-            .get("kind")
-            .and_then(JVal::as_str)
-            .and_then(RawKind::from_code)
-            .ok_or_else(|| bad("missing or unknown kind"))?;
-        let mut args = Vec::new();
-        if let Some(JVal::Obj(fields)) = item.get("args") {
-            for (k, v) in fields {
-                let v = match v {
-                    JVal::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
-                        ArgVal::U64(*n as u64)
-                    }
-                    JVal::Num(n) => ArgVal::F64(*n),
-                    JVal::Str(s) => ArgVal::Str(s.clone()),
-                    _ => return Err(bad("argument values must be numbers or strings")),
-                };
-                args.push((k.clone(), v));
-            }
-        }
-        events.push(RawEvent {
-            time_ns,
-            cat,
-            name,
-            kind,
-            args,
-        });
-    }
-    Ok(events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::{Args, SimTime};
 
-    fn instant(cat: &str, name: &str, args: Vec<(&str, ArgVal)>) -> RawEvent {
-        RawEvent {
-            time_ns: 0,
-            cat: cat.to_string(),
+    fn instant(cat: &'static str, name: &str, args: Args) -> TraceEvent {
+        TraceEvent {
+            time: SimTime::ZERO,
+            pid: None,
+            cat,
             name: name.to_string(),
-            kind: RawKind::Instant,
-            args: args.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            kind: EventKind::Instant,
+            args,
         }
     }
 
-    fn cycle_ev(from: &str, event: &str, to: &str) -> RawEvent {
+    fn cycle_ev(from: &str, event: &str, to: &str) -> TraceEvent {
         instant(
             "proto",
             "cycle_transition",
             vec![
-                ("from", ArgVal::Str(from.to_string())),
-                ("event", ArgVal::Str(event.to_string())),
-                ("to", ArgVal::Str(to.to_string())),
+                ("from", from.into()),
+                ("event", event.into()),
+                ("to", to.into()),
             ],
         )
     }
@@ -1453,7 +984,7 @@ mod tests {
             cycle_ev("restart", "restart_done", "resume"),
             cycle_ev("resume", "resume_done", "complete"),
         ];
-        let report = Observer::replay(&trace);
+        let report = observe_trace(&trace);
         assert!(report.is_conformant(), "{:?}", report.violation);
         assert_eq!(report.mapped, 5);
         assert_eq!(report.coverage.count("cycle/idle --trigger--> stall"), 1);
@@ -1466,14 +997,15 @@ mod tests {
             // Jump straight to restart: not derivable from Stall.
             cycle_ev("stall", "migrate_done", "restart"),
         ];
-        let report = Observer::replay(&trace);
+        let report = observe_trace(&trace);
         let v = report.violation.expect("must be nonconforming");
         assert_eq!(v.machine, "cycle");
         assert_eq!(v.index, 1);
         // The offending edge alone is already underivable (no table row
         // stall --migrate_done--> restart from ANY state), so the
         // shortest suffix is exactly one event.
-        assert_eq!(v.suffix.len(), 1);
+        let line = "0ns proto/cycle_transition [I] from=stall event=migrate_done to=restart";
+        assert_eq!(v.suffix, [line]);
     }
 
     #[test]
@@ -1485,7 +1017,7 @@ mod tests {
             // event to show the contradiction.
             cycle_ev("migrate", "migrate_done", "restart"),
         ];
-        let report = Observer::replay(&trace);
+        let report = observe_trace(&trace);
         let v = report.violation.expect("must be nonconforming");
         assert_eq!(v.machine, "cycle");
         assert_eq!(v.suffix.len(), 2, "suffix: {:#?}", v.suffix);
@@ -1503,7 +1035,7 @@ mod tests {
             cycle_ev("restart", "restart_done", "resume"),
             cycle_ev("resume", "resume_done", "complete"),
         ];
-        let report = Observer::replay(&trace);
+        let report = observe_trace(&trace);
         assert!(report.is_conformant(), "{:?}", report.violation);
         assert_eq!(
             report
@@ -1524,7 +1056,7 @@ mod tests {
             cycle_ev("precopy", "fallback_stopcopy", "stall"),
             cycle_ev("stall", "stall_done", "migrate"),
         ];
-        assert!(Observer::replay(&trace).is_conformant());
+        assert!(observe_trace(&trace).is_conformant());
     }
 
     #[test]
@@ -1533,7 +1065,7 @@ mod tests {
             cycle_ev("idle", "trigger", "stall"),
             cycle_ev("precopy", "cutover", "stall"),
         ];
-        let v = Observer::replay(&trace).violation.expect("nonconforming");
+        let v = observe_trace(&trace).violation.expect("nonconforming");
         assert_eq!(v.machine, "cycle");
     }
 
@@ -1544,14 +1076,14 @@ mod tests {
                 "wal",
                 "wal_append",
                 vec![
-                    ("seq", ArgVal::U64(seq)),
-                    ("record", ArgVal::Str(record.to_string())),
-                    ("cycle", ArgVal::U64(1)),
+                    ("seq", seq.into()),
+                    ("record", record.into()),
+                    ("cycle", 1u64.into()),
                 ],
             )
         };
         let trace = vec![wal(1, "cycle_start"), wal(2, "precopy_round")];
-        let v = Observer::replay(&trace).violation.expect("nonconforming");
+        let v = observe_trace(&trace).violation.expect("nonconforming");
         assert_eq!(v.machine, "wal");
         assert!(v.reason.contains("precopy_round"), "{}", v.reason);
     }
@@ -1566,7 +1098,7 @@ mod tests {
             cycle_ev("resume", "resume_done", "complete"),
             cycle_ev("idle", "trigger", "stall"),
         ];
-        assert!(Observer::replay(&trace).is_conformant());
+        assert!(observe_trace(&trace).is_conformant());
     }
 
     #[test]
@@ -1576,14 +1108,14 @@ mod tests {
                 "wal",
                 "wal_append",
                 vec![
-                    ("seq", ArgVal::U64(seq)),
-                    ("record", ArgVal::Str(record.to_string())),
-                    ("cycle", ArgVal::U64(1)),
+                    ("seq", seq.into()),
+                    ("record", record.into()),
+                    ("cycle", 1u64.into()),
                 ],
             )
         };
         let trace = vec![wal(1, "cycle_start"), wal(2, "commit_point")];
-        let report = Observer::replay(&trace);
+        let report = observe_trace(&trace);
         let v = report.violation.expect("must be nonconforming");
         assert_eq!(v.machine, "wal");
         assert!(v.reason.contains("commit_point"), "{}", v.reason);
@@ -1596,14 +1128,14 @@ mod tests {
                 "wal",
                 "wal_append",
                 vec![
-                    ("seq", ArgVal::U64(seq)),
-                    ("record", ArgVal::Str(record.to_string())),
-                    ("cycle", ArgVal::U64(1)),
+                    ("seq", seq.into()),
+                    ("record", record.into()),
+                    ("cycle", 1u64.into()),
                 ],
             )
         };
         let trace = vec![wal(1, "cycle_start"), wal(3, "lease_acquire")];
-        let v = Observer::replay(&trace).violation.expect("nonconforming");
+        let v = observe_trace(&trace).violation.expect("nonconforming");
         assert!(v.reason.contains("out of order"), "{}", v.reason);
     }
 
@@ -1613,24 +1145,29 @@ mod tests {
             "wal",
             "fenced_publish",
             vec![
-                ("name", ArgVal::Str("FTB_MIGRATE".to_string())),
-                ("cycle", ArgVal::U64(1)),
-                ("epoch", ArgVal::U64(0)),
+                ("name", "FTB_MIGRATE".into()),
+                ("cycle", 1u64.into()),
+                ("epoch", 0u64.into()),
             ],
         )];
-        let v = Observer::replay(&trace).violation.expect("nonconforming");
+        let v = observe_trace(&trace).violation.expect("nonconforming");
         assert_eq!(v.machine, "fence");
     }
 
-    fn edge_ev(name: &str, scope: (&str, u64), keys: [&str; 3], names: [&str; 3]) -> RawEvent {
-        let mut args = vec![(scope.0, ArgVal::U64(scope.1))];
+    fn edge_ev(
+        name: &str,
+        scope: (&'static str, u64),
+        keys: [&'static str; 3],
+        names: [&str; 3],
+    ) -> TraceEvent {
+        let mut args = vec![(scope.0, scope.1.into())];
         for (k, v) in keys.into_iter().zip(names) {
-            args.push((k, ArgVal::Str(v.to_string())));
+            args.push((k, v.into()));
         }
         instant("proto", name, args)
     }
 
-    fn rank_ev(rank: u64, from: &str, event: &str, to: &str) -> RawEvent {
+    fn rank_ev(rank: u64, from: &str, event: &str, to: &str) -> TraceEvent {
         let keys = ["from", "event", "to"];
         edge_ev("rank_transition", ("rank", rank), keys, [from, event, to])
     }
@@ -1642,7 +1179,7 @@ mod tests {
             // A real row, but rank 3 is already suspended in the model.
             rank_ev(3, "running", "suspend", "suspended"),
         ];
-        let v = Observer::replay(&trace).violation.expect("nonconforming");
+        let v = observe_trace(&trace).violation.expect("nonconforming");
         assert_eq!(
             (v.machine, v.scope.as_str(), v.index),
             ("rank", "rank 3", 1)
@@ -1656,7 +1193,7 @@ mod tests {
         let keys = ["from", "event", "to"];
         let names = ["MIGRATION_SPARE", "source_drained", "MIGRATION_INACTIVE"];
         let trace = vec![edge_ev("nla_transition", ("node", 5), keys, names)];
-        let v = Observer::replay(&trace).violation.expect("nonconforming");
+        let v = observe_trace(&trace).violation.expect("nonconforming");
         assert_eq!((v.machine, v.scope.as_str()), ("nla", "node 5"));
         assert_eq!(v.suffix.len(), 1);
     }
@@ -1666,12 +1203,12 @@ mod tests {
         let keys = ["from", "on", "to"];
         let link = |names| edge_ev("link_transition", ("node", 2), keys, names);
         let ok = vec![link(["Attached", "AckGrandparent", "AttachedWithFallback"])];
-        let report = Observer::replay(&ok);
+        let report = observe_trace(&ok);
         assert!(report.is_conformant(), "{:?}", report.violation);
         let key = "link/Attached --AckGrandparent--> AttachedWithFallback";
         assert_eq!(report.coverage.count(key), 1);
         // The root reacts to nothing.
-        let v = Observer::replay(&[link(["Root", "ParentLost", "Root"])])
+        let v = observe_trace(&[link(["Root", "ParentLost", "Root"])])
             .violation
             .expect("nonconforming");
         assert_eq!((v.machine, v.scope.as_str()), ("link", "node 2"));
@@ -1679,7 +1216,7 @@ mod tests {
 
     #[test]
     fn unknown_state_name_is_rejected() {
-        let v = Observer::replay(&[rank_ev(0, "sleeping", "resume", "running")])
+        let v = observe_trace(&[rank_ev(0, "sleeping", "resume", "running")])
             .violation
             .expect("nonconforming");
         assert_eq!(v.machine, "rank");
@@ -1694,36 +1231,6 @@ mod tests {
             + RANK_TABLE.len()
             + LINK_TABLE.len();
         assert_eq!(Coverage::universe().len(), total);
-    }
-
-    #[test]
-    fn trace_json_round_trips() {
-        let trace = vec![
-            cycle_ev("idle", "trigger", "stall"),
-            RawEvent {
-                time_ns: 42,
-                cat: "pool".to_string(),
-                name: "free_slots".to_string(),
-                kind: RawKind::Counter,
-                args: vec![
-                    ("value".to_string(), ArgVal::F64(3.5)),
-                    (
-                        "label".to_string(),
-                        ArgVal::Str("a \"quoted\"\nline".to_string()),
-                    ),
-                    ("n".to_string(), ArgVal::U64(7)),
-                ],
-            },
-        ];
-        let json = trace_to_json(&trace);
-        let back = parse_trace_json(&json).expect("round trip");
-        assert_eq!(back.len(), trace.len());
-        assert_eq!(back[0].cat, "proto");
-        assert_eq!(back[0].arg_str("event"), Some("trigger"));
-        assert_eq!(back[1].kind, RawKind::Counter);
-        assert_eq!(back[1].arg_u64("n"), Some(7));
-        assert_eq!(back[1].arg_str("label"), Some("a \"quoted\"\nline"));
-        assert_eq!(back[1].time_ns, 42);
     }
 
     #[test]

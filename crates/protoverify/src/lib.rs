@@ -32,13 +32,17 @@
 //!   only rolls forward);
 //! * **single-lease-holder** — the takeover's fencing epoch keeps a
 //!   deposed coordinator's stale writes from ever creating a second
-//!   lease holder for the job's spare.
+//!   lease holder for the job's spare;
+//! * **no-lost-dirty-segment** — a live migration never completes while
+//!   segments dirtied after the last pre-copy round are missing from the
+//!   target's image.
 //!
 //! Violations come back as a minimal trace that lowers to a concrete
 //! [`faultplane::FaultPlan`] for replay in the simulator.
 //!
-//! Run the checker over the shipped tables with
-//! `cargo run -p protoverify`.
+//! The root package's `tests/model_check.rs` runs the checker over the
+//! shipped tables (a grid of spare-pool sizes and retry budgets, plus the
+//! fleet grid below) as part of `cargo test`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -61,9 +65,8 @@ pub mod model;
 pub mod spec;
 
 pub use confcheck::{
-    classify, observe_trace, parse_trace_json, raw_trace, trace_to_json, ArgVal, ConformanceReport,
-    Coverage, EdgeKind, EventRule, Nonconformance, Observer, RawEvent, RawKind, TraceParseError,
-    EVENT_EDGE_TABLE,
+    classify, observe_trace, ConformanceReport, Coverage, EdgeKind, EventRule, Nonconformance,
+    Observer, EVENT_EDGE_TABLE,
 };
 pub use fleet::{
     check_fleet, FleetConfig, FleetEvent, FleetJob, FleetMutation, FleetNode, FleetReport,

@@ -118,25 +118,31 @@ pub struct TraceDigest {
     pub events: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// FNV-1a-64 offset basis: the hash of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Fold `bytes` into the running FNV-1a-64 hash `h` (start from
+/// [`FNV1A_OFFSET`]). The workspace's one FNV-1a: the trace digest, the
+/// WAL frame checksum and the fleet soak's render digest all call it.
+#[inline]
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV1A_PRIME))
+}
 
 impl TraceDigest {
     fn new() -> Self {
         TraceDigest {
-            hash: FNV_OFFSET,
+            hash: FNV1A_OFFSET,
             events: 0,
         }
     }
 
     #[inline]
     fn fold_bytes(&mut self, bytes: &[u8]) {
-        let mut h = self.hash;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.hash = h;
+        self.hash = fnv1a(self.hash, bytes);
     }
 
     fn fold_event(&mut self, ev: &TraceEvent) {
@@ -189,8 +195,8 @@ impl TraceDigest {
 /// the surrounding quotes: quotes and backslashes are backslash-escaped,
 /// newline, carriage return and tab by name, other control characters as
 /// `\u00XX`. The workspace's one JSON string escaper: telemetry's chrome
-/// export and `Json` builder and protoverify's trace artifacts all call
-/// it, so a trace string escapes the same way in every file format.
+/// export and `Json` builder and protoverify's coverage report all call
+/// it, so a string escapes the same way in every file format.
 pub fn escape_json(out: &mut String, s: &str) {
     use std::fmt::Write as _;
     for c in s.chars() {
