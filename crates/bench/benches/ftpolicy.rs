@@ -1,80 +1,44 @@
-//! Future-work experiment: proactive migration prolongs the interval
-//! between full job-wide checkpoints (the paper's closing argument,
-//! §I and §VI).
+//! FT policy study: proactive migration prolongs the interval between
+//! full job-wide checkpoints (the paper's closing argument, §I and §VI).
 //!
-//! Three policies handle the same failure trace for LU.C.64 (two node
-//! failures, both predictable by the health monitor ~60 s in advance;
-//! crashes pay a 120 s resubmission-queue delay):
+//! One slot of LU.C.64 runs for 15 simulated minutes on the fleet
+//! engine against two predictable node deaths (crashes pay a 120 s
+//! resubmission-queue delay), under three policies:
 //!
-//! A. CR-only, 60 s checkpoint interval — predictions wasted, every
-//!    failure is a crash + rollback.
-//! B. CR-only, 120 s interval — fewer checkpoints, but crashes lose more
-//!    work.
-//! C. CR at 120 s *plus* proactive migration — predictions handled by
-//!    migration; checkpoints remain only as a safety net.
+//! * checkpoint-only at a 60 s interval: predictions are ignored, every
+//!   death is a crash and a rollback to the last checkpoint;
+//! * checkpoint-only at 120 s: half the checkpoints, more work lost per
+//!   crash;
+//! * proactive migration with the 120 s cadence kept as a safety net:
+//!   predicted deaths are dodged by migrating off the sick node.
 
-use jobmig_bench::ftpolicy::{run_scenario, Failure, Scenario};
-use std::time::Duration;
+use jobmig_bench::{ftpolicy_study, ftpolicy_table};
 
 fn main() {
-    let failures = vec![
-        Failure {
-            at: Duration::from_secs(50),
-            predicted: true,
-        },
-        Failure {
-            at: Duration::from_secs(110),
-            predicted: true,
-        },
-    ];
-    let queue_delay = Duration::from_secs(120);
-
-    let a = run_scenario(&Scenario {
-        ckpt_interval: Duration::from_secs(60),
-        failures: failures.clone(),
-        queue_delay,
-        migrate_on_prediction: false,
-    });
-    let b = run_scenario(&Scenario {
-        ckpt_interval: Duration::from_secs(120),
-        failures: failures.clone(),
-        queue_delay,
-        migrate_on_prediction: false,
-    });
-    let c = run_scenario(&Scenario {
-        ckpt_interval: Duration::from_secs(120),
-        failures,
-        queue_delay,
-        migrate_on_prediction: true,
-    });
-
-    println!("FT policy study: LU.C.64, two predictable node failures, 120 s queue delay");
-    println!(
-        "{:<44} {:>10} {:>6} {:>5} {:>5}",
-        "policy", "completion", "ckpts", "migr", "rollb"
+    println!("FT policy study: LU.C.64, two predictable node deaths, 120 s queue delay, 15 min");
+    let rows = ftpolicy_study();
+    print!("{}", ftpolicy_table(&rows));
+    let [cr_t, cr_2t, (_, p)] = &rows;
+    assert_eq!(p.crashes, 0, "proactive migration must dodge both deaths");
+    assert!(
+        p.outcomes.migrated + p.outcomes.migrated_after_retry > 0,
+        "proactive never migrated"
     );
-    for (name, o) in [
-        ("A: CR-only, 60 s interval", &a),
-        ("B: CR-only, 120 s interval", &b),
-        ("C: CR 120 s + proactive migration", &c),
-    ] {
-        println!(
-            "{:<44} {:>9.1}s {:>6} {:>5} {:>5}",
-            name,
-            o.completion.as_secs_f64(),
-            o.checkpoints,
-            o.migrations,
-            o.rollbacks
+    for (label, cr) in [cr_t, cr_2t] {
+        assert!(cr.crashes > 0, "{label}: the deaths never fired");
+        assert!(
+            p.work_lost < cr.work_lost,
+            "proactive lost {:?}, {label} lost {:?}",
+            p.work_lost,
+            cr.work_lost
         );
     }
-    assert_eq!(c.rollbacks, 0, "predictions handled proactively");
-    assert!(
-        c.completion < a.completion && c.completion < b.completion,
-        "migration + longer checkpoint interval must win"
-    );
     println!(
-        "\nmigration lets the 2x-longer checkpoint interval win: C beats A by {:.0} s and B by {:.0} s",
-        a.completion.as_secs_f64() - c.completion.as_secs_f64(),
-        b.completion.as_secs_f64() - c.completion.as_secs_f64()
+        "\nmigration lets the 2x-longer checkpoint interval win: {:.0} s lost vs {:.0} s ({}) and {:.0} s ({})",
+        p.work_lost.as_secs_f64(),
+        cr_t.1.work_lost.as_secs_f64(),
+        cr_t.0,
+        cr_2t.1.work_lost.as_secs_f64(),
+        cr_2t.0,
     );
 }

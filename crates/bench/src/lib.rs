@@ -7,8 +7,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod ftpolicy;
-
 use jobmig_core::bufpool::{PoolConfig, RestartMode, Transport};
 use jobmig_core::prelude::*;
 use jobmig_core::report::CrStoreKind;
@@ -381,6 +379,68 @@ pub fn fleet_soak() -> fleetsched::SoakReport {
         &fleetsched::FleetConfig::soak(SEED),
         &fleetsched::PolicyKind::ALL,
     )
+}
+
+// ---------------------------------------------------------------------------
+// FT policy study — the paper's closing claim (§VI) on the fleet engine
+// ---------------------------------------------------------------------------
+
+/// The FT policy study: whether migration lets the full-checkpoint
+/// interval be prolonged ("prolonging the interval between full job-wide
+/// checkpoints", §VI). One slot of LU.C.64 (8 nodes × 8 ppn, seed 777)
+/// runs over a fixed horizon against an explicit plan of two predictable
+/// node deaths on the slot's nodes. Three fleet runs share that plan:
+/// checkpoint-only at 60 s, checkpoint-only at 120 s, and proactive
+/// migration with the 120 s checkpoint cadence kept as a safety net.
+/// Returns each run's row label with its statistics, in that order.
+pub fn ftpolicy_study() -> [(&'static str, fleetsched::PolicyStats); 3] {
+    use fleetsched::{DoomPlan, NodeDoom, PolicyKind};
+    let mut cfg = fleetsched::FleetConfig::soak(777);
+    cfg.slots = 1;
+    cfg.nodes_per_slot = 8;
+    cfg.ppn = 8;
+    cfg.spares = 2;
+    cfg.workload = Workload::new(NpbApp::Lu, NpbClass::C, 64);
+    cfg.horizon = Duration::from_secs(900);
+    let doom = |node, onset| NodeDoom {
+        node: ibfabric::NodeId(node),
+        onset: Duration::from_secs(onset),
+        predictable: true,
+        repair_after: Duration::from_secs(60),
+    };
+    let plan = DoomPlan {
+        seed: 0,
+        dooms: vec![doom(3, 30), doom(6, 200)],
+    };
+    [
+        ("periodic_cr, 60 s", 60, PolicyKind::PeriodicCr),
+        ("periodic_cr, 120 s", 120, PolicyKind::PeriodicCr),
+        ("proactive, 120 s", 120, PolicyKind::Proactive),
+    ]
+    .map(|(label, period, policy)| {
+        cfg.ckpt_period = Duration::from_secs(period);
+        (label, fleetsched::run_policy_with_plan(&cfg, policy, &plan))
+    })
+}
+
+/// The FT policy study as a table, one row per run.
+pub fn ftpolicy_table(rows: &[(&str, fleetsched::PolicyStats)]) -> String {
+    let mut out = format!(
+        "{:<20} {:>5} {:>12} {:>8} {:>9} {:>6}\n",
+        "policy", "jobs", "work_lost_s", "crashes", "migrated", "ckpts"
+    );
+    for (label, s) in rows {
+        out.push_str(&format!(
+            "{:<20} {:>5} {:>12.1} {:>8} {:>9} {:>6}\n",
+            label,
+            s.jobs_completed,
+            s.work_lost.as_secs_f64(),
+            s.crashes,
+            s.outcomes.migrated + s.outcomes.migrated_after_retry,
+            s.checkpoints,
+        ));
+    }
+    out
 }
 
 /// Write `doc` as `BENCH_<name>.json`. Emission is opt-in through the

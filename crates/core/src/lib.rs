@@ -62,9 +62,7 @@ pub mod prelude {
         MigrationTuning, Placement,
     };
     pub use crate::spare::{SparePool, SparePoolStats};
-    pub use crate::wal::{
-        decode_log, encode_log, CycleJournal, InFlight, WalEntry, WalRecord, WalVerifyError,
-    };
+    pub use crate::wal::{CycleJournal, InFlight, WalEntry, WalRecord, WalVerifyError};
     pub use faultplane::{
         FaultPlan, FaultPlane, FaultSpec, MigPhase, NetSel, StoreFault, WalPoint,
     };

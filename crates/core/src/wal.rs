@@ -254,77 +254,6 @@ impl WalRecord {
             }
         }
     }
-
-    /// Decode one canonical encoding produced by [`WalRecord::encode`].
-    /// `None` means the bytes are not a well-formed record (bad tag,
-    /// short fields, trailing garbage).
-    fn decode(buf: &[u8]) -> Option<WalRecord> {
-        fn u64_at(buf: &[u8], at: usize) -> Option<u64> {
-            Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
-        }
-        let tag = *buf.first()?;
-        let rec = match tag {
-            1 => WalRecord::CycleStart {
-                cycle: u64_at(buf, 1)?,
-                source: NodeId(u32::try_from(u64_at(buf, 9)?).ok()?),
-                attempt: u32::try_from(u64_at(buf, 17)?).ok()?,
-            },
-            2 => WalRecord::LeaseAcquire {
-                cycle: u64_at(buf, 1)?,
-                node: NodeId(u32::try_from(u64_at(buf, 9)?).ok()?),
-                epoch: u64_at(buf, 17)?,
-            },
-            3 => WalRecord::PhaseEnter {
-                cycle: u64_at(buf, 1)?,
-                phase: match buf.get(9)? {
-                    1 => MigPhase::Stall,
-                    2 => MigPhase::Migrate,
-                    3 => MigPhase::Restart,
-                    4 => MigPhase::Resume,
-                    5 => MigPhase::Precopy,
-                    _ => return None,
-                },
-            },
-            4 => WalRecord::RankImageReady {
-                cycle: u64_at(buf, 1)?,
-                rank: u32::try_from(u64_at(buf, 9)?).ok()?,
-            },
-            5 => WalRecord::NlaRewire {
-                cycle: u64_at(buf, 1)?,
-                target: NodeId(u32::try_from(u64_at(buf, 9)?).ok()?),
-            },
-            6 => WalRecord::RankRestarted {
-                cycle: u64_at(buf, 1)?,
-                rank: u32::try_from(u64_at(buf, 9)?).ok()?,
-            },
-            7 => WalRecord::CommitPoint {
-                cycle: u64_at(buf, 1)?,
-            },
-            8 => WalRecord::LeaseCommit {
-                cycle: u64_at(buf, 1)?,
-                node: NodeId(u32::try_from(u64_at(buf, 9)?).ok()?),
-                epoch: u64_at(buf, 17)?,
-            },
-            9 => WalRecord::Rollback {
-                cycle: u64_at(buf, 1)?,
-            },
-            10 => WalRecord::CycleEnd {
-                cycle: u64_at(buf, 1)?,
-            },
-            11 => WalRecord::PrecopyRound {
-                cycle: u64_at(buf, 1)?,
-                round: u32::try_from(u64_at(buf, 9)?).ok()?,
-                bytes: u64_at(buf, 17)?,
-            },
-            _ => return None,
-        };
-        // The encoding is canonical: trailing bytes mean the frame's
-        // length field lied, which a checksum over the true payload
-        // would not catch.
-        let mut canon = Vec::with_capacity(buf.len());
-        rec.encode(&mut canon);
-        (canon.len() == buf.len()).then_some(rec)
-    }
 }
 
 impl fmt::Display for WalRecord {
@@ -362,25 +291,11 @@ impl WalEntry {
     pub fn verify(&self) -> bool {
         frame(self.seq, &self.record).checksum == self.checksum
     }
-
-    /// Serialize the entry to its on-disk frame: `seq` (u64 LE),
-    /// `checksum` (u64 LE), payload length (u32 LE), payload (the
-    /// record's canonical encoding: a tag byte, then every field LE).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(32);
-        self.record.encode(&mut payload);
-        let mut out = Vec::with_capacity(20 + payload.len());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.checksum.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
-    }
 }
 
-/// A journal that fails verification. Every way a serialized or
-/// in-memory log can be bad maps to one typed variant — corruption is a
-/// *condition* recovery code branches on, never a panic.
+/// A journal that fails verification. Every way the entry chain can be
+/// bad maps to one typed variant — corruption is a *condition* recovery
+/// code branches on, never a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalVerifyError {
     /// An entry's checksum does not match its content.
@@ -395,17 +310,6 @@ pub enum WalVerifyError {
         /// Sequence number the chain requires at that position.
         expected: u64,
     },
-    /// A serialized log ends mid-frame: the final record was cut short
-    /// (torn write).
-    TruncatedTail {
-        /// Byte offset where the truncated frame starts.
-        offset: usize,
-    },
-    /// A frame's payload is not a well-formed record encoding.
-    BadRecord {
-        /// Sequence number of the malformed entry.
-        seq: u64,
-    },
 }
 
 impl fmt::Display for WalVerifyError {
@@ -415,10 +319,6 @@ impl fmt::Display for WalVerifyError {
             WalVerifyError::OutOfOrder { seq, expected } => {
                 write!(f, "out-of-order seq {seq} (chain requires {expected})")
             }
-            WalVerifyError::TruncatedTail { offset } => {
-                write!(f, "truncated tail record at byte offset {offset}")
-            }
-            WalVerifyError::BadRecord { seq } => write!(f, "malformed record at seq {seq}"),
         }
     }
 }
@@ -426,8 +326,7 @@ impl fmt::Display for WalVerifyError {
 impl std::error::Error for WalVerifyError {}
 
 /// Verify an entry chain: dense 1-based sequence numbers and intact
-/// checksums. Shared by [`CycleJournal::verify`] (in-memory) and
-/// [`decode_log`] (serialized).
+/// checksums.
 fn verify_chain(entries: &[WalEntry]) -> Result<(), WalVerifyError> {
     for (i, e) in entries.iter().enumerate() {
         let expected = i as u64 + 1;
@@ -442,45 +341,6 @@ fn verify_chain(entries: &[WalEntry]) -> Result<(), WalVerifyError> {
         }
     }
     Ok(())
-}
-
-/// Serialize a snapshot of journal entries to one contiguous byte log
-/// (concatenated [`WalEntry::to_bytes`] frames).
-pub fn encode_log(entries: &[WalEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for e in entries {
-        out.extend_from_slice(&e.to_bytes());
-    }
-    out
-}
-
-/// Decode and fully verify a serialized log: frame structure, record
-/// encoding, checksum chain, and sequence order. Every failure mode is a
-/// typed [`WalVerifyError`]; malformed input never panics.
-pub fn decode_log(bytes: &[u8]) -> Result<Vec<WalEntry>, WalVerifyError> {
-    let mut entries = Vec::new();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        let frame_start = at;
-        let truncated = WalVerifyError::TruncatedTail {
-            offset: frame_start,
-        };
-        let header = bytes.get(at..at + 20).ok_or(truncated)?;
-        let seq = u64::from_le_bytes(header[0..8].try_into().unwrap());
-        let checksum = u64::from_le_bytes(header[8..16].try_into().unwrap());
-        let len = u32::from_le_bytes(header[16..20].try_into().unwrap()) as usize;
-        at += 20;
-        let payload = bytes.get(at..at + len).ok_or(truncated)?;
-        at += len;
-        let record = WalRecord::decode(payload).ok_or(WalVerifyError::BadRecord { seq })?;
-        entries.push(WalEntry {
-            seq,
-            record,
-            checksum,
-        });
-    }
-    verify_chain(&entries)?;
-    Ok(entries)
 }
 
 /// What the journal tail says about the newest cycle, computed by
@@ -641,12 +501,6 @@ impl CycleJournal {
     /// [`WalVerifyError`].
     pub fn verify(&self) -> Result<(), WalVerifyError> {
         verify_chain(&self.inner.state.lock().entries)
-    }
-
-    /// Serialize a snapshot of the journal (see [`encode_log`] /
-    /// [`decode_log`] for the byte format and the verifying reader).
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        encode_log(&self.inner.state.lock().entries)
     }
 
     /// Replay the tail since the last `CycleEnd` and report the in-flight
@@ -839,7 +693,7 @@ mod tests {
     }
 
     /// A journal with a few records of every shape, for the
-    /// serialization edge-case tests.
+    /// verification edge-case tests.
     fn populated() -> CycleJournal {
         let j = journal();
         j.append(WalRecord::CycleStart {
@@ -862,57 +716,23 @@ mod tests {
     }
 
     #[test]
-    fn serialized_log_round_trips() {
-        let j = populated();
-        let bytes = j.snapshot_bytes();
-        let back = decode_log(&bytes).expect("intact log decodes");
-        assert_eq!(back, j.entries());
-    }
-
-    #[test]
-    fn truncated_tail_record_is_a_typed_error() {
-        let j = populated();
-        let bytes = j.snapshot_bytes();
-        // Cut the final frame short at every possible byte boundary:
-        // each torn write must decode to TruncatedTail, never panic.
-        let tail_start = encode_log(&j.entries()[..j.entries().len() - 1]).len();
-        for cut in tail_start + 1..bytes.len() {
-            match decode_log(&bytes[..cut]) {
-                Err(WalVerifyError::TruncatedTail { offset }) => {
-                    assert_eq!(offset, tail_start, "cut at {cut}")
-                }
-                other => panic!("cut at {cut}: expected TruncatedTail, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn flipped_checksum_byte_is_a_typed_error() {
         let j = populated();
-        let clean = j.snapshot_bytes();
-        // Flip one bit in every byte of the log in turn. Whatever the
-        // byte encodes — seq, checksum, length, payload — the reader
-        // must answer with a typed error or a differing entry, not a
-        // panic. Flips confined to an entry's payload or checksum field
-        // must surface as Corrupt/BadRecord for that entry.
-        let first_len = j.entries()[0].to_bytes().len();
-        for at in 0..clean.len() {
-            let mut bytes = clean.clone();
-            bytes[at] ^= 0x40;
-            let _ = decode_log(&bytes); // must not panic, any result
-        }
-        // Precisely: a payload flip in entry 1 is caught by its checksum.
-        let mut bytes = clean.clone();
-        bytes[first_len - 1] ^= 0x01; // last payload byte of entry 1
-        match decode_log(&bytes) {
-            Err(WalVerifyError::Corrupt { seq: 1 }) | Err(WalVerifyError::BadRecord { seq: 1 }) => {
-            }
-            other => panic!("expected Corrupt/BadRecord at seq 1, got {other:?}"),
-        }
-        // And a flip in the stored checksum itself is Corrupt, too.
-        let mut bytes = clean;
-        bytes[8] ^= 0x01; // checksum field of entry 1
-        assert_eq!(decode_log(&bytes), Err(WalVerifyError::Corrupt { seq: 1 }));
+        // A flip in a stored checksum is Corrupt for that entry.
+        let mut entries = j.entries();
+        entries[0].checksum ^= 0x01;
+        assert_eq!(
+            verify_chain(&entries),
+            Err(WalVerifyError::Corrupt { seq: 1 })
+        );
+        // So is a record changed after append: the checksum covers it.
+        let mut entries = j.entries();
+        entries[3].record = WalRecord::RankImageReady { cycle: 1, rank: 4 };
+        assert_eq!(
+            verify_chain(&entries),
+            Err(WalVerifyError::Corrupt { seq: 4 })
+        );
+        assert_eq!(j.verify(), Ok(()));
     }
 
     #[test]
@@ -920,15 +740,6 @@ mod tests {
         let j = populated();
         let mut entries = j.entries();
         entries.swap(1, 2);
-        let bytes = encode_log(&entries);
-        assert_eq!(
-            decode_log(&bytes),
-            Err(WalVerifyError::OutOfOrder {
-                seq: 3,
-                expected: 2
-            })
-        );
-        // The in-memory verifier reports the same defect.
         assert_eq!(
             verify_chain(&entries),
             Err(WalVerifyError::OutOfOrder {

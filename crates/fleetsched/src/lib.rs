@@ -34,6 +34,7 @@ pub mod orchestrator;
 pub mod policy;
 pub mod soak;
 
+pub use faultplane::{DoomPlan, NodeDoom};
 pub use orchestrator::{
     run_policy, run_policy_observed, run_policy_with_plan, FleetConfig, PolicyStats,
 };

@@ -7,14 +7,14 @@
 //! takeover) far faster than anything checked that the two still agree.
 //! This module closes the loop from the dynamic side:
 //!
-//! - A declarative **event→edge table** ([`EVENT_EDGE_TABLE`]) maps
+//! - A declarative **event→edge table** (`EVENT_EDGE_TABLE`) maps
 //!   simkit trace events — `proto/*_transition` instants, `wal/*`
 //!   journal markers, `pool/*` data-path markers, `phase` spans — onto
 //!   the protoverify machines they refine.
-//! - An online [`Observer`] replays a trace through the composed model:
-//!   one [`CyclePhase`] machine for the Job Manager, one [`RankLife`]
-//!   machine per rank, one [`NlaState`] machine per node, one
-//!   [`LinkState`] machine per FTB agent, plus a WAL record-order
+//! - An online observer ([`observe_trace`]) replays a trace through the
+//!   composed model: one [`CyclePhase`] machine for the Job Manager, one
+//!   [`RankLife`] machine per rank, one [`NlaState`] machine per node,
+//!   one [`LinkState`] machine per FTB agent, plus a WAL record-order
 //!   automaton encoding the journal contracts (append-before-effect
 //!   ordering, commit-point placement, roll-forward-only after a
 //!   takeover). Any event not derivable in the model is a
@@ -84,7 +84,7 @@ fn render(ev: &TraceEvent) -> String {
 
 /// Which model edge class a trace event refines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeKind {
+pub(crate) enum EdgeKind {
     /// `proto/cycle_transition` — one edge of the migration-cycle table.
     Cycle,
     /// `proto/rank_transition` — one edge of the rank lifecycle table.
@@ -113,20 +113,20 @@ pub enum EdgeKind {
 /// One row of the event→edge table: a `(cat, name)` pattern and the edge
 /// class it maps to. `name == "*"` matches every name in the category.
 #[derive(Debug, Clone, Copy)]
-pub struct EventRule {
+pub(crate) struct EventRule {
     /// Trace category to match.
-    pub cat: &'static str,
+    cat: &'static str,
     /// Trace event name to match (`"*"` = any).
-    pub name: &'static str,
+    name: &'static str,
     /// Model edge class the event refines.
-    pub edge: EdgeKind,
+    edge: EdgeKind,
 }
 
 /// The declarative event→edge table. This is the single place that
 /// decides which trace events carry protocol meaning; everything else in
 /// the trace (counters, log lines, checkpoint instrumentation) is
 /// ignored by the refinement check.
-pub const EVENT_EDGE_TABLE: &[EventRule] = &[
+pub(crate) const EVENT_EDGE_TABLE: &[EventRule] = &[
     EventRule {
         cat: "proto",
         name: "cycle_transition",
@@ -185,7 +185,7 @@ pub const EVENT_EDGE_TABLE: &[EventRule] = &[
 ];
 
 /// Classify a trace event against [`EVENT_EDGE_TABLE`].
-pub fn classify(cat: &str, name: &str) -> Option<EdgeKind> {
+pub(crate) fn classify(cat: &str, name: &str) -> Option<EdgeKind> {
     EVENT_EDGE_TABLE
         .iter()
         .find(|r| r.cat == cat && (r.name == "*" || r.name == name))
@@ -572,7 +572,7 @@ struct CycleLog {
 /// protoverify model alongside, rejecting the first event the model
 /// cannot derive.
 #[derive(Debug)]
-pub struct Observer {
+pub(crate) struct Observer {
     spec: MigrationSpec,
     cycle: Tracker<CyclePhase, CycleEvent>,
     ranks: Tracker<RankLife, RankEvent>,
@@ -585,15 +585,9 @@ pub struct Observer {
     coverage: Coverage,
 }
 
-impl Default for Observer {
-    fn default() -> Self {
-        Observer::new()
-    }
-}
-
 impl Observer {
     /// A fresh observer, with every machine in its initial state.
-    pub fn new() -> Observer {
+    pub(crate) fn new() -> Observer {
         let mut cycle = Tracker::new(CYCLE_LABELS);
         cycle.cur.insert(0, CyclePhase::Idle);
         Observer {
@@ -612,7 +606,7 @@ impl Observer {
 
     /// Observe one event. `Err` carries the nonconformance (with
     /// `index` 0 — [`observe_trace`] fills in the trace position).
-    pub fn observe(&mut self, ev: &TraceEvent) -> Result<(), Nonconformance> {
+    pub(crate) fn observe(&mut self, ev: &TraceEvent) -> Result<(), Nonconformance> {
         let Some(edge) = classify(ev.cat, &ev.name) else {
             return Ok(());
         };

@@ -24,7 +24,7 @@
 //! shared lease, missing reclaim) so tests can prove the checker actually
 //! catches them.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// What one fleet node is doing.
@@ -299,59 +299,41 @@ fn expected_returns(ev: FleetEvent) -> i32 {
     }
 }
 
-/// Exhaustively check the fleet spare-pool invariants for `cfg`.
+/// Exhaustively check the fleet spare-pool invariants for `cfg`. A
+/// transition carries its event and the nodes it moved into the free
+/// list, so the per-edge hook checks pool conservation on the settle and
+/// the static invariants on its target.
 pub fn check_fleet(cfg: &FleetConfig) -> FleetReport {
-    let init = FleetState::initial(cfg);
-    let mut seen: BTreeMap<FleetState, Option<(FleetState, FleetEvent)>> = BTreeMap::new();
-    seen.insert(init.clone(), None);
-    let mut queue = VecDeque::from([init]);
-    let mut transitions = 0usize;
-
-    let trace_to = |seen: &BTreeMap<FleetState, Option<(FleetState, FleetEvent)>>,
-                    last: Option<FleetEvent>,
-                    state: &FleetState| {
-        let mut trace: Vec<String> = last.map(|e| e.to_string()).into_iter().collect();
-        let mut cur = state.clone();
-        while let Some(Some((parent, ev))) = seen.get(&cur) {
-            trace.push(ev.to_string());
-            cur = parent.clone();
-        }
-        trace.reverse();
-        trace
-    };
-
-    while let Some(state) = queue.pop_front() {
-        for ev in state.enabled() {
-            transitions += 1;
-            let (next, returned) = state.apply(ev, cfg.mutation);
-            let settle_violation = if returned != expected_returns(ev) {
+    let explored = crate::search::bfs(
+        FleetState::initial(cfg),
+        |state: &FleetState| {
+            Ok(state
+                .enabled()
+                .into_iter()
+                .map(|ev| {
+                    let (next, returned) = state.apply(ev, cfg.mutation);
+                    ((ev, returned), next)
+                })
+                .collect())
+        },
+        |_, &(ev, returned), next| {
+            if returned != expected_returns(ev) {
                 Some(format!(
                     "{ev} moved {returned} node(s) into the free list, want {}",
                     expected_returns(ev)
                 ))
             } else {
                 next.violation()
-            };
-            if let Some(invariant) = settle_violation {
-                return FleetReport {
-                    states: seen.len(),
-                    transitions,
-                    violation: Some(FleetViolation {
-                        invariant,
-                        trace: trace_to(&seen, Some(ev), &state),
-                    }),
-                };
             }
-            if !seen.contains_key(&next) {
-                seen.insert(next.clone(), Some((state.clone(), ev)));
-                queue.push_back(next);
-            }
-        }
-    }
+        },
+    );
     FleetReport {
-        states: seen.len(),
-        transitions,
-        violation: None,
+        states: explored.states,
+        transitions: explored.transitions,
+        violation: explored.found.map(|f| FleetViolation {
+            invariant: f.violation,
+            trace: f.labels.iter().map(|(ev, _)| ev.to_string()).collect(),
+        }),
     }
 }
 

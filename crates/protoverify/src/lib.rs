@@ -62,12 +62,10 @@
 pub mod confcheck;
 pub mod fleet;
 pub mod model;
+mod search;
 pub mod spec;
 
-pub use confcheck::{
-    classify, observe_trace, ConformanceReport, Coverage, EdgeKind, EventRule, Nonconformance,
-    Observer, EVENT_EDGE_TABLE,
-};
+pub use confcheck::{observe_trace, ConformanceReport, Coverage, Nonconformance};
 pub use fleet::{
     check_fleet, FleetConfig, FleetEvent, FleetJob, FleetMutation, FleetNode, FleetReport,
     FleetState, FleetViolation,

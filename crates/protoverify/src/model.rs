@@ -14,7 +14,6 @@ use crate::spec::{
     NlaEvent, NlaState,
 };
 use faultplane::{FaultKind, FaultPlan, FaultSpec, MigPhase, NetSel, StoreFault, WalPoint};
-use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::time::Duration;
 
@@ -717,7 +716,8 @@ fn successors(
 }
 
 /// Check one state against every invariant except deadlock-freedom
-/// (which needs the successor set and is handled in the search loop).
+/// (which needs the successor set and is handled in [`check`]'s
+/// per-state hook).
 fn violated(s: &ModelState, cfg: &CheckConfig) -> Option<(Invariant, String)> {
     if s.zombie_lease {
         return Some((
@@ -866,110 +866,72 @@ fn violated(s: &ModelState, cfg: &CheckConfig) -> Option<(Invariant, String)> {
     None
 }
 
-fn rebuild_trace(
-    parents: &BTreeMap<ModelState, Option<(ModelState, EventLabel)>>,
-    end: ModelState,
-) -> (Vec<ModelState>, Vec<EventLabel>) {
-    let mut states = vec![end];
-    let mut labels = Vec::new();
-    let mut cur = end;
-    while let Some(Some((prev, label))) = parents.get(&cur) {
-        states.push(*prev);
-        labels.push(*label);
-        cur = *prev;
-    }
-    states.reverse();
-    labels.reverse();
-    (states, labels)
-}
-
 /// Exhaustively explore `spec` under `cfg` and prove (or refute) every
 /// invariant. BFS guarantees the returned counterexample is minimal in
 /// trace length.
 pub fn check(spec: &MigrationSpec, cfg: &CheckConfig) -> CheckReport {
     let edges = fault_edges();
-    let init = ModelState::initial(cfg.spares);
-    let mut parents: BTreeMap<ModelState, Option<(ModelState, EventLabel)>> = BTreeMap::new();
-    parents.insert(init, None);
-    let mut queue = VecDeque::from([init]);
-    let mut stats = CheckStats::default();
-
-    while let Some(s) = queue.pop_front() {
-        stats.states += 1;
-        if let Some((invariant, reason)) = violated(&s, cfg) {
-            let (states, labels) = rebuild_trace(&parents, s);
-            return CheckReport {
-                stats,
-                violation: Some(Counterexample {
-                    invariant,
-                    reason,
-                    states,
-                    labels,
-                }),
-            };
-        }
-        let succ = successors(spec, &edges, cfg, &s);
-        if s.coord_down {
-            // Structural half of resume-or-rollback: the only way out of
-            // a coordinator crash is a takeover edge, each lands the
-            // cycle at the crashed phase (resume-from-point) or in
-            // Aborted (rollback), and a committed cycle never rolls back.
-            let bad = succ.is_empty()
-                || succ.iter().any(|(label, next)| {
-                    let takeover = matches!(
-                        label.event,
-                        CycleEvent::TakeoverResume | CycleEvent::TakeoverRollback
-                    );
-                    let lands_ok = next.phase == s.phase || next.phase == CyclePhase::Aborted;
-                    let forward_only = s.phase != CyclePhase::Resume
-                        || label.event != CycleEvent::TakeoverRollback;
-                    !(takeover && lands_ok && forward_only)
-                });
-            if bad {
-                let (states, labels) = rebuild_trace(&parents, s);
-                return CheckReport {
-                    stats,
-                    violation: Some(Counterexample {
-                        invariant: Invariant::ResumeOrRollback,
-                        reason: format!(
+    let mut terminals = 0;
+    let explored = crate::search::bfs(
+        ModelState::initial(cfg.spares),
+        |s| {
+            if let Some(v) = violated(s, cfg) {
+                return Err(v);
+            }
+            let succ = successors(spec, &edges, cfg, s);
+            if s.coord_down {
+                // Structural half of resume-or-rollback: the only way out
+                // of a coordinator crash is a takeover edge, each lands
+                // the cycle at the crashed phase (resume-from-point) or in
+                // Aborted (rollback), and a committed cycle never rolls
+                // back.
+                let bad = succ.is_empty()
+                    || succ.iter().any(|(label, next)| {
+                        let takeover = matches!(
+                            label.event,
+                            CycleEvent::TakeoverResume | CycleEvent::TakeoverRollback
+                        );
+                        let lands_ok = next.phase == s.phase || next.phase == CyclePhase::Aborted;
+                        let forward_only = s.phase != CyclePhase::Resume
+                            || label.event != CycleEvent::TakeoverRollback;
+                        !(takeover && lands_ok && forward_only)
+                    });
+                if bad {
+                    return Err((
+                        Invariant::ResumeOrRollback,
+                        format!(
                             "coordinator down in phase {} does not resolve to \
                              exactly resume-or-rollback",
                             s.phase
                         ),
-                        states,
-                        labels,
-                    }),
-                };
+                    ));
+                }
             }
-        }
-        if succ.is_empty() {
-            if s.phase.is_terminal() {
-                stats.terminals += 1;
-            } else {
-                let (states, labels) = rebuild_trace(&parents, s);
-                return CheckReport {
-                    stats,
-                    violation: Some(Counterexample {
-                        invariant: Invariant::DeadlockFreedom,
-                        reason: format!("non-terminal phase {} has no enabled transition", s.phase),
-                        states,
-                        labels,
-                    }),
-                };
+            if succ.is_empty() {
+                if !s.phase.is_terminal() {
+                    return Err((
+                        Invariant::DeadlockFreedom,
+                        format!("non-terminal phase {} has no enabled transition", s.phase),
+                    ));
+                }
+                terminals += 1;
             }
-        }
-        for (label, next) in succ {
-            stats.transitions += 1;
-            if let std::collections::btree_map::Entry::Vacant(e) = parents.entry(next) {
-                e.insert(Some((s, label)));
-                queue.push_back(next);
-            }
-        }
-    }
-
+            Ok(succ)
+        },
+        |_, _, _| None,
+    );
     CheckReport {
-        stats,
-        violation: None,
+        stats: CheckStats {
+            states: explored.states,
+            transitions: explored.transitions,
+            terminals,
+        },
+        violation: explored.found.map(|f| Counterexample {
+            invariant: f.violation.0,
+            reason: f.violation.1,
+            states: f.states,
+            labels: f.labels,
+        }),
     }
 }
 

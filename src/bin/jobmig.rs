@@ -226,37 +226,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         Some("ftpolicy") => {
-            use bench::ftpolicy::{run_scenario, Failure, Scenario};
-            use std::time::Duration;
-            let failures = vec![
-                Failure {
-                    at: Duration::from_secs(50),
-                    predicted: true,
-                },
-                Failure {
-                    at: Duration::from_secs(110),
-                    predicted: true,
-                },
-            ];
-            for (name, interval, mig) in [
-                ("CR-only 60s", 60u64, false),
-                ("CR-only 120s", 120, false),
-                ("CR 120s + migration", 120, true),
-            ] {
-                let o = run_scenario(&Scenario {
-                    ckpt_interval: Duration::from_secs(interval),
-                    failures: failures.clone(),
-                    queue_delay: Duration::from_secs(120),
-                    migrate_on_prediction: mig,
-                });
-                println!(
-                    "{name:<22} completion {:.1}s (ckpts {}, migrations {}, rollbacks {})",
-                    o.completion.as_secs_f64(),
-                    o.checkpoints,
-                    o.migrations,
-                    o.rollbacks
-                );
-            }
+            print!("{}", bench::ftpolicy_table(&bench::ftpolicy_study()));
             Ok(())
         }
         Some("fleet") => {
