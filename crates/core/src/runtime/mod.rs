@@ -635,17 +635,18 @@ impl JobRuntime {
             "need {nodes_needed} home nodes, have {}",
             home.len()
         );
+        let rank_nodes: Vec<NodeId> = (0..spec.nranks)
+            .map(|r| home[(r / spec.ppn) as usize])
+            .collect();
         let job = MpiJob::new(
             &handle,
             cluster.fabric().clone(),
-            spec.nranks,
+            &rank_nodes,
             spec.mpi.clone(),
         );
         let mut nlas = BTreeMap::new();
         let mut used_nodes = Vec::new();
-        for r in 0..spec.nranks {
-            let node = home[(r / spec.ppn) as usize];
-            job.init_rank(r, node, Bytes::new());
+        for (r, &node) in (0..).zip(&rank_nodes) {
             let nla = nlas.entry(node).or_insert_with(|| {
                 used_nodes.push(node);
                 NlaShared::new(node, NlaState::MigrationReady)

@@ -1,12 +1,11 @@
-//! Job-wide MPI state: rank registry, matching queues, the global drain
-//! counter, and configuration.
+//! Job-wide MPI state: the fixed rank table, the global drain
+//! counter, traffic statistics and configuration.
 
 use crate::rank::{Arrival, MpiRank, RankCr, RankShared};
 use bytes::Bytes;
 use ibfabric::{IbFabric, NodeId};
 use parking_lot::Mutex;
 use simkit::{Ctx, Event, SimHandle};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -94,48 +93,52 @@ pub(crate) struct JobInner {
     pub handle: SimHandle,
     pub fabric: IbFabric,
     pub cfg: MpiConfig,
-    pub size: u32,
     pub drain: DrainCounter,
-    state: Mutex<JobState>,
-}
-
-#[derive(Default)]
-struct JobState {
-    // BTreeMap: rollback/purge passes iterate all ranks; rank order keeps
-    // those passes deterministic.
-    ranks: BTreeMap<u32, Arc<RankShared>>,
-    stats: JobStats,
+    /// One entry per rank, in rank order, built at launch and never
+    /// resized: lookups borrow it without a job lock.
+    ranks: Vec<RankShared>,
+    stats: Mutex<JobStats>,
 }
 
 /// A running MPI job: the shared library state of all ranks.
 ///
-/// Cloning shares the job. Ranks are placed with [`MpiJob::init_rank`];
-/// application threads get an [`MpiRank`] handle via [`MpiJob::attach`],
-/// and C/R threads a [`RankCr`] via [`MpiJob::cr`].
+/// Cloning shares the job. Application threads get an [`MpiRank`] handle
+/// via [`MpiJob::attach`], and C/R threads a [`RankCr`] via
+/// [`MpiJob::cr`].
 #[derive(Clone)]
 pub struct MpiJob {
     pub(crate) inner: Arc<JobInner>,
 }
 
 impl MpiJob {
-    /// Create a job of `size` ranks over `fabric`.
-    pub fn new(handle: &SimHandle, fabric: IbFabric, size: u32, cfg: MpiConfig) -> Self {
+    /// Create a job over `fabric` with rank `r` on `placement[r]`. Every
+    /// rank starts with empty application state and no endpoints; the
+    /// launcher builds them (untimed at startup) via
+    /// [`RankCr::rebuild_endpoints`].
+    pub fn new(handle: &SimHandle, fabric: IbFabric, placement: &[NodeId], cfg: MpiConfig) -> Self {
         let drain = DrainCounter::new(handle);
+        let ranks = (0..)
+            .zip(placement)
+            .map(|(rank, &node)| {
+                fabric.attach(node);
+                RankShared::new(handle, rank, node, Bytes::new())
+            })
+            .collect();
         MpiJob {
             inner: Arc::new(JobInner {
                 handle: handle.clone(),
                 fabric,
                 cfg,
-                size,
                 drain,
-                state: Mutex::default(),
+                ranks,
+                stats: Mutex::default(),
             }),
         }
     }
 
     /// Number of ranks.
     pub fn size(&self) -> u32 {
-        self.inner.size
+        self.inner.ranks.len() as u32
     }
 
     /// Library configuration.
@@ -148,28 +151,14 @@ impl MpiJob {
         &self.inner.fabric
     }
 
-    /// Register rank `rank` on `node` with initial application state.
-    /// Endpoints start absent; the launcher builds them (untimed at
-    /// startup) via [`RankCr::rebuild_endpoints`].
-    pub fn init_rank(&self, rank: u32, node: NodeId, app_state: Bytes) {
-        assert!(rank < self.inner.size, "rank {rank} out of range");
-        self.inner.fabric.attach(node);
-        let shared = Arc::new(RankShared::new(&self.inner.handle, rank, node, app_state));
-        let prev = self.inner.state.lock().ranks.insert(rank, shared);
-        assert!(prev.is_none(), "rank {rank} initialised twice");
-    }
-
-    /// Application-thread handle for `rank`. `skip_ops` is zero on a fresh
-    /// launch; on restart it is the completed-op count restored from the
-    /// checkpoint image (see crate docs on replay safety).
+    /// Application-thread handle for `rank`.
     pub fn attach(&self, rank: u32) -> MpiRank {
-        let shared = self.shared(rank);
-        MpiRank::new(self.clone(), shared)
+        MpiRank::new(self.clone(), self.shared(rank).rank)
     }
 
     /// C/R-thread handle for `rank`.
     pub fn cr(&self, rank: u32) -> RankCr {
-        RankCr::new(self.clone(), self.shared(rank))
+        RankCr::new(self.clone(), self.shared(rank).rank)
     }
 
     /// The node a rank currently lives on.
@@ -199,7 +188,7 @@ impl MpiJob {
     /// releasing connection state before checkpoint, applied to the
     /// matching layer).
     pub fn purge_stale_rts_from(&self, rank: u32) {
-        for shared in self.ranks() {
+        for shared in &self.inner.ranks {
             shared.purge_rts_from(rank);
         }
     }
@@ -209,34 +198,32 @@ impl MpiJob {
     /// tokens and post-cut eager deliveries are discarded because both
     /// endpoints re-execute those operations.
     pub fn purge_rollback_all(&self, cut: simkit::SimTime) {
-        for shared in self.ranks() {
+        for shared in &self.inner.ranks {
             shared.purge_rollback(cut);
         }
     }
 
     /// Snapshot of traffic statistics.
     pub fn stats(&self) -> JobStats {
-        self.inner.state.lock().stats
+        *self.inner.stats.lock()
     }
 
-    /// Every rank in rank order, cloned out so no job guard is held
-    /// while a rank's own state is locked.
-    fn ranks(&self) -> Vec<Arc<RankShared>> {
-        self.inner.state.lock().ranks.values().cloned().collect()
+    /// Number of `(src, tag)` matching queues `rank` holds right now. A
+    /// queue lives only while a message or a receiver is waiting on it,
+    /// so this is 0 whenever the rank has nothing unmatched.
+    pub fn matching_queues(&self, rank: u32) -> usize {
+        self.shared(rank).matching_queues()
     }
 
-    pub(crate) fn shared(&self, rank: u32) -> Arc<RankShared> {
+    pub(crate) fn shared(&self, rank: u32) -> &RankShared {
         self.inner
-            .state
-            .lock()
             .ranks
-            .get(&rank)
-            .unwrap_or_else(|| panic!("rank {rank} not initialised"))
-            .clone()
+            .get(rank as usize)
+            .unwrap_or_else(|| panic!("rank {rank} out of range"))
     }
 
     pub(crate) fn record_message(&self, bytes: u64, rendezvous: bool) {
-        let s = &mut self.inner.state.lock().stats;
+        let s = &mut *self.inner.stats.lock();
         s.messages += 1;
         s.bytes += bytes;
         if rendezvous {

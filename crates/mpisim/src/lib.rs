@@ -16,6 +16,16 @@
 //!   [`RankCr::rebuild_endpoints`] re-registers memory and reconnects QPs
 //!   after the migration barrier.
 //!
+//! ## Matching queues
+//!
+//! Each rank keeps one FIFO matching queue per `(source, tag)` pair. As
+//! in MVAPICH2, matching state lasts only as long as its message: a
+//! queue is created by the first token or receive for its pair and freed
+//! by the receive that drains it, unless another receiver still holds
+//! it. Rollback and stale-RTS purges free the queues they empty. Tags
+//! carry the iteration number, so a job's matching state stays bounded
+//! by what is in flight instead of growing with every pair ever used.
+//!
 //! ## Replay-safe operations
 //!
 //! A migrated process restarts from its BLCR image, which in this

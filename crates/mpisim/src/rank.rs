@@ -8,6 +8,7 @@ use ibfabric::{DataSrc, Mr, NodeId, Qp, QpAddr};
 use livemig::{DirtySnapshot, DirtyTracker};
 use parking_lot::Mutex;
 use simkit::{Ctx, Event, Queue, SimHandle};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,7 +58,8 @@ pub(crate) struct RankShared {
 struct RankState {
     node: NodeId,
     // BTreeMap: purge passes iterate the matching queues; (src, tag)
-    // order keeps replay deterministic.
+    // order keeps replay deterministic. An entry lives from the first
+    // token or receiver for its pair until a receive or purge drains it.
     queues: BTreeMap<(u32, u64), Queue<Arrival>>,
     endpoints: Option<Endpoints>,
     /// Ops to skip on replay after a restart.
@@ -114,26 +116,43 @@ impl RankShared {
         self.queue(handle, src, tag).push(arrival);
     }
 
-    pub(crate) fn purge_rts_from(&self, sender: u32) {
-        let st = self.state.lock();
-        for ((src, _), q) in st.queues.iter() {
-            if *src == sender {
-                q.retain(|a| !matches!(a, Arrival::Rts { .. }));
+    /// Park until a token from `src` with `tag` arrives and take it. A
+    /// queue this pop drained is freed unless another handle to it is
+    /// still out, so `queues` holds only pairs with something unmatched.
+    pub(crate) fn take(&self, ctx: &Ctx, handle: &SimHandle, src: u32, tag: u64) -> Arrival {
+        let arrival = self.queue(handle, src, tag).pop(ctx);
+        if let Entry::Occupied(q) = self.state.lock().queues.entry((src, tag)) {
+            if q.get().is_unused() {
+                q.remove();
             }
         }
+        arrival
+    }
+
+    pub(crate) fn matching_queues(&self) -> usize {
+        self.state.lock().queues.len()
+    }
+
+    pub(crate) fn purge_rts_from(&self, sender: u32) {
+        self.state.lock().queues.retain(|&(src, _), q| {
+            if src == sender {
+                q.retain(|a| !matches!(a, Arrival::Rts { .. }));
+            }
+            !q.is_unused()
+        });
     }
 
     /// Rollback recovery: drop every unmatched rendezvous token (both
     /// sides re-execute the handshake) and every eager token delivered
     /// after the consistent cut (the sender re-sends it).
     pub(crate) fn purge_rollback(&self, cut: simkit::SimTime) {
-        let st = self.state.lock();
-        for q in st.queues.values() {
+        self.state.lock().queues.retain(|_, q| {
             q.retain(|a| match a {
                 Arrival::Rts { .. } => false,
                 Arrival::Eager { delivered_at, .. } => *delivered_at <= cut,
             });
-        }
+            !q.is_unused()
+        });
     }
 }
 
@@ -158,22 +177,26 @@ pub struct TeardownReport {
 /// image). Call [`MpiRank::op_boundary`] at each application safe point.
 pub struct MpiRank {
     job: MpiJob,
-    shared: Arc<RankShared>,
+    rank: u32,
     ops_this_iter: u64,
 }
 
 impl MpiRank {
-    pub(crate) fn new(job: MpiJob, shared: Arc<RankShared>) -> Self {
+    pub(crate) fn new(job: MpiJob, rank: u32) -> Self {
         MpiRank {
             job,
-            shared,
+            rank,
             ops_this_iter: 0,
         }
     }
 
+    fn shared(&self) -> &RankShared {
+        self.job.shared(self.rank)
+    }
+
     /// This rank's number.
     pub fn rank(&self) -> u32 {
-        self.shared.rank
+        self.rank
     }
 
     /// Job size (number of ranks).
@@ -183,7 +206,7 @@ impl MpiRank {
 
     /// The node this rank currently runs on.
     pub fn node(&self) -> NodeId {
-        self.shared.node()
+        self.shared().node()
     }
 
     /// The job handle.
@@ -193,13 +216,13 @@ impl MpiRank {
 
     /// Current serialized application state.
     pub fn app_state(&self) -> Bytes {
-        self.shared.state.lock().app_state.clone()
+        self.shared().state.lock().app_state.clone()
     }
 
     /// Replace the application's registered memory segments (the bulk
     /// data a checkpoint captures).
     pub fn set_segments(&self, segments: Vec<Segment>) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared().state.lock();
         st.segments = segments;
         // A wholesale replacement invalidates any armed dirty bitmap.
         st.dirty = None;
@@ -214,7 +237,7 @@ impl MpiRank {
     /// the page index, so replaying an interrupted iteration after a
     /// restart rewrites identical values.
     pub fn write_pages(&self, seg: usize, pages: &[u64], stamp: u64) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared().state.lock();
         let (page, len) = {
             let data = &mut st.segments[seg].data;
             let len = data.len;
@@ -242,17 +265,17 @@ impl MpiRank {
     fn begin_op(&mut self) -> bool {
         let seq = self.ops_this_iter;
         self.ops_this_iter += 1;
-        seq >= self.shared.state.lock().skip
+        seq >= self.shared().state.lock().skip
     }
 
     fn end_op(&self) {
-        self.shared.state.lock().completed_in_iter += 1;
+        self.shared().state.lock().completed_in_iter += 1;
     }
 
     /// Mark an application safe point: persist `state` as the new logical
     /// application state and reset replay counters.
     pub fn op_boundary(&mut self, state: Bytes) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared().state.lock();
         st.app_state = state;
         st.skip = 0;
         st.completed_in_iter = 0;
@@ -273,21 +296,21 @@ impl MpiRank {
     /// Blocking send of `bytes` to `to` with `tag`. Eager below the
     /// threshold, RTS/CTS rendezvous above it.
     pub fn send(&mut self, ctx: &Ctx, to: u32, tag: u64, bytes: u64) {
-        assert_ne!(to, self.shared.rank, "send to self");
+        assert_ne!(to, self.rank, "send to self");
         if !self.begin_op() {
             return;
         }
-        self.shared.gate.wait(ctx);
+        self.shared().gate.wait(ctx);
         let eager = bytes <= self.job.config().eager_threshold;
         let drain = &self.job.inner.drain;
         if eager {
             drain.inc();
-            let from = self.shared.node();
+            let from = self.shared().node();
             let to_node = self.job.rank_node(to);
             self.wire(ctx, from, to_node, bytes + WIRE_HDR);
             self.job.deliver(
                 to,
-                self.shared.rank,
+                self.rank,
                 tag,
                 Arrival::Eager {
                     bytes,
@@ -303,15 +326,15 @@ impl MpiRank {
             let bulk_done = Event::new(h, "bulk");
             // RTS control message (in-flight while on the wire).
             drain.inc();
-            let from = self.shared.node();
+            let from = self.shared().node();
             let to_node = self.job.rank_node(to);
             self.wire(ctx, from, to_node, WIRE_HDR);
             self.job.deliver(
                 to,
-                self.shared.rank,
+                self.rank,
                 tag,
                 Arrival::Rts {
-                    src: self.shared.rank,
+                    src: self.rank,
                     bytes,
                     cts: cts.clone(),
                     bulk_done: bulk_done.clone(),
@@ -323,7 +346,7 @@ impl MpiRank {
             // Bulk RDMA transfer, with node placement looked up afresh —
             // the receiver may have migrated while we were parked.
             drain.inc();
-            let from = self.shared.node();
+            let from = self.shared().node();
             let to_node = self.job.rank_node(to);
             self.wire(ctx, from, to_node, bytes + WIRE_HDR);
             self.job.record_message(bytes, true);
@@ -337,13 +360,12 @@ impl MpiRank {
     /// A replay-skipped receive returns 0 (its data is already in the
     /// restored image).
     pub fn recv(&mut self, ctx: &Ctx, from: u32, tag: u64) -> u64 {
-        assert_ne!(from, self.shared.rank, "recv from self");
+        assert_ne!(from, self.rank, "recv from self");
         if !self.begin_op() {
             return 0;
         }
-        self.shared.gate.wait(ctx);
-        let q = self.shared.queue(&self.job.inner.handle, from, tag);
-        match q.pop(ctx) {
+        self.shared().gate.wait(ctx);
+        match self.shared().take(ctx, &self.job.inner.handle, from, tag) {
             Arrival::Eager { bytes, .. } => {
                 self.end_op();
                 bytes
@@ -358,7 +380,7 @@ impl MpiRank {
                 // IS the draining of an in-flight message.
                 let drain = &self.job.inner.drain;
                 drain.inc();
-                let my = self.shared.node();
+                let my = self.shared().node();
                 let sender_node = self.job.rank_node(src);
                 self.wire(ctx, my, sender_node, WIRE_HDR); // CTS
                 cts.set();
@@ -373,7 +395,7 @@ impl MpiRank {
     /// Deadlock-free paired exchange with `peer`: the lower rank sends
     /// first. Returns the received byte count.
     pub fn exchange(&mut self, ctx: &Ctx, peer: u32, tag: u64, bytes: u64) -> u64 {
-        if self.shared.rank < peer {
+        if self.rank < peer {
             self.send(ctx, peer, tag, bytes);
             self.recv(ctx, peer, tag)
         } else {
@@ -411,17 +433,21 @@ pub struct CrMeta {
 /// framework) — MVAPICH2's checkpoint hooks.
 pub struct RankCr {
     job: MpiJob,
-    shared: Arc<RankShared>,
+    rank: u32,
 }
 
 impl RankCr {
-    pub(crate) fn new(job: MpiJob, shared: Arc<RankShared>) -> Self {
-        RankCr { job, shared }
+    pub(crate) fn new(job: MpiJob, rank: u32) -> Self {
+        RankCr { job, rank }
+    }
+
+    fn shared(&self) -> &RankShared {
+        self.job.shared(self.rank)
     }
 
     /// The rank number.
     pub fn rank(&self) -> u32 {
-        self.shared.rank
+        self.rank
     }
 
     /// Phase-1 per-rank work: close the communication gate, run the
@@ -430,11 +456,11 @@ impl RankCr {
     pub fn suspend_and_drain(&self, ctx: &Ctx) -> TeardownReport {
         let span = ctx.span_with("mpi", "suspend_and_drain", || {
             vec![
-                ("rank", self.shared.rank.into()),
+                ("rank", self.rank.into()),
                 ("inflight", self.job.inflight().into()),
             ]
         });
-        self.shared.gate.reset();
+        self.shared().gate.reset();
         // pairwise flush exchange with every peer
         let peers = self.job.size().saturating_sub(1);
         ctx.sleep(self.job.config().drain_per_peer * peers);
@@ -455,7 +481,7 @@ impl RankCr {
     /// Destroy this rank's endpoints without draining (used on the
     /// failure path, where the node is simply gone).
     pub fn teardown(&self, ctx: &Ctx) -> TeardownReport {
-        let eps = self.shared.state.lock().endpoints.take();
+        let eps = self.shared().state.lock().endpoints.take();
         match eps {
             Some(eps) => {
                 for qp in &eps.qps {
@@ -481,11 +507,11 @@ impl RankCr {
     pub fn rebuild_endpoints(&self, ctx: &Ctx, timed: bool) {
         let span = ctx.span_with("mpi", "rebuild_endpoints", || {
             vec![
-                ("rank", self.shared.rank.into()),
+                ("rank", self.rank.into()),
                 ("timed", u64::from(timed).into()),
             ]
         });
-        let node = self.shared.node();
+        let node = self.shared().node();
         let hca = self.job.fabric().attach(node);
         let mr = if timed {
             hca.register_mr(ctx, self.job.config().comm_buf_bytes)
@@ -494,7 +520,7 @@ impl RankCr {
         };
         let mut qps = Vec::with_capacity(self.job.size() as usize - 1);
         for peer in 0..self.job.size() {
-            if peer == self.shared.rank {
+            if peer == self.rank {
                 continue;
             }
             let qp = hca.create_qp();
@@ -509,54 +535,54 @@ impl RankCr {
             }
             qps.push(qp);
         }
-        self.shared.state.lock().endpoints = Some(Endpoints { mr, qps });
+        self.shared().state.lock().endpoints = Some(Endpoints { mr, qps });
         span.end();
     }
 
     /// Whether endpoints currently exist.
     pub fn has_endpoints(&self) -> bool {
-        self.shared.state.lock().endpoints.is_some()
+        self.shared().state.lock().endpoints.is_some()
     }
 
     /// Reopen the communication gate (end of Phase 4).
     pub fn reopen(&self) {
-        self.shared.gate.set();
+        self.shared().gate.set();
     }
 
     /// Force the communication gate closed without draining (failure
     /// path: the processes are gone, nothing to drain).
     pub fn close_gate(&self) {
-        self.shared.gate.reset();
+        self.shared().gate.reset();
     }
 
     /// Whether the gate is open.
     pub fn is_open(&self) -> bool {
-        self.shared.gate.is_set()
+        self.shared().gate.is_set()
     }
 
     /// Arm dirty-page tracking over the rank's current segment layout
     /// (pre-copy round 0 start). Bitmaps start all-clean: round 0 streams
     /// the whole image, so only writes landing *after* this call matter.
     pub fn arm_dirty(&self, page: u64) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared().state.lock();
         let lens: Vec<u64> = st.segments.iter().map(|s| s.data.len).collect();
         st.dirty = Some(DirtyTracker::new(page, &lens));
     }
 
     /// Drop dirty tracking (cycle over or abandoned).
     pub fn disarm_dirty(&self) {
-        self.shared.state.lock().dirty = None;
+        self.shared().state.lock().dirty = None;
     }
 
     /// Snapshot-and-clear the dirty bitmap — the epoch boundary between
     /// two pre-copy rounds. `None` when tracking is not armed.
     pub fn take_dirty(&self) -> Option<DirtySnapshot> {
-        self.shared.state.lock().dirty.as_mut().map(|t| t.take())
+        self.shared().state.lock().dirty.as_mut().map(|t| t.take())
     }
 
     /// Bytes currently dirty (the size of the next round if taken now).
     pub fn dirty_bytes(&self) -> u64 {
-        self.shared
+        self.shared()
             .state
             .lock()
             .dirty
@@ -566,7 +592,7 @@ impl RankCr {
 
     /// Capture checkpoint metadata (Phase 2, on the migration source).
     pub fn capture_meta(&self) -> CrMeta {
-        let st = self.shared.state.lock();
+        let st = self.shared().state.lock();
         CrMeta {
             app_state: st.app_state.clone(),
             completed_ops: st.completed_in_iter,
@@ -577,7 +603,7 @@ impl RankCr {
     /// Restore checkpoint metadata into the rank before its new
     /// application thread starts (Phase 3, on the migration target).
     pub fn restore_meta(&self, meta: CrMeta) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared().state.lock();
         st.app_state = meta.app_state;
         st.skip = meta.completed_ops;
         st.completed_in_iter = meta.completed_ops;

@@ -5,7 +5,7 @@ use bytes::Bytes;
 use ibfabric::{IbConfig, IbFabric, NodeId};
 use mpisim::{MpiConfig, MpiJob};
 use simkit::dur::*;
-use simkit::{Event, Simulation};
+use simkit::{Event, SimTime, Simulation};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -14,10 +14,8 @@ use std::sync::Arc;
 fn setup(sim: &Simulation, size: u32, ppn: u32) -> MpiJob {
     let h = sim.handle();
     let fabric = IbFabric::new(&h, IbConfig::default());
-    let job = MpiJob::new(&h, fabric, size, MpiConfig::default());
-    for r in 0..size {
-        job.init_rank(r, NodeId(r / ppn), Bytes::new());
-    }
+    let placement: Vec<NodeId> = (0..size).map(|r| NodeId(r / ppn)).collect();
+    let job = MpiJob::new(&h, fabric, &placement, MpiConfig::default());
     for r in 0..size {
         let cr = job.cr(r);
         sim.spawn(&format!("launch{r}"), move |ctx| {
@@ -318,6 +316,84 @@ fn purge_removes_unmatched_rts_only() {
             r1.send(ctx, 2, 6, 1 << 20);
         });
         assert_eq!(r.recv(ctx, 1, 6), 1 << 20);
+    });
+    sim.run().unwrap();
+}
+
+#[test]
+fn drained_matching_queues_are_freed() {
+    const SIZE: u32 = 4;
+    const ITERS: u64 = 6;
+    let mut sim = Simulation::new(0);
+    let job = setup(&sim, SIZE, 1);
+    for rank in 0..SIZE {
+        let j = job.clone();
+        sim.spawn(&format!("r{rank}"), move |ctx| {
+            let mut r = j.attach(rank);
+            let right = (rank + 1) % SIZE;
+            let left = (rank + SIZE - 1) % SIZE;
+            for it in 0..ITERS {
+                // Eager ring: every rank sends before it receives.
+                r.send(ctx, right, it, 4096);
+                assert_eq!(r.recv(ctx, left, it), 4096);
+                // Rendezvous pairs, then a collective on the same epoch.
+                r.exchange(ctx, rank ^ 1, 1000 + it, 1 << 20);
+                r.allreduce(ctx, it, 64);
+            }
+        });
+    }
+    sim.run().unwrap();
+    // Per iteration: the ring, the pairs, and a binomial reduce plus
+    // broadcast of SIZE - 1 messages each.
+    let per_iter = u64::from(SIZE + SIZE + 2 * (SIZE - 1));
+    assert_eq!(job.stats().messages, ITERS * per_iter);
+    for rank in 0..SIZE {
+        assert_eq!(job.matching_queues(rank), 0, "rank {rank} kept queues");
+    }
+}
+
+#[test]
+fn eager_token_delivered_before_its_receive_is_matched() {
+    let mut sim = Simulation::new(0);
+    let job = setup(&sim, 2, 1);
+    let j = job.clone();
+    sim.spawn("r0", move |ctx| {
+        j.attach(0).send(ctx, 1, 3, 512);
+    });
+    let j = job.clone();
+    sim.spawn("r1", move |ctx| {
+        ctx.sleep(ms(5));
+        assert_eq!(j.matching_queues(1), 1, "the token waits in its queue");
+        assert_eq!(j.attach(1).recv(ctx, 0, 3), 512);
+        assert_eq!(j.matching_queues(1), 0);
+    });
+    sim.run().unwrap();
+}
+
+#[test]
+fn rollback_purge_after_partial_consumption_drops_only_post_cut_tokens() {
+    let mut sim = Simulation::new(0);
+    let job = setup(&sim, 2, 1);
+    let j = job.clone();
+    sim.spawn("r0", move |ctx| {
+        let mut r = j.attach(0);
+        r.send(ctx, 1, 9, 100);
+        r.send(ctx, 1, 9, 200);
+        ctx.sleep(ms(10));
+        r.send(ctx, 1, 9, 300); // after the cut
+        r.send(ctx, 1, 4, 400); // after the cut, on a queue of its own
+    });
+    let j = job.clone();
+    sim.spawn("r1", move |ctx| {
+        let mut r = j.attach(1);
+        ctx.sleep(ms(1));
+        assert_eq!(r.recv(ctx, 0, 9), 100); // partial: 200 stays queued
+        ctx.sleep(ms(20));
+        assert_eq!(j.matching_queues(1), 2);
+        j.purge_rollback_all(SimTime::from_nanos(5_000_000));
+        assert_eq!(j.matching_queues(1), 1, "tag 4 held only a post-cut token");
+        assert_eq!(r.recv(ctx, 0, 9), 200);
+        assert_eq!(j.matching_queues(1), 0, "the post-cut 300 was dropped");
     });
     sim.run().unwrap();
 }

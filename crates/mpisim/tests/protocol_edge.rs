@@ -13,10 +13,8 @@ use std::sync::Arc;
 fn setup(sim: &Simulation, size: u32, ppn: u32) -> MpiJob {
     let h = sim.handle();
     let fabric = IbFabric::new(&h, IbConfig::default());
-    let job = MpiJob::new(&h, fabric, size, MpiConfig::default());
-    for r in 0..size {
-        job.init_rank(r, NodeId(r / ppn), Bytes::new());
-    }
+    let placement: Vec<NodeId> = (0..size).map(|r| NodeId(r / ppn)).collect();
+    let job = MpiJob::new(&h, fabric, &placement, MpiConfig::default());
     for r in 0..size {
         let cr = job.cr(r);
         sim.spawn(&format!("launch{r}"), move |ctx| {

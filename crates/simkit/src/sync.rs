@@ -49,7 +49,7 @@ fn wake_all_live(kernel: &Kernel, waiters: &mut VecDeque<u32>) {
 // ---------------------------------------------------------------------------
 
 struct EventInner {
-    name: String,
+    name: &'static str,
     st: Mutex<(bool, VecDeque<u32>)>,
 }
 
@@ -66,11 +66,11 @@ pub struct Event {
 
 impl Event {
     /// Create an unset event.
-    pub fn new(handle: &SimHandle, name: &str) -> Self {
+    pub fn new(handle: &SimHandle, name: &'static str) -> Self {
         Event {
             kernel: Arc::clone(&handle.kernel),
             inner: Arc::new(EventInner {
-                name: name.to_string(),
+                name,
                 st: Mutex::new((false, VecDeque::new())),
             }),
         }
@@ -134,8 +134,8 @@ impl Event {
     }
 
     /// The event's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.inner.name
+    pub fn name(&self) -> &'static str {
+        self.inner.name
     }
 }
 
@@ -256,6 +256,13 @@ impl<T: Send> Queue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Whether this is the only handle to an empty queue: nothing is
+    /// queued, and no other handle exists to push to it or wait on it,
+    /// so dropping this one loses nothing.
+    pub fn is_unused(&self) -> bool {
+        Arc::strong_count(&self.inner) == 1 && self.is_empty()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +280,7 @@ pub struct Countdown {
 
 impl Countdown {
     /// Create a latch expecting `count` arrivals (0 = already done).
-    pub fn new(handle: &SimHandle, name: &str, count: u64) -> Self {
+    pub fn new(handle: &SimHandle, name: &'static str, count: u64) -> Self {
         let done = Event::new(handle, name);
         if count == 0 {
             done.set();

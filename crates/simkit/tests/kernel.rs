@@ -136,6 +136,29 @@ fn proc_panic_surfaces_as_error() {
 }
 
 #[test]
+fn relocking_a_mutex_held_across_a_block_panics_in_the_second_locker() {
+    let mut sim = Simulation::new(0);
+    let m = Arc::new(parking_lot::Mutex::new(0u64));
+    let held = m.clone();
+    sim.spawn("holder", move |ctx| {
+        let mut g = held.lock();
+        ctx.sleep(ms(5));
+        *g += 1;
+    });
+    sim.spawn("locker", move |ctx| {
+        ctx.sleep(ms(1));
+        *m.lock() += 1;
+    });
+    match sim.run() {
+        Err(SimError::ProcPanic { name, message, .. }) => {
+            assert_eq!(name, "locker");
+            assert!(message.contains("lock already held by this thread"));
+        }
+        other => panic!("expected ProcPanic, got {other:?}"),
+    }
+}
+
+#[test]
 fn deadlock_is_detected_and_named() {
     let mut sim = Simulation::new(0);
     let h = sim.handle();
