@@ -57,6 +57,7 @@ pub trait CheckpointSink {
 /// Supplies a checkpoint stream for restart.
 pub trait CheckpointSource {
     /// Read the entire stream, paying storage costs. Returns a [`Rope`]
-    /// so store-backed sources can hand out a shared slice table.
-    fn read_all(&mut self, ctx: &Ctx) -> Rope;
+    /// so store-backed sources can hand out a shared slice table, or
+    /// [`StreamError::Missing`] when there is no stream to read.
+    fn read_all(&mut self, ctx: &Ctx) -> Result<Rope, StreamError>;
 }

@@ -125,6 +125,7 @@ impl Blcr {
         sink: &mut dyn CheckpointSink,
     ) -> u64 {
         self.try_checkpoint(ctx, image, sink)
+            // jmlint: allow(hot_unwrap) — documented to panic; recovery paths call try_checkpoint
             .unwrap_or_else(|e| panic!("unhandled checkpoint fault: {e}"))
     }
 
@@ -190,8 +191,7 @@ impl Blcr {
         costs: &RestartCosts,
     ) -> Result<ProcessImage, StreamError> {
         let span = ctx.span("ckpt", "restart");
-        let slices = source.read_all(ctx);
-        let image = parse_stream(slices.into_vec())?;
+        let image = parse_stream(source.read_all(ctx)?.into_vec())?;
         ctx.sleep(costs.base);
         let bytes = image.memory_bytes();
         ctx.sleep(Duration::from_secs_f64(
@@ -262,8 +262,8 @@ impl MemSource {
 }
 
 impl CheckpointSource for MemSource {
-    fn read_all(&mut self, _ctx: &Ctx) -> Rope {
-        std::mem::take(&mut self.0)
+    fn read_all(&mut self, _ctx: &Ctx) -> Result<Rope, StreamError> {
+        Ok(std::mem::take(&mut self.0))
     }
 }
 
@@ -284,10 +284,10 @@ impl StoreSource {
 }
 
 impl CheckpointSource for StoreSource {
-    fn read_all(&mut self, ctx: &Ctx) -> Rope {
+    fn read_all(&mut self, ctx: &Ctx) -> Result<Rope, StreamError> {
         self.store
             .read_all(ctx, &self.path)
-            .unwrap_or_else(|| panic!("restart from missing checkpoint file {}", self.path))
+            .ok_or(StreamError::Missing)
     }
 }
 
@@ -339,6 +339,23 @@ mod tests {
     }
 
     #[test]
+    fn restart_from_a_missing_file_is_an_error() {
+        let mut sim = Simulation::new(0);
+        let h = sim.handle();
+        let fs: Arc<dyn CkptStore> = Arc::new(test_fs(&h));
+        let blcr = Blcr::new(
+            Link::new(&h, "mem", 500e6, Sharing::Fair),
+            BlcrConfig::default(),
+        );
+        sim.spawn("r", move |ctx| {
+            let mut src = StoreSource::new(fs, "ckpt.never");
+            let r = blcr.restart(ctx, &mut src, &RestartCosts::default());
+            assert_eq!(r, Err(StreamError::Missing));
+        });
+        sim.run().unwrap();
+    }
+
+    #[test]
     fn concurrent_checkpoints_share_memory_walk() {
         // Fast sink (free), slow walk: two concurrent dumps take ~2x one.
         struct NullSink;
@@ -372,8 +389,8 @@ mod tests {
     fn restart_costs_scale_with_image_size() {
         struct VecSource(Vec<DataSlice>);
         impl CheckpointSource for VecSource {
-            fn read_all(&mut self, _ctx: &Ctx) -> Rope {
-                std::mem::take(&mut self.0).into()
+            fn read_all(&mut self, _ctx: &Ctx) -> Result<Rope, StreamError> {
+                Ok(std::mem::take(&mut self.0).into())
             }
         }
         let mut sim = Simulation::new(0);
@@ -407,8 +424,8 @@ mod tests {
     fn corrupt_stream_surfaces_parse_error() {
         struct JunkSource;
         impl CheckpointSource for JunkSource {
-            fn read_all(&mut self, _ctx: &Ctx) -> Rope {
-                vec![DataSlice::bytes(vec![9u8; 128])].into()
+            fn read_all(&mut self, _ctx: &Ctx) -> Result<Rope, StreamError> {
+                Ok(vec![DataSlice::bytes(vec![9u8; 128])].into())
             }
         }
         let mut sim = Simulation::new(0);

@@ -29,6 +29,8 @@ pub enum StreamError {
     BadMagic(u64),
     /// Unknown segment kind byte.
     BadSegmentKind(u8),
+    /// The checkpoint file does not exist (its dump never completed).
+    Missing,
 }
 
 impl fmt::Display for StreamError {
@@ -37,6 +39,7 @@ impl fmt::Display for StreamError {
             StreamError::Truncated => write!(f, "checkpoint stream truncated"),
             StreamError::BadMagic(m) => write!(f, "bad checkpoint magic {m:#x}"),
             StreamError::BadSegmentKind(k) => write!(f, "bad segment kind {k}"),
+            StreamError::Missing => write!(f, "checkpoint file missing"),
         }
     }
 }

@@ -29,9 +29,9 @@ pub struct ClusterSpec {
     pub with_pvfs: bool,
     /// InfiniBand fabric parameters.
     pub ib: IbConfig,
-    /// FTB backplane parameters (heartbeat cadence, retry budget).
-    /// Fleet-scale soaks stretch the heartbeat: failure detection
-    /// latency matters less than simulating hundreds of node-hours.
+    /// FTB backplane parameters (the failure-detection period). A
+    /// cluster's FTB tree is flat under `login`, and only leaves die, so
+    /// no cluster run reads it.
     pub ftb: FtbConfig,
 }
 

@@ -26,8 +26,9 @@ pub(crate) fn run_checkpoint(
     sub: &Queue<FtbEvent>,
     store: CrStoreKind,
 ) {
-    let inner = &rt.inner;
+    let (inner, rec) = (&rt.inner, calib::recovery());
     if store == CrStoreKind::Pvfs && inner.cluster.pvfs().is_none() {
+        // jmlint: allow(hot_unwrap) — caller misconfiguration, not a fault path
         panic!("checkpoint to PVFS requested but the cluster has no PVFS deployment");
     }
     let id = rt.next_cycle_id();
@@ -46,18 +47,31 @@ pub(crate) fn run_checkpoint(
     let phase_args = move || -> simkit::Args { vec![("cycle", id.into())] };
     let t0 = ctx.now();
     let ph = ctx.span_with("phase", "cr_stall", phase_args);
-    ftb.publish(
-        ctx,
-        FtbEvent::with_payload(
-            MPI_SPACE,
-            FTB_CHECKPOINT,
-            Severity::Warning,
-            inner.cluster.login(),
-            CheckpointMsg { cycle: id, store },
-        ),
-    );
-    // Phase: Job Stall.
-    scan(ctx, sub, None, all_suspended(id, inner.spec.nranks));
+    // Phase: Job Stall. The acks are awaited with the stall deadline, so
+    // a lost `FTB_CHECKPOINT` cannot hang the Job Manager: at the
+    // deadline it goes on if every rank stalled (only acks were lost) and
+    // re-publishes otherwise. Ranks that entered the cycle ignore the
+    // repeat, and every fault plan is finite, so the loop ends.
+    let mut stalled = all_suspended(id, inner.spec.nranks);
+    loop {
+        ftb.publish(
+            ctx,
+            FtbEvent::with_payload(
+                MPI_SPACE,
+                FTB_CHECKPOINT,
+                Severity::Warning,
+                inner.cluster.login(),
+                CheckpointMsg { cycle: id, store },
+            ),
+        );
+        let deadline = ctx.now() + rec.stall_timeout;
+        if scan(ctx, sub, Some(deadline), &mut stalled).is_some() || cycle.stall_done.is_done() {
+            break;
+        }
+        ctx.instant_with("log", "cr_checkpoint_republish", || {
+            vec![("cycle", id.into())]
+        });
+    }
     cycle.stall_done.wait(ctx);
     ph.end();
     let t1 = ctx.now();
@@ -74,6 +88,7 @@ pub(crate) fn run_checkpoint(
     let t3 = ctx.now();
 
     let bytes_written = cycle.state.lock().bytes;
+    let complete = cycle.is_complete(inner.spec.nranks);
     inner.state.lock().cr_reports.push(CrReport {
         cycle: id,
         store,
@@ -82,6 +97,7 @@ pub(crate) fn run_checkpoint(
         resume: t3 - t2,
         restart: None,
         bytes_written,
+        complete,
     });
 }
 
@@ -95,13 +111,12 @@ pub(crate) fn checkpoint_rank(ctx: &Ctx, rt: &JobRuntime, cr: &RankCr, cycle: &C
     let store = rt.store_for(cycle.store, mynode);
     let meta = cr.capture_meta();
     let image = build_image(rank, &meta);
-    cycle.state.lock().checksums.insert(rank, image.checksum());
     let blcr = &inner.cluster.node(mynode).blcr;
     let rec = calib::recovery();
     let path = format!("ckpt.{}.{}", cycle.id, rank);
     // Bounded-retry dump: a failed write restarts the file from scratch;
-    // if the budget runs out the job still resumes (without a usable
-    // checkpoint for this rank).
+    // if the budget runs out the job still resumes, but without a usable
+    // checkpoint for this rank, which leaves the cycle incomplete.
     let mut written = 0;
     let mut tries = 0u32;
     loop {
@@ -109,6 +124,7 @@ pub(crate) fn checkpoint_rank(ctx: &Ctx, rt: &JobRuntime, cr: &RankCr, cycle: &C
         match blcr.try_checkpoint(ctx, &image, &mut sink) {
             Ok(w) => {
                 written = w;
+                cycle.state.lock().checksums.insert(rank, image.checksum());
                 break;
             }
             Err(e) => {
@@ -136,7 +152,8 @@ pub(crate) fn checkpoint_rank(ctx: &Ctx, rt: &JobRuntime, cr: &RankCr, cycle: &C
 /// JM-side restart from checkpoint `cycle_id`: simulates the failure path
 /// (all processes die), then reloads every rank from its checkpoint file
 /// and resumes the job from the rolled-back state. Records the measured
-/// restart duration into the matching [`CrReport`].
+/// restart duration into the matching [`CrReport`]. A cycle that is not
+/// complete is refused before anything is killed.
 pub(crate) fn run_restart(ctx: &Ctx, rt: &JobRuntime, cycle_id: u64) {
     let inner = &rt.inner;
     let Some(cycle) = rt.ckpt_cycle(cycle_id) else {
@@ -154,6 +171,14 @@ pub(crate) fn run_restart(ctx: &Ctx, rt: &JobRuntime, cycle_id: u64) {
         return;
     };
     let nranks = inner.spec.nranks;
+    if !cycle.is_complete(nranks) {
+        // Some rank's image never became durable: restarting would lose
+        // that rank, so the job keeps running on its current state.
+        ctx.instant_with("log", "cr_restart_incomplete", || {
+            vec![("cycle", cycle_id.into())]
+        });
+        return;
+    }
 
     // The failure: every process dies; connection state evaporates.
     for rank in 0..nranks {

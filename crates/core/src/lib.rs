@@ -31,8 +31,9 @@
 //! let wl = npbsim::Workload::new(npbsim::NpbApp::Lu, npbsim::NpbClass::A, 4);
 //! let rt = JobRuntime::launch(&cluster, JobSpec::npb(wl, 2 /*ppn*/));
 //! rt.control().migrate_after(simkit::dur::secs(2), MigrationRequest::new());
-//! // drive until the application completes (the cluster hosts perpetual
-//! // daemons — FTB heartbeats — so run to an event, not to quiescence)
+//! // drive until the application completes (the cluster hosts daemons
+//! // that never exit — FTB agents, NLAs — so run to an event, not to
+//! // quiescence)
 //! sim.run_until_set(rt.completion(), simkit::SimTime::MAX).unwrap();
 //! let report = rt.migration_reports().pop().expect("one migration");
 //! assert!(report.total() < simkit::dur::secs(30));

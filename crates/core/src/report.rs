@@ -239,6 +239,10 @@ pub struct CrReport {
     pub restart: Option<Duration>,
     /// Bytes dumped (Table I).
     pub bytes_written: u64,
+    /// Every rank's image is durable. Only a complete checkpoint can be
+    /// restarted from; a rank whose dump used up its retries leaves the
+    /// cycle incomplete.
+    pub complete: bool,
 }
 
 impl CrReport {
@@ -304,6 +308,7 @@ mod tests {
             resume: Duration::from_millis(1100),
             restart: Some(Duration::from_millis(5300)),
             bytes_written: 1_363_200_000,
+            complete: true,
         };
         assert_eq!(c.checkpoint_cycle(), Duration::from_millis(7530));
         assert_eq!(c.total_with_restart(), Some(Duration::from_millis(12830)));

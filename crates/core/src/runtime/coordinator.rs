@@ -138,6 +138,7 @@ fn proto_step(
         }
         Err(e @ StepError::GuardRejected { .. }) => Err(e),
         Err(e @ StepError::NoTransition { .. }) => {
+            // jmlint: allow(hot_unwrap) — spec invariant trap: the model check proves the table total
             panic!("migration cycle protocol violation: {e}")
         }
     }

@@ -170,6 +170,9 @@ pub(super) fn cr_thread(ctx: &Ctx, rt: JobRuntime, rank: u32, resume: Option<Arc
                 let Some(cycle) = rt.ckpt_cycle(c.cycle) else {
                     continue;
                 };
+                if !cycle.enter(rank) {
+                    continue;
+                }
                 migrate::suspend(ctx, &rt, &ftb, &cr, c.cycle);
                 cr_baseline::checkpoint_rank(ctx, &rt, &cr, &cycle);
             }

@@ -416,8 +416,25 @@ pub(crate) struct CkptState {
     pub cut: Option<SimTime>,
     /// Image bytes the ranks wrote.
     pub bytes: u64,
-    /// Per-rank image checksums, verified on restart.
+    /// Image checksums of the ranks whose dump succeeded, verified on
+    /// restart. The cycle is complete when every rank has one.
     pub checksums: HashMap<u32, u64>,
+    /// Ranks whose C/R thread entered the cycle.
+    entered: HashSet<u32>,
+}
+
+impl CkptCycle {
+    /// A C/R thread checks in on `FTB_CHECKPOINT`; a repeat of the
+    /// publish (the Job Manager re-publishes after a stall deadline) is
+    /// turned away from ranks that already entered.
+    pub(crate) fn enter(&self, rank: u32) -> bool {
+        self.state.lock().entered.insert(rank)
+    }
+
+    /// Every one of the job's `nranks` images is durable.
+    pub(crate) fn is_complete(&self, nranks: u32) -> bool {
+        self.state.lock().checksums.len() == nranks as usize
+    }
 }
 
 pub(crate) struct NlaShared {
@@ -955,6 +972,7 @@ impl JobRuntime {
             match st {
                 NlaState::MigrationSpare => {}
                 NlaState::MigrationInactive => nla_apply(ctx, &nla, NlaEvent::Reprovision),
+                // jmlint: allow(hot_unwrap) — pool invariant trap: a leased node hosts no ranks
                 NlaState::MigrationReady => panic!(
                     "spare pool corrupt: leased {node} still hosts ranks of job {}",
                     self.inner.job_id

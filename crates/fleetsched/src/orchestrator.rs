@@ -84,9 +84,9 @@ pub struct FleetConfig {
     /// Health monitor configuration (every doomed-predictable node gets
     /// one monitor).
     pub mon: MonitorConfig,
-    /// FTB agent heartbeat period. Fleet soaks stretch this well past the
-    /// single-job default: with ~70 nodes over simulated hours the 500 ms
-    /// default dominates the event count without changing any outcome.
+    /// FTB failure-detection period, copied into `ClusterSpec::ftb`. No
+    /// fleet run reads it: only leaves of the flat FTB tree die, so no
+    /// agent ever has to detect a dead parent.
     pub ftb_heartbeat: Duration,
     /// Launch every slot with a standby coordinator. Combined with a
     /// `CoordinatorCrash` fault plan this exercises WAL takeover under
@@ -511,13 +511,16 @@ fn pump(ctx: &Ctx, fleet: Arc<FleetShared>) {
                 }
             }
             s.seen_mig = migs.len();
-            // Drain new CR reports: every new entry is a completed
+            // Drain new CR reports: every new entry is a finished
             // coordinated checkpoint (restarts update their report in
             // place). A degraded migration also dumps one without a
             // pending checkpoint — it still advances the recovery line.
+            // Only a complete checkpoint does: a restart refuses the rest.
             let crs = s.rt.cr_reports();
             for r in &crs[s.seen_cr..] {
-                s.last_ckpt = Some((r.cycle, now));
+                if r.complete {
+                    s.last_ckpt = Some((r.cycle, now));
+                }
                 if s.pending_ckpts > 0 {
                     s.pending_ckpts -= 1;
                 }

@@ -5,7 +5,7 @@ use crate::FTB_AGENT_PORT;
 use ibfabric::{Net, NetError, NodeId};
 use parking_lot::Mutex;
 use protoverify::{traced_step, LinkEvent, LinkState};
-use simkit::{Ctx, ProcHandle, Queue, SimHandle};
+use simkit::{Ctx, ProcHandle, Queue, SimHandle, SimTime};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -23,11 +23,13 @@ pub(crate) enum AgentMsg {
     Publish { event: FtbEvent, via: Via },
     Attach { child: NodeId },
     AttachAck { grandparent: Option<NodeId> },
-    Ping { from: NodeId },
 }
 
 pub(crate) struct AgentShared {
     pub node: NodeId,
+    /// Deploy time: failure-detection ticks fall at `start + k·period`.
+    start: SimTime,
+    agents: Weak<Registry>,
     pub state: Mutex<AgentState>,
 }
 
@@ -53,7 +55,8 @@ const FORWARD_RETRIES: u32 = 1;
 /// Backplane tunables.
 #[derive(Debug, Clone)]
 pub struct FtbConfig {
-    /// Parent heartbeat period (drives failure detection latency).
+    /// Failure-detection period: an orphaned agent probes its dead parent
+    /// at its next tick (deploy time + k·period), re-attaching on failure.
     pub heartbeat: Duration,
 }
 
@@ -67,7 +70,7 @@ impl Default for FtbConfig {
 
 struct AgentHandles {
     state: Arc<AgentShared>,
-    procs: Vec<ProcHandle>,
+    main: ProcHandle,
 }
 
 /// Every live agent by node. Killed agents leave it, so their
@@ -120,6 +123,8 @@ impl FtbBackplane {
         }
         let state = Arc::new(AgentShared {
             node,
+            start: self.handle.now(),
+            agents: Arc::downgrade(&self.agents),
             state: Mutex::new(AgentState {
                 parent,
                 grandparent: None,
@@ -134,40 +139,31 @@ impl FtbBackplane {
             }),
         });
         let inbox = self.net.bind(node, FTB_AGENT_PORT);
-        let loop_state = state.clone();
-        let loop_net = self.net.clone();
-        let loop_agents = Arc::downgrade(&self.agents);
-        let main = self
-            .handle
-            .spawn_daemon(&format!("ftb-agent@{node}"), move |ctx| {
-                agent_main(ctx, loop_state, loop_net, loop_agents, inbox)
-            });
-        let hb_state = state.clone();
-        let hb_net = self.net.clone();
-        let hb = self.cfg.heartbeat;
-        let beat = self
-            .handle
-            .spawn_daemon(&format!("ftb-heartbeat@{node}"), move |ctx| {
-                heartbeat_main(ctx, hb_state, hb_net, hb)
-            });
-        agents.insert(
-            node,
-            AgentHandles {
-                state,
-                procs: vec![main, beat],
-            },
-        );
+        let (st, net) = (state.clone(), self.net.clone());
+        let name = format!("ftb-agent@{node}");
+        let main = (self.handle).spawn_daemon(&name, move |ctx| agent_main(ctx, st, net, inbox));
+        agents.insert(node, AgentHandles { state, main });
     }
 
     /// Simulate the death of the agent on `node` (node crash): kills its
-    /// processes and closes its port so peers see connection failures.
+    /// process and closes its port so peers see connection failures.
+    /// Each live child of `node` gets a short-lived detector process.
     pub fn kill_agent(&self, node: NodeId) {
         let mut agents = self.agents.lock();
-        if let Some(a) = agents.remove(&node) {
-            for p in &a.procs {
-                p.kill();
-            }
-            self.net.unbind(node, FTB_AGENT_PORT);
+        let Some(dead) = agents.remove(&node) else {
+            return;
+        };
+        dead.main.kill();
+        self.net.unbind(node, FTB_AGENT_PORT);
+        // jmlint: allow(hash_iter) — sorted below
+        let mut orphans: Vec<_> = agents.values().map(|a| a.state.clone()).collect();
+        orphans.retain(|a| a.state.lock().parent == Some(node));
+        orphans.sort_by_key(|a| a.node); // deterministic spawn order
+        for child in orphans {
+            let (net, period) = (self.net.clone(), self.cfg.heartbeat);
+            let name = format!("ftb-detect@{}", child.node);
+            self.handle
+                .spawn_daemon(&name, move |ctx| detect(ctx, child, node, net, period));
         }
     }
 
@@ -219,10 +215,11 @@ fn link_apply(ctx: &Ctx, node: NodeId, st: &mut AgentState, ev: LinkEvent) {
 /// the healing move: with a fallback known, the grandparent becomes the
 /// parent (fallback consumed until the next `AttachAck`); without one,
 /// keep the current parent — a transient link error (flap, dropped
-/// window) must not orphan the subtree permanently. Returns the parent
-/// now in effect.
+/// window) must not orphan the subtree permanently. A moved agent joins
+/// its new parent's children through the agent table, as a deployed one
+/// does, so a lost `Attach` cannot cut it off. Returns the new parent.
 fn reattach(ctx: &Ctx, state: &Arc<AgentShared>, net: &Net) -> Option<NodeId> {
-    let new_parent = {
+    let (new_parent, moved) = {
         let mut st = state.state.lock();
         let had_fallback = st.link == LinkState::AttachedWithFallback;
         link_apply(ctx, state.node, &mut st, LinkEvent::ParentLost);
@@ -234,8 +231,13 @@ fn reattach(ctx: &Ctx, state: &Arc<AgentShared>, net: &Net) -> Option<NodeId> {
             );
             st.parent = gp.or(st.parent);
         }
-        st.parent
+        (st.parent, had_fallback)
     };
+    if let (true, Some(p), Some(agents)) = (moved, new_parent, state.agents.upgrade()) {
+        if let Some(pa) = agents.lock().get(&p) {
+            pa.state.state.lock().children.insert(state.node);
+        }
+    }
     if let Some(gp) = new_parent {
         let _ = send_agent(
             net,
@@ -296,13 +298,13 @@ fn forward_up(ctx: &Ctx, state: &Arc<AgentShared>, net: &Net, event: &FtbEvent) 
     });
 }
 
-/// Whether the subtree under `child` holds a subscription matching
-/// `event`, read from the agents' live manager-layer state. An agent
-/// belongs to `parent`'s subtree while it is alive and still names
+/// Whether the subtree under `parent`'s child `child` holds a subscription
+/// matching `event`, read from the agents' live manager-layer state. An
+/// agent belongs to `parent`'s subtree while it is alive and still names
 /// `parent` as its parent, so a re-parented subtree takes its
 /// subscriptions with it; below it the walk follows `children` sets by
 /// the same rule. A `subscribe` counts from the moment it returns.
-fn subtree_wants(agents: &Weak<Registry>, parent: NodeId, child: NodeId, event: &FtbEvent) -> bool {
+fn subtree_wants(parent: &AgentShared, child: NodeId, event: &FtbEvent) -> bool {
     fn wants(
         agents: &HashMap<NodeId, AgentHandles>,
         parent: NodeId,
@@ -320,18 +322,11 @@ fn subtree_wants(agents: &Weak<Registry>, parent: NodeId, child: NodeId, event: 
             && (s.subs.iter().any(|(f, _)| f.matches(event))
                 || s.children.iter().any(|&c| wants(agents, node, c, event)))
     }
-    agents
-        .upgrade()
-        .is_some_and(|agents| wants(&agents.lock(), parent, child, event))
+    let agents = parent.agents.upgrade();
+    agents.is_some_and(|agents| wants(&agents.lock(), parent.node, child, event))
 }
 
-fn agent_main(
-    ctx: &Ctx,
-    state: Arc<AgentShared>,
-    net: Net,
-    agents: Weak<Registry>,
-    inbox: Queue<ibfabric::Datagram>,
-) {
+fn agent_main(ctx: &Ctx, state: Arc<AgentShared>, net: Net, inbox: Queue<ibfabric::Datagram>) {
     // Announce ourselves to the configured parent.
     let parent0 = state.state.lock().parent;
     if let Some(p) = parent0 {
@@ -360,16 +355,16 @@ fn agent_main(
                 // (BTreeSet: deterministic delivery order)
                 let children: Vec<NodeId> = state.state.lock().children.iter().copied().collect();
                 for c in children {
-                    if via == Via::Child(c) || !subtree_wants(&agents, state.node, c, &event) {
+                    if via == Via::Child(c) || !subtree_wants(&state, c, &event) {
                         continue;
                     }
                     let fwd = AgentMsg::Publish {
                         event: event.clone(),
                         via: Via::Parent,
                     };
-                    if send_agent(&net, ctx, state.node, c, fwd, event.wire_bytes()).is_err() {
-                        state.state.lock().children.remove(&c);
-                    }
+                    // A failed send keeps `c`: `subtree_wants` reads the
+                    // agent table, which skips dead and moved children.
+                    let _ = send_agent(&net, ctx, state.node, c, fwd, event.wire_bytes());
                 }
             }
             AgentMsg::Attach { child } => {
@@ -397,32 +392,32 @@ fn agent_main(
                 link_apply(ctx, state.node, &mut st, ev);
                 st.grandparent = grandparent;
             }
-            AgentMsg::Ping { from } => {
-                // liveness is implied by successful delivery; remember the
-                // child in case we restarted and lost membership
-                state.state.lock().children.insert(from);
-            }
         }
     }
 }
 
-fn heartbeat_main(ctx: &Ctx, state: Arc<AgentShared>, net: Net, period: Duration) {
+/// Failure detection for an agent whose parent `dead` was killed: at each
+/// of its ticks, while it lives and still names `dead` as its parent,
+/// probe `dead` with a 64-byte send. The first failed probe runs
+/// [`reattach`]; a probe the network drops is retried at the next tick.
+fn detect(ctx: &Ctx, state: Arc<AgentShared>, dead: NodeId, net: Net, period: Duration) {
     loop {
-        ctx.sleep(period);
-        let parent = state.state.lock().parent;
-        if let Some(p) = parent {
-            if send_agent(
-                &net,
-                ctx,
-                state.node,
-                p,
-                AgentMsg::Ping { from: state.node },
-                64,
-            )
+        let p = period.as_nanos().max(1);
+        let since = (ctx.now() - state.start).as_nanos();
+        ctx.sleep(Duration::from_nanos((p - since % p) as u64)); // to the next tick
+        let agents = state.agents.upgrade();
+        let alive = |n| agents.as_ref().is_some_and(|a| a.lock().contains_key(&n));
+        if !alive(state.node) || alive(dead) || state.state.lock().parent != Some(dead) {
+            return;
+        }
+        // `dead`'s port is closed, so the probe carries no payload.
+        let from = (state.node, FTB_AGENT_PORT);
+        if net
+            .send_to(ctx, from, (dead, FTB_AGENT_PORT), Box::new(()), 64)
             .is_err()
-            {
-                reattach(ctx, &state, &net);
-            }
+        {
+            reattach(ctx, &state, &net);
+            return;
         }
     }
 }

@@ -170,7 +170,7 @@ fn agent_death_triggers_reattach_to_grandparent() {
     // n3's parent is n2; kill n2 → n3 should re-attach under root n0.
     let bp2 = bp.clone();
     sim.spawn("killer", move |ctx| {
-        ctx.sleep(ms(200)); // let attach/acks settle (heartbeat at 500 ms)
+        ctx.sleep(ms(200)); // let attach/acks settle (n3 detects at its 500 ms tick)
         bp2.kill_agent(NodeId(2));
     });
     sim.run_for(secs(2)).unwrap();
@@ -231,8 +231,10 @@ fn concurrent_publishers_all_delivered() {
     assert_eq!(q.len(), 15);
 }
 
-/// A visible-error window on every link. All sends fail while the window
-/// is open; the tree must heal afterwards instead of orphaning agents.
+/// A visible-error window on every link between nodes. All such sends
+/// fail while the window is open (a client's loopback hop to its own
+/// agent still works); the tree must heal afterwards instead of
+/// orphaning agents.
 struct FlapWindow {
     from: simkit::SimTime,
     until: simkit::SimTime,
@@ -243,12 +245,12 @@ impl ibfabric::FaultHook for FlapWindow {
         &self,
         now: simkit::SimTime,
         _net: &str,
-        _from: NodeId,
-        _to: NodeId,
+        from: NodeId,
+        to: NodeId,
         _port: u16,
         _wire: u64,
     ) -> ibfabric::SendVerdict {
-        if now >= self.from && now < self.until {
+        if from != to && now >= self.from && now < self.until {
             ibfabric::SendVerdict::Error
         } else {
             ibfabric::SendVerdict::Deliver
@@ -261,8 +263,9 @@ fn transient_link_flap_does_not_orphan_agents() {
     let mut sim = Simulation::new(0);
     let bp = deploy(&sim);
     let h = sim.handle();
-    // The window covers at least one heartbeat (period 500 ms) for every
-    // agent, so each one sees a failed ping and goes through reattach.
+    // The window covers every agent's first failure-detection tick
+    // (500 ms). No agent dies, so no probe is sent, and no agent may
+    // lose its parent to the flap.
     bp.net().set_fault_hook(Arc::new(FlapWindow {
         from: simkit::SimTime::ZERO + ms(200),
         until: simkit::SimTime::ZERO + ms(1400),
@@ -289,4 +292,104 @@ fn transient_link_flap_does_not_orphan_agents() {
     });
     sim.run_for(secs(1)).unwrap();
     assert_eq!(q.len(), 1, "event must flow after the flap heals");
+}
+
+/// Instants of node `node`'s uplink `ParentLost` transitions.
+fn parent_lost_at(sim: &Simulation, node: u64) -> Vec<u64> {
+    use simkit::ArgValue;
+    sim.handle()
+        .tracer()
+        .drain_events()
+        .iter()
+        .filter(|e| e.name == "link_transition")
+        .filter(|e| {
+            e.args
+                .iter()
+                .any(|(k, v)| *k == "node" && matches!(v, ArgValue::U64(n) if *n == node))
+                && e.args
+                    .iter()
+                    .any(|(k, v)| *k == "on" && matches!(v, ArgValue::Str(s) if s == "ParentLost"))
+        })
+        .map(|e| e.time.as_nanos())
+        .collect()
+}
+
+#[test]
+fn kill_before_the_first_tick_is_detected_at_that_tick() {
+    let mut sim = Simulation::new(0);
+    sim.handle().tracer().set_enabled(true);
+    let bp = deploy(&sim);
+    let bp2 = bp.clone();
+    sim.spawn("killer", move |ctx| {
+        ctx.sleep(ms(200));
+        bp2.kill_agent(NodeId(2));
+    });
+    sim.run_for(secs(2)).unwrap();
+    // n3 was deployed at t = 0 with the default 500 ms period: its first
+    // tick probes the dead n2, and the 64-byte send fails one GigE wire
+    // delay later — the instant the per-agent heartbeat process of the
+    // earlier design re-attached at.
+    assert_eq!(parent_lost_at(&sim, 3), [500_060_582]);
+    assert_eq!(bp.parent_of(NodeId(3)), Some(NodeId(0)));
+}
+
+#[test]
+fn forward_down_failed_in_a_flap_keeps_the_child() {
+    let mut sim = Simulation::new(0);
+    let bp = deploy(&sim);
+    let h = sim.handle();
+    let c = FtbClient::connect(&bp, NodeId(1), "sub");
+    let q = c.subscribe(&h, EventFilter::all());
+    // Every send between nodes fails from 100 ms to 300 ms; the root's
+    // forward-down of the first event into n1 falls inside the window.
+    bp.net().set_fault_hook(Arc::new(FlapWindow {
+        from: simkit::SimTime::ZERO + ms(100),
+        until: simkit::SimTime::ZERO + ms(300),
+    }));
+    let p = FtbClient::connect(&bp, NodeId(0), "pub");
+    sim.spawn("pub", move |ctx| {
+        ctx.sleep(ms(200));
+        p.publish(
+            ctx,
+            FtbEvent::simple("S", "LOST", Severity::Info, NodeId(0)),
+        );
+        ctx.sleep(ms(300));
+        p.publish(
+            ctx,
+            FtbEvent::simple("S", "AFTER", Severity::Info, NodeId(0)),
+        );
+    });
+    sim.run_for(secs(1)).unwrap();
+    assert_eq!(bp.parent_of(NodeId(1)), Some(NodeId(0)));
+    let names: Vec<String> = std::iter::from_fn(|| q.try_pop()).map(|e| e.name).collect();
+    assert_eq!(names, ["AFTER"], "an event after the flap must reach n1");
+}
+
+#[test]
+fn an_agent_whose_attach_is_lost_still_gets_events() {
+    let mut sim = Simulation::new(0);
+    let bp = deploy(&sim);
+    let h = sim.handle();
+    let c = FtbClient::connect(&bp, NodeId(3), "sub");
+    let q = c.subscribe(&h, EventFilter::all());
+    // n2 dies at 200 ms. At n3's 500 ms tick every send between nodes
+    // fails: the probe, and then the `Attach` to its new parent n0.
+    bp.net().set_fault_hook(Arc::new(FlapWindow {
+        from: simkit::SimTime::ZERO + ms(499),
+        until: simkit::SimTime::ZERO + ms(501),
+    }));
+    let bp2 = bp.clone();
+    let p = FtbClient::connect(&bp, NodeId(0), "pub");
+    sim.spawn("script", move |ctx| {
+        ctx.sleep(ms(200));
+        bp2.kill_agent(NodeId(2));
+        ctx.sleep(ms(1800));
+        p.publish(
+            ctx,
+            FtbEvent::simple("S", "LATE", Severity::Info, NodeId(0)),
+        );
+    });
+    sim.run_for(secs(3)).unwrap();
+    assert_eq!(bp.parent_of(NodeId(3)), Some(NodeId(0)));
+    assert_eq!(q.len(), 1, "n0 must route down to its re-attached child");
 }

@@ -162,7 +162,8 @@ fn run_case(seed: u64, shape: Shape) {
     }
 
     // Kill an interior agent (never the root) at 200 ms; its children
-    // notice at their next heartbeat and fail over to their grandparent.
+    // notice at their next failure-detection tick and fail over to their
+    // grandparent.
     let dead = matches!(shape, Shape::Kill).then(|| {
         let interior: Vec<u32> = (1..n).filter(|&k| initial.contains(&Some(k))).collect();
         let k = interior[rng.gen_range(0..interior.len())];

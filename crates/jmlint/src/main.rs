@@ -23,10 +23,12 @@
 //!   outside the simulator's virtual clock. Simulated time comes from
 //!   `simkit` (`ctx.now()`); host time leaking into model code breaks
 //!   replay.
-//! - `hot_unwrap` — `unwrap()`/`expect()` in the migration protocol hot
-//!   paths (`runtime/`, `bufpool.rs`), where the fault plane injects
+//! - `hot_unwrap` — `unwrap()`/`expect()`/`panic!()` in the migration
+//!   and checkpoint/restart hot paths (`runtime/`, `bufpool.rs`,
+//!   `cr_baseline.rs`, blcrsim's `ops.rs`), where the fault plane injects
 //!   failures that must degrade, not panic. Spec-invariant traps the
-//!   model checker proves unreachable carry an allow marker.
+//!   model checker proves unreachable, and caller misconfiguration,
+//!   carry an allow marker with the reason.
 //! - `span_exit` — trace spans emitted without a matching exit: a span
 //!   opened in statement position (or bound to `_`) is dropped on the
 //!   same line and records zero duration; a named binding must reach an

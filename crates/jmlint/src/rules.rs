@@ -431,12 +431,18 @@ pub fn wall_clock(src: &SourceFile, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 /// Files whose non-test code is a protocol hot path (every module under
-/// `core/src/runtime/`, and `bufpool.rs`): the fault plane can reach
-/// almost every line, and an injected failure must degrade to a
-/// `MigrationOutcome`, not panic.
-const HOT_FILES: &[&str] = &["core/src/runtime/", "core/src/bufpool.rs"];
+/// `core/src/runtime/`, `bufpool.rs`, the CR baseline and BLCR's
+/// checkpoint/restart operations): the fault plane can reach almost every
+/// line, and an injected failure must degrade to a `MigrationOutcome` or
+/// a refused restart, not panic.
+const HOT_FILES: &[&str] = &[
+    "core/src/runtime/",
+    "core/src/bufpool.rs",
+    "core/src/cr_baseline.rs",
+    "blcrsim/src/ops.rs",
+];
 
-/// Flag `.unwrap()` / `.expect(` in protocol hot paths.
+/// Flag `.unwrap()` / `.expect(` / `panic!(` in protocol hot paths.
 pub fn hot_unwrap(src: &SourceFile, out: &mut Vec<Finding>) {
     let p = src.path.to_string_lossy().replace('\\', "/");
     if !HOT_FILES.iter().any(|f| p.contains(f)) {
@@ -449,7 +455,7 @@ pub fn hot_unwrap(src: &SourceFile, out: &mut Vec<Finding>) {
         if code.contains("#[cfg(test)]") {
             break;
         }
-        for tok in [".unwrap()", ".expect("] {
+        for tok in [".unwrap()", ".expect(", "panic!("] {
             if code.contains(tok) {
                 out.push(Finding {
                     path: src.path.clone(),
@@ -753,11 +759,20 @@ mod tests {
     fn hot_unwrap_scopes_to_hot_files_and_skips_tests() {
         let text = "fn f() { x.unwrap(); }\n\
                     fn g() { y.unwrap_or(0); z.expect_err(\"no\"); }\n\
+                    fn h() { w.unwrap_or_else(|| panic!(\"gone\")); }\n\
+                    fn k() { debug_assert!(ok); should_panic(); }\n\
                     #[cfg(test)]\n\
-                    mod tests { fn t() { q.unwrap(); } }\n";
-        let f = run(hot_unwrap, "crates/core/src/runtime/coordinator.rs", text);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 1);
+                    mod tests { fn t() { q.unwrap(); panic!(); } }\n";
+        for hot in [
+            "crates/core/src/runtime/coordinator.rs",
+            "crates/core/src/cr_baseline.rs",
+            "crates/blcrsim/src/ops.rs",
+        ] {
+            let f = run(hot_unwrap, hot, text);
+            let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+            assert_eq!(lines, [1, 3], "{hot}: {f:?}");
+            assert!(f[1].message.contains("panic!("), "{}", f[1].message);
+        }
         assert!(run(hot_unwrap, "crates/ftb/src/agent.rs", text).is_empty());
     }
 

@@ -562,8 +562,8 @@ impl Simulation {
     }
 
     /// Run until `event` fires. Use this to drive simulations containing
-    /// perpetual daemons (heartbeats, monitors) that would otherwise keep
-    /// the heap non-empty forever. Errors if the heap drains or the clock
+    /// perpetual daemons (health monitors, periodic triggers) that would
+    /// otherwise keep the heap non-empty forever. Errors if the heap drains or the clock
     /// passes `limit` without the event firing.
     pub fn run_until_set(
         &mut self,

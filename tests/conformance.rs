@@ -127,9 +127,9 @@ fn run_reclaim_reprovision() -> Traced {
 }
 
 /// A send-fault hook that kills forwarded events from one node. Agent
-/// control frames (Attach/AttachAck at 96 wire bytes, Ping at 64) pass,
-/// as does the client's loopback hop to its own agent — so every publish
-/// from that node fails on the uplink and walks the reattach path.
+/// control frames (Attach/AttachAck at 96 wire bytes) pass, as does the
+/// client's loopback hop to its own agent — so every publish from that
+/// node fails on the uplink and walks the reattach path.
 struct DropPublishesFrom {
     node: NodeId,
 }
@@ -144,7 +144,7 @@ impl ibfabric::FaultHook for DropPublishesFrom {
         _port: u16,
         wire: u64,
     ) -> ibfabric::SendVerdict {
-        if from == self.node && to != self.node && wire != 96 && wire != 64 {
+        if from == self.node && to != self.node && wire != 96 {
             ibfabric::SendVerdict::Error
         } else {
             ibfabric::SendVerdict::Deliver
@@ -164,13 +164,7 @@ fn run_link_fallback_rows() -> Traced {
     sim.handle().tracer().set_enabled(true);
     let h = sim.handle();
     let net = ibfabric::Net::new(&h, NetConfig::gige());
-    let bp = FtbBackplane::new(
-        &h,
-        net,
-        FtbConfig {
-            heartbeat: secs(3600), // keep pings out of the race windows
-        },
-    );
+    let bp = FtbBackplane::new(&h, net, FtbConfig::default());
     bp.add_agent(NodeId(0), None);
     bp.add_agent(NodeId(1), Some(NodeId(0)));
     bp.add_agent(NodeId(2), Some(NodeId(1)));
@@ -375,6 +369,26 @@ fn suite_refines_model_and_covers_tables() {
             })),
         ),
         run_traced("no_spare_degrade", 84, 0, false, barrier(), None),
+        // The only spare dies in Phase 1, so the trigger degrades to a
+        // checkpoint, and the Job Manager's `FTB_CHECKPOINT` is dropped on
+        // its hop to the login agent. The stall deadline re-publishes it.
+        {
+            let t = run_traced(
+                "degrade_checkpoint_lost",
+                80,
+                1,
+                false,
+                barrier(),
+                Some(spare_crash(MigPhase::Stall).with(FaultSpec::NetDrop {
+                    net: NetSel::Gige,
+                    after: secs(10),
+                    count: 1,
+                })),
+            );
+            let republished = t.events.iter().any(|e| e.name == "cr_checkpoint_republish");
+            assert!(republished, "[{}] the drop must hit FTB_CHECKPOINT", t.name);
+            t
+        },
         // Live migration: round(s) stream while the ranks compute, then
         // the controller cuts over to the residual stop-and-copy round —
         // the LiveTrigger → PrecopyRound → Cutover rows.

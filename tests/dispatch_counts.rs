@@ -17,23 +17,32 @@
 //! wakes its departure caused, so the root FTB agent finds a whole
 //! heartbeat wave queued and drains it in one dispatch. Every virtual
 //! result is unchanged.
+//!
+//! All four were re-recorded again when the FTB agents lost their
+//! per-node heartbeat processes. The pings they sent every period no
+//! longer dispatch, cross GigE or wake the root agent, so dispatches,
+//! timer pushes and FlowNet work fall. Timer re-keys and every virtual
+//! result are unchanged.
 
 use jobmig_core::bufpool::PoolConfig;
 use npbsim::NpbApp;
 use simkit::{HotStats, SimHandle};
 
-/// Kernel dispatches of the whole run (62,367 with per-event recomputes).
-const TOTAL_DISPATCHES: u64 = 62_051;
-/// Dispatches of the root FTB agent, on the login node (519 before).
-const ROOT_AGENT_DISPATCHES: u64 = 203;
-/// Timer-heap pushes of the whole run (71,172 before).
-const TIMER_PUSHES: u64 = 64_468;
-/// FlowNet completion wakes pushed (one per flow start or rate change;
-/// 12,888 before).
-const FLOW_RETIMES: u64 = 6_500;
-/// FlowNet rate recomputes: one per stale net and instant (8,468
+/// Kernel dispatches of the whole run (62,051 with heartbeat processes,
+/// 62,367 with per-event recomputes).
+const TOTAL_DISPATCHES: u64 = 59_749;
+/// Dispatches of the root FTB agent, on the login node (203 while it
+/// received pings, 519 before).
+const ROOT_AGENT_DISPATCHES: u64 = 124;
+/// Timer-heap pushes of the whole run (64,468 with heartbeats, 71,172
 /// before).
-const FLOW_RECOMPUTES: u64 = 1_922;
+const TIMER_PUSHES: u64 = 62_156;
+/// FlowNet completion wakes pushed (one per flow start or rate change;
+/// 6,500 with heartbeats, 12,888 before).
+const FLOW_RETIMES: u64 = 5_789;
+/// FlowNet rate recomputes: one per stale net and instant (1,922 with
+/// heartbeats, 8,468 before).
+const FLOW_RECOMPUTES: u64 = 1_764;
 /// Timer pushes that re-keyed a process's pending wake in place (8,731
 /// before).
 const TIMER_REKEYS: u64 = 2_343;
@@ -106,13 +115,14 @@ fn tuned_counts(tuning: jobmig_core::runtime::MigrationTuning) -> ((u64, u64, u6
 /// engine. Those were the counts of the previous engine at one lane; the
 /// lane workers, stager and 50 µs manager poll no longer dispatch. With
 /// per-event recomputes they were (57,516, 65,553, 11,776, 7,780) and
-/// 7,963 re-keys.
+/// 7,963 re-keys; with heartbeat processes (57,244, 59,669, 6,164,
+/// 1,842).
 #[test]
 fn pipelined_lu_migration_dispatch_counts_are_pinned() {
     let (counts, rekeys) = tuned_counts(jobmig_core::runtime::MigrationTuning::pipelined());
     assert_eq!(
         counts,
-        (57_244, 59_669, 6_164, 1_842),
+        (55_233, 57_648, 5_543, 1_704),
         "(dispatches, timer pushes, flow retimes, flow recomputes) moved"
     );
     assert_eq!(rekeys, 2_351, "timer re-keys moved");
@@ -123,13 +133,14 @@ fn pipelined_lu_migration_dispatch_counts_are_pinned() {
 /// Re-recorded with the pipelined pin above, for the same reason: every
 /// pre-copy round and the residual round now pull on one QP. With
 /// per-event recomputes the counts were (61,940, 70,229, 12,520, 8,772)
-/// and 8,215 re-keys.
+/// and 8,215 re-keys; with heartbeat processes (61,664, 61,963, 4,530,
+/// 2,033).
 #[test]
 fn live_lu_migration_dispatch_counts_are_pinned() {
     let (counts, rekeys) = tuned_counts(jobmig_core::runtime::MigrationTuning::live());
     assert_eq!(
         counts,
-        (61_664, 61_963, 4_530, 2_033),
+        (59_652, 59_941, 3_909, 1_895),
         "(dispatches, timer pushes, flow retimes, flow recomputes) moved"
     );
     assert_eq!(rekeys, 225, "timer re-keys moved");
@@ -137,10 +148,11 @@ fn live_lu_migration_dispatch_counts_are_pinned() {
 
 /// The fleet soak cut to a quarter, as `twoclock`'s fleet workload and
 /// the `fleet_quarter` golden digest run it: a 30-minute horizon with 3
-/// dooms, under the proactive policy. Its GigE heartbeat waves start and
-/// end dozens of flows at one instant, so per-event recomputes would
-/// multiply its retimes: they were 188,401 dispatches, 142,436
-/// recomputes and 891,316 retimes.
+/// dooms, under the proactive policy. Many of its flows start and end
+/// at one shared instant, so per-event recomputes would multiply its
+/// retimes: they were 188,401 dispatches, 142,436
+/// recomputes and 891,316 retimes. With heartbeat processes they were
+/// 182,494, 48,410 and 71,228.
 #[test]
 fn fleet_quarter_dispatch_counts_are_pinned() {
     let mut cfg = fleetsched::FleetConfig::soak(jobmig_bench::SEED);
@@ -158,7 +170,7 @@ fn fleet_quarter_dispatch_counts_are_pinned() {
     assert_no_stale_timer(&hot);
     assert_eq!(
         (hot.events_dispatched, hot.flow_recomputes, hot.flow_retimes),
-        (182_494, 48_410, 71_228),
+        (145_550, 48_052, 59_056),
         "(dispatches, flow recomputes, flow retimes) moved"
     );
 }

@@ -111,3 +111,34 @@ fn image_integrity_is_checked_end_to_end() {
     assert!(rt.is_complete());
     assert_eq!(rt.migration_reports().len(), 1);
 }
+
+#[test]
+fn restart_from_a_checkpoint_whose_dumps_failed_is_refused() {
+    // Every BLCR write fails, so each rank uses up its dump retries. The
+    // cycle is then incomplete, and a restart from it must be refused
+    // without killing the job — no panic, no hang.
+    let mut sim = Simulation::new(12);
+    let cluster = Cluster::build(&sim.handle(), ClusterSpec::sized(2, 1));
+    cluster.install_fault_plane(&(1..=50).fold(FaultPlan::new(), |p, nth| {
+        p.with(FaultSpec::BlcrWriteError { nth })
+    }));
+    let wl = Workload::new(NpbApp::Lu, NpbClass::A, 4);
+    let deadline = SimTime::ZERO + wl.base_runtime + dur::secs(600);
+    let rt = JobRuntime::launch(&cluster, JobSpec::npb(wl, 2));
+    let ctl = rt.control();
+    sim.handle().spawn_daemon("script", move |ctx| {
+        ctx.sleep(dur::secs(25));
+        ctl.checkpoint(CheckpointRequest::to(CrStoreKind::LocalExt3));
+        ctx.sleep(dur::secs(120));
+        ctl.restart_from_checkpoint(1);
+    });
+    sim.run_until_set(rt.completion(), deadline)
+        .expect("the job must complete without a panic or a hang");
+    assert!(sim.now() > SimTime::ZERO + dur::secs(145), "restart ran");
+    let reports = rt.cr_reports();
+    assert_eq!(reports.len(), 1);
+    let r = &reports[0];
+    assert!(!r.complete, "no rank's image is durable");
+    assert_eq!(r.bytes_written, 0);
+    assert!(r.restart.is_none(), "the restart must be refused");
+}
