@@ -116,21 +116,8 @@ impl Blcr {
     /// Dump `image` through `sink`, interleaving memory-walk and sink cost
     /// at chunk granularity. Returns the total stream bytes written.
     ///
-    /// Infallible wrapper around [`Blcr::try_checkpoint`] for callers with
-    /// no recovery path; panics on an injected fault.
-    pub fn checkpoint(
-        &self,
-        ctx: &Ctx,
-        image: &ProcessImage,
-        sink: &mut dyn CheckpointSink,
-    ) -> u64 {
-        self.try_checkpoint(ctx, image, sink)
-            // jmlint: allow(hot_unwrap) — documented to panic; recovery paths call try_checkpoint
-            .unwrap_or_else(|e| panic!("unhandled checkpoint fault: {e}"))
-    }
-
-    /// Fallible checkpoint dump: surfaces injected BLCR write errors and
-    /// sink/store faults instead of panicking. On error the sink may hold
+    /// Surfaces injected BLCR write errors and sink/store faults instead
+    /// of panicking. On error the sink may hold
     /// a partial stream; the caller owns cleanup (delete the file, abort
     /// the migration cycle).
     pub fn try_checkpoint(
@@ -324,7 +311,9 @@ mod tests {
             let img = ProcessImage::new(9, &b"it=5"[..])
                 .with_segment(SegmentKind::Heap, DataSlice::pattern(11, 0, 20 << 20));
             let mut sink = StoreSink::new(fs.clone(), "ckpt.9", true);
-            let written = blcr.checkpoint(ctx, &img, &mut sink);
+            let written = blcr
+                .try_checkpoint(ctx, &img, &mut sink)
+                .expect("checkpoint dump");
             assert!(written > 20 << 20);
             let t_ck = ctx.now().as_secs_f64();
             // 20 MiB at min(500 MB/s walk, 50 MB/s disk) → ≈ disk-bound
@@ -377,7 +366,8 @@ mod tests {
             sim.spawn(&format!("c{i}"), move |ctx| {
                 let img = ProcessImage::new(i, &[][..])
                     .with_segment(SegmentKind::Heap, DataSlice::pattern(i, 0, 50_000_000));
-                b.checkpoint(ctx, &img, &mut NullSink);
+                b.try_checkpoint(ctx, &img, &mut NullSink)
+                    .expect("checkpoint dump");
                 let t = ctx.now().as_secs_f64();
                 assert!((0.99..1.03).contains(&t), "finished at {t}");
             });

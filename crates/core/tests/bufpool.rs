@@ -64,7 +64,8 @@ fn pump(n: u32, mb_per_rank: u64, cfg: PoolConfig) -> (u64, u64, Vec<u64>) {
             ctx.spawn(&format!("writer{r}"), move |ctx| {
                 let img = image(r as u64, mb_per_rank);
                 let mut sink = pool.sink(ctx, r, img.checksum());
-                blcr.checkpoint(ctx, &img, &mut sink);
+                blcr.try_checkpoint(ctx, &img, &mut sink)
+                    .expect("checkpoint dump");
                 done.arrive();
             });
         }
@@ -154,7 +155,8 @@ fn odd_sized_streams_with_partial_final_chunks() {
             DataSlice::pattern(3, 0, 3 * (1 << 20) + 12345),
         );
         let mut sink = pool.sink(ctx, 0, img.checksum());
-        blcr.checkpoint(ctx, &img, &mut sink);
+        blcr.try_checkpoint(ctx, &img, &mut sink)
+            .expect("checkpoint dump");
         pool.finished().wait(ctx);
     });
     sim.spawn("target", move |ctx| {
@@ -195,7 +197,8 @@ fn memory_mode_keeps_streams_off_the_filesystem() {
         let (pool, _ack) = bufpool::source(ctx, &src_hca, cfg, 1, &rdv2);
         let img = image(0, 4);
         let mut sink = pool.sink(ctx, 0, img.checksum());
-        blcr.checkpoint(ctx, &img, &mut sink);
+        blcr.try_checkpoint(ctx, &img, &mut sink)
+            .expect("checkpoint dump");
         pool.finished().wait(ctx);
     });
     sim.spawn("target", move |ctx| {
@@ -242,7 +245,8 @@ fn ipoib_transport_is_slower_but_correct() {
                 ctx.spawn(&format!("w{r}"), move |ctx| {
                     let img = image(r as u64, 16);
                     let mut sink = pool.sink(ctx, r, img.checksum());
-                    blcr.checkpoint(ctx, &img, &mut sink);
+                    blcr.try_checkpoint(ctx, &img, &mut sink)
+                        .expect("checkpoint dump");
                     done.arrive();
                 });
             }
@@ -300,7 +304,8 @@ fn rank_ready_hook_fires_once_per_rank_with_the_final_image() {
             ctx.spawn(&format!("w{r}"), move |ctx| {
                 let img = image(r as u64, 8);
                 let mut sink = pool.sink(ctx, r, img.checksum());
-                blcr.checkpoint(ctx, &img, &mut sink);
+                blcr.try_checkpoint(ctx, &img, &mut sink)
+                    .expect("checkpoint dump");
                 done.arrive();
             });
         }
@@ -346,7 +351,8 @@ fn default_config_session_pumps_single_rank() {
         let (pool, _ack) = bufpool::source(ctx, &src_hca, cfg, 1, &rdv2);
         let img = image(0, 2);
         let mut sink = pool.sink(ctx, 0, img.checksum());
-        blcr.checkpoint(ctx, &img, &mut sink);
+        blcr.try_checkpoint(ctx, &img, &mut sink)
+            .expect("checkpoint dump");
         pool.finished().wait(ctx);
     });
     sim.spawn("target", move |ctx| {

@@ -481,10 +481,8 @@ impl Qp {
             .net
             .wire_delay(ctx, my.node, peer.node, wire_bytes + MSG_HEADER_BYTES)?;
         span.end();
+        // A destroyed peer has left its HCA's table.
         let peer_qp = self.fabric.lookup_qp(peer).ok_or(VerbsError::PeerGone)?;
-        if *peer_qp.state.lock() == QpState::Destroyed {
-            return Err(VerbsError::PeerGone);
-        }
         peer_qp.recv_q.push(Ok(IbMessage {
             tag,
             body,
@@ -600,7 +598,8 @@ impl Qp {
         Ok(())
     }
 
-    /// Destroy the QP: peers' sends fail, local blocked receivers wake
+    /// Destroy the QP and drop it from its HCA's table: peers' sends
+    /// fail with [`VerbsError::PeerGone`], local blocked receivers wake
     /// with [`VerbsError::Destroyed`].
     pub fn destroy(&self) {
         let mut st = self.shared.state.lock();
@@ -609,12 +608,50 @@ impl Qp {
         }
         *st = QpState::Destroyed;
         drop(st);
-        // Wake any receiver parked on the queue.
-        self.shared.recv_q.push(Err(VerbsError::Destroyed));
+        let addr = self.shared.addr;
+        if let Some(hca) = self.fabric.hca_shared(addr.node) {
+            hca.state.lock().qps.remove(&addr.qpn);
+        }
+        // Wake a receiver parked on the queue. `recv` checks the state
+        // first, so no later receive reads the queue.
+        if self.shared.recv_q.has_waiters() {
+            self.shared.recv_q.push(Err(VerbsError::Destroyed));
+        }
     }
 
     /// Whether the QP has been destroyed.
     pub fn is_destroyed(&self) -> bool {
         *self.shared.state.lock() == QpState::Destroyed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simkit::Simulation;
+
+    #[test]
+    fn a_destroyed_qp_leaves_its_hca_and_queues_nothing() {
+        let mut sim = Simulation::new(0);
+        let fab = IbFabric::new(&sim.handle(), IbConfig::default());
+        let h0 = fab.attach(NodeId(0));
+        let h1 = fab.attach(NodeId(1));
+        let q0 = h0.create_qp();
+        let q1 = h1.create_qp();
+        let (a0, a1) = (q0.addr(), q1.addr());
+        sim.spawn("pair", move |ctx| {
+            q0.connect(ctx, a1).unwrap();
+            q1.connect(ctx, a0).unwrap();
+            q1.destroy();
+            assert_eq!(q1.pending(), 0, "no receiver was parked");
+            assert!(matches!(q1.recv(ctx), Err(VerbsError::Destroyed)));
+            let t0 = ctx.now();
+            let sent = q0.send(ctx, 0, Box::new(()), 100);
+            assert!(matches!(sent, Err(VerbsError::PeerGone)), "{sent:?}");
+            assert!(ctx.now() > t0, "the send fails after its wire delay");
+        });
+        sim.run().unwrap();
+        let qps = |h: &Hca| h.shared.state.lock().qps.len();
+        assert_eq!((qps(&h0), qps(&h1)), (1, 0));
     }
 }

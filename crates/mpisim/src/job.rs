@@ -208,9 +208,8 @@ impl MpiJob {
         *self.inner.stats.lock()
     }
 
-    /// Number of `(src, tag)` matching queues `rank` holds right now. A
-    /// queue lives only while a message or a receiver is waiting on it,
-    /// so this is 0 whenever the rank has nothing unmatched.
+    /// Number of distinct `(src, tag)` pairs with a message unmatched at
+    /// `rank` right now: 0 whenever the rank has nothing unmatched.
     pub fn matching_queues(&self, rank: u32) -> usize {
         self.shared(rank).matching_queues()
     }
@@ -233,7 +232,6 @@ impl MpiJob {
 
     /// Deliver an arrival token into `rank`'s matching layer.
     pub(crate) fn deliver(&self, rank: u32, src: u32, tag: u64, arrival: Arrival) {
-        self.shared(rank)
-            .enqueue(&self.inner.handle, src, tag, arrival);
+        self.shared(rank).enqueue(src, tag, arrival);
     }
 }

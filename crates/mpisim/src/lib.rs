@@ -18,13 +18,15 @@
 //!
 //! ## Matching queues
 //!
-//! Each rank keeps one FIFO matching queue per `(source, tag)` pair. As
-//! in MVAPICH2, matching state lasts only as long as its message: a
-//! queue is created by the first token or receive for its pair and freed
-//! by the receive that drains it, unless another receiver still holds
-//! it. Rollback and stale-RTS purges free the queues they empty. Tags
-//! carry the iteration number, so a job's matching state stays bounded
-//! by what is in flight instead of growing with every pair ever used.
+//! As in MPICH2's CH3 device, each rank keeps one unexpected-message
+//! queue: unmatched tokens in delivery order, each tagged with its
+//! `(source, tag)`. A receive takes the oldest token of its pair, so
+//! order holds per pair however pairs interleave. With none there, the
+//! application thread posts its pair and parks on the rank's doorbell
+//! event, made at its first blocking receive; a delivery rings it only
+//! when its token matches the posted pair. Rollback and stale-RTS
+//! purges filter the one queue. Tags carry the iteration number, so a
+//! job's matching state stays bounded by what is in flight.
 //!
 //! ## Replay-safe operations
 //!

@@ -7,9 +7,8 @@ use bytes::Bytes;
 use ibfabric::{DataSrc, Mr, NodeId, Qp, QpAddr};
 use livemig::{DirtySnapshot, DirtyTracker};
 use parking_lot::Mutex;
-use simkit::{Ctx, Event, Queue, SimHandle};
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use simkit::{Ctx, Event, SimHandle};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,7 +29,6 @@ pub(crate) enum Arrival {
     },
     /// Rendezvous request-to-send awaiting a matching receive.
     Rts {
-        src: u32,
         bytes: u64,
         /// Set by the receiver once its clear-to-send is on the wire.
         cts: Event,
@@ -57,10 +55,14 @@ pub(crate) struct RankShared {
 
 struct RankState {
     node: NodeId,
-    // BTreeMap: purge passes iterate the matching queues; (src, tag)
-    // order keeps replay deterministic. An entry lives from the first
-    // token or receiver for its pair until a receive or purge drains it.
-    queues: BTreeMap<(u32, u64), Queue<Arrival>>,
+    /// Unmatched tokens with their `(src, tag)`, in delivery order: a
+    /// receive takes the oldest token of its pair.
+    unexpected: VecDeque<(u32, u64, Arrival)>,
+    /// The `(src, tag)` the application thread is parked on, if any.
+    posted: Option<(u32, u64)>,
+    /// Rung for a token matching `posted`; made at the rank's first
+    /// blocking receive.
+    doorbell: Option<Event>,
     endpoints: Option<Endpoints>,
     /// Ops to skip on replay after a restart.
     skip: u64,
@@ -82,7 +84,9 @@ impl RankShared {
             gate: Event::new(handle, "mpi-gate"), // closed until endpoints built
             state: Mutex::new(RankState {
                 node,
-                queues: BTreeMap::new(),
+                unexpected: VecDeque::new(),
+                posted: None,
+                doorbell: None,
                 endpoints: None,
                 skip: 0,
                 completed_in_iter: 0,
@@ -103,55 +107,70 @@ impl RankShared {
         self.state.lock().node = node;
     }
 
-    fn queue(&self, handle: &SimHandle, src: u32, tag: u64) -> Queue<Arrival> {
-        self.state
-            .lock()
-            .queues
-            .entry((src, tag))
-            .or_insert_with(|| Queue::new(handle))
-            .clone()
-    }
-
-    pub(crate) fn enqueue(&self, handle: &SimHandle, src: u32, tag: u64, arrival: Arrival) {
-        self.queue(handle, src, tag).push(arrival);
-    }
-
-    /// Park until a token from `src` with `tag` arrives and take it. A
-    /// queue this pop drained is freed unless another handle to it is
-    /// still out, so `queues` holds only pairs with something unmatched.
-    pub(crate) fn take(&self, ctx: &Ctx, handle: &SimHandle, src: u32, tag: u64) -> Arrival {
-        let arrival = self.queue(handle, src, tag).pop(ctx);
-        if let Entry::Occupied(q) = self.state.lock().queues.entry((src, tag)) {
-            if q.get().is_unused() {
-                q.remove();
+    /// Add a token to the unexpected queue, and wake the application
+    /// thread if it is parked on the token's pair.
+    pub(crate) fn enqueue(&self, src: u32, tag: u64, arrival: Arrival) {
+        let mut st = self.state.lock();
+        st.unexpected.push_back((src, tag, arrival));
+        if st.posted == Some((src, tag)) {
+            st.posted = None;
+            if let Some(bell) = &st.doorbell {
+                bell.set();
             }
         }
-        arrival
     }
 
+    /// Take the oldest token from `src` with `tag`, parking until one
+    /// arrives.
+    pub(crate) fn take(&self, ctx: &Ctx, handle: &SimHandle, src: u32, tag: u64) -> Arrival {
+        ctx.check_killed();
+        loop {
+            let bell = {
+                let mut st = self.state.lock();
+                let found = st
+                    .unexpected
+                    .iter()
+                    .position(|&(s, t, _)| (s, t) == (src, tag));
+                if let Some((_, _, arrival)) = found.and_then(|i| st.unexpected.remove(i)) {
+                    st.posted = None;
+                    return arrival;
+                }
+                st.posted = Some((src, tag));
+                let bell = st
+                    .doorbell
+                    .get_or_insert_with(|| Event::new(handle, "mpi-recv"));
+                // A bell rung for a receiver since killed must not wake
+                // this one.
+                bell.reset();
+                bell.clone()
+            };
+            bell.wait(ctx);
+        }
+    }
+
+    /// Distinct `(src, tag)` pairs with an unmatched token.
     pub(crate) fn matching_queues(&self) -> usize {
-        self.state.lock().queues.len()
+        let st = self.state.lock();
+        let mut pairs: Vec<(u32, u64)> = st.unexpected.iter().map(|&(s, t, _)| (s, t)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs.len()
     }
 
     pub(crate) fn purge_rts_from(&self, sender: u32) {
-        self.state.lock().queues.retain(|&(src, _), q| {
-            if src == sender {
-                q.retain(|a| !matches!(a, Arrival::Rts { .. }));
-            }
-            !q.is_unused()
-        });
+        self.state
+            .lock()
+            .unexpected
+            .retain(|(src, _, a)| *src != sender || !matches!(a, Arrival::Rts { .. }));
     }
 
     /// Rollback recovery: drop every unmatched rendezvous token (both
     /// sides re-execute the handshake) and every eager token delivered
     /// after the consistent cut (the sender re-sends it).
     pub(crate) fn purge_rollback(&self, cut: simkit::SimTime) {
-        self.state.lock().queues.retain(|_, q| {
-            q.retain(|a| match a {
-                Arrival::Rts { .. } => false,
-                Arrival::Eager { delivered_at, .. } => *delivered_at <= cut,
-            });
-            !q.is_unused()
+        self.state.lock().unexpected.retain(|(_, _, a)| match a {
+            Arrival::Rts { .. } => false,
+            Arrival::Eager { delivered_at, .. } => *delivered_at <= cut,
         });
     }
 }
@@ -334,7 +353,6 @@ impl MpiRank {
                 self.rank,
                 tag,
                 Arrival::Rts {
-                    src: self.rank,
                     bytes,
                     cts: cts.clone(),
                     bulk_done: bulk_done.clone(),
@@ -374,14 +392,13 @@ impl MpiRank {
                 bytes,
                 cts,
                 bulk_done,
-                src,
             } => {
                 // Matched rendezvous: completes even during a drain — this
                 // IS the draining of an in-flight message.
                 let drain = &self.job.inner.drain;
                 drain.inc();
                 let my = self.shared().node();
-                let sender_node = self.job.rank_node(src);
+                let sender_node = self.job.rank_node(from);
                 self.wire(ctx, my, sender_node, WIRE_HDR); // CTS
                 cts.set();
                 bulk_done.wait(ctx);

@@ -446,3 +446,134 @@ fn intra_node_messages_bypass_the_wire() {
     sim.run().unwrap();
     assert_eq!(job.fabric().net().tx_bytes(NodeId(0)), 0);
 }
+
+/// Dispatches of process `pid` so far.
+fn dispatches(sim: &Simulation, pid: simkit::ProcId) -> u64 {
+    sim.hot_stats()
+        .per_proc
+        .iter()
+        .find(|&&(p, _)| p == pid.0)
+        .map_or(0, |&(_, n)| n)
+}
+
+#[test]
+fn a_receiver_killed_while_posted_leaves_no_stale_wake() {
+    let mut sim = Simulation::new(0);
+    let job = setup(&sim, 2, 1);
+    let j = job.clone();
+    let doomed = sim.spawn("doomed-recv", move |ctx| {
+        j.attach(1).recv(ctx, 0, 5);
+        unreachable!("killed while posted on (0, 5)");
+    });
+    let j = job.clone();
+    sim.spawn("sender", move |ctx| {
+        let mut r = j.attach(0);
+        ctx.sleep(us(1500));
+        r.send(ctx, 1, 5, 100); // the corpse's pair, before anyone posts
+        ctx.sleep(us(1500));
+        r.send(ctx, 1, 5, 101); // the corpse's pair, the new receiver posted
+        ctx.sleep(ms(2));
+        r.send(ctx, 1, 6, 200);
+    });
+    let j = job.clone();
+    let new_pid = Arc::new(AtomicU64::new(u64::MAX));
+    let np = new_pid.clone();
+    sim.spawn("driver", move |ctx| {
+        ctx.sleep(ms(1));
+        doomed.kill();
+        ctx.sleep(ms(1));
+        let j = j.clone();
+        let fresh = ctx.spawn("fresh-recv", move |ctx| {
+            let mut r = j.attach(1);
+            assert_eq!(r.recv(ctx, 0, 6), 200);
+            // Woken by the (0, 6) token, sent at 5 ms.
+            let t = ctx.now() - SimTime::ZERO;
+            assert!(t > ms(5) && t < ms(5) + us(100), "returned at {t:?}");
+            assert_eq!((r.recv(ctx, 0, 5), r.recv(ctx, 0, 5)), (100, 101));
+        });
+        np.store(u64::from(fresh.pid().0), Ordering::SeqCst);
+    });
+    sim.run().unwrap();
+    let fresh = simkit::ProcId(new_pid.load(Ordering::SeqCst) as u32);
+    // Its first run, which parks, and the wake (0, 6) rang.
+    assert_eq!(dispatches(&sim, fresh), 2, "a spurious wake");
+    assert_eq!(job.matching_queues(1), 0);
+}
+
+#[test]
+fn order_holds_per_pair_when_pairs_interleave() {
+    let mut sim = Simulation::new(0);
+    let job = setup(&sim, 3, 1);
+    for (src, sizes) in [(0, [10, 20, 30]), (2, [11, 21, 31])] {
+        let j = job.clone();
+        sim.spawn(&format!("s{src}"), move |ctx| {
+            let mut r = j.attach(src);
+            ctx.sleep(us(u64::from(src)));
+            // Tags alternate 7, 8, 7 and both sources use both tags.
+            for (i, bytes) in sizes.into_iter().enumerate() {
+                r.send(ctx, 1, 7 + (i as u64 % 2), bytes);
+                ctx.sleep(us(10));
+            }
+        });
+    }
+    let j = job.clone();
+    sim.spawn("r1", move |ctx| {
+        let mut r = j.attach(1);
+        ctx.sleep(ms(1));
+        assert_eq!(j.matching_queues(1), 4);
+        let got: Vec<u64> = [(2, 7), (0, 8), (0, 7), (2, 7), (2, 8), (0, 7)]
+            .into_iter()
+            .map(|(src, tag)| r.recv(ctx, src, tag))
+            .collect();
+        assert_eq!(got, [11, 20, 10, 31, 21, 30]);
+        assert_eq!(j.matching_queues(1), 0);
+    });
+    sim.run().unwrap();
+}
+
+#[test]
+fn purges_filter_the_one_queue() {
+    let mut sim = Simulation::new(0);
+    let job = setup(&sim, 3, 1);
+    let cut = SimTime::ZERO + ms(5);
+    // A rendezvous from 2 on (2, 1), then a post-cut eager on the same
+    // pair; a pre-cut eager on (0, 1), then a post-cut eager on (0, 2)
+    // and a post-cut rendezvous on (0, 3).
+    let j = job.clone();
+    let rts2 = sim.spawn("rts2", move |ctx| j.attach(2).send(ctx, 1, 1, 1 << 20));
+    let j = job.clone();
+    sim.spawn("eager2", move |ctx| {
+        ctx.sleep(ms(10));
+        j.attach(2).send(ctx, 1, 1, 300);
+    });
+    let j = job.clone();
+    sim.spawn("eager0", move |ctx| {
+        let mut r = j.attach(0);
+        r.send(ctx, 1, 1, 100);
+        ctx.sleep(ms(10));
+        r.send(ctx, 1, 2, 200);
+    });
+    let j = job.clone();
+    let rts0 = sim.spawn("rts0", move |ctx| {
+        ctx.sleep(ms(10));
+        j.attach(0).send(ctx, 1, 3, 1 << 20);
+    });
+    let j = job.clone();
+    sim.spawn("r1", move |ctx| {
+        let mut r = j.attach(1);
+        ctx.sleep(ms(20));
+        assert_eq!(j.matching_queues(1), 4);
+        rts2.kill();
+        j.purge_stale_rts_from(2);
+        // Only the RTS from 2 went: its pair's eager is next in line.
+        assert_eq!(j.matching_queues(1), 4);
+        assert_eq!(r.recv(ctx, 2, 1), 300);
+        assert_eq!(j.matching_queues(1), 3, "(0, 1), (0, 2) and (0, 3)");
+        rts0.kill();
+        j.purge_rollback_all(cut);
+        assert_eq!(j.matching_queues(1), 1, "the pre-cut eager survives");
+        assert_eq!(r.recv(ctx, 0, 1), 100);
+        assert_eq!(j.matching_queues(1), 0);
+    });
+    sim.run().unwrap();
+}

@@ -8,7 +8,11 @@
 //!
 //! * **Stacks** are 512 KiB `mmap` regions with a `PROT_NONE` guard page
 //!   below them, so an overflow faults instead of corrupting a neighbour.
-//!   The kernel keeps finished stacks on a free list and reuses them.
+//!   A finished process's stack goes to a free list of the host thread
+//!   that ran it ([`Stack::take`], [`Stack::recycle`]). The list outlives
+//!   any one `Simulation`, so repeated runs on a thread map, fault and
+//!   unmap no stack after the first; it is unmapped when the thread
+//!   exits.
 //! * **The switch** pushes the callee-saved registers on the current
 //!   stack, stores the stack pointer, loads the other one and pops. A
 //!   switch is a function call to the compiler, so every other register
@@ -18,6 +22,7 @@
 //!   unwind tables, so a backtrace taken inside a process stops at the
 //!   bottom of the coroutine's stack.
 
+use std::cell::RefCell;
 use std::ffi::c_void;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -182,6 +187,24 @@ fn page_size() -> usize {
     usize::try_from(page).expect("sysconf(_SC_PAGESIZE) failed")
 }
 
+thread_local! {
+    /// Stacks of finished processes on this host thread, for the next
+    /// first dispatch of any `Simulation` driven here.
+    static FREE: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Stacks this host thread has mapped.
+    pub(crate) static MAPPED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Unmap every stack on this thread's free list.
+#[cfg(test)]
+pub(crate) fn clear_free_list() {
+    FREE.with_borrow_mut(Vec::clear);
+}
+
 /// One process stack: an anonymous mapping whose lowest page is a guard.
 pub(crate) struct Stack {
     base: *mut c_void,
@@ -190,7 +213,20 @@ pub(crate) struct Stack {
 }
 
 impl Stack {
-    pub(crate) fn new() -> Stack {
+    /// A stack from this thread's free list, or a fresh mapping.
+    pub(crate) fn take() -> Stack {
+        FREE.with_borrow_mut(Vec::pop).unwrap_or_else(Stack::new)
+    }
+
+    /// Put a stack no coroutine runs on back on this thread's free list
+    /// (unmapped instead while the thread exits).
+    pub(crate) fn recycle(self) {
+        let _ = FREE.try_with(|f| f.borrow_mut().push(self));
+    }
+
+    fn new() -> Stack {
+        #[cfg(test)]
+        MAPPED.with(|m| m.set(m.get() + 1));
         let guard = page_size();
         let len = STACK_SIZE + guard;
         // SAFETY: a fresh private anonymous mapping aliases nothing.

@@ -87,9 +87,32 @@ impl NetLink {
     }
 }
 
+/// A flow's links: up to two (a port pair) inline, more on the heap.
+enum FlowLinks {
+    Inline(u8, [LinkId; 2]),
+    Heap(Vec<LinkId>),
+}
+
+impl FlowLinks {
+    fn new(links: &[LinkId]) -> FlowLinks {
+        match *links {
+            [a] => FlowLinks::Inline(1, [a, a]),
+            [a, b] => FlowLinks::Inline(2, [a, b]),
+            _ => FlowLinks::Heap(links.to_vec()),
+        }
+    }
+
+    fn as_slice(&self) -> &[LinkId] {
+        match self {
+            FlowLinks::Inline(n, links) => &links[..usize::from(*n)],
+            FlowLinks::Heap(links) => links,
+        }
+    }
+}
+
 struct NetFlow {
     pid: u32,
-    links: Vec<LinkId>,
+    links: FlowLinks,
     bytes: u64,
     /// Bytes still to move at `since`.
     left: f64,
@@ -127,6 +150,7 @@ impl NetInner {
             for f in self.flows.values_mut() {
                 let rate = f
                     .links
+                    .as_slice()
                     .iter()
                     .map(|l| links[l.0 as usize].share)
                     .fold(f64::INFINITY, f64::min);
@@ -147,7 +171,7 @@ impl NetInner {
     /// Remove a flow and release its links; `completed` credits its bytes.
     fn finish_flow(&mut self, flow_id: u64, now: SimTime, completed: bool) {
         if let Some(f) = self.flows.remove(&flow_id) {
-            for l in &f.links {
+            for l in f.links.as_slice() {
                 let link = &mut self.links[l.0 as usize];
                 link.adjust(now, -1);
                 if completed {
@@ -280,7 +304,7 @@ impl FlowNet {
                 id,
                 NetFlow {
                     pid: ctx.pid().0,
-                    links: links.to_vec(),
+                    links: FlowLinks::new(links),
                     bytes,
                     left: bytes as f64,
                     since: now,

@@ -42,8 +42,10 @@
 //! next timer and resumes its owner; the owner runs until it blocks,
 //! which switches straight back to the loop. That loop is the only
 //! dispatcher. A process gets its stack at its first dispatch, and the
-//! stack returns to a free list when the process finishes. A process
-//! killed before its first dispatch never gets one.
+//! stack returns to the host thread's free list when the process
+//! finishes or the `Simulation` is dropped. The list outlives the
+//! `Simulation`, so the next one on the same thread reuses its stacks. A
+//! process killed before its first dispatch never gets one.
 
 use crate::coro::{Coroutine, Stack, Switch};
 use crate::error::{Killed, SimError};
@@ -355,11 +357,12 @@ impl Kernel {
     ) -> ProcHandle {
         let t0 = self.hot.clock();
         let now = self.now();
+        let interned: Arc<str> = Arc::from(name);
         let pid = {
             let mut st = self.st.lock();
             let pid = ProcId(st.procs.len() as u32);
             st.procs.push(Slot {
-                name: Arc::from(name),
+                name: Arc::clone(&interned),
                 body: Some(Box::new(f)),
                 dead: false,
                 killed: Arc::new(AtomicBool::new(false)),
@@ -372,7 +375,7 @@ impl Kernel {
             st.schedule_wake_locked(now, pid, now, None);
             pid
         };
-        self.tracer.name_proc(pid, name);
+        self.tracer.name_proc(pid, &interned);
         if self.tracer.armed() {
             self.log(Some(pid), format!("spawned '{name}'"));
         }
@@ -496,8 +499,8 @@ pub enum RunOutcome {
     LimitReached,
 }
 
-/// A discrete-event simulation: owns the scheduler loop and the stacks
-/// its processes run on.
+/// A discrete-event simulation: owns the scheduler loop and the
+/// coroutines its processes run on.
 ///
 /// Construct with [`Simulation::new`], spawn processes, then drive with
 /// [`Simulation::run`] (to quiescence) or [`Simulation::run_until`]. The
@@ -509,8 +512,6 @@ pub struct Simulation {
     /// Started processes by pid, with their names; `None` before the
     /// first dispatch and after the process finished.
     procs: Vec<Option<(Coroutine, Rc<str>)>>,
-    /// Stacks of finished processes, reused by the next first dispatch.
-    stacks: Vec<Stack>,
     /// How the process that just returned finished, left by its body.
     fin: Rc<Cell<Option<Fin>>>,
     /// Set once a process panic has aborted the run; further use is a bug.
@@ -555,7 +556,6 @@ impl Simulation {
         Simulation {
             scope: Scope::new(kernel, None),
             procs: Vec::new(),
-            stacks: Vec::new(),
             fin: Rc::new(Cell::new(None)),
             poisoned: false,
         }
@@ -702,7 +702,7 @@ impl Simulation {
                     Err(p) => Fin::Panic(panic_message(&*p)),
                 }));
             });
-            let stack = self.stacks.pop().unwrap_or_else(Stack::new);
+            let stack = Stack::take();
             if self.procs.len() <= i {
                 self.procs.resize_with(i + 1, || None);
             }
@@ -720,7 +720,7 @@ impl Simulation {
             return None;
         }
         let (coro, _) = self.procs[i].take().expect("finished process vanished");
-        self.stacks.push(coro.into_stack());
+        coro.into_stack().recycle();
         Some(self.fin.take().expect("finished process left no outcome"))
     }
 }
@@ -735,9 +735,9 @@ impl Deref for Simulation {
 impl Drop for Simulation {
     fn drop(&mut self) {
         // Kill every live process, then resume each started one in pid
-        // order so its stack unwinds and its destructors run. A body that
-        // never ran is dropped without a stack. Unwinding code may spawn,
-        // so repeat until nothing is left.
+        // order so its stack unwinds and its destructors run, and recycle
+        // the stack. A body that never ran is dropped without a stack.
+        // Unwinding code may spawn, so repeat until nothing is left.
         loop {
             let mut bodies = Vec::new();
             {
@@ -755,6 +755,7 @@ impl Drop for Simulation {
             for mut coro in started {
                 while !coro.resume() {}
                 self.fin.take();
+                coro.into_stack().recycle();
             }
         }
     }
@@ -763,6 +764,34 @@ impl Drop for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_second_simulation_on_the_thread_maps_no_new_stack() {
+        fn run(procs: u32) {
+            let mut sim = Simulation::new(0);
+            let gate = crate::sync::Event::new(&sim.handle(), "gate");
+            for i in 0..procs {
+                let gate = gate.clone();
+                sim.spawn(&format!("p{i}"), move |ctx| {
+                    ctx.sleep(std::time::Duration::from_millis(u64::from(i)));
+                    if i % 2 == 0 {
+                        // Still parked when the simulation is dropped.
+                        gate.wait(ctx);
+                    }
+                });
+            }
+            sim.run_until(SimTime::from_nanos(10_000_000)).unwrap();
+        }
+        let mapped = || crate::coro::MAPPED.get();
+        crate::coro::clear_free_list();
+        run(6);
+        let first = mapped();
+        run(6);
+        run(4);
+        assert_eq!(mapped(), first, "a later simulation mapped a stack");
+        run(7);
+        assert_eq!(mapped(), first + 1, "only the extra process maps one");
+    }
 
     #[test]
     fn panic_label_names_the_running_process() {

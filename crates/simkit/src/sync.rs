@@ -16,31 +16,62 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Remove `pid` from a waiter list if still registered. Timed waits must
-/// call this after waking: a pid left behind would be woken by a later
-/// `set`/`push` while blocked in an unrelated sleep, corrupting its timing.
-fn unregister(waiters: &mut VecDeque<u32>, pid: u32) {
-    if let Some(pos) = waiters.iter().position(|&w| w == pid) {
-        waiters.remove(pos);
-    }
+/// A FIFO list of parked pids that holds its first waiter inline, so
+/// a wait on a primitive nobody else waits on allocates nothing.
+#[derive(Default)]
+struct Waiters {
+    /// The oldest waiter; `None` only when `rest` is empty too.
+    first: Option<u32>,
+    rest: VecDeque<u32>,
 }
 
-/// Wake the first live waiter, dropping the killed and finished ones
-/// before it.
-fn wake_one_live(kernel: &Kernel, waiters: &mut VecDeque<u32>) {
-    if !waiters.is_empty() {
-        kernel.sweep(|s| while waiters.pop_front().is_some_and(|w| !s.wake(w)) {});
+impl Waiters {
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
     }
-}
 
-/// Wake every live waiter, emptying the list.
-fn wake_all_live(kernel: &Kernel, waiters: &mut VecDeque<u32>) {
-    if !waiters.is_empty() {
-        kernel.sweep(|s| {
-            for w in waiters.drain(..) {
-                s.wake(w);
-            }
-        });
+    fn push_back(&mut self, pid: u32) {
+        match self.first {
+            None => self.first = Some(pid),
+            Some(_) => self.rest.push_back(pid),
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<u32> {
+        let first = self.first.take();
+        self.first = self.rest.pop_front();
+        first
+    }
+
+    /// Remove `pid` if still registered. Timed waits must call this
+    /// after waking: a pid left behind would be woken by a later
+    /// `set`/`push` while blocked in an unrelated sleep, corrupting its
+    /// timing.
+    fn unregister(&mut self, pid: u32) {
+        if self.first == Some(pid) {
+            self.pop_front();
+        } else if let Some(pos) = self.rest.iter().position(|&w| w == pid) {
+            self.rest.remove(pos);
+        }
+    }
+
+    /// Wake the first live waiter, dropping the killed and finished ones
+    /// before it.
+    fn wake_one_live(&mut self, kernel: &Kernel) {
+        if !self.is_empty() {
+            kernel.sweep(|s| while self.pop_front().is_some_and(|w| !s.wake(w)) {});
+        }
+    }
+
+    /// Wake every live waiter, emptying the list.
+    fn wake_all_live(&mut self, kernel: &Kernel) {
+        if !self.is_empty() {
+            kernel.sweep(|s| {
+                while let Some(w) = self.pop_front() {
+                    s.wake(w);
+                }
+            });
+        }
     }
 }
 
@@ -50,7 +81,7 @@ fn wake_all_live(kernel: &Kernel, waiters: &mut VecDeque<u32>) {
 
 struct EventInner {
     name: &'static str,
-    st: Mutex<(bool, VecDeque<u32>)>,
+    st: Mutex<(bool, Waiters)>,
 }
 
 /// A broadcast event: once [`Event::set`], every current and future
@@ -71,7 +102,7 @@ impl Event {
             kernel: Arc::clone(&handle.kernel),
             inner: Arc::new(EventInner {
                 name,
-                st: Mutex::new((false, VecDeque::new())),
+                st: Mutex::new((false, Waiters::default())),
             }),
         }
     }
@@ -88,7 +119,7 @@ impl Event {
             return;
         }
         st.0 = true;
-        wake_all_live(&self.kernel, &mut st.1);
+        st.1.wake_all_live(&self.kernel);
     }
 
     /// Clear the event: later waiters park until the next [`Event::set`].
@@ -129,7 +160,7 @@ impl Event {
             }
             self.kernel.schedule_wake(ctx.pid(), deadline);
             ctx.block();
-            unregister(&mut self.inner.st.lock().1, ctx.pid().0);
+            self.inner.st.lock().1.unregister(ctx.pid().0);
         }
     }
 
@@ -150,7 +181,7 @@ impl std::fmt::Debug for Event {
 // ---------------------------------------------------------------------------
 
 struct QueueInner<T> {
-    st: Mutex<(VecDeque<T>, VecDeque<u32>)>,
+    st: Mutex<(VecDeque<T>, Waiters)>,
 }
 
 /// An unbounded FIFO channel between simulated processes. `push` never
@@ -175,7 +206,7 @@ impl<T: Send> Queue<T> {
         Queue {
             kernel: Arc::clone(&handle.kernel),
             inner: Arc::new(QueueInner {
-                st: Mutex::new((VecDeque::new(), VecDeque::new())),
+                st: Mutex::new((VecDeque::new(), Waiters::default())),
             }),
         }
     }
@@ -185,8 +216,7 @@ impl<T: Send> Queue<T> {
     pub fn push(&self, item: T) {
         let mut st = self.inner.st.lock();
         st.0.push_back(item);
-        let (_, waiters) = &mut *st;
-        wake_one_live(&self.kernel, waiters);
+        st.1.wake_one_live(&self.kernel);
     }
 
     /// Take the oldest item, parking until one is available.
@@ -198,8 +228,7 @@ impl<T: Send> Queue<T> {
                 if let Some(item) = st.0.pop_front() {
                     // If items remain, keep the wave going for other waiters.
                     if !st.0.is_empty() {
-                        let (_, waiters) = &mut *st;
-                        wake_one_live(&self.kernel, waiters);
+                        st.1.wake_one_live(&self.kernel);
                     }
                     return item;
                 }
@@ -219,8 +248,7 @@ impl<T: Send> Queue<T> {
                 let mut st = self.inner.st.lock();
                 if let Some(item) = st.0.pop_front() {
                     if !st.0.is_empty() {
-                        let (_, waiters) = &mut *st;
-                        wake_one_live(&self.kernel, waiters);
+                        st.1.wake_one_live(&self.kernel);
                     }
                     return Some(item);
                 }
@@ -231,20 +259,13 @@ impl<T: Send> Queue<T> {
             }
             self.kernel.schedule_wake(ctx.pid(), deadline);
             ctx.block();
-            unregister(&mut self.inner.st.lock().1, ctx.pid().0);
+            self.inner.st.lock().1.unregister(ctx.pid().0);
         }
     }
 
     /// Take the oldest item if one is present (never blocks).
     pub fn try_pop(&self) -> Option<T> {
         self.inner.st.lock().0.pop_front()
-    }
-
-    /// Drop queued items failing the predicate (never blocks; does not
-    /// wake anyone). Used to purge protocol tokens that a killed process
-    /// will re-issue after restart.
-    pub fn retain(&self, f: impl FnMut(&T) -> bool) {
-        self.inner.st.lock().0.retain(f);
     }
 
     /// Number of queued items.
@@ -257,11 +278,10 @@ impl<T: Send> Queue<T> {
         self.len() == 0
     }
 
-    /// Whether this is the only handle to an empty queue: nothing is
-    /// queued, and no other handle exists to push to it or wait on it,
-    /// so dropping this one loses nothing.
-    pub fn is_unused(&self) -> bool {
-        Arc::strong_count(&self.inner) == 1 && self.is_empty()
+    /// Whether a process is registered as parked in a pop: a live one,
+    /// or a killed one that no push has dropped yet.
+    pub fn has_waiters(&self) -> bool {
+        !self.inner.st.lock().1.is_empty()
     }
 }
 

@@ -21,6 +21,7 @@ use crate::time::SimTime;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// What a [`TraceEvent`] marks.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,7 +224,8 @@ pub struct Tracer {
     digest_on: AtomicBool,
     digest: Mutex<TraceDigest>,
     events: Mutex<Vec<TraceEvent>>,
-    proc_names: Mutex<HashMap<u32, String>>,
+    /// Each spawned process's name by pid: the kernel's own `Arc<str>`.
+    proc_names: Mutex<Vec<Option<Arc<str>>>>,
 }
 
 impl Tracer {
@@ -233,7 +235,7 @@ impl Tracer {
             digest_on: AtomicBool::new(false),
             digest: Mutex::new(TraceDigest::new()),
             events: Mutex::new(Vec::new()),
-            proc_names: Mutex::new(HashMap::new()),
+            proc_names: Mutex::new(Vec::new()),
         }
     }
 
@@ -262,13 +264,22 @@ impl Tracer {
 
     /// Record a process name so exporters can label its track. Called by
     /// the kernel on every spawn; names survive `drain_events`.
-    pub(crate) fn name_proc(&self, pid: ProcId, name: &str) {
-        self.proc_names.lock().insert(pid.0, name.to_string());
+    pub(crate) fn name_proc(&self, pid: ProcId, name: &Arc<str>) {
+        let mut names = self.proc_names.lock();
+        let i = pid.0 as usize;
+        if names.len() <= i {
+            names.resize(i + 1, None);
+        }
+        names[i] = Some(Arc::clone(name));
     }
 
     /// Known process names, by raw pid.
     pub fn proc_names(&self) -> HashMap<u32, String> {
-        self.proc_names.lock().clone()
+        let names = self.proc_names.lock();
+        (0..)
+            .zip(names.iter())
+            .filter_map(|(pid, name)| Some((pid, name.as_deref()?.to_string())))
+            .collect()
     }
 
     /// Record one event stamped `time` (no-op unless enabled or
