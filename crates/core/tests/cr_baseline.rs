@@ -146,3 +146,35 @@ fn checkpoint_then_migration_compose() {
     assert_eq!(rt.cr_reports().len(), 1);
     assert_eq!(rt.migration_reports().len(), 1);
 }
+
+#[test]
+fn checkpoint_cycles_leave_the_hca_tables_as_they_found_them() {
+    let mut sim = Simulation::new(14);
+    let (cluster, rt) = job(&sim, false);
+    let rt2 = rt.clone();
+    let counts = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let out = counts.clone();
+    sim.handle().spawn_daemon("script", move |ctx| {
+        let nodes = cluster.compute_nodes().to_vec();
+        for cycle in 1..=3 {
+            ctx.sleep(secs(20));
+            rt2.control()
+                .checkpoint(CheckpointRequest::to(CrStoreKind::LocalExt3));
+            while rt2.cr_reports().len() < cycle {
+                ctx.sleep(ms(100));
+            }
+            let (qps, mrs) = nodes.iter().fold((0, 0), |(q, m), &n| {
+                let hca = cluster.fabric().attach(n);
+                (q + hca.live_qps(), m + hca.live_mrs())
+            });
+            out.lock().push((qps, mrs));
+        }
+    });
+    sim.run_until_set(rt.completion(), SimTime::MAX).unwrap();
+    assert!(rt.is_complete());
+    let counts = counts.lock();
+    assert_eq!(counts.len(), 3, "three checkpoint cycles ran");
+    // Four ranks, each with one MR and a QP per peer.
+    assert_eq!(counts[0], (4 * 3, 4), "after cycle 1");
+    assert_eq!(counts[2], counts[0], "after cycle 3");
+}

@@ -18,7 +18,17 @@
 //! * **Remote keys cached remotely**: an [`RemoteMr`] captured before a
 //!   deregistration keeps "working" as a value but any RDMA access through
 //!   it fails with [`VerbsError::RemoteAccess`] — the staleness hazard that
-//!   forces MVAPICH2 to release rkeys before checkpointing.
+//!   forces MVAPICH2 to release rkeys before checkpointing. A
+//!   deregistered region leaves its HCA's table; rkeys are never reused.
+//!
+//! Connection setup and teardown come in batches, as an MPI library
+//! rebuilds all of a process's per-peer connections at once:
+//! [`Hca::connect_qps`] pays `n` CM handshakes in one sleep and then
+//! creates the `n` QPs, already connected, under one HCA lock;
+//! [`Qp::destroy_all`] destroys a slice under one lock per HCA.
+//! [`Hca::create_qp`] and [`Qp::destroy`] are their one-element cases.
+//! A QP's receive queue is made only when a message is first sent to or
+//! received on it.
 
 use crate::fault::ReadFault;
 use crate::net::{Net, NetConfig, NetError};
@@ -30,7 +40,7 @@ use simkit::{Ctx, Queue, SimHandle};
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Wire-header overhead charged per message.
@@ -158,12 +168,15 @@ enum QpState {
 struct QpShared {
     addr: QpAddr,
     state: Mutex<QpState>,
-    recv_q: Queue<Result<IbMessage, VerbsError>>,
+    /// Made at the QP's first send to it or receive on it: most QPs
+    /// (an MPI job's per-peer endpoints) never carry a message.
+    recv_q: OnceLock<Queue<Result<IbMessage, VerbsError>>>,
 }
 
-struct MrEntry {
-    buf: Arc<Mutex<SparseBuf>>,
-    valid: bool,
+impl QpShared {
+    fn recv_q(&self, handle: &SimHandle) -> &Queue<Result<IbMessage, VerbsError>> {
+        self.recv_q.get_or_init(|| Queue::new(handle))
+    }
 }
 
 struct HcaShared {
@@ -172,7 +185,9 @@ struct HcaShared {
 }
 
 struct HcaState {
-    mrs: HashMap<u32, MrEntry>,
+    /// Registered regions by rkey. Deregistration removes the entry, and
+    /// rkeys are never reused, so a stale rkey finds nothing.
+    mrs: HashMap<u32, Arc<Mutex<SparseBuf>>>,
     qps: HashMap<u32, Arc<QpShared>>,
     next_rkey: u32,
     next_qpn: u32,
@@ -260,16 +275,15 @@ impl IbFabric {
         offset: u64,
         len: u64,
     ) -> Result<Arc<Mutex<SparseBuf>>, VerbsError> {
-        let denied = VerbsError::RemoteAccess { node, rkey };
-        let hca = self
-            .hca_shared(node)
-            .ok_or(VerbsError::RemoteAccess { node, rkey })?;
-        let st = hca.state.lock();
-        let entry = st.mrs.get(&rkey).ok_or(denied)?;
-        if !entry.valid {
-            return Err(VerbsError::RemoteAccess { node, rkey });
-        }
-        let buf = entry.buf.clone();
+        let denied = || VerbsError::RemoteAccess { node, rkey };
+        let hca = self.hca_shared(node).ok_or_else(denied)?;
+        let buf = hca
+            .state
+            .lock()
+            .mrs
+            .get(&rkey)
+            .cloned()
+            .ok_or_else(denied)?;
         let end = offset.checked_add(len);
         if end.is_none() || end.unwrap() > buf.lock().len() {
             return Err(VerbsError::RemoteAccess { node, rkey });
@@ -311,13 +325,7 @@ impl Hca {
             let mut st = self.shared.state.lock();
             let rkey = st.next_rkey;
             st.next_rkey += 1;
-            st.mrs.insert(
-                rkey,
-                MrEntry {
-                    buf: buf.clone(),
-                    valid: true,
-                },
-            );
+            st.mrs.insert(rkey, buf.clone());
             rkey
         };
         Mr {
@@ -330,23 +338,67 @@ impl Hca {
 
     /// Create a queue pair in the `Init` state.
     pub fn create_qp(&self) -> Qp {
-        let mut st = self.shared.state.lock();
-        let qpn = st.next_qpn;
-        st.next_qpn += 1;
-        let shared = Arc::new(QpShared {
-            addr: QpAddr {
-                node: self.shared.node,
-                qpn,
-            },
-            state: Mutex::new(QpState::Init),
-            recv_q: Queue::new(&self.fabric.handle),
-        });
-        st.qps.insert(qpn, shared.clone());
-        drop(st);
-        Qp {
-            fabric: self.fabric.clone(),
-            shared,
+        let mut qp = self.create_qps([QpState::Init]);
+        qp.pop().expect("one QP")
+    }
+
+    /// Create one queue pair per entry of `peers`, each connected to its
+    /// peer, paying one connection-manager handshake per QP
+    /// (`cm_handshake × peers.len()`, one sleep). The QPs exist only once
+    /// the handshakes are paid, so a caller killed during them leaves
+    /// none behind. Records one `rdma/qp_connect` instant for the batch;
+    /// an empty batch neither sleeps nor records.
+    pub fn connect_qps(&self, ctx: &Ctx, peers: &[QpAddr]) -> Vec<Qp> {
+        if peers.is_empty() {
+            return Vec::new();
         }
+        let n = u32::try_from(peers.len()).expect("QP count fits u32");
+        ctx.sleep(self.fabric.inner.cfg.cm_handshake * n);
+        let qps = self.connect_qps_instant(peers);
+        ctx.instant_with("rdma", "qp_connect", || {
+            vec![("node", self.shared.node.0.into()), ("qps", n.into())]
+        });
+        qps
+    }
+
+    /// [`Hca::connect_qps`] without charging time (simulation setup).
+    pub fn connect_qps_instant(&self, peers: &[QpAddr]) -> Vec<Qp> {
+        self.create_qps(peers.iter().map(|&p| QpState::Connected(p)))
+    }
+
+    /// Create one QP per entry of `states` under one HCA lock.
+    fn create_qps(&self, states: impl IntoIterator<Item = QpState>) -> Vec<Qp> {
+        let states = states.into_iter();
+        let mut qps = Vec::with_capacity(states.size_hint().0);
+        let mut st = self.shared.state.lock();
+        for state in states {
+            let qpn = st.next_qpn;
+            st.next_qpn += 1;
+            let shared = Arc::new(QpShared {
+                addr: QpAddr {
+                    node: self.shared.node,
+                    qpn,
+                },
+                state: Mutex::new(state),
+                recv_q: OnceLock::new(),
+            });
+            st.qps.insert(qpn, shared.clone());
+            qps.push(Qp {
+                fabric: self.fabric.clone(),
+                shared,
+            });
+        }
+        qps
+    }
+
+    /// Queue pairs in this HCA's table (created and not yet destroyed).
+    pub fn live_qps(&self) -> usize {
+        self.shared.state.lock().qps.len()
+    }
+
+    /// Memory regions registered here and not yet deregistered.
+    pub fn live_mrs(&self) -> usize {
+        self.shared.state.lock().mrs.len()
     }
 }
 
@@ -391,23 +443,16 @@ impl Mr {
         self.buf.lock().read(offset, len)
     }
 
-    /// Invalidate the region: any [`RemoteMr`] captured earlier becomes a
-    /// stale rkey and RDMA through it fails.
+    /// Deregister the region, dropping it from its HCA's table: any
+    /// [`RemoteMr`] captured earlier becomes a stale rkey and RDMA
+    /// through it fails.
     pub fn deregister(&self) {
-        if let Some(e) = self.hca.state.lock().mrs.get_mut(&self.rkey) {
-            e.valid = false;
-        }
+        self.hca.state.lock().mrs.remove(&self.rkey);
     }
 
     /// Whether the region is still registered.
     pub fn is_valid(&self) -> bool {
-        self.hca
-            .state
-            .lock()
-            .mrs
-            .get(&self.rkey)
-            .map(|e| e.valid)
-            .unwrap_or(false)
+        self.hca.state.lock().mrs.contains_key(&self.rkey)
     }
 }
 
@@ -483,7 +528,7 @@ impl Qp {
         span.end();
         // A destroyed peer has left its HCA's table.
         let peer_qp = self.fabric.lookup_qp(peer).ok_or(VerbsError::PeerGone)?;
-        peer_qp.recv_q.push(Ok(IbMessage {
+        peer_qp.recv_q(&self.fabric.handle).push(Ok(IbMessage {
             tag,
             body,
             wire_bytes,
@@ -496,12 +541,12 @@ impl Qp {
         if *self.shared.state.lock() == QpState::Destroyed {
             return Err(VerbsError::Destroyed);
         }
-        self.shared.recv_q.pop(ctx)
+        self.shared.recv_q(&self.fabric.handle).pop(ctx)
     }
 
     /// Number of undelivered messages queued on this QP.
     pub fn pending(&self) -> usize {
-        self.shared.recv_q.len()
+        self.shared.recv_q.get().map_or(0, Queue::len)
     }
 
     /// One-sided RDMA Read: pull `[offset, offset+len)` from `remote`.
@@ -602,20 +647,35 @@ impl Qp {
     /// fail with [`VerbsError::PeerGone`], local blocked receivers wake
     /// with [`VerbsError::Destroyed`].
     pub fn destroy(&self) {
-        let mut st = self.shared.state.lock();
-        if *st == QpState::Destroyed {
-            return;
+        Qp::destroy_all(std::slice::from_ref(self));
+    }
+
+    /// [`Qp::destroy`] every QP of `batch`, taking each HCA's lock once per
+    /// run of consecutive QPs on its node. Charges no time.
+    pub fn destroy_all(batch: &[Qp]) {
+        let mut rest = batch;
+        while let Some(first) = rest.first() {
+            let node = first.shared.addr.node;
+            let same = rest.iter().take_while(|q| q.shared.addr.node == node);
+            let (run, tail) = rest.split_at(same.count());
+            rest = tail;
+            if let Some(hca) = first.fabric.hca_shared(node) {
+                let mut st = hca.state.lock();
+                for qp in run {
+                    st.qps.remove(&qp.shared.addr.qpn);
+                }
+            }
         }
-        *st = QpState::Destroyed;
-        drop(st);
-        let addr = self.shared.addr;
-        if let Some(hca) = self.fabric.hca_shared(addr.node) {
-            hca.state.lock().qps.remove(&addr.qpn);
-        }
-        // Wake a receiver parked on the queue. `recv` checks the state
-        // first, so no later receive reads the queue.
-        if self.shared.recv_q.has_waiters() {
-            self.shared.recv_q.push(Err(VerbsError::Destroyed));
+        for qp in batch {
+            let was = std::mem::replace(&mut *qp.shared.state.lock(), QpState::Destroyed);
+            // Wake a receiver parked on the queue. `recv` checks the
+            // state first, so no later receive reads the queue.
+            match qp.shared.recv_q.get() {
+                Some(q) if was != QpState::Destroyed && q.has_waiters() => {
+                    q.push(Err(VerbsError::Destroyed));
+                }
+                _ => {}
+            }
         }
     }
 
@@ -651,7 +711,57 @@ mod tests {
             assert!(ctx.now() > t0, "the send fails after its wire delay");
         });
         sim.run().unwrap();
-        let qps = |h: &Hca| h.shared.state.lock().qps.len();
-        assert_eq!((qps(&h0), qps(&h1)), (1, 0));
+        assert_eq!((h0.live_qps(), h1.live_qps()), (1, 0));
+    }
+
+    #[test]
+    fn a_batch_pays_every_handshake_in_one_sleep_and_leaves_in_one_destroy() {
+        let mut sim = Simulation::new(0);
+        let fab = IbFabric::new(&sim.handle(), IbConfig::default());
+        let h0 = fab.attach(NodeId(0));
+        let h1 = fab.attach(NodeId(1));
+        let back = h1.create_qp();
+        let peers = [back.addr(); 3];
+        let (a, b) = (h0.clone(), h1.clone());
+        sim.spawn("rank", move |ctx| {
+            let t0 = ctx.now();
+            let batch = a.connect_qps(ctx, &peers);
+            assert_eq!(ctx.now() - t0, IbConfig::default().cm_handshake * 3);
+            assert_eq!(a.live_qps(), 3);
+            assert!(
+                back.shared.recv_q.get().is_none(),
+                "no queue before a message"
+            );
+            back.connect(ctx, batch[1].addr()).unwrap();
+            batch[1].send(ctx, 7, Box::new(()), 8).unwrap();
+            assert_eq!(back.pending(), 1);
+            assert_eq!(back.recv(ctx).unwrap().tag, 7);
+            assert!(batch.iter().all(|q| q.shared.recv_q.get().is_none()));
+            Qp::destroy_all(&batch);
+            assert!(batch.iter().all(Qp::is_destroyed));
+            assert!(matches!(
+                back.send(ctx, 7, Box::new(()), 8),
+                Err(VerbsError::PeerGone)
+            ));
+        });
+        sim.run().unwrap();
+        assert_eq!((h0.live_qps(), b.live_qps()), (0, 1));
+    }
+
+    #[test]
+    fn a_deregistered_mr_leaves_its_hca() {
+        let sim = Simulation::new(0);
+        let fab = IbFabric::new(&sim.handle(), IbConfig::default());
+        let h0 = fab.attach(NodeId(0));
+        let mr = h0.register_mr_instant(4096);
+        let remote = mr.remote();
+        assert_eq!(h0.live_mrs(), 1);
+        mr.deregister();
+        assert!(!mr.is_valid());
+        assert_eq!(h0.live_mrs(), 0);
+        let stale = fab.checked_mr(remote.node, remote.rkey, 0, 1);
+        assert!(matches!(stale, Err(VerbsError::RemoteAccess { .. })));
+        // rkeys are never reused.
+        assert_ne!(h0.register_mr_instant(4096).remote().rkey, remote.rkey);
     }
 }

@@ -16,6 +16,21 @@
 //!   [`RankCr::rebuild_endpoints`] re-registers memory and reconnects QPs
 //!   after the migration barrier.
 //!
+//! ## Endpoint cycle
+//!
+//! A rank holds one RC queue pair per peer and one registered buffer.
+//! Their per-QP costs (`qp_destroy` per teardown, `cm_handshake` per
+//! reconnect) are a sum of constants, so each is paid in one sleep: the
+//! teardown releases every QP and the MR at once and then sleeps
+//! `qp_destroy × n`; a timed rebuild registers the MR, sleeps
+//! `cm_handshake × n` and then creates all n QPs connected in one
+//! [`ibfabric::Hca::connect_qps`] call. At 64 ranks a rank's cycle is 3
+//! kernel dispatches, not 127, with every virtual instant unchanged. A
+//! C/R thread killed inside either sleep leaves no QP and no registered
+//! MR of its rank in the HCA, and a rebuild first releases any endpoints
+//! a killed C/R thread left behind. MPI messages never travel on these
+//! QPs: they cost a `Net::wire_delay` between the ranks' nodes.
+//!
 //! ## Matching queues
 //!
 //! As in MPICH2's CH3 device, each rank keeps one unexpected-message

@@ -42,6 +42,30 @@ pub(crate) struct Endpoints {
     qps: Vec<Qp>,
 }
 
+impl Endpoints {
+    /// Destroy every QP and deregister the MR, charging no time.
+    fn release(&self) -> TeardownReport {
+        Qp::destroy_all(&self.qps);
+        self.mr.deregister();
+        TeardownReport {
+            qps_destroyed: self.qps.len(),
+            mrs_deregistered: 1,
+        }
+    }
+}
+
+/// Deregisters a freshly registered MR if the rebuild holding it unwinds
+/// (its C/R thread was killed) before the endpoints own it.
+struct DeregisterOnUnwind<'a>(&'a Mr);
+
+impl Drop for DeregisterOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.deregister();
+        }
+    }
+}
+
 /// Rank state that **survives migration**: the matching layer, logical
 /// application state, and replay counters. Endpoint state (QPs, MRs) is
 /// per-node-incarnation and lives in `endpoints`.
@@ -496,31 +520,32 @@ impl RankCr {
     }
 
     /// Destroy this rank's endpoints without draining (used on the
-    /// failure path, where the node is simply gone).
+    /// failure path, where the node is simply gone). Every QP and the MR
+    /// are released at once, then the destroys are paid in one sleep
+    /// (`qp_destroy` per QP), so a C/R thread killed during it leaves
+    /// nothing in the HCA.
     pub fn teardown(&self, ctx: &Ctx) -> TeardownReport {
         let eps = self.shared().state.lock().endpoints.take();
-        match eps {
-            Some(eps) => {
-                for qp in &eps.qps {
-                    ctx.sleep(self.job.config().qp_destroy);
-                    qp.destroy();
-                }
-                eps.mr.deregister();
-                TeardownReport {
-                    qps_destroyed: eps.qps.len(),
-                    mrs_deregistered: 1,
-                }
-            }
-            None => TeardownReport {
+        let Some(eps) = eps else {
+            return TeardownReport {
                 qps_destroyed: 0,
                 mrs_deregistered: 0,
-            },
+            };
+        };
+        let report = eps.release();
+        let n = u32::try_from(report.qps_destroyed).expect("QP count fits u32");
+        if n > 0 {
+            ctx.sleep(self.job.config().qp_destroy * n);
         }
+        report
     }
 
     /// Phase-4 per-rank work: re-register the communication buffer MR and
     /// re-establish one QP per peer. `timed` charges the real costs
-    /// (startup uses `false`, resume uses `true`).
+    /// (startup uses `false`, resume uses `true`): the registration, then
+    /// one sleep for all the CM handshakes, after which every QP is
+    /// created connected. Endpoints a killed C/R thread left behind are
+    /// released first, untimed.
     pub fn rebuild_endpoints(&self, ctx: &Ctx, timed: bool) {
         let span = ctx.span_with("mpi", "rebuild_endpoints", || {
             vec![
@@ -528,30 +553,36 @@ impl RankCr {
                 ("timed", u64::from(timed).into()),
             ]
         });
-        let node = self.shared().node();
+        let (node, stale) = {
+            let mut st = self.shared().state.lock();
+            (st.node, st.endpoints.take())
+        };
+        if let Some(stale) = stale {
+            stale.release();
+        }
         let hca = self.job.fabric().attach(node);
         let mr = if timed {
             hca.register_mr(ctx, self.job.config().comm_buf_bytes)
         } else {
             hca.register_mr_instant(self.job.config().comm_buf_bytes)
         };
-        let mut qps = Vec::with_capacity(self.job.size() as usize - 1);
-        for peer in 0..self.job.size() {
-            if peer == self.rank {
-                continue;
-            }
-            let qp = hca.create_qp();
-            if timed {
-                // Address info is exchanged out of band by the launcher;
-                // the CM handshake cost is what matters here.
-                let peer_addr = QpAddr {
+        // Address info is exchanged out of band by the launcher; the CM
+        // handshake cost is what matters here.
+        let mut peers = Vec::with_capacity(self.job.size() as usize - 1);
+        peers.extend(
+            (0..self.job.size())
+                .filter(|&peer| peer != self.rank)
+                .map(|peer| QpAddr {
                     node: self.job.rank_node(peer),
                     qpn: u32::MAX, // OOB-exchanged peer QPN (opaque here)
-                };
-                qp.connect(ctx, peer_addr).expect("qp connect");
-            }
-            qps.push(qp);
-        }
+                }),
+        );
+        let qps = if timed {
+            let _unclaimed = DeregisterOnUnwind(&mr);
+            hca.connect_qps(ctx, &peers)
+        } else {
+            hca.connect_qps_instant(&peers)
+        };
         self.shared().state.lock().endpoints = Some(Endpoints { mr, qps });
         span.end();
     }

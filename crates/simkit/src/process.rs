@@ -9,6 +9,7 @@ use crate::kernel::{Kernel, ProcId};
 use crate::time::SimTime;
 use crate::trace::{Args, EventKind, Tracer};
 use rand::rngs::StdRng;
+use std::cell::Cell;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -196,7 +197,15 @@ pub struct Ctx {
     pid: ProcId,
     /// This process's killed flag, shared with its kernel slot.
     killed: Arc<AtomicBool>,
+    /// Kill points passed since the process last blocked.
+    unblocked: Cell<u32>,
 }
+
+/// Kill points a process may pass without blocking once. A process that
+/// loops on a primitive that never blocks (an `Event` left set) spins at
+/// one virtual instant; past this many it panics, naming itself and the
+/// instant, and the run ends in `SimError::ProcPanic` instead of hanging.
+const LIVELOCK_KILL_POINTS: u32 = 1 << 22;
 
 impl Deref for Ctx {
     type Target = Scope;
@@ -211,6 +220,7 @@ impl Ctx {
             scope: Scope::new(kernel, Some(pid)),
             pid,
             killed,
+            unblocked: Cell::new(0),
         }
     }
 
@@ -256,11 +266,27 @@ impl Ctx {
 
     /// Unwind with [`Killed`] if this process has been killed. All blocking
     /// primitives call this; long compute-only loops may call it to poll.
-    /// It takes no lock.
+    /// It takes no lock. Panics if the process has passed
+    /// `LIVELOCK_KILL_POINTS` (2^22) kill points since it last blocked.
     pub fn check_killed(&self) {
         if self.killed.load(Ordering::Relaxed) {
             std::panic::panic_any(Killed { pid: self.pid });
         }
+        let n = self.unblocked.get() + 1;
+        self.unblocked.set(n);
+        if n > LIVELOCK_KILL_POINTS {
+            self.livelock();
+        }
+    }
+
+    #[cold]
+    fn livelock(&self) -> ! {
+        panic!(
+            "livelock: process '{}' passed {LIVELOCK_KILL_POINTS} kill points at t = {} \
+             without blocking once",
+            self.name(),
+            self.kernel.now()
+        );
     }
 
     /// Switch back to the scheduler loop until the canonical wake fires.
@@ -275,6 +301,7 @@ impl Ctx {
             "a process must not block while it unwinds"
         );
         coro::suspend(&self.kernel.switch);
+        self.unblocked.set(0);
         self.check_killed();
     }
 }

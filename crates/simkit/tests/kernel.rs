@@ -136,6 +136,40 @@ fn proc_panic_surfaces_as_error() {
 }
 
 #[test]
+fn a_process_spinning_on_a_set_event_ends_in_a_livelock_panic() {
+    let mut sim = Simulation::new(0);
+    let ev = Event::new(&sim.handle(), "stuck");
+    ev.set();
+    let waits = Arc::new(AtomicU64::new(0));
+    let w = waits.clone();
+    sim.spawn("spinner", move |ctx| {
+        ctx.sleep(ms(2));
+        // More kill points than the limit, blocking now and then: no
+        // livelock.
+        for i in 0..6_000_000u64 {
+            ev.wait(ctx);
+            if i % 1_000_000 == 0 {
+                ctx.sleep(ns(1));
+            }
+        }
+        loop {
+            ev.wait(ctx);
+            w.fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    match sim.run() {
+        Err(SimError::ProcPanic { name, message, .. }) => {
+            assert_eq!(name, "spinner");
+            assert!(message.contains("livelock"), "{message}");
+            assert!(message.contains("'spinner'"), "{message}");
+            assert!(message.contains("t = 2.000ms"), "{message}");
+        }
+        other => panic!("expected ProcPanic, got {other:?}"),
+    }
+    assert!(waits.load(Ordering::Relaxed) > 1_000_000);
+}
+
+#[test]
 fn relocking_a_mutex_held_across_a_block_panics_in_the_second_locker() {
     let mut sim = Simulation::new(0);
     let m = Arc::new(parking_lot::Mutex::new(0u64));

@@ -8,8 +8,13 @@
 //! an eager message allocates nothing and a rendezvous message allocates
 //! only its two handshake events (clear-to-send and bulk-done). A change
 //! that brings back per-message heap work fails here.
+//!
+//! A rank's timed endpoint rebuild is pinned too: at 64 ranks it makes
+//! one allocation per QP (the QP's shared state) and a fixed few besides,
+//! with no receive queue until a QP carries a message.
 
 use ibfabric::{IbConfig, IbFabric, NodeId};
+use mpisim::RankCr;
 use mpisim::{MpiConfig, MpiJob};
 use simkit::Simulation;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -124,4 +129,43 @@ fn a_steady_state_rendezvous_message_allocates_its_two_events() {
     assert!(bytes > MpiConfig::default().eager_threshold);
     let messages = 2 * ROUNDS;
     assert_eq!(ping_pong_allocs(bytes), 2 * messages);
+}
+
+/// Allocations of one rank's timed endpoint rebuild in a 64-rank job on
+/// 8 nodes, after one uncounted teardown and rebuild have sized the HCA
+/// tables and the timer heap.
+fn timed_rebuild_allocs() -> u64 {
+    let mut sim = Simulation::new(0);
+    let h = sim.handle();
+    let fabric = IbFabric::new(&h, IbConfig::default());
+    let nodes: Vec<NodeId> = (0..64).map(|r| NodeId(r / 8)).collect();
+    let job = MpiJob::new(&h, fabric, &nodes, MpiConfig::default());
+    let j = job.clone();
+    sim.spawn("launch", move |ctx| {
+        for r in 0..64 {
+            j.cr(r).rebuild_endpoints(ctx, false);
+        }
+    });
+    sim.run().unwrap();
+    let counted = Arc::new(AtomicU64::new(u64::MAX));
+    let out = Arc::clone(&counted);
+    let cr: RankCr = job.cr(5);
+    sim.spawn("cr-thread", move |ctx| {
+        cr.teardown(ctx);
+        cr.rebuild_endpoints(ctx, true);
+        cr.teardown(ctx);
+        let start = allocs();
+        cr.rebuild_endpoints(ctx, true);
+        out.store(allocs() - start, Ordering::Relaxed);
+    });
+    sim.run().unwrap();
+    counted.load(Ordering::Relaxed)
+}
+
+/// The 63 QPs' shared states, the MR's buffer, the peer address list and
+/// the QP list. Paid per QP, with a receive queue made for each QP, the
+/// rebuild made 128.
+#[test]
+fn a_timed_64_rank_rebuild_allocates_once_per_qp_and_three_times_more() {
+    assert_eq!(timed_rebuild_allocs(), 63 + 3);
 }

@@ -9,10 +9,11 @@
 //! To re-record after an *intended* behavior change, copy the values
 //! printed by the failing assertions and say below why they moved. To see
 //! what moved, diff the output of `jobmig-bench`'s `digest_dump` example
-//! (`fig4`, `fault-matrix` or `fleet`; it runs the same scenario functions)
-//! at the parent commit against the change; with `--canonical` it sorts
-//! the events within each nanosecond, so a change that only reorders
-//! same-instant tie-breaks gives identical canonical dumps.
+//! (`fig4`, `fault-matrix`, `fleet` or `fleet-quarter`; it runs the same
+//! scenarios) at the parent commit against the change; with
+//! `--canonical` it sorts the events within each nanosecond, so a change
+//! that only reorders same-instant tie-breaks gives identical canonical
+//! dumps, and `--without <cat>/<name>` leaves out one kind of event.
 
 use jobmig_core::bufpool::PoolConfig;
 use npbsim::NpbApp;
@@ -62,14 +63,27 @@ use simkit::{SimHandle, TraceDigest};
 /// which changes the hash. With the pid column erased, the sorted
 /// `digest_dump --canonical` dumps of fig4, the fault matrix and the
 /// fleet differ from the previous ones by exactly those spawn records.
-const GOLDEN_FIG4: (u64, u64) = (5309435455193413501, 7521);
-const GOLDEN_FAULT_MATRIX: (u64, u64) = (3901404568724273565, 779);
-const GOLDEN_FLEET: (u64, u64) = (1742178930237996118, 296287);
+///
+/// Re-recorded (all four) when a rank's endpoint rebuild began to create
+/// and connect its QPs in one batch and record one `rdma/qp_connect`
+/// instant for the batch (args `node`, `qps`) instead of one per QP (args
+/// `node`, `peer`). Those instants are the only events that moved:
+/// `digest_dump <scenario> --canonical --without rdma/qp_connect` prints
+/// the same dump before and after the change for all four scenarios.
+/// `qp_connect` instants, before → after: fig4 4,034 → 66, fault matrix
+/// 14 → 6, fleet-quarter 6,784 → 976, fleet 27,020 → 3,884 (the buffer
+/// pool's two per migration stay per QP). Event totals: fig4 7,521 →
+/// 3,553, fault matrix 779 → 771, fleet-quarter 74,536 → 68,728, fleet
+/// 296,287 → 273,151.
+const GOLDEN_FIG4: (u64, u64) = (3976439335827880317, 3553);
+const GOLDEN_FAULT_MATRIX: (u64, u64) = (5383965648379013071, 771);
+const GOLDEN_FLEET: (u64, u64) = (6465003197422478544, 273151);
 /// Recorded when it was added, before FlowNet wakes moved into timer
 /// groups, so that change had to hold it exactly; so did the change to
 /// one FlowNet settle per instant. Re-recorded with the others when the
-/// heartbeat processes went (see above).
-const GOLDEN_FLEET_QUARTER: (u64, u64) = (16445301742431247383, 74536);
+/// heartbeat processes went and when the endpoint rebuild began to
+/// connect its QPs in one batch (see above).
+const GOLDEN_FLEET_QUARTER: (u64, u64) = (10059136229736435406, 68728);
 
 fn assert_golden(name: &str, got: TraceDigest, want: (u64, u64)) {
     assert_eq!(

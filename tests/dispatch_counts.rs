@@ -23,20 +23,29 @@
 //! longer dispatch, cross GigE or wake the root agent, so dispatches,
 //! timer pushes and FlowNet work fall. Timer re-keys and every virtual
 //! result are unchanged.
+//!
+//! All four were re-recorded again when a rank's endpoint teardown and
+//! rebuild began to pay their per-QP costs in one sleep each (one
+//! `qp_destroy` sleep for every QP, one `cm_handshake` sleep for every
+//! peer) instead of one sleep per QP. At 64 ranks that is 62 teardown
+//! and 62 rebuild wakes fewer per rank and cycle: 7,936 dispatches and
+//! timer pushes fewer in the LU.C.64 cycles, 11,616 dispatches in the
+//! fleet quarter. FlowNet work, timer re-keys and every virtual result
+//! are unchanged.
 
 use jobmig_core::bufpool::PoolConfig;
 use npbsim::NpbApp;
 use simkit::{HotStats, SimHandle};
 
-/// Kernel dispatches of the whole run (62,051 with heartbeat processes,
-/// 62,367 with per-event recomputes).
-const TOTAL_DISPATCHES: u64 = 59_749;
+/// Kernel dispatches of the whole run (59,749 with one sleep per QP,
+/// 62,051 with heartbeat processes, 62,367 with per-event recomputes).
+const TOTAL_DISPATCHES: u64 = 51_813;
 /// Dispatches of the root FTB agent, on the login node (203 while it
 /// received pings, 519 before).
 const ROOT_AGENT_DISPATCHES: u64 = 124;
-/// Timer-heap pushes of the whole run (64,468 with heartbeats, 71,172
-/// before).
-const TIMER_PUSHES: u64 = 62_156;
+/// Timer-heap pushes of the whole run (62,156 with one sleep per QP,
+/// 64,468 with heartbeats, 71,172 before).
+const TIMER_PUSHES: u64 = 54_220;
 /// FlowNet completion wakes pushed (one per flow start or rate change;
 /// 6,500 with heartbeats, 12,888 before).
 const FLOW_RETIMES: u64 = 5_789;
@@ -116,13 +125,13 @@ fn tuned_counts(tuning: jobmig_core::runtime::MigrationTuning) -> ((u64, u64, u6
 /// lane workers, stager and 50 µs manager poll no longer dispatch. With
 /// per-event recomputes they were (57,516, 65,553, 11,776, 7,780) and
 /// 7,963 re-keys; with heartbeat processes (57,244, 59,669, 6,164,
-/// 1,842).
+/// 1,842); with one sleep per QP (55,233, 57,648, 5,543, 1,704).
 #[test]
 fn pipelined_lu_migration_dispatch_counts_are_pinned() {
     let (counts, rekeys) = tuned_counts(jobmig_core::runtime::MigrationTuning::pipelined());
     assert_eq!(
         counts,
-        (55_233, 57_648, 5_543, 1_704),
+        (47_297, 49_712, 5_543, 1_704),
         "(dispatches, timer pushes, flow retimes, flow recomputes) moved"
     );
     assert_eq!(rekeys, 2_351, "timer re-keys moved");
@@ -134,13 +143,13 @@ fn pipelined_lu_migration_dispatch_counts_are_pinned() {
 /// pre-copy round and the residual round now pull on one QP. With
 /// per-event recomputes the counts were (61,940, 70,229, 12,520, 8,772)
 /// and 8,215 re-keys; with heartbeat processes (61,664, 61,963, 4,530,
-/// 2,033).
+/// 2,033); with one sleep per QP (59,652, 59,941, 3,909, 1,895).
 #[test]
 fn live_lu_migration_dispatch_counts_are_pinned() {
     let (counts, rekeys) = tuned_counts(jobmig_core::runtime::MigrationTuning::live());
     assert_eq!(
         counts,
-        (59_652, 59_941, 3_909, 1_895),
+        (51_716, 52_005, 3_909, 1_895),
         "(dispatches, timer pushes, flow retimes, flow recomputes) moved"
     );
     assert_eq!(rekeys, 225, "timer re-keys moved");
@@ -152,7 +161,7 @@ fn live_lu_migration_dispatch_counts_are_pinned() {
 /// at one shared instant, so per-event recomputes would multiply its
 /// retimes: they were 188,401 dispatches, 142,436
 /// recomputes and 891,316 retimes. With heartbeat processes they were
-/// 182,494, 48,410 and 71,228.
+/// 182,494, 48,410 and 71,228; with one sleep per QP, 145,550 dispatches.
 #[test]
 fn fleet_quarter_dispatch_counts_are_pinned() {
     let mut cfg = fleetsched::FleetConfig::soak(jobmig_bench::SEED);
@@ -170,7 +179,48 @@ fn fleet_quarter_dispatch_counts_are_pinned() {
     assert_no_stale_timer(&hot);
     assert_eq!(
         (hot.events_dispatched, hot.flow_recomputes, hot.flow_retimes),
-        (145_550, 48_052, 59_056),
+        (133_934, 48_052, 59_056),
         "(dispatches, flow recomputes, flow retimes) moved"
+    );
+}
+
+/// One rank's endpoint cycle at 64 ranks (63 QPs) as the C/R thread runs
+/// it: the teardown is one dispatch (its `qp_destroy` sleep for all 63
+/// QPs) and a timed rebuild two (the MR registration, then every CM
+/// handshake). Paid per QP they were 63 and 64.
+#[test]
+fn a_64_rank_endpoint_cycle_costs_three_dispatches() {
+    use ibfabric::{IbConfig, IbFabric, NodeId};
+    use mpisim::{MpiConfig, MpiJob};
+    use std::sync::{Arc, Mutex};
+
+    let mut sim = simkit::Simulation::new(0);
+    let h = sim.handle();
+    let fabric = IbFabric::new(&h, IbConfig::default());
+    let nodes: Vec<NodeId> = (0..64).map(|r| NodeId(r / 8)).collect();
+    let job = MpiJob::new(&h, fabric, &nodes, MpiConfig::default());
+    let j = job.clone();
+    sim.spawn("launch", move |ctx| {
+        for r in 0..64 {
+            j.cr(r).rebuild_endpoints(ctx, false);
+        }
+    });
+    sim.run().unwrap();
+    let costs = Arc::new(Mutex::new((0, 0)));
+    let out = costs.clone();
+    let cr = job.cr(5);
+    sim.spawn("cr-thread", move |ctx| {
+        let dispatched = || ctx.hot_stats().events_dispatched;
+        let start = dispatched();
+        assert_eq!(cr.teardown(ctx).qps_destroyed, 63);
+        let torn_down = dispatched();
+        cr.rebuild_endpoints(ctx, true);
+        *out.lock().unwrap() = (torn_down - start, dispatched() - torn_down);
+    });
+    sim.run().unwrap();
+    assert_eq!(
+        *costs.lock().unwrap(),
+        (1, 2),
+        "(teardown, timed rebuild) dispatches moved"
     );
 }
