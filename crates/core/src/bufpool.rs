@@ -21,7 +21,7 @@
 
 use crate::calib;
 use blcrsim::CheckpointSink;
-use ibfabric::{DataSlice, Hca, Qp, QpAddr, RemoteMr, Rope};
+use ibfabric::{DataSlice, Hca, Mr, Qp, QpAddr, RemoteMr, Rope};
 use parking_lot::Mutex;
 use simkit::{Ctx, Event, Semaphore, SimHandle};
 use std::collections::HashMap;
@@ -220,11 +220,27 @@ struct SourceState {
     bytes_streamed: u64,
 }
 
+/// A pool side's queue pair and memory region, destroyed and
+/// deregistered when this is dropped: untimed, with no trace event. Its
+/// owner is the process that receives on the QP, so no receiver is
+/// parked on the QP when it goes.
+struct Endpoints {
+    qp: Qp,
+    mr: Arc<Mr>,
+}
+
+impl Drop for Endpoints {
+    fn drop(&mut self) {
+        self.qp.destroy();
+        self.mr.deregister();
+    }
+}
+
 /// The source-side buffer manager.
 pub struct SourcePool {
     cfg: PoolConfig,
     qp: Qp,
-    mr: ibfabric::Mr,
+    mr: Arc<Mr>,
     /// Target connected and ready to receive requests.
     channel_ready: Event,
     slot_sem: Semaphore,
@@ -235,8 +251,10 @@ pub struct SourcePool {
 
 /// Set up the source half on `hca`: registers the pool MR (timed),
 /// publishes its QP address on `rendezvous`, and spawns the ack loop
-/// (returned so an aborted cycle can kill it). `nranks` is the number of
-/// local processes that will stream through the pool.
+/// (returned so an aborted cycle can kill it). The ack loop owns the QP
+/// and the MR and releases them when it ends: at DONE_ACK, or when it is
+/// killed. `nranks` is the number of local processes that will stream
+/// through the pool.
 pub fn source(
     ctx: &Ctx,
     hca: &Hca,
@@ -245,14 +263,14 @@ pub fn source(
     rendezvous: &PoolRendezvous,
 ) -> (Arc<SourcePool>, simkit::ProcHandle) {
     let handle = ctx.handle();
-    let mr = hca.register_mr(ctx, cfg.pool_bytes);
+    let mr = Arc::new(hca.register_mr(ctx, cfg.pool_bytes));
     let qp = hca.create_qp();
     rendezvous.publish(qp.addr());
     let slots = cfg.slots();
     let pool = Arc::new(SourcePool {
         cfg,
         qp: qp.clone(),
-        mr,
+        mr: Arc::clone(&mr),
         channel_ready: Event::new(&handle, "pool-channel-ready"),
         slot_sem: Semaphore::new(&handle, slots as u64),
         finished: Event::new(&handle, "source-pool-finished"),
@@ -268,7 +286,11 @@ pub fn source(
     // A daemon: on a healthy cycle it exits at DONE_ACK; on an aborted
     // one the runtime kills it.
     let p = Arc::clone(&pool);
-    let ack = ctx.spawn_daemon("srcpool-ackloop", move |ctx| p.ack_loop(ctx));
+    let ends = Endpoints { qp, mr };
+    let ack = ctx.spawn_daemon("srcpool-ackloop", move |ctx| {
+        let _ends = ends;
+        p.ack_loop(ctx)
+    });
     (pool, ack)
 }
 
@@ -564,7 +586,7 @@ pub type RankReadyHook<'a> = &'a dyn Fn(&Ctx, u32, AssembledImage);
 /// streams on `store`, and acknowledge each chunk. Blocks until the
 /// source signals DONE, or returns `Err` when a chunk cannot be obtained
 /// or staged — the caller leaves the cycle to the Job Manager's phase
-/// deadline.
+/// deadline. The QP and the staging MR are released on every return.
 pub fn target(
     ctx: &Ctx,
     hca: &Hca,
@@ -580,8 +602,12 @@ pub fn target(
         return Err(PullAbort::new("rendezvous"));
     };
     // Local staging pool mirrors the source pool geometry.
-    let _staging = hca.register_mr(ctx, cfg.pool_bytes);
+    let staging = hca.register_mr(ctx, cfg.pool_bytes);
     let qp = hca.create_qp();
+    let _ends = Endpoints {
+        qp: qp.clone(),
+        mr: Arc::new(staging),
+    };
     if qp.connect(ctx, src_addr).is_err() {
         return Err(PullAbort::new("wire"));
     }

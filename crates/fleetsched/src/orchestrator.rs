@@ -244,16 +244,33 @@ struct Slot {
     handled: Vec<NodeId>,
     /// Crashed; recovery in progress.
     down: bool,
-    done_jobs: u64,
-    past_outcomes: OutcomeCounts,
-    past_ckpts: u64,
-    /// Standby takeovers (fencing-epoch bumps) of finished incarnations.
-    past_takeovers: u64,
+    /// What the slot's earlier incarnations did.
+    past: History,
+}
+
+/// What a slot's job incarnations did.
+#[derive(Clone, Copy, Default)]
+struct History {
+    jobs_completed: u64,
+    outcomes: OutcomeCounts,
+    checkpoints: u64,
+    /// Standby takeovers (fencing-epoch bumps).
+    takeovers: u64,
 }
 
 impl Slot {
     fn busy(&self) -> bool {
         self.pending_ckpts + self.pending_migs > 0
+    }
+
+    /// The slot's history with its current incarnation counted in.
+    fn history(&self) -> History {
+        let mut h = self.past;
+        h.jobs_completed += u64::from(self.rt.is_complete());
+        accumulate(&mut h.outcomes, &self.rt.migration_outcomes());
+        h.checkpoints += self.rt.cr_reports().len() as u64;
+        h.takeovers += self.rt.fencing_epoch();
+        h
     }
 }
 
@@ -314,10 +331,7 @@ fn launch_slot(
         reserved_mig: false,
         handled: Vec::new(),
         down: false,
-        done_jobs: 0,
-        past_outcomes: OutcomeCounts::default(),
-        past_ckpts: 0,
-        past_takeovers: 0,
+        past: History::default(),
     }
 }
 
@@ -329,6 +343,15 @@ impl FleetShared {
             st.next_job_id - 1
         };
         launch_slot(&self.cfg, &self.cluster, job_id, nodes, now)
+    }
+
+    /// Shut the slot's incarnation down and launch a fresh one on
+    /// `nodes`, keeping the slot's history with the old one counted in.
+    fn relaunch(&self, s: &mut Slot, nodes: Vec<NodeId>, now: SimTime) {
+        let past = s.history();
+        s.rt.shutdown();
+        *s = self.launch_into(nodes, now);
+        s.past = past;
     }
 
     /// The slot currently hosting ranks on `node`, if any.
@@ -535,20 +558,7 @@ fn pump(ctx: &Ctx, fleet: Arc<FleetShared>) {
                         nodes.push(n);
                     }
                 }
-                let done = s.done_jobs + 1;
-                let past_out = {
-                    let mut o = s.past_outcomes;
-                    accumulate(&mut o, &s.rt.migration_outcomes());
-                    o
-                };
-                let past_ckpts = s.past_ckpts + s.rt.cr_reports().len() as u64;
-                let past_takeovers = s.past_takeovers + s.rt.fencing_epoch();
-                s.rt.shutdown();
-                *s = fleet.launch_into(nodes, now);
-                s.done_jobs = done;
-                s.past_outcomes = past_out;
-                s.past_ckpts = past_ckpts;
-                s.past_takeovers = past_takeovers;
+                fleet.relaunch(&mut s, nodes, now);
             }
         }
         // Dispatch queued orders, most urgent first, under admission
@@ -629,10 +639,11 @@ fn doom_executor(ctx: &Ctx, fleet: Arc<FleetShared>, doom: NodeDoom) {
         ]
     });
     // Crash whatever job still occupies the node. Waits for any in-flight
-    // control cycle to finish: `cr_baseline::run_checkpoint` has no
-    // failure deadlines, so crashing mid-checkpoint would wedge the Job
-    // Manager forever. (Not a `while let`: the busy-retry arm is the only
-    // path that loops; every other arm breaks.)
+    // control cycle to finish: `cr_baseline::run_checkpoint` bounds its
+    // stall with a deadline, but its dump wait (`ckpt_done`) has none, so
+    // crashing mid-checkpoint would wedge the Job Manager forever. (Not a
+    // `while let`: the busy-retry arm is the only path that loops; every
+    // other arm breaks.)
     #[allow(clippy::while_let_loop)]
     loop {
         let Some(idx) = fleet.slot_hosting(doom.node) else {
@@ -687,16 +698,7 @@ fn doom_executor(ctx: &Ctx, fleet: Arc<FleetShared>, doom: NodeDoom) {
                 // from scratch on the same nodes.
                 let mut s = slot.lock();
                 let nodes = s.nodes.clone();
-                let done = s.done_jobs;
-                let past_out = s.past_outcomes;
-                let past_ckpts = s.past_ckpts + s.rt.cr_reports().len() as u64;
-                let past_takeovers = s.past_takeovers + s.rt.fencing_epoch();
-                s.rt.shutdown();
-                *s = fleet.launch_into(nodes, ctx.now());
-                s.done_jobs = done;
-                s.past_outcomes = past_out;
-                s.past_ckpts = past_ckpts;
-                s.past_takeovers = past_takeovers;
+                fleet.relaunch(&mut s, nodes, ctx.now());
                 fleet.state.lock().stats.scratch_restarts += 1;
             }
         }
@@ -862,13 +864,11 @@ pub fn run_policy_observed(
     let mut checkpoints = 0u64;
     let mut takeovers = 0u64;
     for slot in &fleet.slots {
-        let s = slot.lock();
-        jobs_completed += s.done_jobs + u64::from(s.rt.is_complete());
-        let mut o = s.past_outcomes;
-        accumulate(&mut o, &s.rt.migration_outcomes());
-        accumulate(&mut outcomes, &o);
-        checkpoints += s.past_ckpts + s.rt.cr_reports().len() as u64;
-        takeovers += s.past_takeovers + s.rt.fencing_epoch();
+        let h = slot.lock().history();
+        jobs_completed += h.jobs_completed;
+        accumulate(&mut outcomes, &h.outcomes);
+        checkpoints += h.checkpoints;
+        takeovers += h.takeovers;
     }
     let st = &fleet.state.lock().stats;
     PolicyStats {

@@ -31,9 +31,9 @@
 //! end together at one instant thus cost one recompute, not one each; a
 //! rate that would have held for zero virtual time is never set.
 //!
-//! The owners' completion wakes live in the net's kernel timer group,
-//! allocated with its first flow, so a recompute that re-times many flows
-//! re-keys the scheduler heap once.
+//! A recompute re-times its owners' completion wakes under one scheduler
+//! lock, each wake tagged with the net's kernel id so the kernel knows
+//! which net to settle before a due-now wake pops.
 //!
 //! [`crate::Link`] is a one-link `FlowNet`: use `Link` for a standalone
 //! resource (a disk, a memory bus), `FlowNet` when flows share *paths*.
@@ -131,9 +131,6 @@ struct NetInner {
     // same-seed runs to replay identically (same-timestamp tie-breaks).
     flows: BTreeMap<u64, NetFlow>,
     next_flow: u64,
-    /// Kernel timer group of the owners' completion wakes, allocated with
-    /// the first flow.
-    group: Option<u32>,
     /// The net is in the kernel's stale list, awaiting a settle.
     stale: bool,
 }
@@ -143,10 +140,10 @@ impl NetInner {
     /// changed bit-wise has its progress settled at `now`, a new `finish`
     /// and a fresh completion wake; the others keep theirs. A new flow's
     /// rate is 0, so it always gets its first wake here.
-    fn recompute_and_retime(&mut self, kernel: &Kernel, now: SimTime) {
+    fn recompute_and_retime(&mut self, kernel: &Kernel, id: u32, now: SimTime) {
         let links = &self.links;
-        let group = self.group.expect("a net with flows has a timer group");
-        kernel.with_wake_batch(group, |batch| {
+        kernel.sweep(|sweep| {
+            sweep.recompute();
             for f in self.flows.values_mut() {
                 let rate = f
                     .links
@@ -163,7 +160,7 @@ impl NetInner {
                 f.rate = rate;
                 let secs = (f.left / rate).min(1e18); // clamp: "effectively never"
                 f.finish = now.saturating_add(Duration::from_secs_f64(secs));
-                batch.retime(ProcId(f.pid), f.finish);
+                sweep.retime(id, ProcId(f.pid), f.finish);
             }
         });
     }
@@ -185,6 +182,8 @@ impl NetInner {
 
 /// A net's state, shared with the kernel while the net is stale.
 pub(crate) struct NetCell {
+    /// The net's kernel id ([`Kernel::new_net_id`]).
+    pub(crate) id: u32,
     inner: Mutex<NetInner>,
     /// A flow joined since the last settle. The kernel reads it under its
     /// own lock, where it must not take the net's.
@@ -202,7 +201,7 @@ impl NetCell {
         let mut inner = self.inner.lock();
         inner.stale = false;
         self.joined.store(false, Ordering::Relaxed);
-        inner.recompute_and_retime(kernel, kernel.now());
+        inner.recompute_and_retime(kernel, self.id, kernel.now());
     }
 }
 
@@ -219,11 +218,11 @@ impl FlowNet {
         FlowNet {
             kernel: Arc::clone(&handle.kernel),
             cell: Arc::new(NetCell {
+                id: handle.kernel.new_net_id(),
                 inner: Mutex::new(NetInner {
                     links: Vec::new(),
                     flows: BTreeMap::new(),
                     next_flow: 0,
-                    group: None,
                     stale: false,
                 }),
                 joined: AtomicBool::new(false),
@@ -241,8 +240,7 @@ impl FlowNet {
         }
         if !inner.stale && (joined || !inner.flows.is_empty()) {
             inner.stale = true;
-            let group = inner.group.expect("a net with flows has a timer group");
-            self.kernel.mark_stale(group, Arc::clone(&self.cell));
+            self.kernel.mark_stale(Arc::clone(&self.cell));
         }
     }
 
@@ -292,9 +290,6 @@ impl FlowNet {
         let flow_id = {
             let mut inner = self.cell.inner.lock();
             let now = ctx.now();
-            if inner.group.is_none() {
-                inner.group = Some(self.kernel.new_timer_group());
-            }
             let id = inner.next_flow;
             inner.next_flow += 1;
             for l in links {

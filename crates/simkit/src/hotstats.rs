@@ -33,7 +33,7 @@ pub(crate) struct Counters {
     pub(crate) timer_pushes: u64,
     /// Wakes that re-keyed a pending one in place.
     pub(crate) timer_rekeys: u64,
-    /// Peak number of pending wakes, grouped ones included.
+    /// Peak number of pending wakes.
     pub(crate) heap_peak: u64,
     /// Simulated processes spawned.
     pub(crate) spawns: u64,
@@ -168,10 +168,8 @@ pub struct HotStats {
     /// Wakes that re-keyed a process's pending timer in place; the rest
     /// of [`HotStats::timer_pushes`] inserted one.
     pub timer_rekeys: u64,
-    /// Peak number of pending wakes. It counts logical wakes, grouped
-    /// FlowNet wakes included, not the heap's entries (a timer group
-    /// holds many wakes behind one proxy entry), so it reads the same as
-    /// a heap with one entry per wake.
+    /// Peak number of pending wakes: the timer heap's peak size, one
+    /// entry per wake.
     pub heap_peak: u64,
     /// Simulated processes spawned.
     pub procs_spawned: u64,

@@ -11,21 +11,17 @@
 //! simulation deterministic: ties at equal virtual time are broken by the
 //! sequence number of the latest wake.
 //!
-//! A process blocked in a FlowNet transfer keeps its completion wake in
-//! the net's *timer group* ([`Kernel::new_timer_group`]); the heap holds
-//! one entry per process not blocked in a flow plus one proxy per
-//! non-empty group. A rate recompute re-times all of a net's flows
-//! through one [`WakeBatch`], each retime a store into the group, and the
-//! group's proxy is re-keyed once before the next pop. Any other wake of
-//! a grouped process (a kill) moves it back to the heap. The grouping
-//! changes only the work per retime, not which wake pops next.
+//! A FlowNet rate recompute re-times its flows' completion wakes under
+//! one scheduler lock ([`WakeSweep::retime`]). Each process's slot keeps
+//! the id of the net whose retime set its pending wake
+//! ([`Kernel::new_net_id`]), `None` when any other wake (a kill) set it.
 //!
 //! A FlowNet does not recompute rates when a flow joins or leaves: it
 //! marks itself *stale* ([`Kernel::mark_stale`]), and [`Kernel::pop_next`]
 //! settles it. Every stale net is settled before a wake later than the
 //! current instant pops and before the run stops, so no rate is ever
 //! stale across a clock move. A net that had a join is also settled
-//! before its group's proxy pops, since a join can make a stored wake
+//! before a wake that net set pops, since a join can make a stored wake
 //! early; departures only raise shares, so a departure-only net's due-now
 //! wakes pop unsettled. The settle runs with the scheduler lock released,
 //! because a net takes its own lock and then the scheduler's.
@@ -100,6 +96,9 @@ struct Slot {
     join_waiters: Vec<u32>,
     /// Times this process was dispatched.
     dispatches: u64,
+    /// The FlowNet whose retime set the pending wake, `None` for any
+    /// other wake.
+    net: Option<u32>,
 }
 
 pub(crate) struct KState {
@@ -111,32 +110,33 @@ pub(crate) struct KState {
     procs: Vec<Slot>,
     rng: StdRng,
     counts: Counters,
-    /// FlowNets whose rates are stale, with their timer groups, in the
-    /// order they went stale.
-    stale: Vec<(u32, Arc<NetCell>)>,
+    /// FlowNets whose rates are stale, in the order they went stale.
+    stale: Vec<Arc<NetCell>>,
+    /// FlowNet ids handed out.
+    nets: u32,
 }
 
 impl KState {
     /// Core of [`Kernel::schedule_wake`], callable with the state lock
-    /// already held (the batch-retime path). `now` is the clock; `group`
-    /// is the timer group the wake goes into, `None` for the heap.
+    /// already held (the sweep paths). `now` is the clock; `net` is the
+    /// FlowNet retiming the wake, `None` for any other wake.
     fn schedule_wake_locked(
         &mut self,
         now: SimTime,
         pid: ProcId,
         time: SimTime,
-        group: Option<u32>,
+        net: Option<u32>,
     ) -> bool {
         let time = time.max(now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        match self.procs.get(pid.0 as usize) {
-            Some(slot) if !slot.dead => {}
+        match self.procs.get_mut(pid.0 as usize) {
+            Some(slot) if !slot.dead => slot.net = net,
             _ => return false,
         }
         let c = &mut self.counts;
         c.timer_pushes += 1;
-        if self.timers.schedule(pid.0, time, seq, group) {
+        if self.timers.schedule(pid.0, time, seq) {
             c.timer_rekeys += 1;
         } else {
             c.heap_peak = c.heap_peak.max(self.timers.len() as u64);
@@ -181,30 +181,17 @@ impl Kernel {
         self.st.lock().schedule_wake_locked(now, pid, time, None)
     }
 
-    /// A new, empty timer group for one FlowNet's completion wakes.
-    pub(crate) fn new_timer_group(&self) -> u32 {
-        self.st.lock().timers.add_group()
-    }
-
-    /// Queue the FlowNet `net`, whose completion wakes are in timer group
-    /// `group`, to have its rates settled (see the module docs). A net is
-    /// queued once per settle.
-    pub(crate) fn mark_stale(&self, group: u32, net: Arc<NetCell>) {
-        self.st.lock().stale.push((group, net));
-    }
-
-    /// Run `f` against a [`WakeBatch`] onto timer group `group`: the
-    /// scheduler lock is taken once for one FlowNet recompute and all the
-    /// wakes it retimes.
-    pub(crate) fn with_wake_batch<R>(&self, group: u32, f: impl FnOnce(&mut WakeBatch) -> R) -> R {
-        let now = self.now();
+    /// A new id for a FlowNet, the one its retimes leave on the slots.
+    pub(crate) fn new_net_id(&self) -> u32 {
         let mut st = self.st.lock();
-        st.counts.flow_recomputes += 1;
-        f(&mut WakeBatch {
-            st: &mut st,
-            now,
-            group,
-        })
+        st.nets += 1;
+        st.nets - 1
+    }
+
+    /// Queue the FlowNet `net` to have its rates settled (see the module
+    /// docs). A net is queued once per settle.
+    pub(crate) fn mark_stale(&self, net: Arc<NetCell>) {
+        self.st.lock().stale.push(net);
     }
 
     /// Pop the next timer at or before `limit`, advance the clock to it
@@ -223,15 +210,16 @@ impl Kernel {
             }
             let now = self.now();
             match top {
-                // A wake due now: settle the net it belongs to if, and
+                // A wake due now: settle the net that set it if, and
                 // only if, a flow joined that net.
-                Some((t, group)) if t <= now && t <= limit => {
-                    let joined = group
-                        .and_then(|g| st.stale.iter().position(|(h, net)| *h == g && net.joined()));
+                Some((t, pid)) if t <= now && t <= limit => {
+                    let joined = st.procs[pid as usize]
+                        .net
+                        .and_then(|n| st.stale.iter().position(|net| net.id == n && net.joined()));
                     let Some(i) = joined else {
                         break top;
                     };
-                    let (_, net) = st.stale.remove(i);
+                    let net = st.stale.remove(i);
                     drop(st);
                     self.hot.split(t_sched, HotCat::Sched);
                     net.settle(self);
@@ -244,7 +232,7 @@ impl Kernel {
                     let mut nets = std::mem::take(&mut st.stale);
                     drop(st);
                     self.hot.split(t_sched, HotCat::Sched);
-                    for (_, net) in nets.drain(..) {
+                    for net in nets.drain(..) {
                         net.settle(self);
                     }
                     self.hot.split(t_sched, HotCat::Settle);
@@ -279,7 +267,8 @@ impl Kernel {
     }
 
     /// Run `f` against a [`WakeSweep`]: the scheduler lock is taken once
-    /// for a primitive's whole pass over its waiter list.
+    /// for a primitive's whole pass over its waiter list, or for one
+    /// FlowNet recompute and all the wakes it retimes.
     pub(crate) fn sweep<R>(&self, f: impl FnOnce(&mut WakeSweep) -> R) -> R {
         let now = self.now();
         f(&mut WakeSweep {
@@ -369,6 +358,7 @@ impl Kernel {
                 daemon,
                 join_waiters: Vec::new(),
                 dispatches: 0,
+                net: None,
             });
             st.timers.add_proc();
             st.counts.spawns += 1;
@@ -400,36 +390,10 @@ impl Kernel {
     }
 }
 
-/// A single-lock window onto the scheduler and one timer group, handed
-/// out by [`Kernel::with_wake_batch`]. Wakes scheduled through it are
-/// identical — same sequence-number allocation, same counts, same pop
-/// order — to individual [`Kernel::schedule_wake`] calls; only the
-/// locking is batched, and the heap re-keys the group's proxy once.
-pub(crate) struct WakeBatch<'a> {
-    st: &'a mut KState,
-    now: SimTime,
-    group: u32,
-}
-
-impl WakeBatch<'_> {
-    /// Retime a flow owner's completion wake into the group (see
-    /// [`Kernel::schedule_wake`]), counted as a FlowNet retime. A killed
-    /// owner keeps its immediate wake, so it unwinds and gives up its
-    /// links at the instant it was killed.
-    pub(crate) fn retime(&mut self, pid: ProcId, time: SimTime) {
-        if self.st.procs[pid.0 as usize].killed.load(Ordering::Relaxed) {
-            return;
-        }
-        self.st.counts.flow_retimes += 1;
-        self.st
-            .schedule_wake_locked(self.now, pid, time, Some(self.group));
-    }
-}
-
 /// A single-lock window onto the scheduler for one primitive's pass over
-/// its waiter list, handed out by [`Kernel::sweep`]. Its wakes allocate
-/// sequence numbers and count exactly as [`Kernel::schedule_wake`] at the
-/// current instant would.
+/// its waiter list or one FlowNet recompute, handed out by
+/// [`Kernel::sweep`]. Its wakes allocate sequence numbers and count
+/// exactly as [`Kernel::schedule_wake`] calls would.
 pub(crate) struct WakeSweep<'a> {
     st: &'a mut KState,
     now: SimTime,
@@ -452,6 +416,23 @@ impl WakeSweep<'_> {
             && self
                 .st
                 .schedule_wake_locked(self.now, ProcId(pid), self.now, None)
+    }
+
+    /// Count one FlowNet rate recompute.
+    pub(crate) fn recompute(&mut self) {
+        self.st.counts.flow_recomputes += 1;
+    }
+
+    /// Retime a flow owner's completion wake to `time` for the FlowNet
+    /// `net`, counted as a FlowNet retime. A killed owner keeps its
+    /// immediate wake, so it unwinds and gives up its links at the
+    /// instant it was killed.
+    pub(crate) fn retime(&mut self, net: u32, pid: ProcId, time: SimTime) {
+        if self.killed(pid.0) {
+            return;
+        }
+        self.st.counts.flow_retimes += 1;
+        self.st.schedule_wake_locked(self.now, pid, time, Some(net));
     }
 }
 
@@ -547,6 +528,7 @@ impl Simulation {
                 rng: StdRng::seed_from_u64(seed),
                 counts: Counters::default(),
                 stale: Vec::new(),
+                nets: 0,
             }),
             clock: AtomicU64::new(0),
             tracer: Tracer::new(),

@@ -459,3 +459,72 @@ fn join_at_a_flows_finish_instant_settles_it_before_its_wake_pops() {
     sim.run().unwrap();
     assert_eq!(a_done.load(Ordering::SeqCst), 401);
 }
+
+#[test]
+fn a_kill_wake_pops_without_settling_the_victims_net() {
+    // At t = 1 s the killer kills X, X's flow still on link l, and joins
+    // l itself. X's kill wake is due now but was not set by the net, so it
+    // pops unsettled: X unwinds and leaves l, and one settle then gives
+    // the killer the whole link. Settling on X's kill wake would recompute
+    // once with X and once without it.
+    const CAP: f64 = 100e6;
+    let mut sim = Simulation::new(0);
+    let net = FlowNet::new(&sim.handle());
+    let l = net.add_link("l", CAP, Sharing::Fair);
+    let n1 = net.clone();
+    let x = sim.spawn("x", move |ctx| {
+        n1.transfer(ctx, &[l], 1_000_000_000);
+        unreachable!();
+    });
+    let done = Arc::new(AtomicU64::new(0));
+    let (n2, d) = (net.clone(), done.clone());
+    sim.spawn("killer", move |ctx| {
+        ctx.sleep(secs(1));
+        x.kill();
+        n2.transfer(ctx, &[l], 100_000_000);
+        d.store(ctx.now().as_nanos(), Ordering::SeqCst);
+    });
+    sim.run().unwrap();
+    assert_eq!(done.load(Ordering::SeqCst), 2_000_000_000);
+    let hot = sim.handle().hot_stats();
+    // X's start at 0 and the killer's at 1 s, one recompute and one
+    // retime each.
+    assert_eq!((hot.flow_recomputes, hot.flow_retimes), (2, 2));
+}
+
+#[test]
+fn a_due_wake_settles_only_the_net_that_set_it() {
+    // A's flow on net n1 is due at t = 1 s. B joins net n2 at 1 s before
+    // A's wake pops, and A joins n2 after it. n2 is stale with a join when
+    // A's wake pops, but A's wake is n1's, so n2 is settled once, with
+    // both flows, before the clock moves.
+    const CAP: f64 = 100e6;
+    let mut sim = Simulation::new(0);
+    let n1 = FlowNet::new(&sim.handle());
+    let n2 = FlowNet::new(&sim.handle());
+    let l1 = n1.add_link("l1", CAP, Sharing::Fair);
+    let l2 = n2.add_link("l2", CAP, Sharing::Fair);
+    let finishes = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+    // B's sleep is scheduled before A's completion wake, so B runs first
+    // at 1 s.
+    let (net, f) = (n2.clone(), finishes.clone());
+    sim.spawn("b", move |ctx| {
+        ctx.sleep(secs(1));
+        net.transfer(ctx, &[l2], 100_000_000);
+        f[0].store(ctx.now().as_nanos(), Ordering::SeqCst);
+    });
+    let f = finishes.clone();
+    sim.spawn("a", move |ctx| {
+        n1.transfer(ctx, &[l1], 100_000_000);
+        n2.transfer(ctx, &[l2], 100_000_000);
+        f[1].store(ctx.now().as_nanos(), Ordering::SeqCst);
+    });
+    sim.run_until(simkit::SimTime::from_nanos(1_000_000_001))
+        .unwrap();
+    // n1 at 0 s, n2 at 1 s.
+    assert_eq!(sim.handle().hot_stats().flow_recomputes, 2);
+    sim.run().unwrap();
+    for f in finishes.iter() {
+        assert_eq!(f.load(Ordering::SeqCst), 3_000_000_000);
+    }
+}

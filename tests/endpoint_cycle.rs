@@ -3,14 +3,17 @@
 //! or inside the rebuild's CM handshake must leave none of its rank's
 //! queue pairs, old or half-built, in the HCA, and no registered memory
 //! region of them. Anything left there would stay for the rest of the
-//! run.
+//! run. The migration buffer pool likewise leaves nothing behind, after
+//! a finished cycle or an aborted one.
 
 use ibfabric::{Hca, IbConfig, IbFabric, NodeId};
+use jobmig_core::prelude::*;
 use mpisim::{MpiConfig, MpiJob};
-use simkit::dur::us;
-use simkit::Simulation;
+use npbsim::{NpbApp, NpbClass, Workload};
+use simkit::dur::{secs, us};
+use simkit::{SimTime, Simulation};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Ranks of the job, one per node.
@@ -106,4 +109,67 @@ fn a_rebuild_releases_endpoints_a_killed_cr_thread_left_behind() {
     });
     sim.run().unwrap();
     assert_eq!((hca.live_qps(), hca.live_mrs()), (RANKS as usize - 1, 1));
+}
+
+/// Live QPs and MRs summed over the HCAs of every compute and spare node.
+fn live_endpoints(cluster: &Cluster) -> (usize, usize) {
+    let nodes = cluster.compute_nodes().iter().chain(cluster.spare_nodes());
+    nodes.fold((0, 0), |(q, m), &n| {
+        let hca = cluster.fabric().attach(n);
+        (q + hca.live_qps(), m + hca.live_mrs())
+    })
+}
+
+/// LU.A.4 (two ranks per node) on two compute nodes and three spares,
+/// under `plan`. Samples the live endpoints once the job is up, then
+/// migrates `migrations` times, one node after the other, sampling after
+/// each report. Every fault of `plan` must be injected.
+fn endpoints_across_migrations(plan: &FaultPlan, migrations: usize) -> Vec<(usize, usize)> {
+    let mut sim = Simulation::new(21);
+    let cluster = Cluster::build(&sim.handle(), ClusterSpec::sized(2, 3));
+    let plane = cluster.install_fault_plane(plan);
+    let wl = Workload::new(NpbApp::Lu, NpbClass::A, 4);
+    let rt = JobRuntime::launch(&cluster, JobSpec::npb(wl, 2));
+    let samples = Arc::new(Mutex::new(Vec::new()));
+    let (out, rt2, c) = (samples.clone(), rt.clone(), cluster.clone());
+    sim.handle().spawn_daemon("script", move |ctx| {
+        ctx.sleep(secs(10));
+        out.lock().unwrap().push(live_endpoints(&c));
+        for (i, &node) in c.compute_nodes().iter().take(migrations).enumerate() {
+            rt2.control()
+                .migrate(MigrationRequest::new().from_node(node));
+            while rt2.migration_reports().len() <= i {
+                ctx.sleep(secs(1));
+            }
+            out.lock().unwrap().push(live_endpoints(&c));
+        }
+    });
+    sim.run_until_set(rt.completion(), SimTime::MAX).unwrap();
+    assert!(rt.is_complete());
+    assert_eq!(plane.injected(), plan.entries.len() as u64);
+    let samples = samples.lock().unwrap().clone();
+    assert_eq!(samples.len(), migrations + 1, "every migration reported");
+    samples
+}
+
+/// Four ranks, each with one MR and a QP per peer.
+const JOB_ENDPOINTS: (usize, usize) = (4 * 3, 4);
+
+#[test]
+fn migrations_leave_no_buffer_pool_endpoints_behind() {
+    let samples = endpoints_across_migrations(&FaultPlan::new(), 2);
+    assert_eq!(
+        samples,
+        vec![JOB_ENDPOINTS; 3],
+        "after 0, 1 and 2 migrations"
+    );
+}
+
+#[test]
+fn a_spare_crash_leaves_no_buffer_pool_endpoints_behind() {
+    for phase in [MigPhase::Migrate, MigPhase::Restart] {
+        let plan = FaultPlan::new().with(FaultSpec::SpareCrash { phase, attempt: 1 });
+        let samples = endpoints_across_migrations(&plan, 1);
+        assert_eq!(samples, vec![JOB_ENDPOINTS; 2], "spare crash in {phase:?}");
+    }
 }
